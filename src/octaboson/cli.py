@@ -2,8 +2,10 @@
 emit JSON/CSV reports.
 
 Exit codes: 0 all checks passed; 1 failed check or parameter/guard
-violation (with machine-readable error JSON); 2 internal exact-division
-failure; 3 resource budget exceeded.
+violation (with machine-readable error JSON); 2 internal failure, either an
+exact division that did not go through or a constructed polynomial that is
+not monic or leaves its lower set (the error JSON names lambda and the
+offending mu); 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ SUITES = (
 )
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_PARAM_FLAGS = ("--q", "--t1", "--t2", "--t3", "--t4")
 
 
 def _parse_rational(text: str, flag: str) -> Fraction:
@@ -536,8 +539,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--t2 -1/4`` as ``--t2=-1/4``: argparse reads a separated
+    value that starts with '-' and is not a plain number as an option."""
+    out: list[str] = []
+    for token in argv:
+        negative = token.startswith("-") and _RATIONAL_RE.match(token)
+        if out and out[-1] in _PARAM_FLAGS and negative:
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         if args.command == "poly":
             return _cmd_poly(args)
@@ -547,6 +564,11 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except NotDivisibleError as exc:
         _emit_error("internal-divisibility", str(exc), args)
+        return EXIT_INTERNAL
+    except hallittlewood.InvariantError as exc:
+        error = {"type": "internal-invariant", "message": str(exc),
+                 "lambda": list(exc.lam), "mu": list(exc.mu)}
+        _emit({"error": error}, args)
         return EXIT_INTERNAL
     except torus.BudgetExceededError as exc:
         _emit_error("budget", str(exc), args)

@@ -18,8 +18,9 @@ Partition = tuple  # alias for documentation purposes; entries are ints
 
 
 def is_partition(parts: Sequence[int]) -> bool:
-    """True iff the sequence is weakly decreasing with nonnegative entries."""
-    return all(isinstance(p, int) for p in parts) and all(
+    """True iff the sequence is weakly decreasing with nonnegative integer
+    entries; bools are not parts."""
+    return all(isinstance(p, int) and not isinstance(p, bool) for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     ) and (len(parts) == 0 or parts[-1] >= 0)
 

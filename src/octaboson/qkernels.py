@@ -109,11 +109,16 @@ class ParamSet:
     # -- serialization --------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
+        """JSON form; mGuard appears only when it differs from GUARD_DEFAULT,
+        so reports at the default guard keep their fields."""
+        data = {
             "q": str(self.q),
             "t": [str(t) for t in self.ts],
             "profile": self.profile,
         }
+        if self.m_guard != GUARD_DEFAULT:
+            data["mGuard"] = self.m_guard
+        return data
 
     @classmethod
     def from_json_dict(cls, data) -> "ParamSet":
@@ -121,6 +126,7 @@ class ParamSet:
             q=Fraction(data["q"]),
             ts=tuple(Fraction(t) for t in data["t"]),
             profile=data.get("profile", "four"),
+            m_guard=int(data.get("mGuard", GUARD_DEFAULT)),
         )
 
 

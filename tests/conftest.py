@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from octaboson import hallittlewood
 from octaboson.qkernels import ParamSet, default_params
 
 
@@ -33,3 +34,21 @@ def param_triple(params4) -> tuple[ParamSet, ParamSet, ParamSet]:
         ts=(Fraction(-1, 2), Fraction(2, 3), Fraction(1, 7), Fraction(-1, 9)),
     )
     return (params4, second, third)
+
+
+@pytest.fixture
+def fresh_construction():
+    """Empty the construction caches before and after a test, so the test
+    builds from scratch and leaves nothing built under a monkeypatch."""
+    caches = (
+        hallittlewood.hl_polynomial,
+        hallittlewood.macdonald_formula,
+        hallittlewood.character_multiplicities,
+        hallittlewood._seed_block,
+        hallittlewood._classical_seed,
+    )
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()

@@ -1,0 +1,117 @@
+"""The construction by orbit sum and exact division, kept as a test oracle.
+
+The library builds the polynomials by straightening into Sp(2n) characters.
+This module builds them the original way: sum w(seed / D) over all 2^n n!
+signed permutations w, with D the product of (1 - x^alpha) over the
+positive roots, as one numerator over D, then divide by the n^2 binomials
+exactly.  It is independent of the library's seed block, straightening and
+character code, and costs |W| times the seed size, so it is used for n <= 3.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from typing import Sequence
+
+from octaboson.hallittlewood import (
+    _positive_roots,
+    expand_in_monomials,
+    wave_coefficient,
+)
+from octaboson.laurent import LaurentPoly, div_binomial_exact
+from octaboson.partitions import hyperoctahedral_group
+from octaboson.qkernels import ParamSet, monic_normalizer, quadratic_norm
+
+
+def denominator_cocycle(w, roots: Sequence[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """sign and monomial shift with w(D) = sign * x^shift * D for the
+    product D over positive roots of (1 - x^root)."""
+    n = len(roots[0]) if roots else 0
+    sign = 1
+    shift = [0] * n
+    for alpha in roots:
+        image = w.apply(alpha)
+        first = next((v for v in image if v != 0), 0)
+        if first < 0:
+            sign = -sign
+            for i, v in enumerate(image):
+                shift[i] += v
+    return sign, tuple(shift)
+
+
+def orbit_sum_over_denominator(seed: LaurentPoly, n: int) -> LaurentPoly:
+    """Exact evaluation of sum over the group of w(seed / D).
+
+    Each group image of D is sign * monomial * D, so the sum collapses to a
+    single exact division of the accumulated numerator by the binomial
+    factors; a nonzero remainder raises NotDivisibleError.  The numerator
+    is accumulated in integers over the seed's common denominator.
+    """
+    roots = _positive_roots(n)
+    scale = math.lcm(*(c.denominator for c in seed.terms.values()))
+    terms = [(exp, int(c * scale)) for exp, c in seed.terms.items()]
+    acc: dict[tuple[int, ...], int] = {}
+    for w in hyperoctahedral_group(n):
+        sign, shift = denominator_cocycle(w, roots)
+        for exp, coeff in terms:
+            key = tuple(e - s for e, s in zip(w.apply(exp), shift))
+            acc[key] = acc.get(key, 0) + sign * coeff
+    result = LaurentPoly(n, {key: Fraction(v, scale) for key, v in acc.items()})
+    for alpha in roots:
+        result = div_binomial_exact(result, alpha)
+    return result
+
+
+def _binomial(n: int, exp: Sequence[int], c: Fraction) -> LaurentPoly:
+    return LaurentPoly(n, {(0,) * n: Fraction(1), tuple(exp): -c})
+
+
+@lru_cache(maxsize=None)
+def _wave_seed(n: int, zero_count: int, params: ParamSet) -> LaurentPoly:
+    """The plane-wave coefficient's numerator, which depends on lam only
+    through its zero parts, times the (1 - x_j^2) factors its denominator
+    lacks on those parts."""
+    lam = (1,) * (n - zero_count) + (0,) * zero_count
+    seed = wave_coefficient(lam, params).numerator
+    for j in range(n - zero_count, n):
+        double = [0] * n
+        double[j] = 2
+        seed = seed * _binomial(n, double, Fraction(1))
+    return seed
+
+
+@lru_cache(maxsize=None)
+def _classical_seed(n: int, params: ParamSet) -> LaurentPoly:
+    """Numerator of the lambda-independent two-parameter coefficient."""
+    seed = LaurentPoly.one(n)
+    for j in range(n):
+        for k in range(j + 1, n):
+            for sign in (-1, 1):
+                exp = [0] * n
+                exp[j], exp[k] = 1, sign
+                seed = seed * _binomial(n, exp, params.q)
+        for t in params.ts[:2]:
+            exp = [0] * n
+            exp[j] = 1
+            seed = seed * _binomial(n, exp, t)
+    return seed
+
+
+def oracle_hl(lam: tuple[int, ...], params: ParamSet):
+    """(poly, expansion) of the monic polynomial for lam."""
+    n = len(lam)
+    seed = _wave_seed(n, lam.count(0), params)
+    summed = orbit_sum_over_denominator(seed.shift([-p for p in lam]), n)
+    poly = summed * (1 / monic_normalizer(lam, params))
+    return poly, expand_in_monomials(poly)
+
+
+def oracle_macdonald(lam: tuple[int, ...], params: ParamSet):
+    """(poly, expansion) from the classical coefficient, scaled by the
+    quadratic norm."""
+    n = len(lam)
+    summed = orbit_sum_over_denominator(_classical_seed(n, params).shift([-p for p in lam]), n)
+    poly = summed * quadratic_norm(lam, params)
+    return poly, expand_in_monomials(poly)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from octaboson import cli
+from octaboson import cli, hallittlewood
 from octaboson.laurent import NotDivisibleError
 
 
@@ -118,11 +118,68 @@ def test_exit_internal_divisibility(capsys, monkeypatch):
     assert json.loads(out)["error"]["type"] == "internal-divisibility"
 
 
+def test_exit_internal_freudenthal_step(capsys, monkeypatch, fresh_construction):
+    # without the long root 2 e_2 the multiplicity of (0, 0) in chi_(2, 0)
+    # comes out as 16/12
+    roots = hallittlewood._positive_roots
+    monkeypatch.setattr(hallittlewood, "_positive_roots", lambda n: roots(n)[:-1])
+    code, out = run(capsys, "poly", "--n", "2", "--lambda", "2,0")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "internal-divisibility"
+    assert "16 is not divisible by 12" in error["message"]
+
+
+def test_exit_internal_not_monic(capsys, monkeypatch, fresh_construction):
+    normalizer = hallittlewood.monic_normalizer
+    monkeypatch.setattr(
+        hallittlewood, "monic_normalizer", lambda lam, params: 2 * normalizer(lam, params)
+    )
+    code, out = run(capsys, "poly", "--n", "2", "--lambda", "2,1")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "internal-invariant"
+    assert error["lambda"] == [2, 1] and error["mu"] == [2, 1]
+    assert "not monic" in error["message"]
+
+
+def test_exit_internal_outside_lower_set(capsys, monkeypatch, fresh_construction):
+    monkeypatch.setattr(hallittlewood, "lower_set", lambda lam: [lam])
+    code, out = run(capsys, "poly", "--n", "1", "--lambda", "1")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "internal-invariant"
+    assert error["lambda"] == [1] and error["mu"] == [0]
+
+
 def test_exit_budget(capsys, monkeypatch):
     monkeypatch.setenv("OCTABOSON_BUDGET", "100")
     code, out = run(capsys, "verify", "orthogonality", "--n", "2", "--M", "64")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "budget"
+
+
+def test_exit_budget_bounds_construction(capsys, monkeypatch, fresh_construction):
+    # the n = 3 seed block outgrows 100 terms while its factors multiply in
+    monkeypatch.setenv("OCTABOSON_BUDGET", "100")
+    code, out = run(capsys, "poly", "--n", "3", "--lambda", "3,3,3")
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "budget"
+
+
+def test_separated_negative_rational(capsys):
+    # the README's form: a negative value after its flag, not --t2=-1/4
+    code, out = run(
+        capsys,
+        "poly", "--n", "2", "--lambda", "2,1",
+        "--q", "1/2", "--t1", "1/3", "--t2", "-1/4", "--t3", "1/5", "--t4", "-1/6",
+    )
+    assert code == 0
+    code_default, out_default = run(capsys, "poly", "--n", "2", "--lambda", "2,1")
+    assert code_default == 0 and out == out_default
+    code, out = run(capsys, "poly", "--n", "1", "--lambda", "1", "--t2", "-1/3")
+    assert code == 0
+    assert json.loads(out)["principalSpecialization"]["equal"] is True
 
 
 def test_report_bytes_reproducible(tmp_path, capsys):

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from octaboson.hallittlewood import (
+    _positive_roots,
+    character_multiplicities,
     expand_in_monomials,
     hl_gram_schmidt,
     hl_polynomial,
@@ -14,15 +18,18 @@ from octaboson.hallittlewood import (
     reconstruct_from_expansion,
     wave_coefficient,
 )
-from octaboson.laurent import LaurentPoly, apply_w
+from octaboson.laurent import LaurentPoly, apply_w, div_binomial_exact
 from octaboson.partitions import (
     dominance_leq,
     enumerate_partitions,
     group_generators,
+    hyperoctahedral_group,
     lower_set,
+    orbit,
 )
 from octaboson.qkernels import ParamSet, principal_normalizer, tau_vector
 from octaboson.torus import QuadratureSpec
+from orbit_oracle import oracle_hl, oracle_macdonald
 
 F = Fraction
 
@@ -82,6 +89,103 @@ def test_monicity_triangularity_invariance(params4):
         for g in group_generators(2):
             assert apply_w(g, hl.poly) == hl.poly
         assert reconstruct_from_expansion(hl.expansion, 2) == hl.poly
+
+
+@pytest.mark.parametrize("n, max_part", [(1, 5), (2, 4), (3, 3)])
+def test_straightening_matches_orbit_sum_oracle(n, max_part, params4, params2):
+    for lam in enumerate_partitions(n, max_part):
+        hl = hl_polynomial(lam, params4)
+        poly, expansion = oracle_hl(lam, params4)
+        assert hl.poly == poly and hl.expansion == expansion, lam
+        # CSV reports list the expansion in its dict order
+        assert list(hl.expansion) == list(expansion)
+        classical = macdonald_formula(lam, params2)
+        poly, expansion = oracle_macdonald(lam, params2)
+        assert classical.poly == poly and classical.expansion == expansion, lam
+
+
+_open_unit = st.fractions(min_value=-1, max_value=1, max_denominator=9).filter(
+    lambda x: x not in (-1, 0, 1)
+)
+
+
+@st.composite
+def guarded_params(draw) -> ParamSet:
+    """A rational point inside the guarded domain, any profile."""
+    profile = draw(st.sampled_from(("four", "three", "two")))
+    q = draw(_open_unit.filter(lambda x: x > 0))
+    kept = {"four": 4, "three": 3, "two": 2}[profile]
+    ts = [draw(_open_unit) for _ in range(kept)] + [Fraction(0)] * (4 - kept)
+    try:
+        return ParamSet(q=q, ts=tuple(ts), profile=profile)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    guarded_params(),
+    st.integers(1, 2).flatmap(lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+)
+def test_straightening_matches_oracle_random_params(params, parts):
+    lam = tuple(sorted(parts, reverse=True))
+    hl = hl_polynomial(lam, params)
+    assert (hl.poly, hl.expansion) == oracle_hl(lam, params)
+    if params.profile == "two":
+        classical = macdonald_formula(lam, params)
+        assert (classical.poly, classical.expansion) == oracle_macdonald(lam, params)
+
+
+def _alternant_character(mu: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    """chi_mu = A(x^{mu+rho}) / A(x^rho) by exact division, with
+    A(x^rho) = (-1)^{n^2} x^{-rho} prod_{alpha > 0} (1 - x^alpha)."""
+    n = len(mu)
+    rho = tuple(range(n, 0, -1))
+    top = tuple(m + r for m, r in zip(mu, rho))
+    alternant = {}
+    for w in hyperoctahedral_group(n):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if w.perm[i] > w.perm[j]
+        )
+        alternant[w.apply(top)] = (-1) ** (inversions + w.signs.count(-1))
+    quotient = (-1) ** n * LaurentPoly(n, alternant).shift(rho)
+    for alpha in _positive_roots(n):
+        quotient = div_binomial_exact(quotient, alpha)
+    return expand_in_monomials(quotient)
+
+
+@pytest.mark.parametrize("n, max_part", [(1, 3), (2, 3), (3, 3), (4, 2)])
+def test_characters_match_alternant_division(n, max_part):
+    for mu in enumerate_partitions(n, max_part):
+        assert dict(character_multiplicities(mu)) == _alternant_character(mu), mu
+
+
+def test_character_dimensions_match_weyl_formula():
+    for n, max_part in ((1, 5), (2, 4), (3, 3), (4, 2)):
+        for mu in enumerate_partitions(n, max_part):
+            rho = list(range(n, 0, -1))
+            shifted = [m + r for m, r in zip(mu, rho)]
+            # prod over alpha > 0 of <mu + rho, alpha> / <rho, alpha> for sp(2n)
+            dim = Fraction(1)
+            for i in range(n):
+                dim *= Fraction(shifted[i], rho[i])
+                for j in range(i + 1, n):
+                    dim *= Fraction(
+                        shifted[i] ** 2 - shifted[j] ** 2, rho[i] ** 2 - rho[j] ** 2
+                    )
+            total = sum(k * len(orbit(nu)) for nu, k in character_multiplicities(mu))
+            assert total == dim, mu
+
+
+def test_n4_family(params4, params2):
+    for lam in enumerate_partitions(4, 2):
+        hl = hl_polynomial(lam, params4)
+        assert hl.expansion[lam] == 1
+        assert set(hl.expansion) <= set(lower_set(lam))
+        for g in group_generators(4):
+            assert apply_w(g, hl.poly) == hl.poly
+        assert principal_specialization(hl) == 1 / principal_normalizer(lam, params4)
+        assert macdonald_formula(lam, params2).poly == hl_polynomial(lam, params2).poly
 
 
 def test_expand_rejects_noninvariant():

@@ -9,6 +9,7 @@ from octaboson.partitions import (
     enumerate_partitions,
     group_order,
     hyperoctahedral_group,
+    is_partition,
     lower_indices,
     lower_set,
     multiplicity,
@@ -23,6 +24,12 @@ def test_multiplicity():
     assert multiplicity((2, 2, 0), 2) == 2
     assert multiplicity((2, 2, 0), 0) == 1
     assert multiplicity((), 0) == 0
+
+
+def test_is_partition():
+    assert is_partition((2, 1, 1, 0)) and is_partition(())
+    assert not is_partition((1, 2)) and not is_partition((1, -1))
+    assert not is_partition((True, False)) and not is_partition((2, True))
 
 
 def test_dominance_examples():
