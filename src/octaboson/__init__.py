@@ -54,7 +54,6 @@ from .torus import (
     convergence_probe,
     gram_matrix,
     inner_product,
-    weight_delta,
 )
 from .qboson import (
     RELATION_IDS,

@@ -1,8 +1,9 @@
 """Command-line front end: build polynomials, run verification suites,
 emit JSON/CSV reports.
 
-Exit codes: 0 all checks passed; 1 failed check or parameter/guard
-violation (with machine-readable error JSON); 2 internal failure, either an
+Exit codes: 0 all checks passed (and --help); 1 failed check, parameter/guard
+violation or command-line usage error (with machine-readable error JSON,
+type "usage" for the last); 2 internal failure, either an
 exact division that did not go through or a constructed polynomial that is
 not monic or leaves its lower set (the error JSON names lambda and the
 offending mu); 3 resource budget exceeded.
@@ -26,19 +27,16 @@ from .qboson import LatticeFunction
 from .qkernels import (
     GenericityError,
     ParamSet,
+    boundary_potential,
     default_params,
+    hop_coeff,
+    hop_up_three,
+    hop_up_two,
+    norm_three,
+    norm_two,
+    potential_three,
+    potential_two,
     quadratic_norm,
-)
-from .qkernels import (
-    _hop_up_full,
-    _hop_up_three,
-    _hop_up_two,
-    _norm_full,
-    _norm_three,
-    _norm_two,
-    _potential_full,
-    _potential_three,
-    _potential_two,
 )
 
 EXIT_OK = 0
@@ -56,6 +54,20 @@ SUITES = (
     "degeneration",
     "scattering",
 )
+
+
+class UsageError(Exception):
+    """The command line does not parse (unknown suite, bad flag or value)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors by raising UsageError instead of exiting 2,
+    the internal-failure code; subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _PARAM_FLAGS = ("--q", "--t1", "--t2", "--t3", "--t4")
@@ -377,53 +389,37 @@ def _suite_degeneration(args, params) -> tuple[dict, list, bool]:
     checks = []
     ok = True
 
-    def run(name: str, reduced: ParamSet, full_fns, reduced_fns) -> None:
+    def run(name: str, reduced: ParamSet, norm_red, hop_red, pot_red) -> None:
+        # the runtime's general formulas at zeroed t_r against the reduced
+        # closed forms, and the runtime operators against operators built
+        # from those closed forms, on every basis state
         nonlocal ok
-        norm_full, hop_full, pot_full = full_fns
-        norm_red, hop_red, pot_red = reduced_fns
+        zts = reduced.ts
         good = True
         cases = 0
         for sector in range(n + 1):
             for lam in enumerate_partitions(sector, max_part):
-                good = good and norm_full(lam, q, reduced.ts) == norm_red(lam, q, reduced.ts)
+                good = good and quadratic_norm(lam, reduced) == norm_red(lam, q, zts)
                 cases += 1
                 for j in raise_indices(lam):
-                    good = good and hop_full(lam, j, q, reduced.ts) == hop_red(
-                        lam, j, q, reduced.ts
-                    )
+                    good = good and hop_coeff(lam, j, +1, reduced) == hop_red(lam, j, q, zts)
                     cases += 1
-                # operator-level comparison: full formulas at zeroed t against
-                # the reduced profile's operators, on every basis state
                 f = LatticeFunction.delta(lam)
                 for l in range(max_part + 2):
-                    full_c = qboson.create(l, f, reduced, formula="four")
-                    red_c = qboson.create(l, f, reduced)
-                    good = good and (full_c - red_c).is_zero
-                    full_a = qboson.annihilate(l, f, reduced, formula="four")
-                    red_a = qboson.annihilate(l, f, reduced)
-                    good = good and (full_a - red_a).is_zero
+                    created = qboson.reduced_create(l, f, reduced, hop_red)
+                    good = good and (qboson.create(l, f, reduced) - created).is_zero
+                    removed = qboson.reduced_annihilate(l, f)
+                    good = good and (qboson.annihilate(l, f, reduced) - removed).is_zero
                     cases += 2
         for m0 in range(n + 1):
             for m1 in range(n + 1 - m0):
-                good = good and pot_full(m0, m1, q, reduced.ts) == pot_red(
-                    m0, m1, q, reduced.ts
-                )
+                good = good and boundary_potential(m0, m1, reduced) == pot_red(m0, m1, q, zts)
                 cases += 1
         ok = ok and good
         checks.append({"name": name, "cases": cases, "pass": good})
 
-    run(
-        "t4->0",
-        three,
-        (_norm_full, _hop_up_full, _potential_full),
-        (_norm_three, _hop_up_three, _potential_three),
-    )
-    run(
-        "t3,t4->0",
-        two,
-        (_norm_full, _hop_up_full, _potential_full),
-        (_norm_two, _hop_up_two, _potential_two),
-    )
+    run("t4->0", three, norm_three, hop_up_three, potential_three)
+    run("t3,t4->0", two, norm_two, hop_up_two, potential_two)
     payload = {
         "suite": "degeneration",
         "n": n,
@@ -507,7 +503,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="octaboson",
         description="Exact hyperoctahedral Hall-Littlewood polynomials and "
         "verification suites for the boundary-deformed q-boson model",
@@ -554,7 +550,11 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_join_negative_values(argv))
+    try:
+        args = build_parser().parse_args(_join_negative_values(argv))
+    except UsageError as exc:
+        _emit_error("usage", str(exc), argparse.Namespace(format="json", out=None))
+        return EXIT_FAIL
     try:
         if args.command == "poly":
             return _cmd_poly(args)

@@ -77,16 +77,6 @@ class HLPolynomial:
     params: ParamSet
 
 
-@dataclass(frozen=True)
-class CFactorization:
-    """Numerator polynomial and binomial denominator factors of the
-    plane-wave coefficient, kept factored so the orbit sum can be put over
-    a common denominator without rational-function arithmetic."""
-
-    numerator: LaurentPoly
-    denominator_factors: tuple[LaurentPoly, ...]
-
-
 def monomial_symmetric(lam: tuple[int, ...], nvars: int | None = None) -> LaurentPoly:
     """Orbit sum m_lam = sum of x^mu over the signed-permutation orbit."""
     lam = tuple(lam)
@@ -112,45 +102,6 @@ def _positive_roots(n: int) -> list[tuple[int, ...]]:
         double[j] = 2
         roots.append(tuple(double))
     return roots
-
-
-def _one_minus_monomial(n: int, exp: Sequence[int]) -> LaurentPoly:
-    return LaurentPoly(n, {(0,) * n: Fraction(1), tuple(exp): Fraction(-1)})
-
-
-def wave_coefficient(lam: tuple[int, ...], params: ParamSet) -> CFactorization:
-    """Factored coefficient of the plane wave e^{-i<lam, xi>} in the orbit sum.
-
-    Numerator: prod_{j<k} (1 - q x_j/x_k)(1 - q x_j x_k) times, for every j
-    with lam_j > 0, prod_r (1 - t_r x_j).  Denominator factors: the matching
-    (1 - x_j/x_k), (1 - x_j x_k) and, for lam_j > 0, (1 - x_j^2).
-    """
-    lam = tuple(lam)
-    n = len(lam)
-    q = params.q
-    numerator = LaurentPoly.one(n)
-    denominator: list[LaurentPoly] = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            for sign in (-1, 1):
-                exp = [0] * n
-                exp[j], exp[k] = 1, sign
-                numerator = numerator * LaurentPoly(
-                    n, {(0,) * n: Fraction(1), tuple(exp): -q}
-                )
-                denominator.append(_one_minus_monomial(n, exp))
-    for j in range(n):
-        if lam[j] > 0:
-            for t in params.ts:
-                exp = [0] * n
-                exp[j] = 1
-                numerator = numerator * LaurentPoly(
-                    n, {(0,) * n: Fraction(1), tuple(exp): -t}
-                )
-            double = [0] * n
-            double[j] = 2
-            denominator.append(_one_minus_monomial(n, double))
-    return CFactorization(numerator, tuple(denominator))
 
 
 def expand_in_monomials(p: LaurentPoly) -> dict[tuple[int, ...], Fraction]:

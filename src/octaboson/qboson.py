@@ -14,7 +14,6 @@ spectral parameter does (wave functions, eigenvalue residuals, scattering).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,8 +33,8 @@ from .qkernels import (
     GenericityError,
     ParamSet,
     boundary_potential,
+    creation_coeff,
     hop_coeff,
-    qinteger,
     quadratic_norm,
 )
 
@@ -114,18 +113,14 @@ def _occupation_pair(lam: tuple[int, ...]) -> tuple[int, int]:
     return multiplicity(lam, 0), multiplicity(lam, 1)
 
 
-def annihilate(
-    l: int, f: LatticeFunction, params: ParamSet, formula: str | None = None
-) -> LatticeFunction:
+def annihilate(l: int, f: LatticeFunction, params: ParamSet) -> LatticeFunction:
     """Remove a particle from site l (sector n -> n-1).
 
-    The value at a target state is the source value divided, for l = 0 in
-    the full profile, by (1 - t q^{2 m_0 + m_1}) of the target state; the
-    reduced profiles have no denominator.  On the vacuum sector the result
-    is zero.  ``formula`` overrides the profile's formula variant (used by
-    the degeneration checks, which evaluate the full formula at zeroed t_r).
+    The value at a target state is the source value, divided for l = 0 by
+    (1 - t q^{2 m_0 + m_1}) of the target state; that factor is 1 when
+    t = 0, as in the reduced profiles.  On the vacuum sector the result is
+    zero.
     """
-    variant = formula or params.profile
     if f.n == 0:
         return LatticeFunction.zero(0)
     out: dict[tuple[int, ...], object] = {}
@@ -134,7 +129,7 @@ def annihilate(
             continue
         lam = remove_part(mu, l)
         scaled = value
-        if l == 0 and variant == "four":
+        if l == 0 and params.t:
             m0, m1 = _occupation_pair(lam)
             denom = 1 - params.t * params.q ** (2 * m0 + m1)
             if denom == 0:
@@ -144,49 +139,16 @@ def annihilate(
     return LatticeFunction(f.n - 1, out)
 
 
-def _creation_coeff(
-    lam: tuple[int, ...], l: int, q: Fraction, ts: Sequence[Fraction], profile: str
-) -> Fraction:
-    """Coefficient of the created state lam (which contains a part l)."""
-    m = multiplicity(lam, l)
-    m0, m1 = _occupation_pair(lam)
-    value = qinteger(m, q)
-    if profile == "four":
-        t = ts[0] * ts[1] * ts[2] * ts[3]
-        if l in (0, 1):
-            value *= 1 - t * q ** (2 * m0 + m1 - 1)
-        if l == 0:
-            numerator = 1 - t * q ** (m0 - 2)
-            for r, s in itertools.combinations(range(4), 2):
-                numerator *= 1 - ts[r] * ts[s] * q ** (m0 - 1)
-            denominator = (
-                (1 - t * q ** (2 * m0 - 3))
-                * (1 - t * q ** (2 * m0 - 2)) ** 2
-                * (1 - t * q ** (2 * m0 - 1))
-            )
-            if denominator == 0:
-                raise GenericityError("creation coefficient denominator vanishes")
-            value *= numerator / denominator
-    elif profile == "three":
-        if l == 0:
-            for r, s in itertools.combinations(range(3), 2):
-                value *= 1 - ts[r] * ts[s] * q ** (m0 - 1)
-    else:
-        if l == 0:
-            value *= 1 - ts[0] * ts[1] * q ** (m0 - 1)
-    return value
+def create(l: int, f: LatticeFunction, params: ParamSet) -> LatticeFunction:
+    """Add a particle at site l (sector n -> n+1); adjoint of annihilate.
 
-
-def create(
-    l: int, f: LatticeFunction, params: ParamSet, formula: str | None = None
-) -> LatticeFunction:
-    """Add a particle at site l (sector n -> n+1); adjoint of annihilate."""
-    variant = formula or params.profile
+    The coefficient of a created state is ``creation_coeff``, the same
+    general formula as the Hamiltonian's up-hop rate, at every profile.
+    """
     out: dict[tuple[int, ...], object] = {}
     for mu, value in f.values.items():
         lam = add_part(mu, l)
-        coeff = _creation_coeff(lam, l, params.q, params.ts, variant)
-        out[lam] = out.get(lam, 0) + value * coeff
+        out[lam] = out.get(lam, 0) + value * creation_coeff(lam, l, params)
     return LatticeFunction(f.n + 1, out)
 
 
@@ -237,16 +199,15 @@ def _apply_diag(
 
 def _pair_scalar_b(lam: tuple[int, ...], l: int, params: ParamSet) -> Fraction:
     """Diagonal value of the normal-ordered product create(l) annihilate(l)."""
-    q, ts, t = params.q, params.ts, params.t
+    q, t = params.q, params.t
     m0, m1 = _occupation_pair(lam)
     value = (1 - q ** multiplicity(lam, l)) / (1 - q)
-    if params.profile == "four":
-        if l in (0, 1):
-            value *= 1 - t * q ** (2 * m0 + m1 - 1)
+    if l == 0:
+        for prod in params.pair_products:
+            value *= 1 - prod * q ** (m0 - 1)
+    if t and l <= 1:
+        value *= 1 - t * q ** (2 * m0 + m1 - 1)
         if l == 0:
-            numerator = 1 - t * q ** (m0 - 2)
-            for r, s in itertools.combinations(range(4), 2):
-                numerator *= 1 - ts[r] * ts[s] * q ** (m0 - 1)
             denominator = (
                 (1 - t * q ** (2 * m0 - 3))
                 * (1 - t * q ** (2 * m0 - 2)) ** 2
@@ -255,48 +216,32 @@ def _pair_scalar_b(lam: tuple[int, ...], l: int, params: ParamSet) -> Fraction:
             )
             if denominator == 0:
                 raise GenericityError("relation scalar denominator vanishes")
-            value *= numerator / denominator
-    elif params.profile == "three":
-        if l == 0:
-            for r, s in itertools.combinations(range(3), 2):
-                value *= 1 - ts[r] * ts[s] * q ** (m0 - 1)
-    else:
-        if l == 0:
-            value *= 1 - ts[0] * ts[1] * q ** (m0 - 1)
+            value *= (1 - t * q ** (m0 - 2)) / denominator
     return value
 
 
 def _pair_scalar_c(lam: tuple[int, ...], l: int, params: ParamSet) -> Fraction:
     """Diagonal value of the anti-normal-ordered product annihilate(l) create(l)."""
-    q, ts, t = params.q, params.ts, params.t
+    q, t = params.q, params.t
     m0, m1 = _occupation_pair(lam)
     value = (1 - q ** (multiplicity(lam, l) + 1)) / (1 - q)
-    if params.profile == "four":
+    if l == 0:
+        for prod in params.pair_products:
+            value *= 1 - prod * q**m0
+    if t and l <= 1:
         base = t * q ** (2 * m0 + m1)
         if l == 1:
             value *= 1 - base
-        if l == 0:
-            if 1 - base == 0:
-                raise GenericityError("relation scalar denominator vanishes")
-            value /= 1 - base
-            numerator = (1 - t * q ** (m0 - 1)) * (1 - q * base)
-            for r, s in itertools.combinations(range(4), 2):
-                numerator *= 1 - ts[r] * ts[s] * q**m0
+        else:
             denominator = (
-                (1 - t * q ** (2 * m0 - 1))
+                (1 - base)
+                * (1 - t * q ** (2 * m0 - 1))
                 * (1 - t * q ** (2 * m0)) ** 2
                 * (1 - t * q ** (2 * m0 + 1))
             )
             if denominator == 0:
                 raise GenericityError("relation scalar denominator vanishes")
-            value *= numerator / denominator
-    elif params.profile == "three":
-        if l == 0:
-            for r, s in itertools.combinations(range(3), 2):
-                value *= 1 - ts[r] * ts[s] * q**m0
-    else:
-        if l == 0:
-            value *= 1 - ts[0] * ts[1] * q**m0
+            value *= (1 - t * q ** (m0 - 1)) * (1 - q * base) / denominator
     return value
 
 
@@ -352,7 +297,8 @@ def _relation_sides(
             lhs = annihilate(l, create(l, f, params), params)
             rhs = _apply_diag(f, lambda lam: _pair_scalar_c(lam, l, params))
         elif relation_id in ("d1", "d2", "e1", "e2"):
-            twist_on = twisted and l == 0 and k == 1 and params.profile == "four"
+            # the twist ratio is exactly 1 at t = 0
+            twist_on = twisted and l == 0 and k == 1
             if relation_id == "d1":
                 lhs = annihilate(l, annihilate(k, f, params), params)
                 rhs = annihilate(k, annihilate(l, f, params), params)
@@ -424,6 +370,37 @@ def verify_relation(
         passed=worst == 0,
         cases=cases,
     )
+
+
+# ---------------------------------------------------------------------------
+# Degeneration oracles
+# ---------------------------------------------------------------------------
+
+
+def reduced_create(
+    l: int, f: LatticeFunction, params: ParamSet, hop_up: Callable
+) -> LatticeFunction:
+    """Degeneration oracle for create at a reduced profile: the coefficient
+    of a created state lam is the reduced closed-form up-hop rate
+    ``hop_up(lam, j, q, ts)`` (``hop_up_three`` or ``hop_up_two``) of a part
+    lam[j] = l, independently of ``creation_coeff``."""
+    out: dict[tuple[int, ...], object] = {}
+    for mu, value in f.values.items():
+        lam = add_part(mu, l)
+        coeff = hop_up(lam, lam.index(l), params.q, params.ts)
+        out[lam] = out.get(lam, 0) + value * coeff
+    return LatticeFunction(f.n + 1, out)
+
+
+def reduced_annihilate(l: int, f: LatticeFunction) -> LatticeFunction:
+    """Degeneration oracle for annihilate at t = 0: the bare removal of a
+    particle from site l, with no denominator."""
+    out: dict[tuple[int, ...], object] = {}
+    for mu, value in f.values.items():
+        if multiplicity(mu, l):
+            lam = remove_part(mu, l)
+            out[lam] = out.get(lam, 0) + value
+    return LatticeFunction(max(f.n - 1, 0), out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,20 @@ Parameter profiles:
 * ``three`` - t_4 = 0,
 * ``two``   - t_3 = t_4 = 0.
 
-Every profile-reduced formula is the literal substitution of zeros into the
-general five-parameter one; both routes are kept and compared by the
-degeneration test suite.
+The profiles are points of one five-parameter family, and the runtime uses
+one general formula per coefficient at every profile.  A factor that
+involves t = t_1 t_2 t_3 t_4 or a vanishing product t_r t_s equals 1 in the
+reduced profiles and is skipped there, so zeroed couplings cost nothing.
+The reduced closed forms at t_4 = 0 and t_3 = t_4 = 0 are kept only as
+degeneration oracles: the degeneration suite and the tests compare them
+with the general formulas at zeroed t_r.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -81,22 +86,26 @@ class ParamSet:
                 raise ValueError(f"profile {self.profile!r} requires t_{r+1} != 0")
         self.ensure_generic_horizon(self.m_guard)
 
-    @property
+    @cached_property
     def t(self) -> Fraction:
         return self.ts[0] * self.ts[1] * self.ts[2] * self.ts[3]
+
+    @cached_property
+    def pair_products(self) -> tuple[Fraction, ...]:
+        """The nonzero products t_r t_s, r < s (a zero one contributes only
+        factors of 1)."""
+        products = (self.ts[r] * self.ts[s] for r, s in itertools.combinations(range(4), 2))
+        return tuple(prod for prod in products if prod)
 
     def ensure_generic_horizon(self, horizon: int) -> None:
         """Reject t = q^m and t_r t_s = q^m for m = 1..horizon."""
         qpow = Fraction(1)
-        pair_products = [
-            self.ts[r] * self.ts[s] for r, s in itertools.combinations(range(4), 2)
-        ]
         t = self.t
         for _ in range(horizon):
             qpow *= self.q
             if t == qpow:
                 raise GenericityError(f"t = q^m degeneracy at q^m = {qpow}")
-            for prod in pair_products:
+            for prod in self.pair_products:
                 if prod == qpow:
                     raise GenericityError(
                         f"t_r t_s = q^m degeneracy at q^m = {qpow}"
@@ -185,49 +194,21 @@ def _pair_indices(lo: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _norm_full(lam: tuple[int, ...], q: Fraction, ts: Sequence[Fraction]) -> Fraction:
-    """Five-parameter quadratic norm formula (any t_r may be zero)."""
-    n = len(lam)
+def quadratic_norm(lam: tuple[int, ...], params: ParamSet) -> Fraction:
+    """The squared norm of the polynomial indexed by lam."""
+    lam = tuple(lam)
+    q, t = params.q, params.t
     m0 = multiplicity(lam, 0)
-    m1 = multiplicity(lam, 1)
-    t = ts[0] * ts[1] * ts[2] * ts[3]
-    numerator = (1 - q) ** n * qpochhammer(t * q ** (m0 - 1), m0, q)
-    denominator = qpochhammer(t * q ** (2 * m0), m1, q)
-    for r, s in itertools.combinations(range(4), 2):
-        denominator *= qpochhammer(ts[r] * ts[s], m0, q)
-    denominator *= _mult_qpoch_product(lam, q)
+    numerator = (1 - q) ** len(lam)
+    denominator = _mult_qpoch_product(lam, q)
+    for prod in params.pair_products:
+        denominator *= qpochhammer(prod, m0, q)
+    if t:
+        numerator *= qpochhammer(t * q ** (m0 - 1), m0, q)
+        denominator *= qpochhammer(t * q ** (2 * m0), multiplicity(lam, 1), q)
     if denominator == 0:
         raise GenericityError(f"norm denominator vanishes at lam = {lam}")
     return numerator / denominator
-
-
-def _norm_three(lam: tuple[int, ...], q: Fraction, ts: Sequence[Fraction]) -> Fraction:
-    """Reduced norm at t_4 = 0."""
-    n = len(lam)
-    m0 = multiplicity(lam, 0)
-    denominator = Fraction(1)
-    for r, s in itertools.combinations(range(3), 2):
-        denominator *= qpochhammer(ts[r] * ts[s], m0, q)
-    denominator *= _mult_qpoch_product(lam, q)
-    if denominator == 0:
-        raise GenericityError(f"norm denominator vanishes at lam = {lam}")
-    return (1 - q) ** n / denominator
-
-
-def _norm_two(lam: tuple[int, ...], q: Fraction, ts: Sequence[Fraction]) -> Fraction:
-    """Reduced norm at t_3 = t_4 = 0."""
-    n = len(lam)
-    m0 = multiplicity(lam, 0)
-    denominator = qpochhammer(ts[0] * ts[1], m0, q) * _mult_qpoch_product(lam, q)
-    if denominator == 0:
-        raise GenericityError(f"norm denominator vanishes at lam = {lam}")
-    return (1 - q) ** n / denominator
-
-
-def quadratic_norm(lam: tuple[int, ...], params: ParamSet) -> Fraction:
-    """The squared norm of the polynomial indexed by lam (profile aware)."""
-    dispatch = {"four": _norm_full, "three": _norm_three, "two": _norm_two}
-    return dispatch[params.profile](tuple(lam), params.q, params.ts)
 
 
 # ---------------------------------------------------------------------------
@@ -351,54 +332,29 @@ def pieri_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Fr
     return value
 
 
-def _hop_up_full(
-    lam: tuple[int, ...], j: int, q: Fraction, ts: Sequence[Fraction]
-) -> Fraction:
+def creation_coeff(lam: tuple[int, ...], part: int, params: ParamSet) -> Fraction:
+    """Coefficient of the state lam, which has a part equal to ``part``,
+    when a particle is created at site ``part``.  It is also the rate of the
+    Hamiltonian's up hop of that part: hop_coeff(lam, j, +1) for lam[j] = part.
+    """
+    q, t = params.q, params.t
     m0 = multiplicity(lam, 0)
-    m1 = multiplicity(lam, 1)
-    part = lam[j]
-    t = ts[0] * ts[1] * ts[2] * ts[3]
-    value = qinteger(multiplicity(lam, part), q)
-    value *= (1 - t * q ** (2 * m0 + m1 - 1)) ** (_delta(part - 1) + _delta(part))
-    if part == 0:
-        numerator = 1 - t * q ** (m0 - 2)
-        for r, s in itertools.combinations(range(4), 2):
-            numerator *= 1 - ts[r] * ts[s] * q ** (m0 - 1)
-        denominator = (
-            (1 - t * q ** (2 * m0 - 3))
-            * (1 - t * q ** (2 * m0 - 2)) ** 2
-            * (1 - t * q ** (2 * m0 - 1))
-        )
-        if denominator == 0:
-            raise GenericityError("hopping coefficient denominator vanishes")
-        value *= numerator / denominator
-    return value
-
-
-def _hop_up_three(
-    lam: tuple[int, ...], j: int, q: Fraction, ts: Sequence[Fraction]
-) -> Fraction:
-    m0 = multiplicity(lam, 0)
-    part = lam[j]
     value = qinteger(multiplicity(lam, part), q)
     if part == 0:
-        for r, s in itertools.combinations(range(3), 2):
-            value *= 1 - ts[r] * ts[s] * q ** (m0 - 1)
+        for prod in params.pair_products:
+            value *= 1 - prod * q ** (m0 - 1)
+    if t and part <= 1:
+        value *= 1 - t * q ** (2 * m0 + multiplicity(lam, 1) - 1)
+        if part == 0:
+            denominator = (
+                (1 - t * q ** (2 * m0 - 3))
+                * (1 - t * q ** (2 * m0 - 2)) ** 2
+                * (1 - t * q ** (2 * m0 - 1))
+            )
+            if denominator == 0:
+                raise GenericityError("creation coefficient denominator vanishes")
+            value *= (1 - t * q ** (m0 - 2)) / denominator
     return value
-
-
-def _hop_up_two(
-    lam: tuple[int, ...], j: int, q: Fraction, ts: Sequence[Fraction]
-) -> Fraction:
-    m0 = multiplicity(lam, 0)
-    part = lam[j]
-    value = qinteger(multiplicity(lam, part), q)
-    if part == 0:
-        value *= 1 - ts[0] * ts[1] * q ** (m0 - 1)
-    return value
-
-
-_HOP_UP = {"four": _hop_up_full, "three": _hop_up_three, "two": _hop_up_two}
 
 
 def hop_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Fraction:
@@ -407,7 +363,7 @@ def hop_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Frac
     unit_step(lam, j, step)  # validates
     if step == -1:
         return qinteger(multiplicity(lam, lam[j]), params.q)
-    return _HOP_UP[params.profile](lam, j, params.q, params.ts)
+    return creation_coeff(lam, lam[j], params)
 
 
 # ---------------------------------------------------------------------------
@@ -415,57 +371,31 @@ def hop_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Frac
 # ---------------------------------------------------------------------------
 
 
-def _potential_full(
-    m0: int, m1: int, q: Fraction, ts: Sequence[Fraction]
-) -> Fraction:
-    n0 = q**m0
-    n1 = q**m1
-    t = ts[0] * ts[1] * ts[2] * ts[3]
-    t1 = ts[0]
-
-    den_a = (1 - t * n0**2) * (1 - t / q * n0**2)
-    den_b = (1 - t / q**2 * n0**2) * (1 - t / q * n0**2)
-    if den_a == 0 or den_b == 0:
-        raise GenericityError("boundary potential denominator vanishes")
-
-    num_a = 1 - t / q * n0
-    for r, s in _pair_indices(1):
-        num_a *= 1 - ts[r] * ts[s] * n0
-    bracket_a = t / t1 * n0 + t1 * n0 * (1 - num_a / den_a)
-
-    num_b = 1 - t / q * n0**2 * n1
-    for r in range(1, 4):
-        num_b *= 1 - t1 * ts[r] / q * n0
-    bracket_b = t1 + q / (t1 * n0) * (1 - num_b / den_b)
-
-    return bracket_a * (1 - n1) / (1 - q) + bracket_b * (1 - n0) / (1 - q)
-
-
-def _potential_three(
-    m0: int, m1: int, q: Fraction, ts: Sequence[Fraction]
-) -> Fraction:
-    n0 = q**m0
-    n1 = q**m1
-    t123 = ts[0] * ts[1] * ts[2]
-    return (ts[0] + ts[1] + ts[2] - t123 / q * n0) * (1 - n0) / (1 - q) + t123 * n0**2 * (
-        1 - n1
-    ) / (1 - q)
-
-
-def _potential_two(
-    m0: int, m1: int, q: Fraction, ts: Sequence[Fraction]
-) -> Fraction:
-    return (ts[0] + ts[1]) * qinteger(m0, q)
-
-
-_POTENTIAL = {"four": _potential_full, "three": _potential_three, "two": _potential_two}
-
-
 def boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
     """Diagonal boundary term evaluated at occupations (m0, m1) of sites 0, 1."""
     if m0 < 0 or m1 < 0:
         raise ValueError("occupation numbers must be nonnegative")
-    return _POTENTIAL[params.profile](m0, m1, params.q, params.ts)
+    q, ts, t = params.q, params.ts, params.t
+    t1 = ts[0]
+    n0 = q**m0
+    n1 = q**m1
+
+    ratio_a = 1 - t / q * n0
+    for r, s in _pair_indices(1):
+        ratio_a *= 1 - ts[r] * ts[s] * n0
+    ratio_b = 1 - t / q * n0**2 * n1
+    for r in range(1, 4):
+        ratio_b *= 1 - t1 * ts[r] / q * n0
+    if t:
+        den_a = (1 - t * n0**2) * (1 - t / q * n0**2)
+        den_b = (1 - t / q**2 * n0**2) * (1 - t / q * n0**2)
+        if den_a == 0 or den_b == 0:
+            raise GenericityError("boundary potential denominator vanishes")
+        ratio_a /= den_a
+        ratio_b /= den_b
+    bracket_a = t / t1 * n0 + t1 * n0 * (1 - ratio_a)
+    bracket_b = t1 + q / (t1 * n0) * (1 - ratio_b)
+    return bracket_a * (1 - n1) / (1 - q) + bracket_b * (1 - n0) / (1 - q)
 
 
 def potential_from_step_coeffs(lam: tuple[int, ...], params: ParamSet) -> Fraction:
@@ -483,3 +413,74 @@ def potential_from_step_coeffs(lam: tuple[int, ...], params: ParamSet) -> Fracti
     for j in lower_indices(lam):
         value -= pieri_coeff(lam, j, -1, params)
     return value
+
+
+# ---------------------------------------------------------------------------
+# Reduced closed forms (degeneration oracles)
+# ---------------------------------------------------------------------------
+# The general norm, up-hop rate and boundary potential with t_4 = 0 (three)
+# or t_3 = t_4 = 0 (two) substituted and simplified by hand.  The runtime
+# never calls them; they are the independent side of the degeneration checks.
+
+
+def norm_three(lam: tuple[int, ...], q: Fraction, ts: Sequence[Fraction]) -> Fraction:
+    """Reduced norm at t_4 = 0."""
+    n = len(lam)
+    m0 = multiplicity(lam, 0)
+    denominator = Fraction(1)
+    for r, s in itertools.combinations(range(3), 2):
+        denominator *= qpochhammer(ts[r] * ts[s], m0, q)
+    denominator *= _mult_qpoch_product(lam, q)
+    if denominator == 0:
+        raise GenericityError(f"norm denominator vanishes at lam = {lam}")
+    return (1 - q) ** n / denominator
+
+
+def norm_two(lam: tuple[int, ...], q: Fraction, ts: Sequence[Fraction]) -> Fraction:
+    """Reduced norm at t_3 = t_4 = 0."""
+    n = len(lam)
+    m0 = multiplicity(lam, 0)
+    denominator = qpochhammer(ts[0] * ts[1], m0, q) * _mult_qpoch_product(lam, q)
+    if denominator == 0:
+        raise GenericityError(f"norm denominator vanishes at lam = {lam}")
+    return (1 - q) ** n / denominator
+
+
+def hop_up_three(
+    lam: tuple[int, ...], j: int, q: Fraction, ts: Sequence[Fraction]
+) -> Fraction:
+    """Reduced up-hop rate of part lam[j] at t_4 = 0."""
+    m0 = multiplicity(lam, 0)
+    part = lam[j]
+    value = qinteger(multiplicity(lam, part), q)
+    if part == 0:
+        for r, s in itertools.combinations(range(3), 2):
+            value *= 1 - ts[r] * ts[s] * q ** (m0 - 1)
+    return value
+
+
+def hop_up_two(
+    lam: tuple[int, ...], j: int, q: Fraction, ts: Sequence[Fraction]
+) -> Fraction:
+    """Reduced up-hop rate of part lam[j] at t_3 = t_4 = 0."""
+    m0 = multiplicity(lam, 0)
+    part = lam[j]
+    value = qinteger(multiplicity(lam, part), q)
+    if part == 0:
+        value *= 1 - ts[0] * ts[1] * q ** (m0 - 1)
+    return value
+
+
+def potential_three(m0: int, m1: int, q: Fraction, ts: Sequence[Fraction]) -> Fraction:
+    """Reduced boundary potential at t_4 = 0."""
+    n0 = q**m0
+    n1 = q**m1
+    t123 = ts[0] * ts[1] * ts[2]
+    return (ts[0] + ts[1] + ts[2] - t123 / q * n0) * (1 - n0) / (1 - q) + t123 * n0**2 * (
+        1 - n1
+    ) / (1 - q)
+
+
+def potential_two(m0: int, m1: int, q: Fraction, ts: Sequence[Fraction]) -> Fraction:
+    """Reduced boundary potential at t_3 = t_4 = 0."""
+    return (ts[0] + ts[1]) * qinteger(m0, q)

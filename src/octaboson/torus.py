@@ -52,24 +52,6 @@ class QuadratureSpec:
             )
 
 
-def weight_delta(xi: Sequence[float], params: ParamSet) -> complex:
-    """The weight at a single point (plain evaluation, no vectorization)."""
-    n = len(xi)
-    q = float(params.q)
-    value = 1.0 + 0.0j
-    for j in range(n):
-        for k in range(j + 1, n):
-            diff = np.exp(1j * (xi[j] - xi[k]))
-            summ = np.exp(1j * (xi[j] + xi[k]))
-            value *= (1 - diff) * (1 - summ) / ((1 - q * diff) * (1 - q * summ))
-    for j in range(n):
-        e1 = np.exp(1j * xi[j])
-        value *= 1 - e1 * e1
-        for t in params.ts:
-            value /= 1 - float(t) * e1
-    return complex(value)
-
-
 @lru_cache(maxsize=16)
 def _xi_grid(n: int, m: int) -> np.ndarray:
     """All M^n grid points 2*pi*k/M as an (M^n, n) array."""

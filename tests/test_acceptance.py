@@ -26,6 +26,8 @@ from octaboson.qboson import (
     apply_hamiltonian,
     create,
     eigen_residual,
+    reduced_annihilate,
+    reduced_create,
     scattering_factors,
     scattering_matrix,
     sector_inner_product,
@@ -33,15 +35,14 @@ from octaboson.qboson import (
 )
 from octaboson.qkernels import (
     ParamSet,
+    boundary_potential,
     default_params,
+    hop_coeff,
+    hop_up_three,
+    norm_three,
+    potential_three,
     principal_normalizer,
     quadratic_norm,
-    _hop_up_full,
-    _hop_up_three,
-    _norm_full,
-    _norm_three,
-    _potential_full,
-    _potential_three,
 )
 from octaboson.torus import QuadratureSpec, inner_product
 
@@ -262,23 +263,21 @@ def test_criterion_09_degeneration_coherence():
     cases = 0
     for n in (0, 1, 2, 3):
         for lam in enumerate_partitions(n, 4):
-            ok = ok and _norm_full(lam, q, zts) == _norm_three(lam, q, zts)
+            ok = ok and quadratic_norm(lam, three) == norm_three(lam, q, zts)
             cases += 1
             for j in raise_indices(lam):
-                ok = ok and _hop_up_full(lam, j, q, zts) == _hop_up_three(lam, j, q, zts)
+                ok = ok and hop_coeff(lam, j, +1, three) == hop_up_three(lam, j, q, zts)
                 cases += 1
             f = LatticeFunction.delta(lam)
             for l in range(6):
                 ok = ok and (
-                    create(l, f, three, formula="four") - create(l, f, three)
+                    create(l, f, three) - reduced_create(l, f, three, hop_up_three)
                 ).is_zero
-                ok = ok and (
-                    annihilate(l, f, three, formula="four") - annihilate(l, f, three)
-                ).is_zero
+                ok = ok and (annihilate(l, f, three) - reduced_annihilate(l, f)).is_zero
                 cases += 2
     for m0 in range(4):
         for m1 in range(4 - m0):
-            ok = ok and _potential_full(m0, m1, q, zts) == _potential_three(m0, m1, q, zts)
+            ok = ok and boundary_potential(m0, m1, three) == potential_three(m0, m1, q, zts)
             cases += 1
     elapsed = time.time() - start
     passed = ok and elapsed < 30

@@ -108,6 +108,25 @@ def test_exit_float_rejection(capsys):
     assert "exact rational" in json.loads(out)["error"]["message"]
 
 
+def test_exit_usage_error(capsys):
+    # argparse rejections exit 1 with error JSON, not 2 (internal failure)
+    for argv in (
+        ["verify", "nosuch"],
+        ["poly", "--n", "1", "--lambda", "1", "--format", "xml"],
+        ["poly", "--n", "x"],
+        [],
+    ):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_FAIL, argv
+        assert json.loads(captured.out)["error"]["type"] == "usage", argv
+        assert captured.err.startswith("usage: octaboson"), argv
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--help"])
+    assert info.value.code == 0
+    assert "usage: octaboson verify" in capsys.readouterr().out
+
+
 def test_exit_internal_divisibility(capsys, monkeypatch):
     def boom(lam, params):
         raise NotDivisibleError("forced failure")

@@ -16,7 +16,6 @@ from octaboson.hallittlewood import (
     pieri_residual,
     principal_specialization,
     reconstruct_from_expansion,
-    wave_coefficient,
 )
 from octaboson.laurent import LaurentPoly, apply_w, div_binomial_exact
 from octaboson.partitions import (
@@ -29,7 +28,7 @@ from octaboson.partitions import (
 )
 from octaboson.qkernels import ParamSet, principal_normalizer, tau_vector
 from octaboson.torus import QuadratureSpec
-from orbit_oracle import oracle_hl, oracle_macdonald
+from orbit_oracle import oracle_hl, oracle_macdonald, wave_coefficient
 
 F = Fraction
 

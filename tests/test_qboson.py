@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from octaboson.partitions import enumerate_partitions, multiplicity
+from octaboson.partitions import enumerate_partitions, multiplicity, raise_indices
 from octaboson.qboson import (
     RELATION_IDS,
     LatticeFunction,
+    _twist_ratio,
     annihilate,
     apply_hamiltonian,
     create,
@@ -16,6 +19,8 @@ from octaboson.qboson import (
     energy,
     hamiltonian_from_operators,
     number_op,
+    reduced_annihilate,
+    reduced_create,
     scattering_factors,
     scattering_matrix,
     sector_inner_product,
@@ -23,7 +28,19 @@ from octaboson.qboson import (
     wave_function,
     wave_function_dump,
 )
-from octaboson.qkernels import ParamSet, qinteger, quadratic_norm
+from octaboson.qkernels import (
+    ParamSet,
+    boundary_potential,
+    hop_coeff,
+    hop_up_three,
+    hop_up_two,
+    norm_three,
+    norm_two,
+    potential_three,
+    potential_two,
+    qinteger,
+    quadratic_norm,
+)
 
 F = Fraction
 
@@ -284,3 +301,50 @@ def test_scattering_matrix(params4):
             expected *= scattering_factors(xi[j] + xi[k], params4)[0]
         expected *= scattering_factors(xi[j], params4)[1]
     assert abs(scattering_matrix(xi, params4) - expected) < 1e-13
+
+
+_open_unit = st.fractions(min_value=-1, max_value=1, max_denominator=9).filter(
+    lambda x: x not in (-1, 0, 1)
+)
+
+#: reduced profile -> its closed forms (norm, up-hop rate, boundary potential)
+_ORACLES = {
+    "three": (norm_three, hop_up_three, potential_three),
+    "two": (norm_two, hop_up_two, potential_two),
+}
+
+
+@st.composite
+def reduced_params(draw) -> ParamSet:
+    """A rational point inside the guarded domain at profile three or two."""
+    profile = draw(st.sampled_from(("three", "two")))
+    q = draw(_open_unit.filter(lambda x: x > 0))
+    kept = {"three": 3, "two": 2}[profile]
+    ts = [draw(_open_unit) for _ in range(kept)] + [Fraction(0)] * (4 - kept)
+    try:
+        return ParamSet(q=q, ts=tuple(ts), profile=profile)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    reduced_params(),
+    st.integers(0, 3).flatmap(lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+)
+def test_general_formulas_match_reduced_oracles_random_params(params, parts):
+    lam = tuple(sorted(parts, reverse=True))
+    q, ts = params.q, params.ts
+    norm_red, hop_red, pot_red = _ORACLES[params.profile]
+    assert quadratic_norm(lam, params) == norm_red(lam, q, ts)
+    for j in raise_indices(lam):
+        assert hop_coeff(lam, j, +1, params) == hop_red(lam, j, q, ts)
+    n = len(lam)
+    for m0 in range(n + 1):
+        for m1 in range(n + 1 - m0):
+            assert boundary_potential(m0, m1, params) == pot_red(m0, m1, q, ts)
+    f = LatticeFunction.delta(lam)
+    for l in range(6):
+        assert create(l, f, params) == reduced_create(l, f, params, hop_red)
+        assert annihilate(l, f, params) == reduced_annihilate(l, f)
+    assert _twist_ratio(lam, params, False) == 1 == _twist_ratio(lam, params, True)

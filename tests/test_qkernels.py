@@ -23,10 +23,9 @@ from octaboson.qkernels import (
     qpochhammer,
     quadratic_norm,
     tau_vector,
+    norm_three,
+    norm_two,
     wave_normalizer,
-    _norm_full,
-    _norm_three,
-    _norm_two,
 )
 
 F = Fraction
@@ -233,11 +232,11 @@ def test_self_adjointness_balance(params4):
 def test_degeneration_coherence(params4):
     q = params4.q
     t1, t2, t3, _ = params4.ts
-    three_ts = (t1, t2, t3, F(0))
-    two_ts = (t1, t2, F(0), F(0))
+    three = ParamSet(q=q, ts=(t1, t2, t3, F(0)), profile="three")
+    two = ParamSet(q=q, ts=(t1, t2, F(0), F(0)), profile="two")
     for lam in enumerate_partitions(3, 3):
-        assert _norm_full(lam, q, three_ts) == _norm_three(lam, q, three_ts)
-        assert _norm_full(lam, q, two_ts) == _norm_two(lam, q, two_ts)
+        assert quadratic_norm(lam, three) == norm_three(lam, q, three.ts)
+        assert quadratic_norm(lam, two) == norm_two(lam, q, two.ts)
 
 
 def test_json_round_trip(params4):

@@ -16,8 +16,26 @@ from octaboson.torus import (
     convergence_probe,
     gram_matrix,
     inner_product,
-    weight_delta,
 )
+
+
+def weight_delta(xi, params) -> complex:
+    """The weight at a single point, by plain scalar evaluation: the
+    pointwise oracle for the vectorized ``_weight_sq_grid``."""
+    n = len(xi)
+    q = float(params.q)
+    value = 1.0 + 0.0j
+    for j in range(n):
+        for k in range(j + 1, n):
+            diff = np.exp(1j * (xi[j] - xi[k]))
+            summ = np.exp(1j * (xi[j] + xi[k]))
+            value *= (1 - diff) * (1 - summ) / ((1 - q * diff) * (1 - q * summ))
+    for j in range(n):
+        e1 = np.exp(1j * xi[j])
+        value *= 1 - e1 * e1
+        for t in params.ts:
+            value /= 1 - float(t) * e1
+    return complex(value)
 
 
 def test_weight_zeros(params4):
