@@ -10,7 +10,7 @@ the boundary twist that breaks ultralocality), the eigenvalue equation,
 the parameter degenerations, and the factorized scattering data.
 """
 
-from .laurent import LaurentPoly, NotDivisibleError, apply_w, div_exact, symmetrize_w
+from .laurent import LaurentPoly, NotDivisibleError, apply_w, div_exact
 from .partitions import (
     SignedPermutation,
     add_part,

@@ -231,15 +231,6 @@ def _seed_block(n: int, zero_count: int, params: ParamSet) -> IntegerSeed:
     return _binomial_product(n, binomials)
 
 
-@lru_cache(maxsize=None)
-def _classical_seed(n: int, params: ParamSet) -> IntegerSeed:
-    """Numerator of the lambda-independent two-parameter coefficient."""
-    binomials = _cross_binomials(n, params.q)
-    for j in range(n):
-        binomials += [(t, _unit(n, j)) for t in params.ts[:2]]
-    return _binomial_product(n, binomials)
-
-
 def _straighten(
     terms: Sequence[tuple[tuple[int, ...], int]], shift: Sequence[int]
 ) -> dict[tuple[int, ...], int]:
@@ -348,6 +339,16 @@ def _straightened_expansion(
     }
 
 
+def _checked_partition(lam: Sequence[int]) -> tuple[int, ...]:
+    """lam as a tuple, once it is a partition within MAX_VARIABLES parts."""
+    lam = tuple(lam)
+    if not is_partition(lam):
+        raise ValueError(f"not a partition: {lam}")
+    if len(lam) > MAX_VARIABLES:
+        raise ValueError(f"exact construction supports at most {MAX_VARIABLES} variables")
+    return lam
+
+
 @lru_cache(maxsize=None)
 def hl_polynomial(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     """Primary exact construction by straightening into Sp(2n) characters.
@@ -356,16 +357,8 @@ def hl_polynomial(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     denominator (missing (1 - x_j^2) factors for zero parts are topped up in
     the numerator), summed over the group, and scaled monic.
     """
-    lam = tuple(lam)
-    if not is_partition(lam):
-        raise ValueError(f"not a partition: {lam}")
-    n = len(lam)
-    if n > MAX_VARIABLES:
-        raise ValueError(f"exact construction supports at most {MAX_VARIABLES} variables")
-    if n == 0:
-        return HLPolynomial((), LaurentPoly.one(0), {(): Fraction(1)},
-                            quadratic_norm((), params), params)
-    seed = _seed_block(n, multiplicity(lam, 0), params)
+    lam = _checked_partition(lam)
+    seed = _seed_block(len(lam), multiplicity(lam, 0), params)
     expansion = _straightened_expansion(lam, seed, 1 / monic_normalizer(lam, params))
     return _finalize(lam, expansion, params)
 
@@ -374,24 +367,16 @@ def hl_polynomial(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
 def macdonald_formula(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     """Classical two-parameter construction (requires t_3 = t_4 = 0).
 
-    Uses the lambda-independent plane-wave coefficient whose denominator
+    Uses the lambda-independent plane-wave coefficient, whose denominator
     carries (1 - x_j^2) for every j, and scales by the quadratic norm
-    instead of the monic normalizer.
+    instead of the monic normalizer.  With t_3 = t_4 = 0 its numerator is
+    the seed block without zero parts, so both constructions share it.
     """
-    lam = tuple(lam)
     if params.profile != "two":
         raise ValueError("the classical formula requires the two-parameter profile")
-    if not is_partition(lam):
-        raise ValueError(f"not a partition: {lam}")
-    n = len(lam)
-    if n > MAX_VARIABLES:
-        raise ValueError(f"exact construction supports at most {MAX_VARIABLES} variables")
-    if n == 0:
-        return HLPolynomial((), LaurentPoly.one(0), {(): Fraction(1)},
-                            quadratic_norm((), params), params)
-    expansion = _straightened_expansion(
-        lam, _classical_seed(n, params), quadratic_norm(lam, params)
-    )
+    lam = _checked_partition(lam)
+    seed = _seed_block(len(lam), 0, params)
+    expansion = _straightened_expansion(lam, seed, quadratic_norm(lam, params))
     return _finalize(lam, expansion, params)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
 
-from .partitions import SignedPermutation, hyperoctahedral_group
+from .partitions import SignedPermutation
 
 
 class NotDivisibleError(ArithmeticError):
@@ -244,23 +244,6 @@ def apply_w(w: SignedPermutation, p: LaurentPoly) -> LaurentPoly:
     return out
 
 
-def symmetrize_w(p: LaurentPoly) -> LaurentPoly:
-    """Plain orbit sum over the full hyperoctahedral group (no averaging)."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for w in hyperoctahedral_group(p.nvars):
-        for exp, c in p.terms.items():
-            key = w.apply(exp)
-            new = terms.get(key, Fraction(0)) + c
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.nvars = p.nvars
-    out.terms = terms
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Exact division
 # ---------------------------------------------------------------------------
@@ -395,31 +378,3 @@ def div_binomial_exact(p: LaurentPoly, alpha: Sequence[int]) -> LaurentPoly:
             heapq.heappush(heap, (h + sum(a * a for a in alpha), nxt))
 
     return LaurentPoly(p.nvars, quotient)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def to_json_dict(p: LaurentPoly) -> dict:
-    """JSON form with big integers as decimal strings, terms sorted."""
-    return {
-        "nvars": p.nvars,
-        "terms": [
-            {
-                "exp": list(exp),
-                "num": str(p.terms[exp].numerator),
-                "den": str(p.terms[exp].denominator),
-            }
-            for exp in sorted(p.terms)
-        ],
-    }
-
-
-def from_json_dict(data: Mapping) -> LaurentPoly:
-    terms = {
-        tuple(item["exp"]): Fraction(int(item["num"]), int(item["den"]))
-        for item in data["terms"]
-    }
-    return LaurentPoly(int(data["nvars"]), terms)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Part = int
 Partition = tuple  # alias for documentation purposes; entries are ints
@@ -23,14 +23,6 @@ def is_partition(parts: Sequence[int]) -> bool:
     return all(isinstance(p, int) and not isinstance(p, bool) for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     ) and (len(parts) == 0 or parts[-1] >= 0)
-
-
-def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
-    """Validate and freeze a partition given as any iterable of integers."""
-    tup = tuple(int(p) for p in parts)
-    if not is_partition(tup):
-        raise ValueError(f"not a partition: {tup}")
-    return tup
 
 
 def multiplicity(lam: tuple[int, ...], l: int) -> int:

@@ -480,9 +480,10 @@ def eigen_residual(
 ) -> VerificationReport:
     """Relative residual of the eigenvalue equation on the given states.
 
-    For each state the Hamiltonian row is assembled from the potential and
-    hop coefficients, applied to wave-function values on the state and its
-    unit-step neighbors, and compared with energy * value.
+    The coefficient Hamiltonian ``apply_hamiltonian`` acts on the
+    wave-function values at the states and their unit-step neighbors; its
+    image on each state is complete, since every state that hops into it is
+    among those values, and is compared with energy * value.
     """
     lam_set = [tuple(lam) for lam in lam_set]
     n = len(xi)
@@ -493,16 +494,11 @@ def eigen_residual(
         for j in lower_indices(lam):
             needed.add(unit_step(lam, j, -1))
     phi = {lam: wave_function(xi, lam, params) for lam in sorted(needed)}
+    image = apply_hamiltonian(LatticeFunction(n, phi), params)
     e_val = energy(xi)
     worst = 0.0
     for lam in lam_set:
-        m0, m1 = _occupation_pair(lam)
-        total = float(boundary_potential(m0, m1, params)) * phi[lam]
-        for j in raise_indices(lam):
-            total += float(hop_coeff(lam, j, +1, params)) * phi[unit_step(lam, j, 1)]
-        for j in lower_indices(lam):
-            total += float(hop_coeff(lam, j, -1, params)) * phi[unit_step(lam, j, -1)]
-        residual = abs(total - e_val * phi[lam]) / max(1.0, abs(phi[lam]))
+        residual = abs(image(lam) - e_val * phi[lam]) / max(1.0, abs(phi[lam]))
         worst = max(worst, residual)
     return VerificationReport(
         name="eigenvalue-equation",

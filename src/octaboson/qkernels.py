@@ -57,14 +57,13 @@ class ParamSet:
 
     Requires 0 < q < 1 and -1 < t_r < 1, with t_r = 0 exactly where the
     profile dictates.  Construction eagerly rejects parameters with
-    t = q^m or t_r t_s = q^m for m = 1..m_guard, the loci where the
+    t = q^m or t_r t_s = q^m for m = 1..GUARD_DEFAULT, the loci where the
     boundary formulas develop poles at small occupation numbers.
     """
 
     q: Fraction
     ts: tuple[Fraction, Fraction, Fraction, Fraction]
     profile: str = "four"
-    m_guard: int = GUARD_DEFAULT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _frac(self.q))
@@ -84,7 +83,7 @@ class ParamSet:
                 raise ValueError(f"profile {self.profile!r} requires t_{r+1} = 0")
             if not must_be_zero and t == 0:
                 raise ValueError(f"profile {self.profile!r} requires t_{r+1} != 0")
-        self.ensure_generic_horizon(self.m_guard)
+        self.ensure_generic_horizon(GUARD_DEFAULT)
 
     @cached_property
     def t(self) -> Fraction:
@@ -118,16 +117,11 @@ class ParamSet:
     # -- serialization --------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """JSON form; mGuard appears only when it differs from GUARD_DEFAULT,
-        so reports at the default guard keep their fields."""
-        data = {
+        return {
             "q": str(self.q),
             "t": [str(t) for t in self.ts],
             "profile": self.profile,
         }
-        if self.m_guard != GUARD_DEFAULT:
-            data["mGuard"] = self.m_guard
-        return data
 
     @classmethod
     def from_json_dict(cls, data) -> "ParamSet":
@@ -135,7 +129,6 @@ class ParamSet:
             q=Fraction(data["q"]),
             ts=tuple(Fraction(t) for t in data["t"]),
             profile=data.get("profile", "four"),
-            m_guard=int(data.get("mGuard", GUARD_DEFAULT)),
         )
 
 

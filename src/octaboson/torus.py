@@ -5,6 +5,10 @@ The weight is analytic on the torus (its poles sit off |z| = 1 because
 geometrically in the number of nodes per dimension.  Exact identity
 certification never relies on this module; it provides the quadrature side
 of the orthogonality checks and the Gram matrices of the numerical route.
+
+There is one assembly, ``gram_matrix``: it evaluates each polynomial on the
+grid once and weights one conjugated row at a time.  ``inner_product`` is
+the off-diagonal entry of the Gram matrix of its two arguments.
 """
 
 from __future__ import annotations
@@ -97,32 +101,31 @@ def inner_product(
     The integrand is smooth and periodic, so the error decays geometrically
     in points_per_dim with rate max(|q|, |t_r|).
     """
-    if f.nvars != g.nvars or f.nvars != quad.n:
-        raise ValueError("dimension mismatch between polynomials and grid")
-    n, m = quad.n, quad.points_per_dim
-    if n == 0:
-        fv = float(f.terms.get((), 0))
-        gv = float(g.terms.get((), 0))
-        return complex(fv * gv)
-    xi = _xi_grid(n, m)
-    weight = _weight_sq_grid(params, n, m)
-    values = _eval_grid(f, xi) * np.conj(_eval_grid(g, xi)) * weight
-    return complex(values.mean() / group_order(n))
+    return complex(gram_matrix([f, g], params, quad)[0, 1])
 
 
 def gram_matrix(
     basis: Sequence[LaurentPoly], params: ParamSet, quad: QuadratureSpec
 ) -> np.ndarray:
     """Matrix of pairwise inner products of the basis (Hermitian up to
-    quadrature roundoff)."""
+    quadrature roundoff).
+
+    Each polynomial is evaluated on the grid once; column j is the
+    evaluated block against the weighted conjugate of polynomial j, so no
+    weighted or conjugated copy of the whole block is made.
+    """
     n, m = quad.n, quad.points_per_dim
     if any(p.nvars != n for p in basis):
         raise ValueError("dimension mismatch between basis and grid")
     xi = _xi_grid(n, m)
     weight = _weight_sq_grid(params, n, m)
-    evaluated = np.array([_eval_grid(p, xi) for p in basis])
-    scaled = evaluated * weight
-    gram = scaled @ np.conj(evaluated.T) / (xi.shape[0] * group_order(n))
+    evaluated = np.empty((len(basis), xi.shape[0]), dtype=complex)
+    for i, p in enumerate(basis):
+        evaluated[i] = _eval_grid(p, xi)
+    gram = np.empty((len(basis), len(basis)), dtype=complex)
+    for j in range(len(basis)):
+        gram[:, j] = evaluated @ np.conj(evaluated[j] * weight)
+    gram /= xi.shape[0] * group_order(n)
     return gram
 
 

@@ -1,0 +1,95 @@
+"""Capture the report goldens that ``test_golden_reports.py`` replays.
+
+Run from the repository root, on the commit whose reports are the reference:
+
+    PYTHONPATH=src python tests/capture_golden_reports.py
+
+Each argv goes through ``cli.main`` in one process; its exit code and
+stdout are written to ``tests/golden_reports.json``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+import subprocess
+
+from octaboson import cli
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_reports.json")
+
+#: A second parameter point per profile, besides each profile's defaults.
+SECOND_POINT = {
+    "four": ["--q", "1/3", "--t1", "1/2", "--t2", "1/5", "--t3=-2/7", "--t4", "3/8"],
+    "three": ["--q", "1/3", "--t1", "1/2", "--t2", "1/5", "--t3=-2/7"],
+    "two": ["--q", "1/3", "--t1", "1/2", "--t2", "1/5"],
+}
+
+#: Suites whose reports hold no floats; their CSV is compared byte for byte.
+EXACT_SUITES = ("pieri", "algebra", "adjoint", "degeneration")
+
+SUITE_ARGS = {
+    "orthogonality": ["--n", "2", "--maxPart", "2", "--M", "32"],
+    "norms": ["--n", "2", "--maxPart", "2", "--M", "32"],
+    "pieri": ["--n", "2", "--maxPart", "2"],
+    "algebra": ["--n", "2", "--maxPart", "1", "--relation", "com-d"],
+    "adjoint": ["--n", "2", "--maxPart", "2"],
+    "eigen": ["--n", "2", "--maxPart", "2"],
+    "degeneration": ["--n", "2", "--maxPart", "2"],
+    "scattering": ["--n", "2"],
+}
+
+
+def golden_argvs() -> list[list[str]]:
+    argvs: list[list[str]] = []
+    for profile in ("four", "three", "two"):
+        for point in ([], SECOND_POINT[profile]):
+            flags = ["--profile", profile, *point]
+            argvs.append(["poly", "--n", "2", "--lambda", "2,1", *flags])
+            if profile == "two":
+                argvs.append(["poly", "--n", "2", "--lambda", "2,1", "--compare-macdonald", *flags])
+            if point:
+                # t_1 = 1/2 needs the finer grid to meet the n = 2 tolerance
+                argvs.append(["verify", "orthogonality", "--n", "2", "--maxPart", "2", "--M", "64", *flags])
+                argvs.append(["verify", "eigen", *SUITE_ARGS["eigen"], *flags])
+                argvs.append(["verify", "degeneration", *SUITE_ARGS["degeneration"], *flags])
+                continue
+            for suite, args in SUITE_ARGS.items():
+                argvs.append(["verify", suite, *args, *flags])
+            for suite in EXACT_SUITES:
+                argvs.append(["verify", suite, *SUITE_ARGS[suite], *flags, "--format", "csv"])
+            argvs.append(["poly", "--n", "2", "--lambda", "2,1", *flags, "--format", "csv"])
+    # the empty partition through every route that builds or evaluates it
+    argvs.append(["poly", "--n", "0"])
+    argvs.append(["poly", "--n", "0", "--profile", "two", "--compare-macdonald"])
+    argvs.append(["verify", "orthogonality", "--n", "0", "--maxPart", "2"])
+    argvs.append(["verify", "eigen", "--n", "0", "--maxPart", "2"])
+    return argvs
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, buffer.getvalue()
+
+
+def main() -> None:
+    sha = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    entries = []
+    for argv in golden_argvs():
+        code, out = run(argv)
+        entries.append({"argv": argv, "exit": code, "stdout": out})
+    GOLDEN_PATH.write_text(
+        json.dumps({"capturedAt": sha, "reports": entries}, indent=1) + "\n",
+        encoding="utf-8",
+    )
+    print(f"{len(entries)} reports captured at {sha} into {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()

@@ -45,7 +45,6 @@ def fresh_construction():
         hallittlewood.macdonald_formula,
         hallittlewood.character_multiplicities,
         hallittlewood._seed_block,
-        hallittlewood._classical_seed,
     )
     for fn in caches:
         fn.cache_clear()

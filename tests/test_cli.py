@@ -79,6 +79,23 @@ def test_orthogonality_csv_one_row_per_pair(tmp_path, capsys):
     assert len(lines) == 1 + 6  # header + C(3,2) + 3 diagonal pairs
 
 
+def test_orthogonality_evaluates_each_polynomial_once(capsys, monkeypatch):
+    # one Gram assembly: 6 partitions, 6 grid evaluations (pairwise inner
+    # products would evaluate both sides of all 21 pairs)
+    calls = []
+    eval_grid = cli.torus._eval_grid
+
+    def counted(p, xi):
+        calls.append(p)
+        return eval_grid(p, xi)
+
+    monkeypatch.setattr(cli.torus, "_eval_grid", counted)
+    code, out = run(capsys, "verify", "orthogonality", "--n", "2", "--maxPart", "2")
+    assert code == 0
+    assert len(json.loads(out)["pairs"]) == 21
+    assert len(calls) == 6
+
+
 def test_orthogonality_report_schema(capsys):
     code, out = run(
         capsys, "verify", "orthogonality", "--n", "1", "--M", "32", "--maxPart", "1"
@@ -89,6 +106,18 @@ def test_orthogonality_report_schema(capsys):
     pair = payload["pairs"][0]
     assert set(pair) == {"lambda", "mu", "value", "expected", "absErr"}
     assert set(pair["value"]) == {"re", "im"}
+
+
+def test_degeneration_from_two_profile(capsys):
+    # t3 = 0 already, so the t4 -> 0 check has no point to start from
+    code, out = run(capsys, "verify", "degeneration", "--n", "2", "--maxPart", "2", "--profile", "two")
+    assert code == 0, out
+    payload = json.loads(out)
+    assert [c["name"] for c in payload["checks"]] == ["t3,t4->0"]
+    assert payload["pass"] is True
+    code, out = run(capsys, "verify", "degeneration", "--n", "2", "--maxPart", "2", "--profile", "three")
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["t4->0", "t3,t4->0"]
 
 
 def test_exit_guard_violation(capsys):

@@ -11,13 +11,9 @@ from octaboson.laurent import (
     apply_w,
     div_binomial_exact,
     div_exact,
-    from_json_dict,
-    symmetrize_w,
-    to_json_dict,
 )
 from octaboson.partitions import (
     SignedPermutation,
-    group_generators,
     hyperoctahedral_group,
 )
 
@@ -97,22 +93,6 @@ def test_apply_w_examples():
         apply_w(identity, LaurentPoly.one(1))
 
 
-def test_symmetrize_examples():
-    assert symmetrize_w(LaurentPoly.one(2)) == LaurentPoly.constant(2, 8)
-    assert symmetrize_w(x(0)) == LaurentPoly(1, {(1,): 1, (-1,): 1})
-    assert symmetrize_w(x(0, 2)) == LaurentPoly(
-        2, {(1, 0): 2, (-1, 0): 2, (0, 1): 2, (0, -1): 2}
-    )
-
-
-def test_symmetrize_invariant_under_generators():
-    for n in (1, 2, 3):
-        p = LaurentPoly(n, {tuple(range(1, n + 1)): Fraction(1, 2), (0,) * n: 3})
-        sym = symmetrize_w(p)
-        for g in group_generators(n):
-            assert apply_w(g, sym) == sym
-
-
 def test_apply_w_is_ring_homomorphism():
     p = LaurentPoly(2, {(1, 0): 1, (0, -2): Fraction(1, 3)})
     q = LaurentPoly(2, {(1, 1): -2, (0, 0): 1})
@@ -127,14 +107,6 @@ def test_evaluate():
     assert p.evaluate_exact([Fraction(2)]) == Fraction(5, 2)
     with pytest.raises(ZeroDivisionError):
         p.evaluate([0.0])
-
-
-def test_json_round_trip():
-    p = LaurentPoly(2, {(3, -2): Fraction(-7, 11), (0, 0): 5})
-    data = to_json_dict(p)
-    assert data["nvars"] == 2
-    assert all(isinstance(t["num"], str) for t in data["terms"])
-    assert from_json_dict(data) == p
 
 
 small_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)

@@ -247,6 +247,3 @@ def test_json_round_trip(params4):
         "profile": "four",
     }
     assert ParamSet.from_json_dict(data) == params4
-    wider = ParamSet(q=params4.q, ts=params4.ts, m_guard=30)
-    assert wider.to_json_dict() == {**data, "mGuard": 30}
-    assert ParamSet.from_json_dict(wider.to_json_dict()) == wider

@@ -62,6 +62,16 @@ def test_inner_product_constant(params4):
     assert abs(value.imag) < 1e-12
 
 
+def test_inner_product_zero_variables(params4):
+    # one grid node, weight 1, group order 1: the product of the constants
+    quad = QuadratureSpec(points_per_dim=8, n=0)
+    f = LaurentPoly.constant(0, Fraction(3, 2))
+    g = LaurentPoly.constant(0, Fraction(-2, 3))
+    assert inner_product(f, g, params4, quad) == -1 + 0j
+    with pytest.raises(ValueError):
+        inner_product(f, LaurentPoly.one(1), params4, quad)
+
+
 def test_orthogonality_small(params4):
     quad = QuadratureSpec(points_per_dim=64, n=1)
     p1 = hl_polynomial((1,), params4)
