@@ -10,7 +10,7 @@ the boundary twist that breaks ultralocality), the eigenvalue equation,
 the parameter degenerations, and the factorized scattering data.
 """
 
-from .laurent import LaurentPoly, NotDivisibleError, apply_w, div_exact
+from .laurent import LaurentPoly, NotDivisibleError, apply_w
 from .partitions import (
     SignedPermutation,
     add_part,
@@ -71,7 +71,6 @@ from .qboson import (
     sector_inner_product,
     verify_relation,
     wave_function,
-    wave_function_dump,
 )
 
 __version__ = "0.1.0"

@@ -113,8 +113,8 @@ def _emit(payload: dict, args, rows: list[dict] | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_error(kind: str, message: str, args) -> None:
-    _emit({"error": {"type": kind, "message": message}}, args)
+def _emit_error(kind: str, message: str, args, evidence: dict | None = None) -> None:
+    _emit({"error": {"type": kind, "message": message, **(evidence or {})}}, args)
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +566,11 @@ def main(argv=None) -> int:
         _emit_error("parameter", str(exc), args)
         return EXIT_FAIL
     except NotDivisibleError as exc:
-        _emit_error("internal-divisibility", str(exc), args)
+        _emit_error("internal-divisibility", str(exc), args, exc.evidence)
         return EXIT_INTERNAL
     except hallittlewood.InvariantError as exc:
-        error = {"type": "internal-invariant", "message": str(exc),
-                 "lambda": list(exc.lam), "mu": list(exc.mu)}
-        _emit({"error": error}, args)
+        evidence = {"lambda": list(exc.lam), "mu": list(exc.mu)}
+        _emit_error("internal-invariant", str(exc), args, evidence)
         return EXIT_INTERNAL
     except torus.BudgetExceededError as exc:
         _emit_error("budget", str(exc), args)

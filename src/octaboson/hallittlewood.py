@@ -77,13 +77,10 @@ class HLPolynomial:
     params: ParamSet
 
 
-def monomial_symmetric(lam: tuple[int, ...], nvars: int | None = None) -> LaurentPoly:
+def monomial_symmetric(lam: tuple[int, ...]) -> LaurentPoly:
     """Orbit sum m_lam = sum of x^mu over the signed-permutation orbit."""
     lam = tuple(lam)
-    n = len(lam) if nvars is None else nvars
-    if n != len(lam):
-        raise ValueError("nvars must equal the partition length")
-    return LaurentPoly(n, {mu: Fraction(1) for mu in orbit(lam)})
+    return LaurentPoly(len(lam), {mu: Fraction(1) for mu in orbit(lam)})
 
 
 def _positive_roots(n: int) -> list[tuple[int, ...]]:
@@ -134,11 +131,11 @@ def expand_in_monomials(p: LaurentPoly) -> dict[tuple[int, ...], Fraction]:
 def reconstruct_from_expansion(
     expansion: Mapping[tuple[int, ...], Fraction], n: int
 ) -> LaurentPoly:
-    """Inverse of expand_in_monomials."""
-    total = LaurentPoly.zero(n)
-    for mu, coeff in expansion.items():
-        total = total + coeff * monomial_symmetric(tuple(mu), n)
-    return total
+    """Inverse of expand_in_monomials; orbits of distinct dominant weights
+    are disjoint, so each term is written once."""
+    return LaurentPoly(
+        n, {e: coeff for mu, coeff in expansion.items() for e in orbit(tuple(mu))}
+    )
 
 
 def _finalize(
@@ -272,7 +269,8 @@ def character_multiplicities(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...]
         (|mu + rho|^2 - |nu + rho|^2) K_nu
             = 2 sum_{alpha > 0} sum_{k >= 1} K_{nu + k alpha} <nu + k alpha, alpha>
     in integers, with K constant on group orbits; a division that does not
-    go through raises NotDivisibleError.
+    go through raises NotDivisibleError naming the character, the weight,
+    the numerator and the divisor.
     """
     n = len(mu)
     rho = tuple(range(n, 0, -1))
@@ -307,7 +305,13 @@ def character_multiplicities(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...]
         if remainder:
             raise NotDivisibleError(
                 f"Freudenthal step for chi_{mu} at weight {nu}: "
-                f"{2 * total} is not divisible by {gap}"
+                f"{2 * total} is not divisible by {gap}",
+                evidence={
+                    "character": list(mu),
+                    "weight": list(nu),
+                    "numerator": 2 * total,
+                    "divisor": gap,
+                },
             )
         mult[nu] = value
     return tuple((nu, mult[nu]) for nu in weights if mult[nu])
@@ -446,7 +450,7 @@ def hl_gram_schmidt(
     support = lower_set(lam)
     if len(support) == 1:
         return {lam: 1.0}
-    basis = [monomial_symmetric(mu, len(lam)) for mu in support]
+    basis = [monomial_symmetric(mu) for mu in support]
     gram = torus.gram_matrix(basis, params, quad).real
     idx = support.index(lam)
     others = [i for i in range(len(support)) if i != idx]

@@ -5,6 +5,10 @@ negative) to nonzero ``fractions.Fraction`` coefficients.  The variable x_j
 stands for the unit-circle exponential e^{i xi_j}, so exponent vectors are
 the frequencies of trigonometric polynomials and the signed-permutation
 action on variables is dual to the action on the angles xi.
+
+Exact division is by binomials (1 - x^alpha) only: the construction
+straightens into characters and never divides a polynomial, and the
+division serves the orbit-sum oracle of the test suite.
 """
 
 from __future__ import annotations
@@ -18,11 +22,15 @@ from .partitions import SignedPermutation
 
 
 class NotDivisibleError(ArithmeticError):
-    """Exact division failed; carries the nonzero remainder as evidence."""
+    """An exact division did not go through.
 
-    def __init__(self, message: str, remainder: "LaurentPoly | None" = None):
+    ``evidence`` is a JSON-ready dict naming what failed to divide, e.g.
+    the offending term of a binomial division; it is empty by default.
+    """
+
+    def __init__(self, message: str, evidence: dict | None = None):
         super().__init__(message)
-        self.remainder = remainder
+        self.evidence = evidence or {}
 
 
 def _as_coeff(value) -> Fraction:
@@ -230,7 +238,7 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Group action and symmetrization
+# Group action
 # ---------------------------------------------------------------------------
 
 
@@ -247,91 +255,6 @@ def apply_w(w: SignedPermutation, p: LaurentPoly) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # Exact division
 # ---------------------------------------------------------------------------
-
-
-def _min_exponents(p: LaurentPoly) -> tuple[int, ...]:
-    mins = [0] * p.nvars
-    first = True
-    for exp in p.terms:
-        if first:
-            mins = list(exp)
-            first = False
-        else:
-            for i, e in enumerate(exp):
-                if e < mins[i]:
-                    mins[i] = e
-    return tuple(mins)
-
-
-def _heap_key(exp: tuple[int, ...]) -> tuple:
-    # Min-heap key whose minimum is the graded-lex maximum.
-    return (-sum(exp), tuple(-e for e in exp))
-
-
-def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient a/b; raises NotDivisibleError on a nonzero remainder.
-
-    Both operands are shifted by monomials into ordinary polynomials, then
-    divided by the single divisor b using graded-lex ordering.  For Laurent
-    polynomials this decides divisibility: the quotient of the shifted
-    operands, when it exists, has nonnegative exponents.
-    """
-    a._check_same_ring(b)
-    if b.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return LaurentPoly.zero(a.nvars)
-
-    shift_a = _min_exponents(a)
-    shift_b = _min_exponents(b)
-    ra = {tuple(e - s for e, s in zip(exp, shift_a)): c for exp, c in a.terms.items()}
-    rb = {tuple(e - s for e, s in zip(exp, shift_b)): c for exp, c in b.terms.items()}
-
-    lead_b = min(rb, key=_heap_key)
-    cb = rb[lead_b]
-
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    remainder: dict[tuple[int, ...], Fraction] = {}
-    heap = [_heap_key(e) + (e,) for e in ra]
-    heapq.heapify(heap)
-    scheduled = set(ra)
-
-    while heap:
-        entry = heapq.heappop(heap)
-        exp = entry[-1]
-        scheduled.discard(exp)
-        coeff = ra.get(exp)
-        if not coeff:
-            continue
-        mono = tuple(e - f for e, f in zip(exp, lead_b))
-        if any(m < 0 for m in mono):
-            remainder[exp] = ra.pop(exp)
-            continue
-        factor = coeff / cb
-        quotient[mono] = quotient.get(mono, Fraction(0)) + factor
-        for eb, c in rb.items():
-            key = tuple(m + e for m, e in zip(mono, eb))
-            new = ra.get(key, Fraction(0)) - factor * c
-            if new:
-                ra[key] = new
-                if key not in scheduled:
-                    scheduled.add(key)
-                    heapq.heappush(heap, _heap_key(key) + (key,))
-            else:
-                ra.pop(key, None)
-
-    if remainder:
-        rem = LaurentPoly(
-            a.nvars,
-            {tuple(e + s for e, s in zip(exp, shift_a)): c for exp, c in remainder.items()},
-        )
-        raise NotDivisibleError("polynomials do not divide exactly", remainder=rem)
-
-    unshift = tuple(sa - sb for sa, sb in zip(shift_a, shift_b))
-    return LaurentPoly(
-        a.nvars,
-        {tuple(e + s for e, s in zip(exp, unshift)): c for exp, c in quotient.items()},
-    )
 
 
 def div_binomial_exact(p: LaurentPoly, alpha: Sequence[int]) -> LaurentPoly:
@@ -369,7 +292,7 @@ def div_binomial_exact(p: LaurentPoly, alpha: Sequence[int]) -> LaurentPoly:
         if h > bound:
             raise NotDivisibleError(
                 "polynomial is not divisible by the binomial factor",
-                remainder=LaurentPoly.monomial(p.nvars, exp, value),
+                evidence={"term": list(exp), "coefficient": str(value)},
             )
         quotient[exp] = value
         nxt = tuple(e + a for e, a in zip(exp, alpha))

@@ -38,15 +38,14 @@ from .qkernels import (
     quadratic_norm,
 )
 
-RELATION_IDS = ("a1", "a2", "b", "c", "d1", "d2", "e1", "e2")
-
-
 @dataclass(frozen=True)
 class LatticeFunction:
     """Finitely supported function on the length-n partition sector.
 
     Values are exact rationals in identity checks and complex numbers for
-    wave functions; zeros are never stored.
+    wave functions; zeros are never stored.  Annihilation maps sector n to
+    n - 1 at every n, so sector -1 holds one function, the zero image of
+    the vacuum; functions of different sectors never add.
     """
 
     n: int
@@ -79,14 +78,7 @@ class LatticeFunction:
         return self.values.get(tuple(lam), 0)
 
     def __add__(self, other: "LatticeFunction") -> "LatticeFunction":
-        # The zero function is sector-agnostic (an annihilator applied to the
-        # vacuum sector yields it), so mismatched sectors combine when one
-        # side is zero.
         if self.n != other.n:
-            if self.is_zero:
-                return other
-            if other.is_zero:
-                return self
             raise ValueError("sector mismatch")
         out = dict(self.values)
         for lam, v in other.values.items():
@@ -118,11 +110,9 @@ def annihilate(l: int, f: LatticeFunction, params: ParamSet) -> LatticeFunction:
 
     The value at a target state is the source value, divided for l = 0 by
     (1 - t q^{2 m_0 + m_1}) of the target state; that factor is 1 when
-    t = 0, as in the reduced profiles.  On the vacuum sector the result is
-    zero.
+    t = 0, as in the reduced profiles.  The vacuum has no particle to
+    remove, so its image is the zero function of sector -1.
     """
-    if f.n == 0:
-        return LatticeFunction.zero(0)
     out: dict[tuple[int, ...], object] = {}
     for mu, value in f.values.items():
         if multiplicity(mu, l) == 0:
@@ -270,66 +260,48 @@ class VerificationReport:
         }
 
 
-def _relation_sides(
-    relation_id: str,
-    l: int,
-    k: int,
-    params: ParamSet,
-    twisted: bool,
-) -> Callable[[LatticeFunction], tuple[LatticeFunction, LatticeFunction]]:
-    q = params.q
+class _SectorOps:
+    """The sector operators of a relation check at one parameter point;
+    ``twist`` alone places the diagonal twist of the exchange relations."""
 
-    def sides(f: LatticeFunction) -> tuple[LatticeFunction, LatticeFunction]:
-        if relation_id == "a1":
-            lhs = annihilate(l, number_op(k, f, params), params)
-            rhs = number_op(k, annihilate(l, f, params), params).scale(
-                q if l == k else 1
-            )
-        elif relation_id == "a2":
-            lhs = create(l, number_op(k, f, params), params)
-            rhs = number_op(k, create(l, f, params), params).scale(
-                1 / q if l == k else 1
-            )
-        elif relation_id == "b":
-            lhs = create(l, annihilate(l, f, params), params)
-            rhs = _apply_diag(f, lambda lam: _pair_scalar_b(lam, l, params))
-        elif relation_id == "c":
-            lhs = annihilate(l, create(l, f, params), params)
-            rhs = _apply_diag(f, lambda lam: _pair_scalar_c(lam, l, params))
-        elif relation_id in ("d1", "d2", "e1", "e2"):
-            # the twist ratio is exactly 1 at t = 0
-            twist_on = twisted and l == 0 and k == 1
-            if relation_id == "d1":
-                lhs = annihilate(l, annihilate(k, f, params), params)
-                rhs = annihilate(k, annihilate(l, f, params), params)
-                if twist_on:
-                    rhs = _apply_diag(rhs, lambda lam: _twist_ratio(lam, params, False))
-            elif relation_id == "d2":
-                lhs = create(l, create(k, f, params), params)
-                inner = (
-                    _apply_diag(f, lambda lam: _twist_ratio(lam, params, True))
-                    if twist_on
-                    else f
-                )
-                rhs = create(k, create(l, inner, params), params)
-            elif relation_id == "e1":
-                lhs = annihilate(l, create(k, f, params), params)
-                rhs = create(k, annihilate(l, f, params), params)
-                if twist_on:
-                    rhs = _apply_diag(rhs, lambda lam: _twist_ratio(lam, params, False))
-            else:  # e2
-                lhs = create(l, annihilate(k, f, params), params)
-                inner = (
-                    _apply_diag(f, lambda lam: _twist_ratio(lam, params, True))
-                    if twist_on
-                    else f
-                )
-                rhs = annihilate(k, create(l, inner, params), params)
-        else:
-            raise ValueError(f"unknown relation {relation_id!r}")
-        return lhs, rhs
+    def __init__(self, l: int, k: int, params: ParamSet, twisted: bool):
+        self.params = params
+        self.q = params.q
+        # ultralocality breaks on the boundary pair (0, 1) alone; the twist
+        # ratio is exactly 1 at t = 0
+        self.twist_on = twisted and l == 0 and k == 1
 
-    return sides
+    def a(self, site: int, f: LatticeFunction) -> LatticeFunction:
+        return annihilate(site, f, self.params)
+
+    def c(self, site: int, f: LatticeFunction) -> LatticeFunction:
+        return create(site, f, self.params)
+
+    def n(self, site: int, f: LatticeFunction) -> LatticeFunction:
+        return number_op(site, f, self.params)
+
+    def diag(self, scalar: Callable, site: int, f: LatticeFunction) -> LatticeFunction:
+        return _apply_diag(f, lambda lam: scalar(lam, site, self.params))
+
+    def twist(self, f: LatticeFunction, inverse: bool) -> LatticeFunction:
+        if not self.twist_on:
+            return f
+        return _apply_diag(f, lambda lam: _twist_ratio(lam, self.params, inverse))
+
+
+#: (lhs, rhs) of each relation applied to f, at sites l and k.
+_RELATIONS: dict[str, Callable] = {
+    "a1": lambda o, l, k, f: (o.a(l, o.n(k, f)), o.n(k, o.a(l, f)).scale(o.q if l == k else 1)),
+    "a2": lambda o, l, k, f: (o.c(l, o.n(k, f)), o.n(k, o.c(l, f)).scale(1 / o.q if l == k else 1)),
+    "b": lambda o, l, k, f: (o.c(l, o.a(l, f)), o.diag(_pair_scalar_b, l, f)),
+    "c": lambda o, l, k, f: (o.a(l, o.c(l, f)), o.diag(_pair_scalar_c, l, f)),
+    "d1": lambda o, l, k, f: (o.a(l, o.a(k, f)), o.twist(o.a(k, o.a(l, f)), False)),
+    "d2": lambda o, l, k, f: (o.c(l, o.c(k, f)), o.c(k, o.c(l, o.twist(f, True)))),
+    "e1": lambda o, l, k, f: (o.a(l, o.c(k, f)), o.twist(o.c(k, o.a(l, f)), False)),
+    "e2": lambda o, l, k, f: (o.c(l, o.a(k, f)), o.a(k, o.c(l, o.twist(f, True)))),
+}
+
+RELATION_IDS = tuple(_RELATIONS)
 
 
 def verify_relation(
@@ -352,11 +324,12 @@ def verify_relation(
         raise ValueError(f"relation must be one of {RELATION_IDS}")
     if relation_id in ("d1", "d2", "e1", "e2") and not l < k:
         raise ValueError("exchange relations require l < k")
-    sides = _relation_sides(relation_id, l, k, params, twisted)
+    sides = _RELATIONS[relation_id]
+    ops = _SectorOps(l, k, params, twisted)
     worst = Fraction(0)
     cases = 0
     for mu in enumerate_partitions(n, max_part):
-        lhs, rhs = sides(LatticeFunction.delta(mu))
+        lhs, rhs = sides(ops, l, k, LatticeFunction.delta(mu))
         residual = (lhs - rhs).max_abs()
         worst = max(worst, residual)
         cases += 1
@@ -400,7 +373,7 @@ def reduced_annihilate(l: int, f: LatticeFunction) -> LatticeFunction:
         if multiplicity(mu, l):
             lam = remove_part(mu, l)
             out[lam] = out.get(lam, 0) + value
-    return LatticeFunction(max(f.n - 1, 0), out)
+    return LatticeFunction(f.n - 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +410,6 @@ def hamiltonian_from_operators(f: LatticeFunction, params: ParamSet) -> LatticeF
         f,
         lambda lam: boundary_potential(*_occupation_pair(lam), params),
     )
-    if f.is_zero or f.n == 0:
-        return result
     top = max((max(lam) for lam in f.values if lam), default=0)
     for l in range(top + 1):
         result = result + create(l, annihilate(l + 1, f, params), params)
@@ -457,17 +428,6 @@ def wave_function(xi: Sequence[float], lam: Sequence[int], params: ParamSet) -> 
     hl = hl_polynomial(lam, params)
     point = [cmath.exp(1j * x) for x in xi]
     return hl.poly.evaluate(point) / float(quadratic_norm(lam, params))
-
-
-def wave_function_dump(
-    xi: Sequence[float], lams: Sequence[Sequence[int]], params: ParamSet
-) -> dict:
-    """JSON-ready dump of wave-function values on a list of states."""
-    values = []
-    for lam in lams:
-        value = wave_function(xi, lam, params)
-        values.append({"lambda": list(lam), "re": value.real, "im": value.imag})
-    return {"xi": list(xi), "values": values}
 
 
 def energy(xi: Sequence[float]) -> float:

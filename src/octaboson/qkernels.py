@@ -123,14 +123,6 @@ class ParamSet:
             "profile": self.profile,
         }
 
-    @classmethod
-    def from_json_dict(cls, data) -> "ParamSet":
-        return cls(
-            q=Fraction(data["q"]),
-            ts=tuple(Fraction(t) for t in data["t"]),
-            profile=data.get("profile", "four"),
-        )
-
 
 def default_params(profile: str = "four") -> ParamSet:
     """The generic rational parameter point used throughout the test suites."""
@@ -177,9 +169,8 @@ def _mult_qpoch_product(lam: tuple[int, ...], q: Fraction) -> Fraction:
     return out
 
 
-def _pair_indices(lo: int) -> list[tuple[int, int]]:
-    """0-based index pairs (r, s) with lo < r+1 < s+1 <= 4."""
-    return [(r, s) for r, s in itertools.combinations(range(4), 2) if r + 1 > lo]
+#: 0-based index pairs (r, s) of the couplings t_r t_s with 1 < r+1 < s+1 <= 4.
+_PAIRS_BEYOND_T1 = ((1, 2), (1, 3), (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +255,7 @@ def wave_normalizer(lam: tuple[int, ...], params: ParamSet) -> Fraction:
     for tau_j, part in zip(tau_vector(n, params), lam):
         value *= tau_j**part
     value *= qpochhammer(t * q ** (m0 - 1), m0, q)
-    for r, s in _pair_indices(1):
+    for r, s in _PAIRS_BEYOND_T1:
         value *= qpochhammer(ts[r] * ts[s] * q**m0, n - m0, q)
     denominator = qpochhammer(t * q ** (n - 1), n, q)
     if denominator == 0:
@@ -316,7 +307,7 @@ def pieri_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Fr
     value = tau_j * qinteger(mult, q)
     if part == 1:
         numerator = 1 - t * q ** (m0 - 1)
-        for r, s in _pair_indices(1):
+        for r, s in _PAIRS_BEYOND_T1:
             numerator *= 1 - ts[r] * ts[s] * q**m0
         denominator = (1 - t * q ** (2 * m0 - 1)) * (1 - t * q ** (2 * m0))
         if denominator == 0:
@@ -374,7 +365,7 @@ def boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
     n1 = q**m1
 
     ratio_a = 1 - t / q * n0
-    for r, s in _pair_indices(1):
+    for r, s in _PAIRS_BEYOND_T1:
         ratio_a *= 1 - ts[r] * ts[s] * n0
     ratio_b = 1 - t / q * n0**2 * n1
     for r in range(1, 4):

@@ -59,10 +59,10 @@ class QuadratureSpec:
 @lru_cache(maxsize=16)
 def _xi_grid(n: int, m: int) -> np.ndarray:
     """All M^n grid points 2*pi*k/M as an (M^n, n) array."""
-    axes = np.arange(m) * (2.0 * np.pi / m)
-    mesh = np.meshgrid(*([axes] * n), indexing="ij") if n else []
     if n == 0:
         return np.zeros((1, 0))
+    axes = np.arange(m) * (2.0 * np.pi / m)
+    mesh = np.meshgrid(*([axes] * n), indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 

@@ -176,6 +176,8 @@ def test_exit_internal_freudenthal_step(capsys, monkeypatch, fresh_construction)
     error = json.loads(out)["error"]
     assert error["type"] == "internal-divisibility"
     assert "16 is not divisible by 12" in error["message"]
+    assert error["character"] == [2, 0] and error["weight"] == [0, 0]
+    assert error["numerator"] == 16 and error["divisor"] == 12
 
 
 def test_exit_internal_not_monic(capsys, monkeypatch, fresh_construction):

@@ -10,7 +10,6 @@ from octaboson.laurent import (
     NotDivisibleError,
     apply_w,
     div_binomial_exact,
-    div_exact,
 )
 from octaboson.partitions import (
     SignedPermutation,
@@ -52,33 +51,14 @@ def test_powers():
         p**-1
 
 
-def test_div_exact_examples():
-    one = LaurentPoly.one(1)
-    assert div_exact(one - x(0) ** 2, one - x(0)) == one + x(0)
-    a = LaurentPoly(2, {(2, 0): 1, (0, 2): -1})
-    b = LaurentPoly(2, {(1, 0): 1, (0, 1): -1})
-    assert div_exact(a, b) == LaurentPoly(2, {(1, 0): 1, (0, 1): 1})
-    with pytest.raises(NotDivisibleError) as info:
-        div_exact(one + x(0), one - x(0))
-    assert not info.value.remainder.is_zero
-
-
-def test_div_exact_laurent_shifts():
-    # quotients may carry negative exponents
-    a = LaurentPoly(1, {(1,): 1, (-1,): -1})
-    b = LaurentPoly(1, {(1,): 1, (0,): -1})
-    assert div_exact(a, b) == LaurentPoly(1, {(0,): 1, (-1,): 1})
-
-
-def test_div_binomial_matches_general():
-    p = (LaurentPoly.one(2) - x(0, 2) * x(1, 2)) * LaurentPoly(
-        2, {(1, -2): Fraction(2, 3), (0, 0): 1, (-1, 1): Fraction(-1, 5)}
-    )
+def test_div_binomial_inverts_multiplication():
+    quotient = LaurentPoly(2, {(1, -2): Fraction(2, 3), (0, 0): 1, (-1, 1): Fraction(-1, 5)})
     alpha = (1, 1)
-    divisor = LaurentPoly(2, {(0, 0): 1, alpha: -1})
-    assert div_binomial_exact(p, alpha) == div_exact(p, divisor)
-    with pytest.raises(NotDivisibleError):
+    p = (LaurentPoly.one(2) - x(0, 2) * x(1, 2)) * quotient
+    assert div_binomial_exact(p, alpha) == quotient
+    with pytest.raises(NotDivisibleError) as info:
         div_binomial_exact(LaurentPoly.one(2) + x(0, 2), alpha)
+    assert set(info.value.evidence) == {"term", "coefficient"}
 
 
 def test_apply_w_examples():
@@ -137,15 +117,23 @@ def test_ring_axioms(triple):
 
 
 @st.composite
-def poly_divisor_pairs(draw):
+def poly_root_pairs(draw):
+    """A polynomial and a root e_j +- e_k (j != k) or 2 e_j."""
     nvars = draw(st.integers(1, 3))
-    a = draw(polys_strategy(nvars, 4))
-    b = draw(polys_strategy(nvars, 4).filter(lambda p: not p.is_zero))
-    return a, b
+    p = draw(polys_strategy(nvars, 4))
+    j = draw(st.integers(0, nvars - 1))
+    alpha = [0] * nvars
+    if nvars > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, nvars - 1).filter(lambda k: k != j))
+        alpha[j], alpha[k] = 1, draw(st.sampled_from((-1, 1)))
+    else:
+        alpha[j] = 2
+    return p, tuple(alpha)
 
 
 @settings(max_examples=80)
-@given(poly_divisor_pairs())
+@given(poly_root_pairs())
 def test_div_exact_roundtrip(pair):
-    a, b = pair
-    assert div_exact(a * b, b) == a
+    p, alpha = pair
+    binomial = LaurentPoly(p.nvars, {(0,) * p.nvars: 1, alpha: -1})
+    assert div_binomial_exact(p * binomial, alpha) == p

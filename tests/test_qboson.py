@@ -26,7 +26,6 @@ from octaboson.qboson import (
     sector_inner_product,
     verify_relation,
     wave_function,
-    wave_function_dump,
 )
 from octaboson.qkernels import (
     ParamSet,
@@ -71,12 +70,23 @@ def test_annihilate_examples(params4, params2):
     g = LatticeFunction.delta((3,))
     assert annihilate(3, g, params4)(()) == 1
 
-    # vacuum convention
+    # the vacuum's image is the zero function of sector -1
     assert annihilate(0, LatticeFunction.delta(()), params4).is_zero
 
     # reduced profile drops the denominator
     out2 = annihilate(0, LatticeFunction.delta((0,)), params2)
     assert out2(()) == 1
+
+
+def test_annihilation_lowers_every_sector(params4):
+    vacuum = LatticeFunction.delta(())
+    image = annihilate(0, vacuum, params4)
+    assert image.n == -1 and image.is_zero
+    assert reduced_annihilate(0, vacuum).n == -1
+    assert create(0, image, params4).n == 0
+    with pytest.raises(ValueError):
+        LatticeFunction.zero(0) + LatticeFunction.zero(1)
+    assert hamiltonian_from_operators(vacuum, params4) == apply_hamiltonian(vacuum, params4)
 
 
 def test_create_examples(params4, params2):
@@ -237,13 +247,6 @@ def test_wave_function_examples(params4):
     a = wave_function((0.7, 2.1), (2, 1), params4)
     b = wave_function((-2.1, 0.7), (2, 1), params4)
     assert abs(a - b) < 1e-12
-
-
-def test_wave_function_dump(params4):
-    dump = wave_function_dump((1.0,), [(0,), (1,)], params4)
-    assert set(dump) == {"xi", "values"}
-    assert dump["values"][0]["lambda"] == [0]
-    assert {"lambda", "re", "im"} == set(dump["values"][0])
 
 
 def test_eigen_residual_examples(params4):

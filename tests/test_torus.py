@@ -86,7 +86,7 @@ def test_gram_matrix(params4):
     assert abs(g[0, 0] - float(quadratic_norm((0,), params4))) < 1e-10
 
     quad2 = QuadratureSpec(points_per_dim=32, n=2)
-    basis = [monomial_symmetric(mu, 2) for mu in lower_set((2, 0))]
+    basis = [monomial_symmetric(mu) for mu in lower_set((2, 0))]
     g2 = gram_matrix(basis, params4, quad2)
     assert g2.shape == (4, 4)
     assert np.max(np.abs(g2 - g2.conj().T)) < 1e-12
@@ -110,7 +110,7 @@ def test_convergence_probe(params4):
     # geometric decay: contraction well below 1/2 from M = 32 on
     assert diffs[2] < 0.5 * diffs[1]
 
-    m1 = monomial_symmetric((1,), 1)
+    m1 = monomial_symmetric((1,))
     v64, v128 = convergence_probe(m1, m1, params4, [64, 128])
     assert abs(v64 - v128) < 1e-12
 
@@ -127,8 +127,8 @@ def test_trapezoid_exact_for_constants():
 
 def test_hermitian_symmetry_and_positivity(params4):
     quad = QuadratureSpec(points_per_dim=32, n=2)
-    f = monomial_symmetric((2, 0), 2)
-    g = monomial_symmetric((1, 1), 2)
+    f = monomial_symmetric((2, 0))
+    g = monomial_symmetric((1, 1))
     fg = inner_product(f, g, params4, quad)
     gf = inner_product(g, f, params4, quad)
     assert abs(fg - gf.conjugate()) < 1e-12
@@ -138,7 +138,7 @@ def test_hermitian_symmetry_and_positivity(params4):
 
 def test_measure_group_invariance(params4):
     quad = QuadratureSpec(points_per_dim=32, n=2)
-    f = monomial_symmetric((2, 0), 2) + LaurentPoly(2, {(1, 0): Fraction(1, 3)})
+    f = monomial_symmetric((2, 0)) + LaurentPoly(2, {(1, 0): Fraction(1, 3)})
     g = LaurentPoly(2, {(1, -1): Fraction(1, 2), (0, 0): Fraction(1)})
     base = inner_product(f, g, params4, quad)
     for w in hyperoctahedral_group(2):
