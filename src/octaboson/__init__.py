@@ -56,6 +56,7 @@ from .torus import (
     inner_product,
 )
 from .qboson import (
+    EXCHANGE_RELATIONS,
     RELATION_IDS,
     LatticeFunction,
     VerificationReport,

@@ -6,7 +6,8 @@ violation or command-line usage error (with machine-readable error JSON,
 type "usage" for the last); 2 internal failure, either an
 exact division that did not go through or a constructed polynomial that is
 not monic or leaves its lower set (the error JSON names lambda and the
-offending mu); 3 resource budget exceeded.
+offending mu); 3 resource budget exceeded (for a quadrature grid the error
+JSON names the M it needs).
 """
 
 from __future__ import annotations
@@ -160,13 +161,16 @@ def _cmd_poly(args) -> int:
 
 
 def _suite_orthogonality(args, params, diagonal_only: bool) -> tuple[dict, list, bool]:
-    n, max_part, m = args.n, args.max_part, args.quad_points
+    n, max_part = args.n, args.max_part
     params.ensure_generic(n, max_part)
-    quad = torus.QuadratureSpec(points_per_dim=m, n=n)
+    tol = 1e-8 if n <= 2 else 1e-6
+    # an explicit grid is checked against the budget before any construction
+    quad = None if args.quad_points is None else torus.QuadratureSpec(args.quad_points, n)
     lams = enumerate_partitions(n, max_part)
     polys = [hallittlewood.hl_polynomial(lam, params).poly for lam in lams]
+    if quad is None:
+        quad = torus.QuadratureSpec(torus.choose_points(polys, params, tol), n)
     gram = torus.gram_matrix(polys, params, quad)
-    tol = 1e-8 if n <= 2 else 1e-6
     pairs = []
     rows = []
     ok = True
@@ -203,7 +207,14 @@ def _suite_orthogonality(args, params, diagonal_only: bool) -> tuple[dict, list,
                     "absErr": err,
                 }
             )
-    payload = {"suite": args.suite, "n": n, "M": m, "tolerance": tol, "pairs": pairs, "pass": ok}
+    payload = {
+        "suite": args.suite,
+        "n": n,
+        "M": quad.points_per_dim,
+        "tolerance": tol,
+        "pairs": pairs,
+        "pass": ok,
+    }
     return payload, rows, ok
 
 
@@ -250,8 +261,7 @@ def _suite_algebra(args, params) -> tuple[dict, list, bool]:
     reports = []
     ok = True
     for rid in relations:
-        exchange = rid in ("d1", "d2", "e1", "e2")
-        if exchange:
+        if rid in qboson.EXCHANGE_RELATIONS:
             site_pairs = [(l, k) for l in range(site_max) for k in range(l + 1, site_max + 1)]
         else:
             site_pairs = [(l, k) for l in range(site_max + 1) for k in range(site_max + 1)]
@@ -275,23 +285,28 @@ def _suite_algebra(args, params) -> tuple[dict, list, bool]:
             }
         )
     # Boundary-pair witness: without the diagonal twist the (0, 1) exchange
-    # relations fail in the full profile and hold in the reduced ones.
+    # relations fail in the full profile and hold in the reduced ones.  It
+    # removes two particles, so sectors below 2 cannot show the failure.
     witness = qboson.verify_relation("d1", 0, 1, n, max_part, params, twisted=False)
-    expect_failure = params.profile == "four"
+    applicable = n >= 2
+    expect_failure = applicable and params.profile == "four"
     witness_ok = (not witness.passed) if expect_failure else witness.passed
     ok = ok and witness_ok
+    witness_report = {
+        "relation": witness.name,
+        "maxResidual": witness.max_residual,
+        "expectedFail": expect_failure,
+        "failed": not witness.passed,
+        "pass": witness_ok,
+    }
+    if not applicable:
+        witness_report["applicable"] = False
     payload = {
         "suite": "algebra",
         "n": n,
         "maxPart": max_part,
         "relations": reports,
-        "untwistedBoundaryPair": {
-            "relation": witness.name,
-            "maxResidual": witness.max_residual,
-            "expectedFail": expect_failure,
-            "failed": not witness.passed,
-            "pass": witness_ok,
-        },
+        "untwistedBoundaryPair": witness_report,
         "pass": ok,
     }
     return payload, reports, ok
@@ -530,7 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, default=2)
     verify.add_argument("--maxPart", dest="max_part", type=int, default=3)
     verify.add_argument(
-        "--M", dest="quad_points", type=int, default=64, help="quadrature nodes per angle"
+        "--M", dest="quad_points", type=int,
+        help="quadrature nodes per angle (default: the smallest multiple of 8 "
+        "whose aliasing bound meets the tolerance)",
     )
     verify.add_argument("--relation", help="restrict the algebra suite, e.g. com-d1")
     _add_param_flags(verify)
@@ -573,7 +590,7 @@ def main(argv=None) -> int:
         _emit_error("internal-invariant", str(exc), args, evidence)
         return EXIT_INTERNAL
     except torus.BudgetExceededError as exc:
-        _emit_error("budget", str(exc), args)
+        _emit_error("budget", str(exc), args, exc.evidence)
         return EXIT_BUDGET
 
 

@@ -303,6 +303,9 @@ _RELATIONS: dict[str, Callable] = {
 
 RELATION_IDS = tuple(_RELATIONS)
 
+#: the relations between the operators at two distinct sites; they need l < k
+EXCHANGE_RELATIONS = ("d1", "d2", "e1", "e2")
+
 
 def verify_relation(
     relation_id: str,
@@ -316,13 +319,13 @@ def verify_relation(
     """Apply both sides of a field-algebra relation to every delta basis
     function of the sector and report the worst residual (exact mode).
 
-    The exchange relations (d*/e*) require l < k; with ``twisted=False``
+    The EXCHANGE_RELATIONS require l < k; with ``twisted=False``
     the diagonal correction at the boundary pair (0, 1) is dropped, which
     documents the breakdown of ultralocality in the full profile.
     """
     if relation_id not in RELATION_IDS:
         raise ValueError(f"relation must be one of {RELATION_IDS}")
-    if relation_id in ("d1", "d2", "e1", "e2") and not l < k:
+    if relation_id in EXCHANGE_RELATIONS and not l < k:
         raise ValueError("exchange relations require l < k")
     sides = _RELATIONS[relation_id]
     ops = _SectorOps(l, k, params, twisted)

@@ -1,18 +1,32 @@
 """Orthogonality weight and numerical inner products on the torus.
 
 The weight is analytic on the torus (its poles sit off |z| = 1 because
-|q| < 1 and |t_r| < 1), so the tensor-product trapezoidal rule converges
-geometrically in the number of nodes per dimension.  Exact identity
+0 < q < 1 and |t_r| < 1), so the tensor-product trapezoidal rule converges
+geometrically in the number M of nodes per angle.  Exact identity
 certification never relies on this module; it provides the quadrature side
 of the orthogonality checks and the Gram matrices of the numerical route.
 
-There is one assembly, ``gram_matrix``: it evaluates each polynomial on the
-grid once and weights one conjugated row at a time.  ``inner_product`` is
-the off-diagonal entry of the Gram matrix of its two arguments.
+The rule is applied in coefficient space (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56, 2014): the
+M-point rule sees a Laurent polynomial only through its Fourier
+coefficients folded modulo M.  With f = sum_a f_a x^a, g = sum_b g_b x^b
+and w_M = fftn(|weight|^2) / M^n on the nodes 2 pi k / M,
+
+    <f, g>_M = sum_{a, b} f_a g_b w_M[(b - a) mod M] / |W|,
+
+which is the grid sum itself, not an approximation of it: differences that
+leave the grid box wrap exactly as on the grid.  There is one assembly,
+``gram_matrix``; ``inner_product`` is the off-diagonal entry of the Gram
+matrix of its two arguments.  The only O(M^n) work is the weight and its
+FFT, built from real factors and cached per (params, n, M).
+
+``aliasing_bound`` states how far the rule is from the integral, and
+``choose_points`` picks M from it when the user gives none.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,14 +41,36 @@ from .qkernels import ParamSet
 BUDGET_ENV = "OCTABOSON_BUDGET"
 DEFAULT_NODE_BUDGET = 4_000_000
 
+#: grid sizes tried by choose_points: 8, 16, 24, ...
+POINTS_STEP = 8
+#: number of annulus radii aliasing_bound minimizes over
+RADII = 128
+
 
 class BudgetExceededError(RuntimeError):
-    """The requested grid exceeds the configured node budget."""
+    """The requested work exceeds the configured budget.
+
+    ``evidence`` is a JSON-ready dict, e.g. the grid size a check needs; it
+    is empty by default.
+    """
+
+    def __init__(self, message: str, evidence: dict | None = None):
+        super().__init__(message)
+        self.evidence = evidence or {}
 
 
 def node_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
     return int(raw) if raw else DEFAULT_NODE_BUDGET
+
+
+def _check_nodes(m: int, n: int) -> None:
+    if m**n > node_budget():
+        raise BudgetExceededError(
+            f"{m}^{n} nodes exceed the budget {node_budget()} "
+            f"(set {BUDGET_ENV} to raise it)",
+            {"M": m, "n": n, "nodes": m**n, "budget": node_budget()},
+        )
 
 
 @dataclass(frozen=True)
@@ -49,48 +85,41 @@ class QuadratureSpec:
             raise ValueError("at least 4 points per dimension are required")
         if self.n < 0:
             raise ValueError("dimension must be nonnegative")
-        if self.points_per_dim**self.n > node_budget():
-            raise BudgetExceededError(
-                f"{self.points_per_dim}^{self.n} nodes exceed the budget "
-                f"{node_budget()} (set {BUDGET_ENV} to raise it)"
-            )
+        _check_nodes(self.points_per_dim, self.n)
+
+
+def _weight_sq_grid(params: ParamSet, n: int, m: int) -> np.ndarray:
+    """|weight|^2 at the nodes 2 pi k / M, as an array of shape (M,) * n.
+
+    Every factor is real, |1 - a e^{i phi}|^2 = 1 - 2 a cos(phi) + a^2, and
+    is gathered from one length-M cosine table at the node index of its
+    angle: i_j +- i_k for the pair roots, 2 i_j for the long roots.
+    """
+    cos = np.cos(np.arange(m) * (2.0 * np.pi / m))
+    index = np.ogrid[(slice(0, m),) * n]
+
+    def factor(a: float, k: np.ndarray) -> np.ndarray:
+        return 1.0 - 2.0 * a * cos[k % m] + a * a
+
+    q = float(params.q)
+    value = np.ones((m,) * n)
+    for j in range(n):
+        for k in range(j + 1, n):
+            diff, summ = index[j] - index[k], index[j] + index[k]
+            value *= factor(1.0, diff) * factor(1.0, summ) / (factor(q, diff) * factor(q, summ))
+    for j in range(n):
+        value *= factor(1.0, 2 * index[j])
+        for t in params.ts:
+            if t:
+                value /= factor(float(t), index[j])
+    return value
 
 
 @lru_cache(maxsize=16)
-def _xi_grid(n: int, m: int) -> np.ndarray:
-    """All M^n grid points 2*pi*k/M as an (M^n, n) array."""
-    if n == 0:
-        return np.zeros((1, 0))
-    axes = np.arange(m) * (2.0 * np.pi / m)
-    mesh = np.meshgrid(*([axes] * n), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
-
-
-@lru_cache(maxsize=32)
-def _weight_sq_grid(params: ParamSet, n: int, m: int) -> np.ndarray:
-    """|weight|^2 at every grid node."""
-    xi = _xi_grid(n, m)
-    q = float(params.q)
-    value = np.ones(xi.shape[0], dtype=complex)
-    for j in range(n):
-        for k in range(j + 1, n):
-            diff = np.exp(1j * (xi[:, j] - xi[:, k]))
-            summ = np.exp(1j * (xi[:, j] + xi[:, k]))
-            value *= (1 - diff) * (1 - summ) / ((1 - q * diff) * (1 - q * summ))
-    for j in range(n):
-        e1 = np.exp(1j * xi[:, j])
-        value *= 1 - e1 * e1
-        for t in params.ts:
-            value /= 1 - float(t) * e1
-    return np.abs(value) ** 2
-
-
-def _eval_grid(p: LaurentPoly, xi: np.ndarray) -> np.ndarray:
-    """Evaluate a trigonometric polynomial at all grid nodes."""
-    out = np.zeros(xi.shape[0], dtype=complex)
-    for exp, coeff in p.terms.items():
-        out += float(coeff) * np.exp(1j * (xi @ np.asarray(exp, dtype=float)))
-    return out
+def _weight_fourier(params: ParamSet, n: int, m: int) -> np.ndarray:
+    """w_M = fftn(|weight|^2) / M^n: the weight's Fourier coefficients
+    folded modulo M, the only table the rule needs."""
+    return np.fft.fftn(_weight_sq_grid(params, n, m)) / m**n
 
 
 def inner_product(
@@ -99,34 +128,41 @@ def inner_product(
     """Trapezoidal approximation of the weighted torus inner product.
 
     The integrand is smooth and periodic, so the error decays geometrically
-    in points_per_dim with rate max(|q|, |t_r|).
+    in points_per_dim with rate max(q, |t_r|); ``aliasing_bound`` bounds it.
     """
     return complex(gram_matrix([f, g], params, quad)[0, 1])
+
+
+def _coefficients(basis: Sequence[LaurentPoly], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E, U): the (k, |U|) matrix E of the coefficients on U, and the
+    union U of the basis' exponent vectors as a (|U|, n) integer array."""
+    columns: dict[tuple[int, ...], int] = {}
+    for p in basis:
+        for exp in p.terms:
+            columns.setdefault(exp, len(columns))
+    coeffs = np.zeros((len(basis), len(columns)))
+    for i, p in enumerate(basis):
+        for exp, c in p.terms.items():
+            coeffs[i, columns[exp]] = float(c)
+    return coeffs, np.array(list(columns), dtype=np.intp).reshape(len(columns), n)
 
 
 def gram_matrix(
     basis: Sequence[LaurentPoly], params: ParamSet, quad: QuadratureSpec
 ) -> np.ndarray:
     """Matrix of pairwise inner products of the basis (Hermitian up to
-    quadrature roundoff).
-
-    Each polynomial is evaluated on the grid once; column j is the
-    evaluated block against the weighted conjugate of polynomial j, so no
-    weighted or conjugated copy of the whole block is made.
-    """
+    quadrature roundoff): E K E^T / |W| with K[a, b] = w_M[(b - a) mod M]
+    for a, b in the union of the basis' exponents."""
     n, m = quad.n, quad.points_per_dim
     if any(p.nvars != n for p in basis):
         raise ValueError("dimension mismatch between basis and grid")
-    xi = _xi_grid(n, m)
-    weight = _weight_sq_grid(params, n, m)
-    evaluated = np.empty((len(basis), xi.shape[0]), dtype=complex)
-    for i, p in enumerate(basis):
-        evaluated[i] = _eval_grid(p, xi)
-    gram = np.empty((len(basis), len(basis)), dtype=complex)
-    for j in range(len(basis)):
-        gram[:, j] = evaluated @ np.conj(evaluated[j] * weight)
-    gram /= xi.shape[0] * group_order(n)
-    return gram
+    coeffs, exps = _coefficients(basis, n)
+    # flat index of (b - a) mod M in the C-ordered table, one axis at a time
+    flat = np.zeros((len(exps), len(exps)), dtype=np.intp)
+    for j in range(n):
+        flat = flat * m + (exps[None, :, j] - exps[:, None, j]) % m
+    kernel = _weight_fourier(params, n, m).ravel()[flat]
+    return coeffs @ kernel @ coeffs.T / group_order(n)
 
 
 def convergence_probe(
@@ -142,3 +178,97 @@ def convergence_probe(
         inner_product(f, g, params, QuadratureSpec(points_per_dim=m, n=f.nvars))
         for m in m_list
     ]
+
+
+def _log_weight_sup(radius: np.ndarray, n: int, params: ParamSet) -> np.ndarray:
+    """log of the bound S(R) on |w(z)| over |z_i| = R, |z_k| = 1 (k != i);
+    see ``aliasing_bound`` for the factor count."""
+    q = float(params.q)
+    ts = [abs(float(t)) for t in params.ts if t]
+    log_r = np.log(radius)
+    off_axis = (n - 1) * (n - 2) * math.log(4 / (1 + q) ** 2) + (n - 1) * (
+        math.log(4) - 2 * sum(math.log1p(-t) for t in ts)
+    )
+    short = 2 * np.log1p(radius) - log_r - np.log((1 - q * radius) * (1 - q / radius))
+    long = 2 * np.log1p(radius**2) - 2 * log_r
+    for t in ts:
+        long = long - np.log((1 - t * radius) * (1 - t / radius))
+    return off_axis + 2 * (n - 1) * short + long
+
+
+def _aliasing_terms(basis: Sequence[LaurentPoly], params: ParamSet):
+    """(n, log R, log of the M-independent factor) on the radii
+    R = rho^{-s}, s = 1/RADII, ..., 1 - 1/RADII; None if the rule is exact."""
+    n = basis[0].nvars if basis else 0
+    coeffs, exps = _coefficients(basis, n)
+    if n == 0 or not coeffs.any():
+        return None  # a constant integrand: the rule is exact
+    norm = float(np.max(np.abs(coeffs).sum(axis=1)))
+    span = int(np.max(exps.max(axis=0) - exps.min(axis=0)))
+    rho = max([float(params.q)] + [abs(float(t)) for t in params.ts])
+    radius = (1 / rho) ** (np.arange(1, RADII) / RADII)
+    log_r = np.log(radius)
+    base = (
+        2 * math.log(norm) - math.log(group_order(n))
+        + _log_weight_sup(radius, n, params) + span * log_r
+    )
+    return n, log_r, base
+
+
+def _bound_at(terms, m: int) -> float:
+    if terms is None:
+        return 0.0
+    n, log_r, base = terms
+    log_y = n * math.log(3) - m * log_r
+    valid = log_y < 0
+    if not valid.any():
+        return math.inf
+    log_bound = base[valid] + log_y[valid] - np.log(-np.expm1(log_y[valid]))
+    return float(np.exp(np.min(log_bound)))
+
+
+def aliasing_bound(basis: Sequence[LaurentPoly], params: ParamSet, m: int) -> float:
+    """Upper bound on |gram_matrix(basis) - exact Gram| in every entry, for
+    the M-point rule in exact arithmetic.
+
+    Derivation.  The rule's error on <f, g> is
+    sum_{a,b} f_a g_b sum_{k != 0} w_{b-a+Mk} / |W|, so it is at most
+    ||f||_1 ||g||_1 A / |W| with A = max_d sum_{k != 0} |w_{d+Mk}| over
+    differences |d_j| <= D, the widest exponent span of the basis.
+
+    w(z) = prod_{beta in Phi} (1 - z^beta) / [prod_{beta short} (1 - q z^beta)
+    prod_{j, r, +-} (1 - t_r z_j^{+-1})] over the 2 n^2 roots Phi of C_n is
+    analytic in z_i on rho < |z_i| < 1/rho, rho = max(q, |t_r|), with the
+    other z_k on the circle.  For 1 < R < 1/rho the Cauchy estimate on
+    |z_i| = R^{sign c_i} gives |w_c| <= S(R) R^{-|c_i|} for every i, where
+    S(R) bounds |w| there (by w(z) = w(1/z) and W-invariance one S serves
+    every i and sign).  Pair each root with its negative:
+      - (n-1)(n-2) short pairs off axis i, |z^beta| = 1:
+        |1 - u|^2 / |1 - q u|^2 <= 4 / (1 + q)^2 (decreasing in cos phi);
+      - n - 1 long pairs off axis i with their boundary factors:
+        <= 4 / prod_r (1 - |t_r|)^2;
+      - 2(n-1) short pairs through axis i, |u| = R:
+        |(1-u)(1-1/u)| / |(1-qu)(1-q/u)| <= (1+R)^2 / R / ((1-qR)(1-q/R));
+      - the long pair of axis i with its boundary factors:
+        (1+R^2)^2 / R^2 / prod_r (1-|t_r|R)(1-|t_r|/R).
+    For k != 0 with |k|_inf = l, some coordinate has |d_i + M k_i| >= Ml - D,
+    and at most (2l+1)^n <= 3^{nl} vectors k have |k|_inf = l, so
+    A <= S(R) R^D y / (1 - y) with y = 3^n R^{-M} < 1.  The bound is the
+    least of these over the radii R = rho^{-s}, s = 1/RADII, ..., 1 - 1/RADII.
+    """
+    return _bound_at(_aliasing_terms(basis, params), m)
+
+
+def choose_points(basis: Sequence[LaurentPoly], params: ParamSet, tol: float) -> int:
+    """The smallest M in steps of POINTS_STEP whose aliasing bound is at
+    most tol / 2, leaving the other half of the tolerance to roundoff.
+
+    Raises BudgetExceededError, with that M as evidence, when its grid
+    exceeds the node budget.
+    """
+    terms = _aliasing_terms(basis, params)
+    m = POINTS_STEP
+    while _bound_at(terms, m) > tol / 2:
+        m += POINTS_STEP
+    _check_nodes(m, basis[0].nvars if basis else 0)
+    return m

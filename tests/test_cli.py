@@ -79,21 +79,64 @@ def test_orthogonality_csv_one_row_per_pair(tmp_path, capsys):
     assert len(lines) == 1 + 6  # header + C(3,2) + 3 diagonal pairs
 
 
-def test_orthogonality_evaluates_each_polynomial_once(capsys, monkeypatch):
-    # one Gram assembly: 6 partitions, 6 grid evaluations (pairwise inner
-    # products would evaluate both sides of all 21 pairs)
+def test_orthogonality_assembles_one_gram(capsys, monkeypatch):
+    # one Gram assembly over one weight FFT for all 21 pairs (pairwise
+    # inner products would assemble 21 Gram matrices)
     calls = []
-    eval_grid = cli.torus._eval_grid
+    gram_matrix = cli.torus.gram_matrix
 
-    def counted(p, xi):
-        calls.append(p)
-        return eval_grid(p, xi)
+    def counted(basis, params, quad):
+        calls.append(len(basis))
+        return gram_matrix(basis, params, quad)
 
-    monkeypatch.setattr(cli.torus, "_eval_grid", counted)
-    code, out = run(capsys, "verify", "orthogonality", "--n", "2", "--maxPart", "2")
+    monkeypatch.setattr(cli.torus, "gram_matrix", counted)
+    cli.torus._weight_fourier.cache_clear()
+    code, out = run(capsys, "verify", "orthogonality", "--n", "2", "--maxPart", "2", "--M", "64")
     assert code == 0
     assert len(json.loads(out)["pairs"]) == 21
-    assert len(calls) == 6
+    assert calls == [6]
+    assert cli.torus._weight_fourier.cache_info().misses == 1
+
+
+def test_orthogonality_chooses_grid(capsys):
+    # without --M the grid comes from the aliasing bound; near-boundary
+    # couplings need more nodes than the old fixed M = 64 gave
+    for flags in (
+        ["--t1", "8/9"],
+        ["--q", "1/3", "--t1", "1/2", "--t2", "1/5", "--t3=-2/7", "--t4", "3/8"],
+    ):
+        code, out = run(capsys, "verify", "orthogonality", "--n", "2", "--maxPart", "2", *flags)
+        payload = json.loads(out)
+        assert code == 0, (flags, out)
+        assert payload["pass"] is True and payload["M"] % 8 == 0
+    code, out = run(capsys, "verify", "orthogonality", "--n", "2", "--maxPart", "2", "--t1", "8/9")
+    assert json.loads(out)["M"] > 64
+
+
+def test_orthogonality_chosen_grid_over_budget(capsys):
+    # the bound asks for more than 44^4 nodes at n = 4: exit 3 with that M
+    code, out = run(capsys, "verify", "orthogonality", "--n", "4", "--maxPart", "1")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "budget"
+    assert error["n"] == 4 and error["M"] % 8 == 0 and error["M"] ** 4 == error["nodes"]
+    assert error["nodes"] > error["budget"]
+
+
+def test_algebra_witness_below_two_particles(capsys):
+    # the untwisted (0, 1) witness removes two particles, so it cannot fail
+    # on sectors 0 and 1: not applicable there, and the suite passes
+    for n in ("0", "1"):
+        code, out = run(capsys, "verify", "algebra", "--n", n, "--maxPart", "2")
+        payload = json.loads(out)
+        assert code == 0, out
+        witness = payload["untwistedBoundaryPair"]
+        assert witness["applicable"] is False and witness["expectedFail"] is False
+        assert witness["pass"] is True and payload["pass"] is True
+    code, out = run(capsys, "verify", "algebra", "--n", "2", "--maxPart", "1", "--relation", "com-d1")
+    witness = json.loads(out)["untwistedBoundaryPair"]
+    assert "applicable" not in witness and witness["expectedFail"] is True
+    assert witness["failed"] is True and witness["pass"] is True
 
 
 def test_orthogonality_report_schema(capsys):
@@ -206,7 +249,8 @@ def test_exit_budget(capsys, monkeypatch):
     monkeypatch.setenv("OCTABOSON_BUDGET", "100")
     code, out = run(capsys, "verify", "orthogonality", "--n", "2", "--M", "64")
     assert code == 3
-    assert json.loads(out)["error"]["type"] == "budget"
+    error = json.loads(out)["error"]
+    assert error["type"] == "budget" and error["M"] == 64 and error["budget"] == 100
 
 
 def test_exit_budget_bounds_construction(capsys, monkeypatch, fresh_construction):
