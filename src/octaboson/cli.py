@@ -45,17 +45,6 @@ EXIT_FAIL = 1
 EXIT_INTERNAL = 2
 EXIT_BUDGET = 3
 
-SUITES = (
-    "orthogonality",
-    "norms",
-    "pieri",
-    "algebra",
-    "adjoint",
-    "eigen",
-    "degeneration",
-    "scattering",
-)
-
 
 class UsageError(Exception):
     """The command line does not parse (unknown suite, bad flag or value)."""
@@ -79,7 +68,10 @@ def _parse_rational(text: str, flag: str) -> Fraction:
         raise GenericityError(
             f"{flag} must be an exact rational like '1/2' or '-3'; got {text!r}"
         )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise GenericityError(f"{flag} has a zero denominator; got {text!r}") from None
 
 
 def _build_params(args) -> ParamSet:
@@ -160,8 +152,11 @@ def _cmd_poly(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_orthogonality(args, params, diagonal_only: bool) -> tuple[dict, list, bool]:
+def _suite_orthogonality(args, params) -> tuple[dict, list]:
+    """The Gram matrix of the basis against the quadratic norms; ``norms``
+    checks its diagonal alone."""
     n, max_part = args.n, args.max_part
+    diagonal_only = args.suite == "norms"
     params.ensure_generic(n, max_part)
     tol = 1e-8 if n <= 2 else 1e-6
     # an explicit grid is checked against the budget before any construction
@@ -215,21 +210,19 @@ def _suite_orthogonality(args, params, diagonal_only: bool) -> tuple[dict, list,
         "pairs": pairs,
         "pass": ok,
     }
-    return payload, rows, ok
+    return payload, rows
 
 
-def _suite_pieri(args, params) -> tuple[dict, list, bool]:
+def _suite_pieri(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     params.ensure_generic(n, max_part + 1)
     cases = []
-    ok = True
     for lam in enumerate_partitions(n, max_part):
-        residual = hallittlewood.pieri_residual(lam, params)
-        good = residual.is_zero
-        ok = ok and good
+        good = hallittlewood.pieri_residual(lam, params).is_zero
         cases.append(
             {"lambda": list(lam), "residual": "0" if good else "nonzero", "pass": good}
         )
+    ok = all(c["pass"] for c in cases)
     payload = {
         "suite": "pieri",
         "n": n,
@@ -240,7 +233,7 @@ def _suite_pieri(args, params) -> tuple[dict, list, bool]:
         "cases": cases,
     }
     rows = [{"lambda": ",".join(map(str, c["lambda"])), "pass": c["pass"]} for c in cases]
-    return payload, rows, ok
+    return payload, rows
 
 
 def _relation_filter(requested: str | None) -> list[str]:
@@ -253,13 +246,12 @@ def _relation_filter(requested: str | None) -> list[str]:
     return matches
 
 
-def _suite_algebra(args, params) -> tuple[dict, list, bool]:
+def _suite_algebra(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     params.ensure_generic(n, max_part + 2)
     relations = _relation_filter(args.relation)
     site_max = 5
     reports = []
-    ok = True
     for rid in relations:
         if rid in qboson.EXCHANGE_RELATIONS:
             site_pairs = [(l, k) for l in range(site_max) for k in range(l + 1, site_max + 1)]
@@ -271,8 +263,6 @@ def _suite_algebra(args, params) -> tuple[dict, list, bool]:
             report = qboson.verify_relation(rid, l, k, n, max_part, params)
             cases += report.cases
             worst = max(worst, Fraction(report.max_residual))
-        passed = worst == 0
-        ok = ok and passed
         reports.append(
             {
                 "relation": f"com-{rid}",
@@ -280,7 +270,7 @@ def _suite_algebra(args, params) -> tuple[dict, list, bool]:
                 "maxPart": max_part,
                 "mode": "exact",
                 "maxResidual": str(worst),
-                "pass": passed,
+                "pass": worst == 0,
                 "cases": cases,
             }
         )
@@ -291,7 +281,6 @@ def _suite_algebra(args, params) -> tuple[dict, list, bool]:
     applicable = n >= 2
     expect_failure = applicable and params.profile == "four"
     witness_ok = (not witness.passed) if expect_failure else witness.passed
-    ok = ok and witness_ok
     witness_report = {
         "relation": witness.name,
         "maxResidual": witness.max_residual,
@@ -307,16 +296,15 @@ def _suite_algebra(args, params) -> tuple[dict, list, bool]:
         "maxPart": max_part,
         "relations": reports,
         "untwistedBoundaryPair": witness_report,
-        "pass": ok,
+        "pass": all(r["pass"] for r in reports) and witness_ok,
     }
-    return payload, reports, ok
+    return payload, reports
 
 
-def _suite_adjoint(args, params) -> tuple[dict, list, bool]:
+def _suite_adjoint(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     params.ensure_generic(n + 1, max_part + 1)
     checks = []
-    ok = True
     # adjointness between consecutive sectors
     adjoint_cases = 0
     adjoint_ok = True
@@ -336,7 +324,6 @@ def _suite_adjoint(args, params) -> tuple[dict, list, bool]:
                     adjoint_ok = adjoint_ok and lhs == rhs
                     adjoint_cases += 1
     checks.append({"name": "adjointness", "cases": adjoint_cases, "pass": adjoint_ok})
-    ok = ok and adjoint_ok
     # symmetry of the Hamiltonian in each sector
     sym_cases = 0
     sym_ok = True
@@ -357,32 +344,29 @@ def _suite_adjoint(args, params) -> tuple[dict, list, bool]:
                 sym_ok = sym_ok and lhs == rhs
                 sym_cases += 1
     checks.append({"name": "hamiltonian-symmetry", "cases": sym_cases, "pass": sym_ok})
-    ok = ok and sym_ok
     payload = {
         "suite": "adjoint",
         "n": n,
         "maxPart": max_part,
         "mode": "exact",
         "checks": checks,
-        "pass": ok,
+        "pass": all(c["pass"] for c in checks),
     }
-    return payload, checks, ok
+    return payload, checks
 
 
-def _suite_eigen(args, params) -> tuple[dict, list, bool]:
+def _suite_eigen(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     params.ensure_generic(n, max_part + 1)
     rng = random.Random(args.seed)
     lams = enumerate_partitions(n, max_part)
     cases = []
-    ok = True
     worst = 0.0
     for _ in range(20):
         xi = tuple(rng.uniform(0.0, 2 * 3.141592653589793) for _ in range(n))
         report = qboson.eigen_residual(xi, lams, params)
         residual = float(report.max_residual)
         worst = max(worst, residual)
-        ok = ok and report.passed
         cases.append({"xi": list(xi), "maxResidual": residual, "pass": report.passed})
     payload = {
         "suite": "eigen",
@@ -391,23 +375,21 @@ def _suite_eigen(args, params) -> tuple[dict, list, bool]:
         "tolerance": 1e-10,
         "maxResidual": worst,
         "cases": cases,
-        "pass": ok,
+        "pass": all(c["pass"] for c in cases),
     }
     rows = [{"xi": ";".join(repr(x) for x in c["xi"]), "maxResidual": c["maxResidual"], "pass": c["pass"]} for c in cases]
-    return payload, rows, ok
+    return payload, rows
 
 
-def _suite_degeneration(args, params) -> tuple[dict, list, bool]:
+def _suite_degeneration(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     q, ts = params.q, params.ts
     checks = []
-    ok = True
 
     def run(name: str, reduced: ParamSet, norm_red, hop_red, pot_red) -> None:
         # the runtime's general formulas at zeroed t_r against the reduced
         # closed forms, and the runtime operators against operators built
         # from those closed forms, on every basis state
-        nonlocal ok
         zts = reduced.ts
         good = True
         cases = 0
@@ -429,7 +411,6 @@ def _suite_degeneration(args, params) -> tuple[dict, list, bool]:
             for m1 in range(n + 1 - m0):
                 good = good and boundary_potential(m0, m1, reduced) == pot_red(m0, m1, q, zts)
                 cases += 1
-        ok = ok and good
         checks.append({"name": name, "cases": cases, "pass": good})
 
     # a two-profile point has t3 = 0 already, so only t3,t4 -> 0 applies
@@ -444,12 +425,12 @@ def _suite_degeneration(args, params) -> tuple[dict, list, bool]:
         "maxPart": max_part,
         "mode": "exact",
         "checks": checks,
-        "pass": ok,
+        "pass": all(c["pass"] for c in checks),
     }
-    return payload, checks, ok
+    return payload, checks
 
 
-def _suite_scattering(args, params) -> tuple[dict, list, bool]:
+def _suite_scattering(args, params) -> tuple[dict, list]:
     rng = random.Random(args.seed)
     tol = 1e-12
     worst = 0.0
@@ -465,41 +446,38 @@ def _suite_scattering(args, params) -> tuple[dict, list, bool]:
         cases.append({"x": x, "err": err})
     s_zero, s0_zero = qboson.scattering_factors(0.0, params)
     anchors_ok = abs(s_zero - 1) < tol and abs(s0_zero - 1) < tol
-    ok = worst < tol and anchors_ok
     payload = {
         "suite": "scattering",
         "n": args.n,
         "tolerance": tol,
         "maxUnimodularityError": worst,
         "anchorsAtZero": anchors_ok,
-        "pass": ok,
+        "pass": worst < tol and anchors_ok,
     }
     rows = [{"x": c["x"], "err": c["err"]} for c in cases]
-    return payload, rows, ok
+    return payload, rows
+
+
+#: Each suite returns (report, CSV rows); the report's "pass" is the verdict.
+SUITES = {
+    "orthogonality": _suite_orthogonality,
+    "norms": _suite_orthogonality,
+    "pieri": _suite_pieri,
+    "algebra": _suite_algebra,
+    "adjoint": _suite_adjoint,
+    "eigen": _suite_eigen,
+    "degeneration": _suite_degeneration,
+    "scattering": _suite_scattering,
+}
 
 
 def _cmd_verify(args) -> int:
     params = _build_params(args)
-    if args.suite in ("orthogonality", "norms"):
-        payload, rows, ok = _suite_orthogonality(args, params, args.suite == "norms")
-    elif args.suite == "pieri":
-        payload, rows, ok = _suite_pieri(args, params)
-    elif args.suite == "algebra":
-        payload, rows, ok = _suite_algebra(args, params)
-    elif args.suite == "adjoint":
-        payload, rows, ok = _suite_adjoint(args, params)
-    elif args.suite == "eigen":
-        payload, rows, ok = _suite_eigen(args, params)
-    elif args.suite == "degeneration":
-        payload, rows, ok = _suite_degeneration(args, params)
-    elif args.suite == "scattering":
-        payload, rows, ok = _suite_scattering(args, params)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.suite)
+    payload, rows = SUITES[args.suite](args, params)
     payload["params"] = params.to_json_dict()
     payload["seed"] = args.seed
     _emit(payload, args, rows)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if payload["pass"] else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

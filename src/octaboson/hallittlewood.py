@@ -29,12 +29,12 @@ from .laurent import LaurentPoly, NotDivisibleError
 from .partitions import (
     dominance_leq,
     is_partition,
-    lower_indices,
     lower_set,
     multiplicity,
     orbit,
-    raise_indices,
-    unit_step,
+    positive_roots,
+    unit_steps,
+    weyl_vector,
 )
 from .qkernels import (
     ParamSet,
@@ -81,24 +81,6 @@ def monomial_symmetric(lam: tuple[int, ...]) -> LaurentPoly:
     """Orbit sum m_lam = sum of x^mu over the signed-permutation orbit."""
     lam = tuple(lam)
     return LaurentPoly(len(lam), {mu: Fraction(1) for mu in orbit(lam)})
-
-
-def _positive_roots(n: int) -> list[tuple[int, ...]]:
-    """e_j - e_k, e_j + e_k (j < k) and 2 e_j, as exponent vectors."""
-    roots = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            minus = [0] * n
-            minus[j], minus[k] = 1, -1
-            plus = [0] * n
-            plus[j], plus[k] = 1, 1
-            roots.append(tuple(minus))
-            roots.append(tuple(plus))
-    for j in range(n):
-        double = [0] * n
-        double[j] = 2
-        roots.append(tuple(double))
-    return roots
 
 
 def expand_in_monomials(p: LaurentPoly) -> dict[tuple[int, ...], Fraction]:
@@ -196,35 +178,21 @@ def _binomial_product(
     return tuple(acc.items()), denominator
 
 
-def _unit(n: int, j: int, power: int = 1) -> tuple[int, ...]:
-    exp = [0] * n
-    exp[j] = power
-    return tuple(exp)
-
-
-def _cross_binomials(n: int, q: Fraction) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """(1 - q x_j/x_k)(1 - q x_j x_k) for j < k."""
-    out = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            for sign in (-1, 1):
-                exp = [0] * n
-                exp[j], exp[k] = 1, sign
-                out.append((q, tuple(exp)))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _seed_block(n: int, zero_count: int, params: ParamSet) -> IntegerSeed:
     """Numerator block shared by all partitions with the same number of
-    zero parts: cross numerator factors, boundary factors on the positive
-    parts, and (1 - x_j^2) top-ups on the zero parts."""
-    binomials = _cross_binomials(n, params.q)
-    for j in range(n):
-        if j < n - zero_count:
-            binomials += [(t, _unit(n, j)) for t in params.ts if t]
+    zero parts: (1 - q x^beta) on the short roots beta, and on each long
+    root 2 e_j the boundary factors (1 - t_r x_j) if part j is positive,
+    the top-up (1 - x_j^2) if it is zero."""
+    binomials = []
+    for beta in positive_roots(n):
+        if 2 not in beta:
+            binomials.append((params.q, beta))
+        elif beta.index(2) < n - zero_count:
+            half = tuple(b // 2 for b in beta)
+            binomials += [(t, half) for t in params.ts if t]
         else:
-            binomials.append((Fraction(1), _unit(n, j, 2)))
+            binomials.append((Fraction(1), beta))
     return _binomial_product(n, binomials)
 
 
@@ -240,7 +208,7 @@ def _straighten(
     reflection, so its alternant vanishes.
     """
     n = len(shift)
-    rho = range(n, 0, -1)
+    rho = weyl_vector(n)
     out: dict[tuple[int, ...], int] = {}
     for exp, coeff in terms:
         e = [x - s for x, s in zip(exp, shift)]
@@ -273,7 +241,7 @@ def character_multiplicities(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...]
     the numerator and the divisor.
     """
     n = len(mu)
-    rho = tuple(range(n, 0, -1))
+    rho = weyl_vector(n)
 
     def norm_shifted(nu: tuple[int, ...]) -> int:
         return sum((x + r) ** 2 for x, r in zip(nu, rho))
@@ -282,7 +250,7 @@ def character_multiplicities(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...]
         (nu for nu in lower_set(mu) if (sum(mu) - sum(nu)) % 2 == 0),
         key=lambda nu: -sum(x * r for x, r in zip(nu, rho)),
     )
-    roots = _positive_roots(n)
+    roots = positive_roots(n)
     top = norm_shifted(mu)
     mult = {mu: 1}
     for nu in weights:
@@ -329,7 +297,7 @@ def _straightened_expansion(
     """
     terms, denominator = seed
     n = len(lam)
-    coeffs = _straighten(terms, [p + r for p, r in zip(lam, range(n, 0, -1))])
+    coeffs = _straighten(terms, [p + r for p, r in zip(lam, weyl_vector(n))])
     totals: dict[tuple[int, ...], int] = {}
     for mu, c in coeffs.items():
         if c:
@@ -411,25 +379,18 @@ def pieri_residual(lam: tuple[int, ...], params: ParamSet) -> LaurentPoly:
     base = hl_polynomial(lam, params)
     p_base = normalized_polynomial(base)
 
-    spectral = LaurentPoly.zero(n)
-    for j in range(n):
-        up = [0] * n
-        up[j] = 1
-        spectral = spectral + LaurentPoly(
-            n, {tuple(up): Fraction(1), tuple(-u for u in up): Fraction(1)}
-        )
+    spectral = sum(
+        (LaurentPoly.variable(n, j) + LaurentPoly.variable(n, j, -1) for j in range(n)),
+        LaurentPoly.zero(n),
+    )
     tau = tau_vector(n, params)
     offset = sum((tj + 1 / tj for tj in tau), Fraction(0))
     lhs = p_base * spectral - offset * p_base
 
     rhs = LaurentPoly.zero(n)
-    for j in raise_indices(lam):
-        coeff = pieri_coeff(lam, j, +1, params)
-        neighbor = normalized_polynomial(hl_polynomial(unit_step(lam, j, 1), params))
-        rhs = rhs + coeff * (neighbor - p_base)
-    for j in lower_indices(lam):
-        coeff = pieri_coeff(lam, j, -1, params)
-        neighbor = normalized_polynomial(hl_polynomial(unit_step(lam, j, -1), params))
+    for j, step, target in unit_steps(lam):
+        coeff = pieri_coeff(lam, j, step, params)
+        neighbor = normalized_polynomial(hl_polynomial(target, params))
         rhs = rhs + coeff * (neighbor - p_base)
     return lhs - rhs
 

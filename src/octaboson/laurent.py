@@ -64,6 +64,15 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "LaurentPoly":
+        """Wrap terms that are already clean: tuple keys of length nvars and
+        nonzero Fraction values, owned by the new polynomial."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, nvars: int) -> "LaurentPoly":
         return cls(nvars)
 
@@ -126,18 +135,12 @@ class LaurentPoly:
                 terms[exp] = new
             else:
                 terms.pop(exp, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return LaurentPoly._trusted(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         if isinstance(other, Rational):
@@ -152,10 +155,8 @@ class LaurentPoly:
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, Rational):
             c = _as_coeff(other)
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.nvars = self.nvars
-            out.terms = {} if c == 0 else {e: v * c for e, v in self.terms.items()}
-            return out
+            terms = {} if c == 0 else {e: v * c for e, v in self.terms.items()}
+            return LaurentPoly._trusted(self.nvars, terms)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_ring(other)
@@ -168,10 +169,7 @@ class LaurentPoly:
                     terms[exp] = new
                 else:
                     terms.pop(exp, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return LaurentPoly._trusted(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -193,41 +191,29 @@ class LaurentPoly:
         exp = tuple(exp)
         if len(exp) != self.nvars:
             raise ValueError("shift vector length mismatch")
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.nvars = self.nvars
-        out.terms = {
-            tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms.items()
-        }
-        return out
+        return LaurentPoly._trusted(
+            self.nvars, {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms.items()}
+        )
 
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, point: Sequence[complex]) -> complex:
         """Numerical evaluation at nonzero complex coordinates."""
-        if len(point) != self.nvars:
-            raise ValueError("point length mismatch")
-        pt = [complex(z) for z in point]
-        for j, z in enumerate(pt):
-            if z == 0 and any(e[j] < 0 for e in self.terms):
-                raise ZeroDivisionError(f"coordinate {j} is zero but appears inverted")
-        total = 0j
-        for exp, coeff in self.terms.items():
-            value = complex(coeff)
-            for z, e in zip(pt, exp):
-                if e:
-                    value *= z**e
-            total += value
-        return total
+        return self._evaluate([complex(z) for z in point], 0j)
 
     def evaluate_exact(self, point: Sequence[Fraction]) -> Fraction:
         """Exact evaluation at nonzero rational coordinates."""
-        if len(point) != self.nvars:
+        return self._evaluate([Fraction(z) for z in point], Fraction(0))
+
+    def _evaluate(self, pt: list, total):
+        """total plus the sum of coeff * prod z**e over the terms, at the
+        converted point pt.  A Fraction coefficient times a complex power is
+        complex(coeff) times it, so one loop serves exact and complex points."""
+        if len(pt) != self.nvars:
             raise ValueError("point length mismatch")
-        pt = [Fraction(z) for z in point]
         for j, z in enumerate(pt):
             if z == 0 and any(e[j] < 0 for e in self.terms):
                 raise ZeroDivisionError(f"coordinate {j} is zero but appears inverted")
-        total = Fraction(0)
         for exp, coeff in self.terms.items():
             value = coeff
             for z, e in zip(pt, exp):
@@ -246,10 +232,7 @@ def apply_w(w: SignedPermutation, p: LaurentPoly) -> LaurentPoly:
     """Variable substitution x_j -> x_{sigma_j}^{eps_j}; a ring automorphism."""
     if w.size != p.nvars:
         raise ValueError(f"group element size {w.size} != nvars {p.nvars}")
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.nvars = p.nvars
-    out.terms = {w.apply(exp): c for exp, c in p.terms.items()}
-    return out
+    return LaurentPoly._trusted(p.nvars, {w.apply(exp): c for exp, c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Partitions, signed permutations, and the hyperoctahedral dominance order.
+"""Partitions, signed permutations, the hyperoctahedral dominance order,
+the C_n roots and the lattice steps.
 
 A partition is a weakly decreasing tuple of nonnegative integers of fixed
 length n; the empty tuple encodes the length-0 partition.  Partitions index
 both the polynomial family and the states of the lattice model (the parts
-are particle positions on the half line).
+are particle positions on the half line).  The positive roots of C_n give
+the Weyl denominator, the torus weight and the character multiplicities;
+the unit steps lam +- e_j give the recurrence, the Hamiltonian and the
+boundary potential.
 """
 
 from __future__ import annotations
@@ -115,6 +119,13 @@ def lower_indices(lam: tuple[int, ...]) -> list[int]:
     ]
 
 
+def unit_steps(lam: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(j, step, lam + step e_j) for every unit step that stays a partition:
+    the raises (step +1) first, then the lowers (step -1), each by j."""
+    steps = [(j, 1) for j in raise_indices(lam)] + [(j, -1) for j in lower_indices(lam)]
+    return [(j, s, lam[:j] + (lam[j] + s,) + lam[j + 1 :]) for j, s in steps]
+
+
 def unit_step(lam: tuple[int, ...], j: int, step: int) -> tuple[int, ...]:
     """lam +- e_j, validated to stay inside the partition cone."""
     if step == 1:
@@ -126,6 +137,24 @@ def unit_step(lam: tuple[int, ...], j: int, step: int) -> tuple[int, ...]:
     if not valid:
         raise ValueError(f"{lam} {'+' if step == 1 else '-'} e_{j} leaves the cone")
     return lam[:j] + (lam[j] + step,) + lam[j + 1 :]
+
+
+def positive_roots(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n^2 positive roots of C_n as exponent vectors: the short roots
+    e_j - e_k, e_j + e_k for j < k, then the long roots 2 e_j."""
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    short = [
+        tuple(a + sign * b for a, b in zip(unit[j], unit[k]))
+        for j in range(n)
+        for k in range(j + 1, n)
+        for sign in (-1, 1)
+    ]
+    return tuple(short + [tuple(2 * a for a in e) for e in unit])
+
+
+def weyl_vector(n: int) -> tuple[int, ...]:
+    """rho = (n, ..., 1), half the sum of the positive roots of C_n."""
+    return tuple(range(n, 0, -1))
 
 
 @dataclass(frozen=True)

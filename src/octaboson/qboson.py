@@ -23,11 +23,9 @@ from .hallittlewood import hl_polynomial
 from .partitions import (
     add_part,
     enumerate_partitions,
-    lower_indices,
     multiplicity,
-    raise_indices,
     remove_part,
-    unit_step,
+    unit_steps,
 )
 from .qkernels import (
     GenericityError,
@@ -397,12 +395,8 @@ def apply_hamiltonian(f: LatticeFunction, params: ParamSet) -> LatticeFunction:
         accumulate(lam, boundary_potential(m0, m1, params) * value)
         # (Hf)(target) collects f(lam) with the step coefficient of target,
         # so each source state scatters into its unit-step neighbors.
-        for j in raise_indices(lam):
-            target = unit_step(lam, j, 1)
-            accumulate(target, hop_coeff(target, j, -1, params) * value)
-        for j in lower_indices(lam):
-            target = unit_step(lam, j, -1)
-            accumulate(target, hop_coeff(target, j, 1, params) * value)
+        for j, step, target in unit_steps(lam):
+            accumulate(target, hop_coeff(target, j, -step, params) * value)
     return LatticeFunction(f.n, out)
 
 
@@ -452,10 +446,7 @@ def eigen_residual(
     n = len(xi)
     needed = set(lam_set)
     for lam in lam_set:
-        for j in raise_indices(lam):
-            needed.add(unit_step(lam, j, 1))
-        for j in lower_indices(lam):
-            needed.add(unit_step(lam, j, -1))
+        needed.update(target for _, _, target in unit_steps(lam))
     phi = {lam: wave_function(xi, lam, params) for lam in sorted(needed)}
     image = apply_hamiltonian(LatticeFunction(n, phi), params)
     e_val = energy(xi)

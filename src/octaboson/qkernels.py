@@ -29,10 +29,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .partitions import (
-    lower_indices,
     multiplicity,
-    raise_indices,
     unit_step,
+    unit_steps,
 )
 
 PROFILES = ("four", "three", "two")
@@ -385,17 +384,14 @@ def boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
 def potential_from_step_coeffs(lam: tuple[int, ...], params: ParamSet) -> Fraction:
     """Independent route to the boundary potential from the recurrence data:
 
-    sum_j (tau_j + 1/tau_j) - sum over valid up steps of the up coefficient
-    - sum over valid down steps of the down coefficient.
+    sum_j (tau_j + 1/tau_j) minus the recurrence coefficient of every valid
+    unit step.
     """
     lam = tuple(lam)
-    n = len(lam)
-    tau = tau_vector(n, params)
+    tau = tau_vector(len(lam), params)
     value = sum((tj + 1 / tj for tj in tau), Fraction(0))
-    for j in raise_indices(lam):
-        value -= pieri_coeff(lam, j, +1, params)
-    for j in lower_indices(lam):
-        value -= pieri_coeff(lam, j, -1, params)
+    for j, step, _ in unit_steps(lam):
+        value -= pieri_coeff(lam, j, step, params)
     return value
 
 

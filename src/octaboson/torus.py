@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .laurent import LaurentPoly
-from .partitions import group_order
+from .partitions import group_order, positive_roots
 from .qkernels import ParamSet
 
 BUDGET_ENV = "OCTABOSON_BUDGET"
@@ -92,8 +92,10 @@ def _weight_sq_grid(params: ParamSet, n: int, m: int) -> np.ndarray:
     """|weight|^2 at the nodes 2 pi k / M, as an array of shape (M,) * n.
 
     Every factor is real, |1 - a e^{i phi}|^2 = 1 - 2 a cos(phi) + a^2, and
-    is gathered from one length-M cosine table at the node index of its
-    angle: i_j +- i_k for the pair roots, 2 i_j for the long roots.
+    is gathered from one length-M cosine table at the node index <beta, i>
+    of its root beta: (1 - z^beta) on every positive root, over (1 - q z^beta)
+    on the short roots and the boundary factors (1 - t_r z_j) on e_j, half
+    the long root 2 e_j.
     """
     cos = np.cos(np.arange(m) * (2.0 * np.pi / m))
     index = np.ogrid[(slice(0, m),) * n]
@@ -102,16 +104,14 @@ def _weight_sq_grid(params: ParamSet, n: int, m: int) -> np.ndarray:
         return 1.0 - 2.0 * a * cos[k % m] + a * a
 
     q = float(params.q)
+    ts = [float(t) for t in params.ts if t]
     value = np.ones((m,) * n)
-    for j in range(n):
-        for k in range(j + 1, n):
-            diff, summ = index[j] - index[k], index[j] + index[k]
-            value *= factor(1.0, diff) * factor(1.0, summ) / (factor(q, diff) * factor(q, summ))
-    for j in range(n):
-        value *= factor(1.0, 2 * index[j])
-        for t in params.ts:
-            if t:
-                value /= factor(float(t), index[j])
+    for beta in positive_roots(n):
+        k = sum(b * i for b, i in zip(beta, index) if b)
+        if 2 not in beta:
+            value *= factor(1.0, k) / factor(q, k)
+        else:
+            value *= factor(1.0, k) / np.prod([factor(t, k // 2) for t in ts], axis=0)
     return value
 
 

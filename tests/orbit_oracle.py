@@ -16,9 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from octaboson.hallittlewood import _positive_roots, expand_in_monomials
+from octaboson.hallittlewood import expand_in_monomials
 from octaboson.laurent import LaurentPoly, div_binomial_exact
-from octaboson.partitions import hyperoctahedral_group
+from octaboson.partitions import hyperoctahedral_group, positive_roots
 from octaboson.qkernels import ParamSet, monic_normalizer, quadratic_norm
 
 
@@ -95,7 +95,7 @@ def orbit_sum_over_denominator(seed: LaurentPoly, n: int) -> LaurentPoly:
     factors; a nonzero remainder raises NotDivisibleError.  The numerator
     is accumulated in integers over the seed's common denominator.
     """
-    roots = _positive_roots(n)
+    roots = positive_roots(n)
     scale = math.lcm(*(c.denominator for c in seed.terms.values()))
     terms = [(exp, int(c * scale)) for exp, c in seed.terms.items()]
     acc: dict[tuple[int, ...], int] = {}

@@ -4,6 +4,7 @@ import pytest
 
 from octaboson import cli, hallittlewood
 from octaboson.laurent import NotDivisibleError
+from octaboson.qkernels import default_params
 
 
 def run(capsys, *argv):
@@ -180,6 +181,16 @@ def test_exit_float_rejection(capsys):
     assert "exact rational" in json.loads(out)["error"]["message"]
 
 
+def test_exit_zero_denominator(capsys):
+    # "1/0" matches the rational pattern; Fraction would raise ZeroDivisionError
+    for flag, value in (("--q", "1/0"), ("--t1", "3/0"), ("--t2", "-1/00")):
+        code, out = run(capsys, "poly", "--n", "1", "--lambda", "1", flag, value)
+        assert code == 1, flag
+        error = json.loads(out)["error"]
+        assert error["type"] == "parameter", flag
+        assert "zero denominator" in error["message"] and flag in error["message"]
+
+
 def test_exit_usage_error(capsys):
     # argparse rejections exit 1 with error JSON, not 2 (internal failure)
     for argv in (
@@ -211,9 +222,11 @@ def test_exit_internal_divisibility(capsys, monkeypatch):
 
 def test_exit_internal_freudenthal_step(capsys, monkeypatch, fresh_construction):
     # without the long root 2 e_2 the multiplicity of (0, 0) in chi_(2, 0)
-    # comes out as 16/12
-    roots = hallittlewood._positive_roots
-    monkeypatch.setattr(hallittlewood, "_positive_roots", lambda n: roots(n)[:-1])
+    # comes out as 16/12; the seed block of (2, 0) is built first, so the
+    # patched list reaches Freudenthal's sum alone
+    hallittlewood._seed_block(2, 1, default_params())
+    roots = hallittlewood.positive_roots
+    monkeypatch.setattr(hallittlewood, "positive_roots", lambda n: roots(n)[:-1])
     code, out = run(capsys, "poly", "--n", "2", "--lambda", "2,0")
     assert code == 2
     error = json.loads(out)["error"]
@@ -221,6 +234,7 @@ def test_exit_internal_freudenthal_step(capsys, monkeypatch, fresh_construction)
     assert "16 is not divisible by 12" in error["message"]
     assert error["character"] == [2, 0] and error["weight"] == [0, 0]
     assert error["numerator"] == 16 and error["divisor"] == 12
+    assert hallittlewood._seed_block.cache_info().misses == 1
 
 
 def test_exit_internal_not_monic(capsys, monkeypatch, fresh_construction):

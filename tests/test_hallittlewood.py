@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from octaboson.hallittlewood import (
-    _positive_roots,
     character_multiplicities,
     expand_in_monomials,
     hl_gram_schmidt,
@@ -25,6 +24,8 @@ from octaboson.partitions import (
     hyperoctahedral_group,
     lower_set,
     orbit,
+    positive_roots,
+    weyl_vector,
 )
 from octaboson.qkernels import ParamSet, principal_normalizer, tau_vector
 from octaboson.torus import QuadratureSpec
@@ -139,7 +140,7 @@ def _alternant_character(mu: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]
     """chi_mu = A(x^{mu+rho}) / A(x^rho) by exact division, with
     A(x^rho) = (-1)^{n^2} x^{-rho} prod_{alpha > 0} (1 - x^alpha)."""
     n = len(mu)
-    rho = tuple(range(n, 0, -1))
+    rho = weyl_vector(n)
     top = tuple(m + r for m, r in zip(mu, rho))
     alternant = {}
     for w in hyperoctahedral_group(n):
@@ -148,7 +149,7 @@ def _alternant_character(mu: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]
         )
         alternant[w.apply(top)] = (-1) ** (inversions + w.signs.count(-1))
     quotient = (-1) ** n * LaurentPoly(n, alternant).shift(rho)
-    for alpha in _positive_roots(n):
+    for alpha in positive_roots(n):
         quotient = div_binomial_exact(quotient, alpha)
     return expand_in_monomials(quotient)
 
@@ -162,16 +163,15 @@ def test_characters_match_alternant_division(n, max_part):
 def test_character_dimensions_match_weyl_formula():
     for n, max_part in ((1, 5), (2, 4), (3, 3), (4, 2)):
         for mu in enumerate_partitions(n, max_part):
-            rho = list(range(n, 0, -1))
+            rho = weyl_vector(n)
             shifted = [m + r for m, r in zip(mu, rho)]
             # prod over alpha > 0 of <mu + rho, alpha> / <rho, alpha> for sp(2n)
             dim = Fraction(1)
-            for i in range(n):
-                dim *= Fraction(shifted[i], rho[i])
-                for j in range(i + 1, n):
-                    dim *= Fraction(
-                        shifted[i] ** 2 - shifted[j] ** 2, rho[i] ** 2 - rho[j] ** 2
-                    )
+            for alpha in positive_roots(n):
+                dim *= Fraction(
+                    sum(s * a for s, a in zip(shifted, alpha)),
+                    sum(r * a for r, a in zip(rho, alpha)),
+                )
             total = sum(k * len(orbit(nu)) for nu, k in character_multiplicities(mu))
             assert total == dim, mu
 

@@ -14,9 +14,12 @@ from octaboson.partitions import (
     lower_set,
     multiplicity,
     orbit,
+    positive_roots,
     raise_indices,
     remove_part,
     unit_step,
+    unit_steps,
+    weyl_vector,
 )
 
 
@@ -125,6 +128,31 @@ def test_unit_steps():
     assert unit_step((2, 1, 1), 1, 1) == (2, 2, 1)
     with pytest.raises(ValueError):
         unit_step((2, 1, 1), 2, 1)  # would break monotonicity
+
+
+def test_unit_steps_list_the_valid_steps():
+    assert unit_steps((2, 1, 1)) == [
+        (0, 1, (3, 1, 1)), (1, 1, (2, 2, 1)), (0, -1, (1, 1, 1)), (2, -1, (2, 1, 0)),
+    ]
+    for n in range(4):
+        for lam in enumerate_partitions(n, 3):
+            expected = [(j, 1, unit_step(lam, j, 1)) for j in raise_indices(lam)]
+            expected += [(j, -1, unit_step(lam, j, -1)) for j in lower_indices(lam)]
+            assert unit_steps(lam) == expected
+            assert all(is_partition(target) for _, _, target in unit_steps(lam))
+
+
+def test_positive_roots_and_weyl_vector():
+    assert positive_roots(0) == () and positive_roots(1) == ((2,),)
+    assert list(positive_roots(3)) == [
+        (1, -1, 0), (1, 1, 0), (1, 0, -1), (1, 0, 1), (0, 1, -1), (0, 1, 1),
+        (2, 0, 0), (0, 2, 0), (0, 0, 2),
+    ]
+    for n in range(6):
+        roots = positive_roots(n)
+        assert len(roots) == len(set(roots)) == n * n
+        # rho is half the sum of the positive roots
+        assert tuple(2 * r for r in weyl_vector(n)) == tuple(map(sum, zip(*roots)))
 
 
 def test_signed_permutation_action():

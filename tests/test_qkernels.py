@@ -8,6 +8,7 @@ from octaboson.partitions import (
     multiplicity,
     raise_indices,
     unit_step,
+    unit_steps,
 )
 from octaboson.qkernels import (
     GenericityError,
@@ -176,16 +177,10 @@ def test_hop_equals_pieri_times_normalizer_ratio(param_triple):
     for params in param_triple:
         for lam in enumerate_partitions(2, 3):
             h = wave_normalizer(lam, params)
-            for j in raise_indices(lam):
-                up = unit_step(lam, j, 1)
-                assert hop_coeff(lam, j, +1, params) == pieri_coeff(
-                    lam, j, +1, params
-                ) * wave_normalizer(up, params) / h
-            for j in lower_indices(lam):
-                down = unit_step(lam, j, -1)
-                assert hop_coeff(lam, j, -1, params) == pieri_coeff(
-                    lam, j, -1, params
-                ) * wave_normalizer(down, params) / h
+            for j, step, target in unit_steps(lam):
+                assert hop_coeff(lam, j, step, params) == pieri_coeff(
+                    lam, j, step, params
+                ) * wave_normalizer(target, params) / h
 
 
 def test_boundary_potential_examples(params4, params2):
@@ -212,10 +207,8 @@ def test_elementary_identity(params4):
     for lam in enumerate_partitions(3, 3):
         tau = tau_vector(3, params4)
         value = sum((tj + 1 / tj for tj in tau), F(0))
-        for j in raise_indices(lam):
-            value -= qinteger(multiplicity(lam, lam[j]), q) / tau[j]
-        for j in lower_indices(lam):
-            value -= tau[j] * qinteger(multiplicity(lam, lam[j]), q)
+        for j, step, _ in unit_steps(lam):
+            value -= tau[j] ** -step * qinteger(multiplicity(lam, lam[j]), q)
         assert value == t1 * qinteger(multiplicity(lam, 0), q)
 
 
