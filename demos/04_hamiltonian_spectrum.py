@@ -44,8 +44,8 @@ print()
 rng = random.Random(5)
 for n in (1, 2, 3):
     xi = tuple(rng.uniform(0, 2 * math.pi) for _ in range(n))
-    rep = eigen_residual(xi, enumerate_partitions(n, 3), params)
-    print(f"n = {n}: max |H phi - E phi| / max(1, |phi|) = {float(rep.max_residual):.2e}")
+    residual = eigen_residual(xi, enumerate_partitions(n, 3), params)
+    print(f"n = {n}: max |H phi - E phi| / max(1, |phi|) = {residual:.2e}")
 value = wave_function((1.0, 2.0), (2, 1), params)
 print("sample wave-function value phi_(1,2)((2,1)) =", value)
 print()

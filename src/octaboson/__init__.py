@@ -59,7 +59,6 @@ from .qboson import (
     EXCHANGE_RELATIONS,
     RELATION_IDS,
     LatticeFunction,
-    VerificationReport,
     annihilate,
     apply_hamiltonian,
     create,

@@ -257,12 +257,8 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
             site_pairs = [(l, k) for l in range(site_max) for k in range(l + 1, site_max + 1)]
         else:
             site_pairs = [(l, k) for l in range(site_max + 1) for k in range(site_max + 1)]
-        worst = Fraction(0)
-        cases = 0
-        for l, k in site_pairs:
-            report = qboson.verify_relation(rid, l, k, n, max_part, params)
-            cases += report.cases
-            worst = max(worst, Fraction(report.max_residual))
+        checks = [qboson.verify_relation(rid, l, k, n, max_part, params) for l, k in site_pairs]
+        worst = max(check.residual for check in checks)
         reports.append(
             {
                 "relation": f"com-{rid}",
@@ -271,7 +267,7 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
                 "mode": "exact",
                 "maxResidual": str(worst),
                 "pass": worst == 0,
-                "cases": cases,
+                "cases": sum(check.cases for check in checks),
             }
         )
     # Boundary-pair witness: without the diagonal twist the (0, 1) exchange
@@ -280,12 +276,13 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
     witness = qboson.verify_relation("d1", 0, 1, n, max_part, params, twisted=False)
     applicable = n >= 2
     expect_failure = applicable and params.profile == "four"
-    witness_ok = (not witness.passed) if expect_failure else witness.passed
+    failed = witness.residual != 0
+    witness_ok = failed == expect_failure
     witness_report = {
-        "relation": witness.name,
-        "maxResidual": witness.max_residual,
+        "relation": "com-d1-untwisted",
+        "maxResidual": str(witness.residual),
         "expectedFail": expect_failure,
-        "failed": not witness.passed,
+        "failed": failed,
         "pass": witness_ok,
     }
     if not applicable:
@@ -361,19 +358,18 @@ def _suite_eigen(args, params) -> tuple[dict, list]:
     rng = random.Random(args.seed)
     lams = enumerate_partitions(n, max_part)
     cases = []
-    worst = 0.0
     for _ in range(20):
         xi = tuple(rng.uniform(0.0, 2 * 3.141592653589793) for _ in range(n))
-        report = qboson.eigen_residual(xi, lams, params)
-        residual = float(report.max_residual)
-        worst = max(worst, residual)
-        cases.append({"xi": list(xi), "maxResidual": residual, "pass": report.passed})
+        residual = qboson.eigen_residual(xi, lams, params)
+        cases.append(
+            {"xi": list(xi), "maxResidual": residual, "pass": residual < qboson.EIGEN_TOLERANCE}
+        )
     payload = {
         "suite": "eigen",
         "n": n,
         "maxPart": max_part,
-        "tolerance": 1e-10,
-        "maxResidual": worst,
+        "tolerance": qboson.EIGEN_TOLERANCE,
+        "maxResidual": max(c["maxResidual"] for c in cases),
         "cases": cases,
         "pass": all(c["pass"] for c in cases),
     }
@@ -495,7 +491,13 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
+
+
+def _size(text: str) -> int:
+    """argparse type of --n and --maxPart: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     poly = sub.add_parser("poly", help="build one polynomial and report it")
-    poly.add_argument("--n", type=int, required=True, help="number of variables")
+    poly.add_argument("--n", type=_size, required=True, help="number of variables")
     poly.add_argument(
         "--lambda", dest="lam", help="comma-separated partition, e.g. 2,1"
     )
@@ -520,14 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITES)
-    verify.add_argument("--n", type=int, default=2)
-    verify.add_argument("--maxPart", dest="max_part", type=int, default=3)
+    verify.add_argument("--n", type=_size, default=2)
+    verify.add_argument("--maxPart", dest="max_part", type=_size, default=3)
     verify.add_argument(
         "--M", dest="quad_points", type=int,
         help="quadrature nodes per angle (default: the smallest multiple of 8 "
         "whose aliasing bound meets the tolerance)",
     )
     verify.add_argument("--relation", help="restrict the algebra suite, e.g. com-d1")
+    verify.add_argument("--seed", type=int, default=0)
     _add_param_flags(verify)
 
     return parser

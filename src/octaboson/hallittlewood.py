@@ -27,7 +27,6 @@ import numpy as np
 from . import torus
 from .laurent import LaurentPoly, NotDivisibleError
 from .partitions import (
-    dominance_leq,
     is_partition,
     lower_set,
     multiplicity,
@@ -86,27 +85,15 @@ def monomial_symmetric(lam: tuple[int, ...]) -> LaurentPoly:
 def expand_in_monomials(p: LaurentPoly) -> dict[tuple[int, ...], Fraction]:
     """Expansion of an invariant polynomial in the orbit-sum basis.
 
-    Repeatedly strips a dominance-maximal dominant exponent (graded-lex
-    tie break among incomparable maxima); failure to exhaust the residual
-    proves the input was not invariant.
+    Each signed-permutation orbit holds exactly one dominant exponent, so
+    the expansion is p's coefficients at its dominant exponents, keyed in
+    decreasing (degree, lex) order; p is invariant exactly when their orbit
+    sums rebuild it.
     """
-    residual = p
-    out: dict[tuple[int, ...], Fraction] = {}
-    budget = sum(1 for exp in p.terms if is_partition(exp)) + 1
-    while not residual.is_zero:
-        dominants = [exp for exp in residual.terms if is_partition(exp)]
-        if not dominants or budget == 0:
-            raise ValueError("polynomial is not invariant under the group action")
-        budget -= 1
-        maximal = [
-            d
-            for d in dominants
-            if not any(e != d and dominance_leq(d, e) for e in dominants)
-        ]
-        mu = max(maximal, key=lambda e: (sum(e), e))
-        coeff = residual.terms[mu]
-        out[mu] = coeff
-        residual = residual - coeff * monomial_symmetric(mu)
+    dominant = sorted(filter(is_partition, p.terms), key=lambda e: (sum(e), e), reverse=True)
+    out = {mu: p.terms[mu] for mu in dominant}
+    if reconstruct_from_expansion(out, p.nvars) != p:
+        raise ValueError("polynomial is not invariant under the group action")
     return out
 
 

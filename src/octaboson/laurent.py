@@ -13,7 +13,6 @@ division serves the orbit-sum oracle of the test suite.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
@@ -241,46 +240,37 @@ def apply_w(w: SignedPermutation, p: LaurentPoly) -> LaurentPoly:
 
 
 def div_binomial_exact(p: LaurentPoly, alpha: Sequence[int]) -> LaurentPoly:
-    """Exact quotient p / (1 - x^alpha) via the recurrence q[m] = p[m] + q[m-alpha].
+    """Exact quotient p / (1 - x^alpha).
 
-    Positions are processed in increasing <m, alpha> order, so q[m - alpha]
-    is always available.  Exactness forces <m, alpha> <= max over p minus
-    |alpha|^2 for every quotient term; any nonzero coefficient past that
-    bound proves the division inexact.
+    From q[m] = p[m] + q[m - alpha], the quotient along each string
+    m + k alpha is the running sum of p's coefficients in increasing k.
+    The division is exact when every string's sum returns to zero;
+    otherwise the evidence names the string's last term and the sum left.
     """
     alpha = tuple(alpha)
     if len(alpha) != p.nvars:
         raise ValueError("alpha length mismatch")
-    if all(a == 0 for a in alpha):
+    if not any(alpha):
         raise ZeroDivisionError("binomial divisor degenerates to zero")
-    if p.is_zero:
-        return p
-
-    def height(exp: tuple[int, ...]) -> int:
-        return sum(e * a for e, a in zip(exp, alpha))
-
-    bound = max(height(e) for e in p.terms) - sum(a * a for a in alpha)
+    # k = floor(m_i / alpha_i) numbers the points of a string; its k = 0 point keys it
+    i = next(j for j, a in enumerate(alpha) if a)
+    strings: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for exp, c in p.terms.items():
+        k = exp[i] // alpha[i]
+        strings.setdefault(tuple(e - k * a for e, a in zip(exp, alpha)), {})[k] = c
     quotient: dict[tuple[int, ...], Fraction] = {}
-    heap = [(height(e), e) for e in p.terms]
-    heapq.heapify(heap)
-    scheduled = set(p.terms)
-
-    while heap:
-        h, exp = heapq.heappop(heap)
-        scheduled.discard(exp)
-        prev = tuple(e - a for e, a in zip(exp, alpha))
-        value = p.terms.get(exp, Fraction(0)) + quotient.get(prev, Fraction(0))
-        if value == 0:
-            continue
-        if h > bound:
+    for base, coeffs in strings.items():
+        total = Fraction(0)
+        for k in range(min(coeffs), max(coeffs) + 1):
+            total += coeffs.get(k, 0)
+            if total:
+                quotient[tuple(b + k * a for b, a in zip(base, alpha))] = total
+        if total:
             raise NotDivisibleError(
                 "polynomial is not divisible by the binomial factor",
-                evidence={"term": list(exp), "coefficient": str(value)},
+                evidence={
+                    "term": [b + k * a for b, a in zip(base, alpha)],
+                    "coefficient": str(total),
+                },
             )
-        quotient[exp] = value
-        nxt = tuple(e + a for e, a in zip(exp, alpha))
-        if nxt not in scheduled:
-            scheduled.add(nxt)
-            heapq.heappush(heap, (h + sum(a * a for a in alpha), nxt))
-
-    return LaurentPoly(p.nvars, quotient)
+    return LaurentPoly._trusted(p.nvars, quotient)

@@ -55,21 +55,16 @@ def dominance_leq(mu: tuple[int, ...], lam: tuple[int, ...]) -> bool:
 def enumerate_partitions(n: int, max_part: int) -> list[tuple[int, ...]]:
     """All length-n partitions with parts <= max_part, in graded lex order.
 
-    The count is binomial(n + max_part, n).  Graded lex (total size first,
-    then lexicographic) is the deterministic order used by every report.
+    They are the multisets of n parts drawn from max_part down to 0, so the
+    count is binomial(n + max_part, n).  Graded lex (total size first, then
+    lexicographic) is the deterministic order used by every report.
     """
     if n < 0 or max_part < 0:
         raise ValueError("n and max_part must be nonnegative")
-
-    def gen(length: int, bound: int) -> Iterator[tuple[int, ...]]:
-        if length == 0:
-            yield ()
-            return
-        for first in range(bound + 1):
-            for rest in gen(length - 1, first):
-                yield (first,) + rest
-
-    return sorted(gen(n, max_part), key=lambda p: (sum(p), p))
+    descending = range(max_part, -1, -1)
+    return sorted(
+        itertools.combinations_with_replacement(descending, n), key=lambda p: (sum(p), p)
+    )
 
 
 def lower_set(lam: tuple[int, ...]) -> list[tuple[int, ...]]:

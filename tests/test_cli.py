@@ -198,6 +198,14 @@ def test_exit_usage_error(capsys):
         ["poly", "--n", "1", "--lambda", "1", "--format", "xml"],
         ["poly", "--n", "x"],
         [],
+        # a negative size used to run empty sectors and pass with 0 cases
+        ["verify", "adjoint", "--n", "-1"],
+        ["verify", "degeneration", "--n", "-1"],
+        ["verify", "scattering", "--n", "-2"],
+        ["verify", "eigen", "--maxPart", "-1"],
+        ["poly", "--n", "-1"],
+        # the seed serves the sampled verify suites alone
+        ["poly", "--n", "2", "--lambda", "2,1", "--seed", "5"],
     ):
         code = cli.main(argv)
         captured = capsys.readouterr()

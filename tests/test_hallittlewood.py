@@ -190,6 +190,9 @@ def test_n4_family(params4, params2):
 def test_expand_rejects_noninvariant():
     with pytest.raises(ValueError):
         expand_in_monomials(LaurentPoly(2, {(1, 0): F(1)}))
+    # the dominant exponent (1, 0) is there, but its orbit lacks x_2^-1
+    with pytest.raises(ValueError):
+        expand_in_monomials(LaurentPoly(2, {(1, 0): F(1), (-1, 0): F(1), (0, 1): F(1)}))
 
 
 def test_gram_schmidt_route(params4):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from octaboson.partitions import enumerate_partitions, multiplicity, raise_indices
 from octaboson.qboson import (
+    EIGEN_TOLERANCE,
     RELATION_IDS,
     LatticeFunction,
     _twist_ratio,
@@ -142,7 +143,7 @@ def test_relations_default_params(relation_id, params4):
         )
         for l, k in pairs:
             report = verify_relation(relation_id, l, k, n, 3, params4)
-            assert report.passed, (relation_id, l, k, n, report.max_residual)
+            assert report.residual == 0, (relation_id, l, k, n, report.residual)
 
 
 def test_relations_multi_params(param_triple):
@@ -160,7 +161,14 @@ def test_relations_multi_params(param_triple):
             for n in (1, 2, 3):
                 for l, k in pairs:
                     report = verify_relation(relation_id, l, k, n, 4, params)
-                    assert report.passed, (relation_id, l, k, n, report.max_residual)
+                    assert report.residual == 0, (relation_id, l, k, n, report.residual)
+
+
+def test_relation_result_is_exact(params4):
+    for n, max_part in ((0, 2), (2, 3), (3, 1)):
+        residual, cases = verify_relation("d1", 0, 1, n, max_part, params4)
+        assert isinstance(residual, Fraction)
+        assert cases == len(enumerate_partitions(n, max_part))
 
 
 def test_relation_validation(params4):
@@ -173,14 +181,14 @@ def test_relation_validation(params4):
 def test_ultralocality_breakdown_and_restoration(params4, params3, params2):
     # full profile: the untwisted exchange fails on some basis state
     report = verify_relation("d1", 0, 1, 2, 3, params4, twisted=False)
-    assert not report.passed
+    assert report.residual != 0
     # and the twisted relation repairs it exactly
-    assert verify_relation("d1", 0, 1, 2, 3, params4, twisted=True).passed
+    assert verify_relation("d1", 0, 1, 2, 3, params4, twisted=True).residual == 0
     # one vanishing boundary coupling restores plain commutativity
     for params in (params3, params2):
         for rid in ("d1", "d2", "e1", "e2"):
             report = verify_relation(rid, 0, 1, 2, 3, params, twisted=False)
-            assert report.passed, (rid, params.profile, report.max_residual)
+            assert report.residual == 0, (rid, params.profile, report.residual)
 
 
 def test_hamiltonian_two_param_rows(params2):
@@ -250,17 +258,15 @@ def test_wave_function_examples(params4):
 
 
 def test_eigen_residual_examples(params4):
-    report = eigen_residual((1.0,), [(0,), (1,), (2,), (3,)], params4)
-    assert float(report.max_residual) < 1e-12
-    report2 = eigen_residual((0.7, 2.1), enumerate_partitions(2, 3), params4)
-    assert float(report2.max_residual) < 1e-10
+    assert eigen_residual((1.0,), [(0,), (1,), (2,), (3,)], params4) < 1e-12
+    assert eigen_residual((0.7, 2.1), enumerate_partitions(2, 3), params4) < 1e-10
     assert abs(energy((math.pi / 2, math.pi / 2))) < 1e-15
 
 
 def test_eigen_residual_other_profiles(params3, params2):
     for params in (params3, params2):
-        report = eigen_residual((0.9, 1.7), enumerate_partitions(2, 3), params)
-        assert report.passed, report.max_residual
+        residual = eigen_residual((0.9, 1.7), enumerate_partitions(2, 3), params)
+        assert residual < EIGEN_TOLERANCE, residual
 
 
 def test_scattering_factors(params4, params2):
