@@ -308,16 +308,15 @@ def _suite_adjoint(args, params) -> tuple[dict, list]:
     for sector in range(n):
         lower = enumerate_partitions(sector, max_part)
         upper = enumerate_partitions(sector + 1, max_part)
+        deltas = [LatticeFunction.delta(mu) for mu in lower]
         for l in range(max_part + 1):
-            for mu in lower:
-                f = LatticeFunction.delta(mu)
-                created = qboson.create(l, f, params)
-                for nu in upper:
-                    g = LatticeFunction.delta(nu)
-                    lhs = qboson.sector_inner_product(created, g, params)
-                    rhs = qboson.sector_inner_product(
-                        f, qboson.annihilate(l, g, params), params
-                    )
+            created = [qboson.create(l, f, params) for f in deltas]
+            for nu in upper:
+                g = LatticeFunction.delta(nu)
+                annihilated = qboson.annihilate(l, g, params)
+                for f, created_f in zip(deltas, created):
+                    lhs = qboson.sector_inner_product(created_f, g, params)
+                    rhs = qboson.sector_inner_product(f, annihilated, params)
                     adjoint_ok = adjoint_ok and lhs == rhs
                     adjoint_cases += 1
     checks.append({"name": "adjointness", "cases": adjoint_cases, "pass": adjoint_ok})

@@ -165,7 +165,9 @@ def _binomial_product(
     return tuple(acc.items()), denominator
 
 
-@lru_cache(maxsize=None)
+#: One suite needs the n + 1 blocks of one parameter point (zero counts
+#: 0..n); the bound stops parameter sweeps from growing memory.
+@lru_cache(maxsize=16)
 def _seed_block(n: int, zero_count: int, params: ParamSet) -> IntegerSeed:
     """Numerator block shared by all partitions with the same number of
     zero parts: (1 - q x^beta) on the short roots beta, and on each long
@@ -214,7 +216,9 @@ def _straighten(
     return out
 
 
-@lru_cache(maxsize=None)
+#: Keyed by the weight alone, so parameter sweeps share the entries; one
+#: suite reads at most 55 (``verify eigen --n 4``).
+@lru_cache(maxsize=1024)
 def character_multiplicities(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Orbit-sum expansion of the irreducible Sp(2n) character chi_mu.
 
@@ -308,7 +312,11 @@ def _checked_partition(lam: Sequence[int]) -> tuple[int, ...]:
     return lam
 
 
-@lru_cache(maxsize=None)
+#: The most polynomials one suite builds is 55 (``verify eigen --n 4``:
+#: its states and their unit-step neighbours; 30 at n = 3 and 20 for
+#: ``verify orthogonality --n 3 --maxPart 3``).  The bound stops parameter
+#: sweeps from growing memory.
+@lru_cache(maxsize=128)
 def hl_polynomial(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     """Primary exact construction by straightening into Sp(2n) characters.
 
@@ -322,7 +330,7 @@ def hl_polynomial(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     return _finalize(lam, expansion, params)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def macdonald_formula(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     """Classical two-parameter construction (requires t_3 = t_4 = 0).
 

@@ -1,0 +1,104 @@
+"""The package's caches change no result and stay bounded.
+
+Each operator step, relation scalar and norm is cached per parameter
+point; a result must not depend on what an earlier point left in a cache,
+and the benchmark, which empties every module-level ``lru_cache`` before
+each op, must reach each cache.
+"""
+
+import importlib
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from octaboson import qboson, qkernels
+from octaboson.qboson import (
+    EXCHANGE_RELATIONS,
+    RELATION_IDS,
+    LatticeFunction,
+    sector_inner_product,
+    verify_relation,
+)
+from octaboson.qkernels import ParamSet, default_params
+
+F = Fraction
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+STEP_CACHES = (
+    qboson._annihilate_step,
+    qboson._create_step,
+    qboson._number_step,
+    qboson._pair_scalar_b,
+    qboson._pair_scalar_c,
+    qboson._twist_ratio,
+    qkernels._quadratic_norm,
+)
+
+#: (relation, l, k, twisted) at boundary and bulk sites, with the untwisted
+#: witness, whose residual is nonzero in the full profile
+CASES = tuple(
+    (rid, l, k, True)
+    for rid in RELATION_IDS
+    for l, k in (((0, 1), (1, 2)) if rid in EXCHANGE_RELATIONS else ((0, 0), (0, 1), (1, 0)))
+) + (("d1", 0, 1, False),)
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """``bench/run.py``, whose ``clear_caches`` runs before every benchmark op."""
+    names = ("run", "checks", "spans", "speed", "workloads")
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("run")
+    for name in names:
+        sys.modules.pop(name, None)
+
+
+def _other_point(params: ParamSet) -> ParamSet:
+    """A second generic point with the profile of ``params``."""
+    nonzero = sum(1 for t in params.ts if t)
+    ts = (F(1, 2), F(1, 5), F(-2, 7), F(3, 8))[:nonzero] + (F(0),) * (4 - nonzero)
+    return ParamSet(q=F(1, 3), ts=ts, profile=params.profile)
+
+
+def _residuals(params: ParamSet) -> list:
+    return [
+        verify_relation(rid, l, k, 2, 2, params, twisted=twisted)
+        for rid, l, k, twisted in CASES
+    ]
+
+
+@pytest.mark.parametrize("profile", ["four", "three", "two"])
+def test_results_do_not_depend_on_warm_caches(profile, bench_run):
+    params = default_params(profile)
+    modules = bench_run.spans.package_modules()
+    bench_run.clear_caches(modules)
+    cold = _residuals(params)
+    bench_run.clear_caches(modules)
+    _residuals(_other_point(params))
+    assert _residuals(params) == cold
+    assert any(result.residual for result in cold) == (profile == "four")
+
+
+def test_benchmark_empties_every_step_cache(bench_run, params4):
+    for rid, l, k, twisted in CASES:
+        verify_relation(rid, l, k, 2, 2, params4, twisted=twisted)
+    f = LatticeFunction.delta((1, 0))
+    sector_inner_product(f, f, params4)
+    assert all(cache.cache_info().currsize for cache in STEP_CACHES)
+    bench_run.clear_caches(bench_run.spans.package_modules())
+    assert [cache.cache_info().currsize for cache in STEP_CACHES] == [0] * len(STEP_CACHES)
+
+
+def test_every_cache_is_bounded(bench_run):
+    caches = {
+        f"{name}.{attr}": value
+        for name, module in bench_run.spans.package_modules().items()
+        for attr, value in vars(module).items()
+        if callable(getattr(value, "cache_info", None))
+    }
+    assert set(STEP_CACHES) <= set(caches.values())
+    assert [name for name, cache in caches.items() if cache.cache_info().maxsize is None] == []

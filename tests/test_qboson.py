@@ -108,6 +108,18 @@ def test_create_examples(params4, params2):
     )
 
 
+def test_cancelling_images_store_no_zero(params4):
+    # keys are checked for length only, so (1, 0) and (0, 1) have the same
+    # image under each operator, and opposite values cancel there
+    f = LatticeFunction(2, {(1, 0): F(1), (0, 1): F(-1)})
+    for l in range(3):
+        assert create(l, f, params4).values == {}
+    for l in (0, 1):
+        assert annihilate(l, f, params4).values == {}
+    g = LatticeFunction(2, {(1, 0): F(2), (0, 1): F(-1)})
+    assert create(1, g, params4).values == create(1, LatticeFunction.delta((1, 0)), params4).values
+
+
 def test_number_op(params4):
     f = LatticeFunction.delta((2, 2, 0))
     assert number_op(3, f, params4)((2, 2, 0)) == 1

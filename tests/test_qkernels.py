@@ -68,6 +68,14 @@ def test_paramset_validation():
         ParamSet(q=F(1, 6), ts=(F(1, 2), F(1, 3), F(1, 5), F(-1, 7)))
 
 
+def test_equal_points_hash_equal():
+    point = default_params("three")
+    again = ParamSet(q=F(2, 4), ts=(F(1, 3), F(-2, 8), F(1, 5), 0), profile="three")
+    assert again == point and again is not point
+    assert hash(again) == hash(point)
+    assert {point: "cached"}[again] == "cached"
+
+
 def test_tau_vector(params4):
     q, t1 = params4.q, params4.ts[0]
     tau = tau_vector(3, params4)
