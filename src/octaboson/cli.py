@@ -7,7 +7,8 @@ type "usage" for the last); 2 internal failure, either an
 exact division that did not go through or a constructed polynomial that is
 not monic or leaves its lower set (the error JSON names lambda and the
 offending mu); 3 resource budget exceeded (for a quadrature grid the error
-JSON names the M it needs).
+JSON names the M it needs, for a seed block the terms its exponent box can
+hold).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import hallittlewood, qboson, torus
 from .laurent import NotDivisibleError
-from .partitions import enumerate_partitions, raise_indices
+from .partitions import enumerate_partitions, multiplicity, raise_indices, unit_steps
 from .qboson import LatticeFunction
 from .qkernels import (
     GenericityError,
@@ -110,6 +111,15 @@ def _emit_error(kind: str, message: str, args, evidence: dict | None = None) -> 
     _emit({"error": {"type": kind, "message": message, **(evidence or {})}}, args)
 
 
+def _check_seed_budget(n: int, lams, params, neighbours: bool = False) -> None:
+    """Apply the node budget to the seed blocks that the polynomials of
+    lams (and of their unit-step neighbours) read, before any of them is
+    built: a cached block or polynomial would skip the check."""
+    if neighbours:
+        lams = [*lams, *(target for lam in lams for _, _, target in unit_steps(lam))]
+    hallittlewood.check_seed_budget(n, {multiplicity(lam, 0) for lam in lams}, params)
+
+
 # ---------------------------------------------------------------------------
 # poly command
 # ---------------------------------------------------------------------------
@@ -121,6 +131,11 @@ def _cmd_poly(args) -> int:
     if len(lam) != args.n:
         raise GenericityError(f"--lambda has {len(lam)} parts but --n is {args.n}")
     params.ensure_generic(args.n, max(lam, default=0))
+    zero_counts = {multiplicity(lam, 0)}
+    if args.compare_macdonald:
+        # the classical formula reads the block without zero parts
+        zero_counts.add(0)
+    hallittlewood.check_seed_budget(args.n, zero_counts, params)
     hl = hallittlewood.hl_polynomial(lam, params)
     value = hallittlewood.principal_specialization(hl)
     inverse = 1 / hallittlewood.principal_normalizer(lam, params)
@@ -162,6 +177,7 @@ def _suite_orthogonality(args, params) -> tuple[dict, list]:
     # an explicit grid is checked against the budget before any construction
     quad = None if args.quad_points is None else torus.QuadratureSpec(args.quad_points, n)
     lams = enumerate_partitions(n, max_part)
+    _check_seed_budget(n, lams, params)
     polys = [hallittlewood.hl_polynomial(lam, params).poly for lam in lams]
     if quad is None:
         quad = torus.QuadratureSpec(torus.choose_points(polys, params, tol), n)
@@ -216,8 +232,10 @@ def _suite_orthogonality(args, params) -> tuple[dict, list]:
 def _suite_pieri(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     params.ensure_generic(n, max_part + 1)
+    lams = enumerate_partitions(n, max_part)
+    _check_seed_budget(n, lams, params, neighbours=True)
     cases = []
-    for lam in enumerate_partitions(n, max_part):
+    for lam in lams:
         good = hallittlewood.pieri_residual(lam, params).is_zero
         cases.append(
             {"lambda": list(lam), "residual": "0" if good else "nonzero", "pass": good}
@@ -356,6 +374,7 @@ def _suite_eigen(args, params) -> tuple[dict, list]:
     params.ensure_generic(n, max_part + 1)
     rng = random.Random(args.seed)
     lams = enumerate_partitions(n, max_part)
+    _check_seed_budget(n, lams, params, neighbours=True)
     cases = []
     for _ in range(20):
         xi = tuple(rng.uniform(0.0, 2 * 3.141592653589793) for _ in range(n))

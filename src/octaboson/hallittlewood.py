@@ -17,10 +17,12 @@ primary route as an exact polynomial identity.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -133,24 +135,52 @@ def _finalize(
 
 
 IntegerSeed = tuple[tuple[tuple[tuple[int, ...], int], ...], int]
+Binomials = Sequence[tuple[Fraction, tuple[int, ...]]]
 
 
-def _binomial_product(
-    n: int, binomials: Sequence[tuple[Fraction, tuple[int, ...]]]
-) -> IntegerSeed:
+def _exponent_box(n: int, binomials: Binomials) -> tuple[list[int], list[int]]:
+    """(lo, size) per coordinate: every exponent of every partial product
+    of the binomials lies in lo_i <= e_i < lo_i + size_i, with lo_i the sum
+    of min(0, e_i) and lo_i + size_i - 1 the sum of max(0, e_i)."""
+    lo = [sum(min(0, exp[i]) for _, exp in binomials) for i in range(n)]
+    hi = [sum(max(0, exp[i]) for _, exp in binomials) for i in range(n)]
+    return lo, [h - l + 1 for l, h in zip(lo, hi)]
+
+
+def _check_box(n: int, size: Sequence[int]) -> None:
+    terms = math.prod(size)
+    budget = torus.node_budget()
+    if terms > budget:
+        raise torus.BudgetExceededError(
+            f"seed block of n = {n} may hold {terms} terms, over the budget {budget} "
+            f"(set {torus.BUDGET_ENV} to raise it)",
+            {"n": n, "terms": terms, "budget": budget},
+        )
+
+
+def _binomial_product(n: int, binomials: Binomials) -> IntegerSeed:
     """prod (1 - c x^e) over the (c, e) pairs, as integer terms over the
     common denominator prod b, where c = a/b in lowest terms.
 
-    The term count is checked against the node budget after every factor.
+    Exponents are packed into one int each, in mixed radix over the
+    exponent box of the binomials: key = sum (e_i - lo_i) stride_i.  A
+    factor x^e then adds the one int sum e_i stride_i to a key, and since
+    every partial product stays inside the box, no key wraps.  The box
+    size bounds every partial product, so it is checked against the node
+    budget before the first factor; the surviving keys are decoded once,
+    at the end.
     """
-    budget = torus.node_budget()
-    acc = {(0,) * n: 1}
+    lo, size = _exponent_box(n, binomials)
+    _check_box(n, size)
+    strides = [math.prod(size[i + 1 :]) for i in range(n)]
+    acc = {-sum(l * s for l, s in zip(lo, strides)): 1}
     denominator = 1
     for c, exp in binomials:
         a, b = c.numerator, c.denominator
-        product = {key: b * v for key, v in acc.items()}
+        step = sum(e * s for e, s in zip(exp, strides))
+        product = dict(acc) if b == 1 else {key: b * v for key, v in acc.items()}
         for key, v in acc.items():
-            key = tuple(x + y for x, y in zip(key, exp))
+            key += step
             new = product.get(key, 0) - a * v
             if new:
                 product[key] = new
@@ -158,21 +188,20 @@ def _binomial_product(
                 product.pop(key, None)
         acc = product
         denominator *= b
-        if len(acc) > budget:
-            raise torus.BudgetExceededError(
-                f"seed block exceeds the {budget}-term budget"
-            )
-    return tuple(acc.items()), denominator
+    terms = []
+    for key, v in acc.items():
+        exp = []
+        for s, l in zip(strides, lo):
+            digit, key = divmod(key, s)
+            exp.append(digit + l)
+        terms.append((tuple(exp), v))
+    return tuple(terms), denominator
 
 
-#: One suite needs the n + 1 blocks of one parameter point (zero counts
-#: 0..n); the bound stops parameter sweeps from growing memory.
-@lru_cache(maxsize=16)
-def _seed_block(n: int, zero_count: int, params: ParamSet) -> IntegerSeed:
-    """Numerator block shared by all partitions with the same number of
-    zero parts: (1 - q x^beta) on the short roots beta, and on each long
-    root 2 e_j the boundary factors (1 - t_r x_j) if part j is positive,
-    the top-up (1 - x_j^2) if it is zero."""
+def _seed_binomials(n: int, zero_count: int, params: ParamSet) -> list:
+    """(1 - q x^beta) on the short roots beta, and on each long root 2 e_j
+    the boundary factors (1 - t_r x_j) if part j is positive, the top-up
+    (1 - x_j^2) if it is zero."""
     binomials = []
     for beta in positive_roots(n):
         if 2 not in beta:
@@ -182,7 +211,29 @@ def _seed_block(n: int, zero_count: int, params: ParamSet) -> IntegerSeed:
             binomials += [(t, half) for t in params.ts if t]
         else:
             binomials.append((Fraction(1), beta))
-    return _binomial_product(n, binomials)
+    return binomials
+
+
+def check_seed_budget(n: int, zero_counts: Iterable[int], params: ParamSet) -> None:
+    """Raise BudgetExceededError, before any work, when the exponent box of
+    a seed block with one of these zero counts exceeds the node budget.
+
+    ``_binomial_product`` makes the same check, but a cached block or
+    polynomial skips it; callers that must honour the budget of the
+    current environment call this first.
+    """
+    _check_variables(n)
+    for zero_count in sorted(set(zero_counts)):
+        _check_box(n, _exponent_box(n, _seed_binomials(n, zero_count, params))[1])
+
+
+#: One suite needs the n + 1 blocks of one parameter point (zero counts
+#: 0..n); the bound stops parameter sweeps from growing memory.
+@lru_cache(maxsize=16)
+def _seed_block(n: int, zero_count: int, params: ParamSet) -> IntegerSeed:
+    """Numerator block shared by all partitions with the same number of
+    zero parts: the product of ``_seed_binomials``."""
+    return _binomial_product(n, _seed_binomials(n, zero_count, params))
 
 
 def _straighten(
@@ -307,9 +358,13 @@ def _checked_partition(lam: Sequence[int]) -> tuple[int, ...]:
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
-    if len(lam) > MAX_VARIABLES:
-        raise ValueError(f"exact construction supports at most {MAX_VARIABLES} variables")
+    _check_variables(len(lam))
     return lam
+
+
+def _check_variables(n: int) -> None:
+    if n > MAX_VARIABLES:
+        raise ValueError(f"exact construction supports at most {MAX_VARIABLES} variables")
 
 
 #: The most polynomials one suite builds is 55 (``verify eigen --n 4``:
@@ -357,9 +412,37 @@ def principal_specialization(hl: HLPolynomial) -> Fraction:
 
     Contract: equals 1 / principal_normalizer (verified by the test suite;
     evaluation is algebraic, so any nonzero rational t_1 is admissible).
+
+    At tau_j = q^{n-1-j} t_1 the monomial x^e is t_1^{|e|} q^{<e, delta>}
+    with delta = (n-1, ..., 0).  The expansion's coefficients, scaled to
+    integers over their lcm L, are added over each orbit into a table
+    T[(|e|, <e, delta>)].  Orbits are closed under e -> -e, so with
+    A = max |e| and B = max |<e, delta>|, and q = q_n/q_d, t_1 = t_n/t_d,
+    the value is
+        sum T[a, b] t_n^{A+a} t_d^{A-a} q_n^{B+b} q_d^{B-b}
+            / (L (t_n t_d)^A (q_n q_d)^B),
+    all in integers up to the one final Fraction.
     """
-    tau = tau_vector(len(hl.lam), hl.params)
-    return hl.poly.evaluate_exact(tau)
+    n = len(hl.lam)
+    delta = range(n - 1, -1, -1)
+    common = math.lcm(*(c.denominator for c in hl.expansion.values()))
+    table: dict[tuple[int, int], int] = {}
+    for mu, coeff in hl.expansion.items():
+        scaled = coeff.numerator * (common // coeff.denominator)
+        counts: dict[tuple[int, int], int] = {}
+        for e in orbit(mu):
+            key = (sum(e), sum(map(operator.mul, e, delta)))
+            counts[key] = counts.get(key, 0) + 1
+        for key, count in counts.items():
+            table[key] = table.get(key, 0) + scaled * count
+    top_a = max(abs(a) for a, _ in table)
+    top_b = max(abs(b) for _, b in table)
+    qn, qd = hl.params.q.numerator, hl.params.q.denominator
+    tn, td = hl.params.ts[0].numerator, hl.params.ts[0].denominator
+    t_powers = {a: tn ** (top_a + a) * td ** (top_a - a) for a in range(-top_a, top_a + 1)}
+    q_powers = {b: qn ** (top_b + b) * qd ** (top_b - b) for b in range(-top_b, top_b + 1)}
+    numerator = sum(v * t_powers[a] * q_powers[b] for (a, b), v in table.items())
+    return Fraction(numerator, common * (tn * td) ** top_a * (qn * qd) ** top_b)
 
 
 def pieri_residual(lam: tuple[int, ...], params: ParamSet) -> LaurentPoly:

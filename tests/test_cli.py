@@ -276,11 +276,26 @@ def test_exit_budget(capsys, monkeypatch):
 
 
 def test_exit_budget_bounds_construction(capsys, monkeypatch, fresh_construction):
-    # the n = 3 seed block outgrows 100 terms while its factors multiply in
+    # the exponent box of the n = 3 seed block holds 729 > 100 terms
     monkeypatch.setenv("OCTABOSON_BUDGET", "100")
     code, out = run(capsys, "poly", "--n", "3", "--lambda", "3,3,3")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "budget"
+
+
+def test_exit_budget_applies_to_cached_construction(capsys, monkeypatch, fresh_construction):
+    # the second call's seed block is cached by the first, so only a check
+    # ahead of the construction sees the lowered budget
+    code, _ = run(capsys, "poly", "--n", "3", "--lambda", "3,3,3")
+    assert code == 0
+    monkeypatch.setenv("OCTABOSON_BUDGET", "100")
+    code, out = run(capsys, "poly", "--n", "3", "--lambda", "3,3,2")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "budget"
+    assert (error["n"], error["terms"], error["budget"]) == (3, 729, 100)
+    code, out = run(capsys, "verify", "pieri", "--n", "3", "--maxPart", "1")
+    assert code == 3 and json.loads(out)["error"]["terms"] == 729
 
 
 def test_separated_negative_rational(capsys):

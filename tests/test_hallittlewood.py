@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from octaboson.hallittlewood import (
@@ -242,6 +242,29 @@ def test_principal_specialization_negative_t1():
     for lam in ((1,), (2,), (1, 0)):
         hl = hl_polynomial(lam, params)
         assert principal_specialization(hl) * principal_normalizer(lam, params) == 1
+
+
+_NEGATIVE_T1 = ParamSet(q=F(2, 5), ts=(F(-1, 2), F(2, 3), F(0), F(0)), profile="two")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    guarded_params(),
+    st.integers(0, 3).flatmap(lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+)
+@example(_NEGATIVE_T1, [3, 1, 0])
+@example(_NEGATIVE_T1, [])
+def test_principal_specialization_matches_evaluation(params, parts):
+    # the integer (|e|, <e, delta>) table against evaluating every term
+    lam = tuple(sorted(parts, reverse=True))
+    hl = hl_polynomial(lam, params)
+    assert principal_specialization(hl) == hl.poly.evaluate_exact(tau_vector(len(lam), params))
+
+
+def test_principal_specialization_matches_evaluation_n4():
+    params = ParamSet(q=F(1, 3), ts=(F(-2, 7), F(1, 2), F(-1, 5), F(3, 8)))
+    hl = hl_polynomial((2, 1, 1, 0), params)
+    assert principal_specialization(hl) == hl.poly.evaluate_exact(tau_vector(4, params))
 
 
 def test_pieri_residual_examples(params4):

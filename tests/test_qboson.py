@@ -130,6 +130,18 @@ def test_number_op(params4):
     assert (ab - ba).is_zero
 
 
+def test_unit_steps_pass_values_on(params4, params2):
+    # annihilation off site 0, at every site when t = 0, and the number
+    # operator on an empty site multiply by 1, so they store the value itself
+    value = F(3, 7)
+    f = LatticeFunction(2, {(1, 0): value})
+    assert annihilate(1, f, params4).values[(0,)] is value
+    assert annihilate(0, f, params2).values[(1,)] is value
+    assert annihilate(0, f, params4)((1,)) == value / (1 - params4.t * params4.q)
+    assert number_op(2, f, params4).values[(1, 0)] is value
+    assert number_op(1, f, params4)((1, 0)) == value * params4.q
+
+
 def test_adjointness(params4):
     # <create(l) f, g> == <f, annihilate(l) g> on delta bases
     for sector in (0, 1, 2):
