@@ -27,10 +27,10 @@ from .laurent import NotDivisibleError
 from .partitions import enumerate_partitions, multiplicity, raise_indices, unit_steps
 from .qboson import LatticeFunction
 from .qkernels import (
+    DEFAULT_POINTS,
     GenericityError,
     ParamSet,
     boundary_potential,
-    default_params,
     hop_coeff,
     hop_up_three,
     hop_up_two,
@@ -76,12 +76,12 @@ def _parse_rational(text: str, flag: str) -> Fraction:
 
 
 def _build_params(args) -> ParamSet:
-    defaults = default_params(args.profile)
-    q = _parse_rational(args.q, "--q") if args.q else defaults.q
+    default_q, default_ts = DEFAULT_POINTS[args.profile]
+    q = _parse_rational(args.q, "--q") if args.q else default_q
     ts = []
     for idx, flag in enumerate(("t1", "t2", "t3", "t4")):
         raw = getattr(args, flag)
-        ts.append(_parse_rational(raw, f"--{flag}") if raw else defaults.ts[idx])
+        ts.append(_parse_rational(raw, f"--{flag}") if raw else default_ts[idx])
     return ParamSet(q=q, ts=tuple(ts), profile=args.profile)
 
 
@@ -154,8 +154,9 @@ def _cmd_poly(args) -> int:
     }
     ok = value == inverse
     if args.compare_macdonald:
+        # orbit sums are a basis, so equal expansions are equal polynomials
         other = hallittlewood.macdonald_formula(lam, params)
-        payload["equal"] = other.poly == hl.poly
+        payload["equal"] = other.expansion == hl.expansion
         ok = ok and payload["equal"]
     rows = [{"mu": ",".join(map(str, mu)), "coeff": str(c)} for mu, c in hl.expansion.items()]
     _emit(payload, args, rows)
@@ -554,6 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once, at import: parsing reads the parser and never changes it.
+PARSER = build_parser()
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Rewrite ``--t2 -1/4`` as ``--t2=-1/4``: argparse reads a separated
     value that starts with '-' and is not a plain number as an option."""
@@ -570,7 +575,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_join_negative_values(argv))
+        args = PARSER.parse_args(_join_negative_values(argv))
     except UsageError as exc:
         _emit_error("usage", str(exc), argparse.Namespace(format="json", out=None))
         return EXIT_FAIL

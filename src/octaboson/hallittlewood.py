@@ -4,13 +4,14 @@ The primary route is exact.  Summing the plane-wave coefficient over the
 hyperoctahedral group and dividing by the type-C Weyl denominator is, by the
 Weyl character formula, a signed sum of Sp(2n) characters: every term x^e of
 x^{-lam-rho} times the integer seed block is straightened into the dominant
-chamber (dropped when it is fixed by a reflection), and each character is
-expanded in orbit sums by Freudenthal's multiplicity formula with every
-division checked to be exact.  The orbit sum over all 2^n n! group elements
-followed by exact binomial division gives the same polynomials and is kept
-in the test suite as an oracle.  The secondary route orthogonalizes the
-monomial basis numerically against the torus inner product and is used only
-as a cross check.  A third construction, valid when t_3 = t_4 = 0, uses the
+chamber (dropped when it is fixed by a reflection), all rows of the seed's
+exponent matrix at once in numpy, and each character is expanded in orbit
+sums by Freudenthal's multiplicity formula with every division checked to
+be exact.  The orbit sum over all 2^n n! group elements followed by exact
+binomial division gives the same polynomials and is kept in the test suite
+as an oracle, as is the row-at-a-time straightening.  The secondary route
+orthogonalizes the monomial basis numerically against the torus inner
+product and is used only as a cross check.  A third construction, valid when t_3 = t_4 = 0, uses the
 classical lambda-independent coefficient and is compared against the
 primary route as an exact polynomial identity.
 """
@@ -21,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -69,13 +70,21 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class HLPolynomial:
-    """A constructed polynomial with its monomial expansion and norm."""
+    """A constructed polynomial: its orbit-sum expansion and norm.
+
+    The expansion is the construction's result; the Laurent polynomial
+    ``poly`` is rebuilt from it on first read (one pass over the orbits)
+    and kept, so a caller that reads only the expansion never pays for it.
+    """
 
     lam: tuple[int, ...]
-    poly: LaurentPoly
     expansion: Mapping[tuple[int, ...], Fraction]
     norm: Fraction
     params: ParamSet
+
+    @cached_property
+    def poly(self) -> LaurentPoly:
+        return reconstruct_from_expansion(self.expansion, len(self.lam))
 
 
 def monomial_symmetric(lam: tuple[int, ...]) -> LaurentPoly:
@@ -126,16 +135,18 @@ def _finalize(
                 f"expansion of {lam} has support {mu} outside the lower set", lam, mu
             )
     return HLPolynomial(
-        lam=lam,
-        poly=reconstruct_from_expansion(expansion, len(lam)),
-        expansion=expansion,
-        norm=quadratic_norm(lam, params),
-        params=params,
+        lam=lam, expansion=expansion, norm=quadratic_norm(lam, params), params=params
     )
 
 
-IntegerSeed = tuple[tuple[tuple[tuple[int, ...], int], ...], int]
+#: (exponents, coefficients, denominator): the (S, n) int64 exponent matrix,
+#: read-only, and the S integer coefficients of its rows over one common
+#: denominator.
+IntegerSeed = tuple[np.ndarray, tuple[int, ...], int]
 Binomials = Sequence[tuple[Fraction, tuple[int, ...]]]
+
+#: Exponent keys and exponents are int64 in the straightening.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _exponent_box(n: int, binomials: Binomials) -> tuple[list[int], list[int]]:
@@ -156,6 +167,13 @@ def _check_box(n: int, size: Sequence[int]) -> None:
             f"(set {torus.BUDGET_ENV} to raise it)",
             {"n": n, "terms": terms, "budget": budget},
         )
+    # only a raised budget gets here with a box whose keys overflow int64
+    if terms > _INT64_MAX:
+        raise torus.BudgetExceededError(
+            f"seed block of n = {n} may hold {terms} terms, beyond the int64 "
+            f"exponent keys of the straightening",
+            {"n": n, "terms": terms, "budget": budget},
+        )
 
 
 def _binomial_product(n: int, binomials: Binomials) -> IntegerSeed:
@@ -167,8 +185,9 @@ def _binomial_product(n: int, binomials: Binomials) -> IntegerSeed:
     factor x^e then adds the one int sum e_i stride_i to a key, and since
     every partial product stays inside the box, no key wraps.  The box
     size bounds every partial product, so it is checked against the node
-    budget before the first factor; the surviving keys are decoded once,
-    at the end.
+    budget (and the int64 range) before the first factor; the surviving
+    keys are decoded once, at the end, into the rows of the exponent
+    matrix by one vectorized divmod by the strides.
     """
     lo, size = _exponent_box(n, binomials)
     _check_box(n, size)
@@ -188,14 +207,11 @@ def _binomial_product(n: int, binomials: Binomials) -> IntegerSeed:
                 product.pop(key, None)
         acc = product
         denominator *= b
-    terms = []
-    for key, v in acc.items():
-        exp = []
-        for s, l in zip(strides, lo):
-            digit, key = divmod(key, s)
-            exp.append(digit + l)
-        terms.append((tuple(exp), v))
-    return tuple(terms), denominator
+    keys = np.fromiter(acc, dtype=np.int64, count=len(acc))
+    digits = keys[:, None] // np.array(strides, dtype=np.int64) % np.array(size, dtype=np.int64)
+    exponents = digits + np.array(lo, dtype=np.int64)
+    exponents.flags.writeable = False
+    return exponents, tuple(acc.values()), denominator
 
 
 def _seed_binomials(n: int, zero_count: int, params: ParamSet) -> list:
@@ -237,33 +253,38 @@ def _seed_block(n: int, zero_count: int, params: ParamSet) -> IntegerSeed:
 
 
 def _straighten(
-    terms: Sequence[tuple[tuple[int, ...], int]], shift: Sequence[int]
+    exponents: np.ndarray, coefficients: Sequence[int], shift: Sequence[int]
 ) -> dict[tuple[int, ...], int]:
     """c_mu with A(x^{-shift} g) = sum_mu c_mu A(x^{mu + rho}) for the
-    alternant A(x^e) = sum_w det(w) x^{w e} and g = sum of the terms.
+    alternant A(x^e) = sum_w det(w) x^{w e} and g = sum of the rows of the
+    (S, n) exponent matrix times their coefficients.
 
-    Each exponent is sorted by absolute value into the dominant chamber;
-    the sign is (-1)^(negative entries) times the sign of the sort.  An
-    exponent with a zero entry or a repeated absolute value is fixed by a
-    reflection, so its alternant vanishes.
+    For all rows at once in numpy, each shifted exponent is sorted by
+    absolute value into the dominant chamber; the sign is
+    (-1)^(negative entries) times the sign of the sort, whose parity is the
+    number of pairs i < j with |e_i| < |e_j|.  An exponent with a zero entry or a repeated absolute
+    value is fixed by a reflection, so its alternant vanishes and its row
+    is dropped.  Only the surviving rows come back to Python, where their
+    integer coefficients are summed exactly; a mu whose contributions
+    cancel is kept with coefficient 0.
     """
     n = len(shift)
-    rho = weyl_vector(n)
+    bound = _INT64_MAX - int(np.abs(exponents).max(initial=0))
+    if any(abs(s) > bound for s in shift):
+        raise ValueError(f"shift {tuple(shift)} is beyond the int64 exponents")
+    e = exponents - np.array(shift, dtype=np.int64)
+    a = np.abs(e)
+    dom = -np.sort(-a, axis=1)
+    rows = np.flatnonzero((a > 0).all(axis=1) & (dom[:, :-1] > dom[:, 1:]).all(axis=1))
+    e, a = e[rows], a[rows]
+    upper, lower = np.triu_indices(n, 1)
+    odd = ((e < 0).sum(axis=1) + (a[:, upper] < a[:, lower]).sum(axis=1)) % 2
+    mus = (dom[rows] - np.array(weyl_vector(n), dtype=np.int64)).tolist()
     out: dict[tuple[int, ...], int] = {}
-    for exp, coeff in terms:
-        e = [x - s for x, s in zip(exp, shift)]
-        if 0 in e:
-            continue
-        a = [abs(x) for x in e]
-        dom = sorted(a, reverse=True)
-        if any(dom[i] == dom[i + 1] for i in range(n - 1)):
-            continue
-        negative = sum(1 for x in e if x < 0)
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if a[i] < a[j])
-        if (negative + inversions) % 2:
-            coeff = -coeff
-        mu = tuple(d - r for d, r in zip(dom, rho))
-        out[mu] = out.get(mu, 0) + coeff
+    for row, mu, flip in zip(rows.tolist(), mus, odd.tolist()):
+        mu = tuple(mu)
+        coeff = coefficients[row]
+        out[mu] = out.get(mu, 0) + (-coeff if flip else coeff)
     return out
 
 
@@ -337,9 +358,10 @@ def _straightened_expansion(
     (-1)^{n^2} A(x^{-lam-rho} g) / A(x^rho) = (-1)^{n^2} sum_mu c_mu chi_mu.
     Keys are in decreasing (degree, lex) order.
     """
-    terms, denominator = seed
+    exponents, coefficients, denominator = seed
     n = len(lam)
-    coeffs = _straighten(terms, [p + r for p, r in zip(lam, weyl_vector(n))])
+    shift = [p + r for p, r in zip(lam, weyl_vector(n))]
+    coeffs = _straighten(exponents, coefficients, shift)
     totals: dict[tuple[int, ...], int] = {}
     for mu, c in coeffs.items():
         if c:

@@ -36,6 +36,9 @@ from .partitions import (
 
 PROFILES = ("four", "three", "two")
 
+#: How many trailing t_r each profile sets to zero.
+_ZERO_TAIL = {"four": 0, "three": 1, "two": 2}
+
 #: Guard horizon applied at construction; covers sectors n <= 4, parts <= 6.
 GUARD_DEFAULT = 20
 
@@ -73,7 +76,7 @@ class ParamSet:
             raise ValueError(f"profile must be one of {PROFILES}")
         if not (0 < self.q < 1):
             raise ValueError(f"q = {self.q} outside (0, 1)")
-        zero_tail = {"four": 0, "three": 1, "two": 2}[self.profile]
+        zero_tail = _ZERO_TAIL[self.profile]
         for r, t in enumerate(self.ts):
             if not (-1 < t < 1):
                 raise ValueError(f"t_{r+1} = {t} outside (-1, 1)")
@@ -104,11 +107,11 @@ class ParamSet:
         products = (self.ts[r] * self.ts[s] for r, s in itertools.combinations(range(4), 2))
         return tuple(prod for prod in products if prod)
 
-    def ensure_generic_horizon(self, horizon: int) -> None:
-        """Reject t = q^m and t_r t_s = q^m for m = 1..horizon."""
-        qpow = Fraction(1)
+    def ensure_generic_horizon(self, horizon: int, start: int = 1) -> None:
+        """Reject t = q^m and t_r t_s = q^m for m = start..horizon."""
+        qpow = self.q ** (start - 1)
         t = self.t
-        for _ in range(horizon):
+        for _ in range(start, horizon + 1):
             qpow *= self.q
             if t == qpow:
                 raise GenericityError(f"t = q^m degeneracy at q^m = {qpow}")
@@ -119,8 +122,12 @@ class ParamSet:
                     )
 
     def ensure_generic(self, n: int, max_part: int) -> None:
-        """Guard every denominator exponent reachable at sector size (n, max_part)."""
-        self.ensure_generic_horizon(2 * n + max_part + 3)
+        """Guard every denominator exponent reachable at sector size (n, max_part).
+
+        Construction has checked m <= GUARD_DEFAULT already; only the
+        exponents beyond it are checked here.
+        """
+        self.ensure_generic_horizon(2 * n + max_part + 3, start=GUARD_DEFAULT + 1)
 
     # -- serialization --------------------------------------------------
 
@@ -132,12 +139,22 @@ class ParamSet:
         }
 
 
+#: (q, (t_1, .., t_4)) of the generic rational point used throughout the
+#: test suites and by the command line where a flag is not given, per profile.
+DEFAULT_POINTS = {
+    profile: (
+        Fraction(1, 2),
+        (Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5), Fraction(-1, 6))[: 4 - zeros]
+        + (Fraction(0),) * zeros,
+    )
+    for profile, zeros in _ZERO_TAIL.items()
+}
+
+
 def default_params(profile: str = "four") -> ParamSet:
     """The generic rational parameter point used throughout the test suites."""
-    tails = {"four": (), "three": (0,), "two": (0, 0)}[profile]
-    base = (Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5), Fraction(-1, 6))
-    ts = base[: 4 - len(tails)] + tuple(Fraction(0) for _ in tails)
-    return ParamSet(q=Fraction(1, 2), ts=ts, profile=profile)
+    q, ts = DEFAULT_POINTS[profile]
+    return ParamSet(q=q, ts=ts, profile=profile)
 
 
 # ---------------------------------------------------------------------------

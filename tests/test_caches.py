@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from octaboson import qboson, qkernels
+from octaboson import hallittlewood, qboson, qkernels
 from octaboson.qboson import (
     EXCHANGE_RELATIONS,
     RELATION_IDS,
@@ -91,6 +91,14 @@ def test_benchmark_empties_every_step_cache(bench_run, params4):
     assert all(cache.cache_info().currsize for cache in STEP_CACHES)
     bench_run.clear_caches(bench_run.spans.package_modules())
     assert [cache.cache_info().currsize for cache in STEP_CACHES] == [0] * len(STEP_CACHES)
+
+
+def test_benchmark_empties_the_seed_block_cache(bench_run, params4):
+    # the cached seed holds a numpy exponent matrix; a cold op must rebuild it
+    hallittlewood.hl_polynomial((1, 0), params4)
+    assert hallittlewood._seed_block.cache_info().currsize
+    bench_run.clear_caches(bench_run.spans.package_modules())
+    assert hallittlewood._seed_block.cache_info().currsize == 0
 
 
 def test_every_cache_is_bounded(bench_run):

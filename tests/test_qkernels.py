@@ -68,6 +68,17 @@ def test_paramset_validation():
         ParamSet(q=F(1, 6), ts=(F(1, 2), F(1, 3), F(1, 5), F(-1, 7)))
 
 
+def test_guard_beyond_construction_horizon():
+    # t1 t2 = q^22 lies past the m <= 20 that construction checks, so only
+    # ensure_generic catches it, once its horizon 2n + maxPart + 3 reaches 22
+    params = ParamSet(q=F(1, 2), ts=(F(1, 2**11), F(1, 2**11), F(1, 3), F(1, 5)))
+    params.ensure_generic(4, 10)
+    with pytest.raises(GenericityError):
+        params.ensure_generic(4, 11)
+    with pytest.raises(GenericityError):
+        params.ensure_generic(4, 14)
+
+
 def test_equal_points_hash_equal():
     point = default_params("three")
     again = ParamSet(q=F(2, 4), ts=(F(1, 3), F(-2, 8), F(1, 5), 0), profile="three")

@@ -1,9 +1,11 @@
-"""The seed block's packed product against a tuple-keyed oracle, and the
-exponent box that bounds it before any work."""
+"""The seed block's packed product against a tuple-keyed oracle, its
+decoded exponent matrix, and the exponent box that bounds it before any
+work."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -56,19 +58,28 @@ def binomial_lists(draw):
 @example((4, [(F(1), (1, 0, -1, 2)), (F(-1), (-2, 2, 0, 1)), (F(1), (-1, 0, 1, -2))]))
 def test_packed_product_matches_tuple_product(case):
     n, binomials = case
-    terms, denominator = _binomial_product(n, binomials)
-    assert (dict(terms), denominator) == tuple_binomial_product(n, binomials)
-    assert len(dict(terms)) == len(terms)
+    exponents, coefficients, denominator = _binomial_product(n, binomials)
+    assert exponents.shape == (len(coefficients), n)
+    assert exponents.dtype == np.int64 and not exponents.flags.writeable
+    rows = list(map(tuple, exponents.tolist()))
+    assert (dict(zip(rows, coefficients)), denominator) == tuple_binomial_product(n, binomials)
+    assert len(set(rows)) == len(rows)
+    assert all(type(c) is int for c in coefficients)
     lo, size = _exponent_box(n, binomials)
-    for exp, _ in terms:
+    for exp in rows:
         assert all(l <= e < l + s for e, l, s in zip(exp, lo, size))
+
+
+def _as_terms(seed):
+    exponents, coefficients, denominator = seed
+    return exponents.shape, list(zip(map(tuple, exponents.tolist()), coefficients)), denominator
 
 
 def test_full_cancellation_and_empty_list():
     # a factor (1 - x^0) is the zero polynomial
-    assert _binomial_product(2, [(F(1, 2), (1, 0)), (F(1), (0, 0))]) == ((), 2)
-    assert _binomial_product(3, []) == ((((0, 0, 0), 1),), 1)
-    assert _binomial_product(0, []) == ((((), 1),), 1)
+    assert _as_terms(_binomial_product(2, [(F(1, 2), (1, 0)), (F(1), (0, 0))])) == ((0, 2), [], 2)
+    assert _as_terms(_binomial_product(3, [])) == ((1, 3), [((0, 0, 0), 1)], 1)
+    assert _as_terms(_binomial_product(0, [])) == ((1, 0), [((), 1)], 1)
 
 
 @pytest.mark.parametrize("profile", ["four", "two"])
@@ -92,3 +103,12 @@ def test_budget_checked_before_the_first_factor(monkeypatch, params4):
     with pytest.raises(torus.BudgetExceededError):
         hallittlewood.check_seed_budget(3, [0], params4)
     hallittlewood.check_seed_budget(3, [3], params4)
+
+
+def test_keys_beyond_int64_are_refused(monkeypatch):
+    # a box of 2^64 terms fits a raised budget but not the int64 keys
+    binomials = [(F(1), (2**32 - 1, 0)), (F(1), (0, 2**32 - 1))]
+    assert math.prod(_exponent_box(2, binomials)[1]) == 2**64
+    monkeypatch.setenv("OCTABOSON_BUDGET", str(2**70))
+    with pytest.raises(torus.BudgetExceededError, match="int64"):
+        _binomial_product(2, binomials)
