@@ -117,7 +117,12 @@ def _check_seed_budget(n: int, lams, params, neighbours: bool = False) -> None:
     built: a cached block or polynomial would skip the check."""
     if neighbours:
         lams = [*lams, *(target for lam in lams for _, _, target in unit_steps(lam))]
-    hallittlewood.check_seed_budget(n, {multiplicity(lam, 0) for lam in lams}, params)
+    hallittlewood.check_seed_budget(
+        n,
+        {multiplicity(lam, 0) for lam in lams},
+        params,
+        max_part=max((lam[0] for lam in lams if lam), default=0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +140,7 @@ def _cmd_poly(args) -> int:
     if args.compare_macdonald:
         # the classical formula reads the block without zero parts
         zero_counts.add(0)
-    hallittlewood.check_seed_budget(args.n, zero_counts, params)
+    hallittlewood.check_seed_budget(args.n, zero_counts, params, max_part=max(lam, default=0))
     hl = hallittlewood.hl_polynomial(lam, params)
     value = hallittlewood.principal_specialization(hl)
     inverse = 1 / hallittlewood.principal_normalizer(lam, params)

@@ -230,17 +230,36 @@ def _seed_binomials(n: int, zero_count: int, params: ParamSet) -> list:
     return binomials
 
 
-def check_seed_budget(n: int, zero_counts: Iterable[int], params: ParamSet) -> None:
+def check_seed_budget(
+    n: int, zero_counts: Iterable[int], params: ParamSet, max_part: int = 0
+) -> None:
     """Raise BudgetExceededError, before any work, when the exponent box of
-    a seed block with one of these zero counts exceeds the node budget.
+    a seed block with one of these zero counts, or the Freudenthal work of
+    partitions with parts up to ``max_part``, exceeds the node budget.
 
-    ``_binomial_product`` makes the same check, but a cached block or
+    ``_binomial_product`` makes the box check, but a cached block or
     polynomial skips it; callers that must honour the budget of the
     current environment call this first.
     """
     _check_variables(n)
     for zero_count in sorted(set(zero_counts)):
         _check_box(n, _exponent_box(n, _seed_binomials(n, zero_count, params))[1])
+    _check_freudenthal(n, max_part)
+
+
+def _check_freudenthal(n: int, max_part: int) -> None:
+    """Bound the work of ``character_multiplicities``, which grows with the
+    parts, not with the seed: the C(n + max_part, n) dominant weights with
+    parts up to max_part, times the n^2 positive roots, times max_part, the
+    length of the longest root string through a weight."""
+    terms = math.comb(n + max_part, n) * n * n * max_part
+    budget = torus.node_budget()
+    if terms > budget:
+        raise torus.BudgetExceededError(
+            f"Freudenthal's sum for parts up to {max_part} at n = {n} may take "
+            f"{terms} steps, over the budget {budget} (set {torus.BUDGET_ENV} to raise it)",
+            {"n": n, "terms": terms, "budget": budget},
+        )
 
 
 #: One suite needs the n + 1 blocks of one parameter point (zero counts

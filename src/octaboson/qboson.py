@@ -13,9 +13,13 @@ spectral parameter does (wave functions, eigenvalue residuals, scattering).
 The elementary operators are monomial on the delta basis: annihilation,
 creation and the number operator each send a basis state to one basis
 state times a scalar (or annihilation to 0), and distinct states to
-distinct states.  Each such step, and each diagonal scalar of the
-relations, is computed once per (site, state, parameter point) and
-cached; the operators apply the cached steps to a function's values.
+distinct states.  Each step's target is cached per (site, state,
+parameter point), and each coefficient, of the steps and of the diagonal
+scalars of the relations, per the occupation numbers it reads
+(``qkernels.occupation_key``) and parameter point; the operators apply the
+cached steps to a function's values.  The relation checks apply both sides
+of a relation to one delta function at a time, so each side is one basis
+image, a (state, coefficient) pair, and no function is built per state.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .qkernels import (
     boundary_potential,
     creation_coeff,
     hop_coeff,
+    occupation_key,
     quadratic_norm,
 )
 
@@ -106,20 +111,21 @@ class LatticeFunction:
     def scale(self, factor) -> "LatticeFunction":
         return LatticeFunction._trusted(self.n, {k: factor * v for k, v in self.values.items()})
 
-    def max_abs(self):
-        """Largest absolute value over the support (0 for the zero function)."""
-        return max((abs(v) for v in self.values.values()), default=0)
-
 
 # ---------------------------------------------------------------------------
 # Elementary operators
 # ---------------------------------------------------------------------------
 
 
-#: Entries of each step and relation-scalar cache.  One step of
-#: ``verify algebra`` reaches 630 (site, state) keys at n = 3, maxPart 3 and
-#: 1,086 at n = 4, maxPart 3, at one parameter point.
+#: Entries of each (site, state) step cache.  One step of ``verify algebra``
+#: reaches 630 (site, state) keys at n = 3, maxPart 3 and 1,086 at n = 4,
+#: maxPart 3, at one parameter point.
 _STEP_CACHE_SIZE = 4096
+
+#: Entries of each cache keyed by occupation numbers; one parameter point of
+#: ``verify algebra`` reads at most 24 keys of one at n = 3, maxPart 3 and
+#: 35 at n = 4, maxPart 3.
+_OCCUPATION_CACHE_SIZE = 1024
 
 
 def _occupation_pair(lam: tuple[int, ...]) -> tuple[int, int]:
@@ -134,12 +140,17 @@ def _annihilate_step(l: int, mu: tuple[int, ...], params: ParamSet):
         return None
     lam = remove_part(mu, l)
     if l == 0 and params.t:
-        m0, m1 = _occupation_pair(lam)
-        denom = 1 - params.t * params.q ** (2 * m0 + m1)
-        if denom == 0:
-            raise GenericityError("annihilation denominator vanishes")
-        return lam, 1 / denom
+        return lam, _annihilation_coeff(*_occupation_pair(lam), params)
     return lam, None
+
+
+@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+def _annihilation_coeff(m0: int, m1: int, params: ParamSet) -> Fraction:
+    """1 / (1 - t q^{2 m_0 + m_1}) at the occupations of the target state."""
+    denom = 1 - params.t * params.q ** (2 * m0 + m1)
+    if denom == 0:
+        raise GenericityError("annihilation denominator vanishes")
+    return 1 / denom
 
 
 @lru_cache(maxsize=_STEP_CACHE_SIZE)
@@ -220,10 +231,10 @@ def sector_inner_product(f: LatticeFunction, g: LatticeFunction, params: ParamSe
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_STEP_CACHE_SIZE)
-def _twist_ratio(lam: tuple[int, ...], params: ParamSet, inverse: bool) -> Fraction:
-    """(1 - q t N0^2 N1) / (1 - t N0^2 N1) on a basis state (or its inverse)."""
-    m0, m1 = _occupation_pair(lam)
+@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+def _twist_ratio(m0: int, m1: int, params: ParamSet, inverse: bool) -> Fraction:
+    """(1 - q t N0^2 N1) / (1 - t N0^2 N1) at occupations (m0, m1) of sites
+    0, 1 (or its inverse)."""
     base = params.t * params.q ** (2 * m0 + m1)
     num, den = 1 - params.q * base, 1 - base
     if inverse:
@@ -239,18 +250,18 @@ def _apply_diag(
     return LatticeFunction._trusted(f.n, {lam: scalar(lam) * v for lam, v in f.values.items()})
 
 
-@lru_cache(maxsize=_STEP_CACHE_SIZE)
-def _pair_scalar_b(lam: tuple[int, ...], l: int, params: ParamSet) -> Fraction:
-    """Diagonal value of the normal-ordered product create(l) annihilate(l)."""
+@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+def _pair_scalar_b(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fraction:
+    """Diagonal value of the normal-ordered product create(l) annihilate(l)
+    on a state with ``occupation_key`` (site, m, m0, m1) at l."""
     q, t = params.q, params.t
-    m0, m1 = _occupation_pair(lam)
-    value = (1 - q ** multiplicity(lam, l)) / (1 - q)
-    if l == 0:
+    value = (1 - q**m) / (1 - q)
+    if site == 0:
         for prod in params.pair_products:
             value *= 1 - prod * q ** (m0 - 1)
-    if t and l <= 1:
+    if t and site <= 1:
         value *= 1 - t * q ** (2 * m0 + m1 - 1)
-        if l == 0:
+        if site == 0:
             denominator = (
                 (1 - t * q ** (2 * m0 - 3))
                 * (1 - t * q ** (2 * m0 - 2)) ** 2
@@ -263,18 +274,18 @@ def _pair_scalar_b(lam: tuple[int, ...], l: int, params: ParamSet) -> Fraction:
     return value
 
 
-@lru_cache(maxsize=_STEP_CACHE_SIZE)
-def _pair_scalar_c(lam: tuple[int, ...], l: int, params: ParamSet) -> Fraction:
-    """Diagonal value of the anti-normal-ordered product annihilate(l) create(l)."""
+@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+def _pair_scalar_c(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fraction:
+    """Diagonal value of the anti-normal-ordered product annihilate(l)
+    create(l) on a state with ``occupation_key`` (site, m, m0, m1) at l."""
     q, t = params.q, params.t
-    m0, m1 = _occupation_pair(lam)
-    value = (1 - q ** (multiplicity(lam, l) + 1)) / (1 - q)
-    if l == 0:
+    value = (1 - q ** (m + 1)) / (1 - q)
+    if site == 0:
         for prod in params.pair_products:
             value *= 1 - prod * q**m0
-    if t and l <= 1:
+    if t and site <= 1:
         base = t * q ** (2 * m0 + m1)
-        if l == 1:
+        if site == 1:
             value *= 1 - base
         else:
             denominator = (
@@ -289,9 +300,25 @@ def _pair_scalar_c(lam: tuple[int, ...], l: int, params: ParamSet) -> Fraction:
     return value
 
 
+def _times(value, coeff):
+    """value * coeff, where None stands for 1 on either side."""
+    if coeff is None:
+        return value
+    if value is None:
+        return coeff
+    return value * coeff
+
+
 class _SectorOps:
-    """The sector operators of a relation check at one parameter point;
-    ``twist`` alone places the diagonal twist of the exchange relations."""
+    """The sector operators of a relation check at one parameter point,
+    acting on basis images; ``twist`` alone places the diagonal twist of
+    the exchange relations.
+
+    Every operator of the relations is monomial on the delta basis, so
+    each side applied to delta_mu is one basis image: a pair (state,
+    coefficient), or None for the zero function.  A coefficient None is 1
+    and multiplies nothing.
+    """
 
     def __init__(self, l: int, k: int, params: ParamSet, twisted: bool):
         self.params = params
@@ -300,28 +327,46 @@ class _SectorOps:
         # ratio is exactly 1 at t = 0
         self.twist_on = twisted and l == 0 and k == 1
 
-    def a(self, site: int, f: LatticeFunction) -> LatticeFunction:
-        return annihilate(site, f, self.params)
+    def _step(self, step: Callable, site: int, image):
+        if image is None:
+            return None
+        mu, value = image
+        target = step(site, mu, self.params)
+        if target is None:
+            return None
+        return target[0], _times(value, target[1])
 
-    def c(self, site: int, f: LatticeFunction) -> LatticeFunction:
-        return create(site, f, self.params)
+    def a(self, site: int, image):
+        return self._step(_annihilate_step, site, image)
 
-    def n(self, site: int, f: LatticeFunction) -> LatticeFunction:
-        return number_op(site, f, self.params)
+    def c(self, site: int, image):
+        return self._step(_create_step, site, image)
 
-    def diag(self, scalar: Callable, site: int, f: LatticeFunction) -> LatticeFunction:
-        return _apply_diag(f, lambda lam: scalar(lam, site, self.params))
+    def n(self, site: int, image):
+        return self._step(_number_step, site, image)
 
-    def twist(self, f: LatticeFunction, inverse: bool) -> LatticeFunction:
-        if not self.twist_on:
-            return f
-        return _apply_diag(f, lambda lam: _twist_ratio(lam, self.params, inverse))
+    def scale(self, factor, image):
+        if image is None or factor == 1:
+            return image
+        return image[0], _times(image[1], factor)
+
+    def diag(self, scalar: Callable, site: int, image):
+        if image is None:
+            return None
+        mu, value = image
+        return mu, _times(value, scalar(*occupation_key(mu, site), self.params))
+
+    def twist(self, image, inverse: bool):
+        if not self.twist_on or image is None:
+            return image
+        mu, value = image
+        return mu, _times(value, _twist_ratio(*_occupation_pair(mu), self.params, inverse))
 
 
 #: (lhs, rhs) of each relation applied to f, at sites l and k.
 _RELATIONS: dict[str, Callable] = {
-    "a1": lambda o, l, k, f: (o.a(l, o.n(k, f)), o.n(k, o.a(l, f)).scale(o.q if l == k else 1)),
-    "a2": lambda o, l, k, f: (o.c(l, o.n(k, f)), o.n(k, o.c(l, f)).scale(1 / o.q if l == k else 1)),
+    "a1": lambda o, l, k, f: (o.a(l, o.n(k, f)), o.scale(o.q if l == k else 1, o.n(k, o.a(l, f)))),
+    "a2": lambda o, l, k, f: (o.c(l, o.n(k, f)), o.scale(1 / o.q if l == k else 1, o.n(k, o.c(l, f)))),
     "b": lambda o, l, k, f: (o.c(l, o.a(l, f)), o.diag(_pair_scalar_b, l, f)),
     "c": lambda o, l, k, f: (o.a(l, o.c(l, f)), o.diag(_pair_scalar_c, l, f)),
     "d1": lambda o, l, k, f: (o.a(l, o.a(k, f)), o.twist(o.a(k, o.a(l, f)), False)),
@@ -347,10 +392,23 @@ class RelationResidual(NamedTuple):
 #: One ``verify algebra`` suite reads one sector; the bound stops sweeps
 #: over sizes from growing memory.
 @lru_cache(maxsize=64)
-def _delta_basis(n: int, max_part: int) -> tuple[LatticeFunction, ...]:
-    """The delta functions of the sector's states, shared by every relation
-    check of the sector; the operators never change their inputs."""
-    return tuple(LatticeFunction.delta(mu) for mu in enumerate_partitions(n, max_part))
+def _delta_images(n: int, max_part: int) -> tuple[tuple[tuple[int, ...], None], ...]:
+    """The basis image (mu, None) of each delta function of the sector."""
+    return tuple((mu, None) for mu in enumerate_partitions(n, max_part))
+
+
+def _image_value(image) -> Fraction:
+    if image is None:
+        return Fraction(0)
+    return Fraction(1) if image[1] is None else image[1]
+
+
+def _image_residual(lhs, rhs) -> Fraction:
+    """The largest absolute value of lhs - rhs, for two basis images."""
+    left, right = _image_value(lhs), _image_value(rhs)
+    if left and right and lhs[0] != rhs[0]:
+        return max(abs(left), abs(right))
+    return abs(left - right)
 
 
 def verify_relation(
@@ -365,9 +423,11 @@ def verify_relation(
     """Apply both sides of a field-algebra relation to every delta basis
     function of the sector; the relation holds when the residual is 0.
 
-    The EXCHANGE_RELATIONS require l < k; with ``twisted=False``
-    the diagonal correction at the boundary pair (0, 1) is dropped, which
-    documents the breakdown of ultralocality in the full profile.
+    Each side sends a delta function to one basis image, so the two sides
+    are compared as (state, coefficient) pairs.  The EXCHANGE_RELATIONS
+    require l < k; with ``twisted=False`` the diagonal correction at the
+    boundary pair (0, 1) is dropped, which documents the breakdown of
+    ultralocality in the full profile.
     """
     if relation_id not in RELATION_IDS:
         raise ValueError(f"relation must be one of {RELATION_IDS}")
@@ -375,13 +435,13 @@ def verify_relation(
         raise ValueError("exchange relations require l < k")
     sides = _RELATIONS[relation_id]
     ops = _SectorOps(l, k, params, twisted)
-    basis = _delta_basis(n, max_part)
+    basis = _delta_images(n, max_part)
     worst = Fraction(0)
     for delta in basis:
         lhs, rhs = sides(ops, l, k, delta)
-        # zeros are never stored, so equal values leave a residual of 0
-        if lhs.values != rhs.values:
-            worst = max(worst, (lhs - rhs).max_abs())
+        # equal images leave a residual of 0
+        if lhs != rhs:
+            worst = max(worst, _image_residual(lhs, rhs))
     return RelationResidual(worst, len(basis))
 
 

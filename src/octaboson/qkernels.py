@@ -347,20 +347,46 @@ def pieri_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Fr
     return value
 
 
+#: Entries of each occupation-keyed coefficient cache.  Of the suites at
+#: n <= 4, maxPart <= 3, ``verify degeneration --n 4 --maxPart 3`` reads the
+#: most: 70 keys of ``_creation_coeff`` over its two reduced points.
+_OCCUPATION_CACHE_SIZE = 1024
+
+
+def occupation_key(lam: tuple[int, ...], site: int) -> tuple[int, int, int, int]:
+    """(site class, m_site, m_0, m_1) of the state lam: all that a
+    coefficient at ``site`` reads of it.  The class is 0, 1 or 2 for the
+    boundary sites 0, 1 and the bulk; the bulk formulas read m_site alone,
+    so there m_0 and m_1 are given as 0."""
+    if site < 0:
+        raise ValueError("site must be nonnegative")
+    if site >= 2:
+        return 2, multiplicity(lam, site), 0, 0
+    m0, m1 = multiplicity(lam, 0), multiplicity(lam, 1)
+    return site, m1 if site else m0, m0, m1
+
+
 def creation_coeff(lam: tuple[int, ...], part: int, params: ParamSet) -> Fraction:
     """Coefficient of the state lam, which has a part equal to ``part``,
     when a particle is created at site ``part``.  It is also the rate of the
     Hamiltonian's up hop of that part: hop_coeff(lam, j, +1) for lam[j] = part.
+
+    It reads lam only through ``occupation_key(lam, part)`` and is computed
+    once per occupation numbers and parameter point.
     """
+    return _creation_coeff(*occupation_key(lam, part), params)
+
+
+@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+def _creation_coeff(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fraction:
     q, t = params.q, params.t
-    m0 = multiplicity(lam, 0)
-    value = qinteger(multiplicity(lam, part), q)
-    if part == 0:
+    value = qinteger(m, q)
+    if site == 0:
         for prod in params.pair_products:
             value *= 1 - prod * q ** (m0 - 1)
-    if t and part <= 1:
-        value *= 1 - t * q ** (2 * m0 + multiplicity(lam, 1) - 1)
-        if part == 0:
+    if t and site <= 1:
+        value *= 1 - t * q ** (2 * m0 + m1 - 1)
+        if site == 0:
             denominator = (
                 (1 - t * q ** (2 * m0 - 3))
                 * (1 - t * q ** (2 * m0 - 2)) ** 2
@@ -377,8 +403,14 @@ def hop_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Frac
     lam = tuple(lam)
     unit_step(lam, j, step)  # validates
     if step == -1:
-        return qinteger(multiplicity(lam, lam[j]), params.q)
+        return _down_hop(multiplicity(lam, lam[j]), params)
     return creation_coeff(lam, lam[j], params)
+
+
+@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+def _down_hop(m: int, params: ParamSet) -> Fraction:
+    """The down-hop rate [m] of a part of multiplicity m."""
+    return qinteger(m, params.q)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +419,15 @@ def hop_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Frac
 
 
 def boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
-    """Diagonal boundary term evaluated at occupations (m0, m1) of sites 0, 1."""
+    """Diagonal boundary term evaluated at occupations (m0, m1) of sites 0, 1,
+    computed once per occupation numbers and parameter point."""
     if m0 < 0 or m1 < 0:
         raise ValueError("occupation numbers must be nonnegative")
+    return _boundary_potential(m0, m1, params)
+
+
+@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+def _boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
     q, ts, t = params.q, params.ts, params.t
     t1 = ts[0]
     n0 = q**m0

@@ -1,9 +1,10 @@
 """The package's caches change no result and stay bounded.
 
-Each operator step, relation scalar and norm is cached per parameter
-point; a result must not depend on what an earlier point left in a cache,
-and the benchmark, which empties every module-level ``lru_cache`` before
-each op, must reach each cache.
+Each operator step is cached per (site, state, parameter point), each
+coefficient and relation scalar per occupation numbers and point, and each
+norm per (state, point); a result must not depend on what an earlier point
+left in a cache, and the benchmark, which empties every module-level
+``lru_cache`` before each op, must reach each cache.
 """
 
 import importlib
@@ -18,6 +19,7 @@ from octaboson.qboson import (
     EXCHANGE_RELATIONS,
     RELATION_IDS,
     LatticeFunction,
+    apply_hamiltonian,
     sector_inner_product,
     verify_relation,
 )
@@ -26,13 +28,18 @@ from octaboson.qkernels import ParamSet, default_params
 F = Fraction
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
+#: the (site, state) step caches and the caches keyed by occupation numbers
 STEP_CACHES = (
     qboson._annihilate_step,
     qboson._create_step,
     qboson._number_step,
+    qboson._annihilation_coeff,
     qboson._pair_scalar_b,
     qboson._pair_scalar_c,
     qboson._twist_ratio,
+    qkernels._creation_coeff,
+    qkernels._down_hop,
+    qkernels._boundary_potential,
     qkernels._quadratic_norm,
 )
 
@@ -88,6 +95,7 @@ def test_benchmark_empties_every_step_cache(bench_run, params4):
         verify_relation(rid, l, k, 2, 2, params4, twisted=twisted)
     f = LatticeFunction.delta((1, 0))
     sector_inner_product(f, f, params4)
+    apply_hamiltonian(f, params4)
     assert all(cache.cache_info().currsize for cache in STEP_CACHES)
     bench_run.clear_caches(bench_run.spans.package_modules())
     assert [cache.cache_info().currsize for cache in STEP_CACHES] == [0] * len(STEP_CACHES)

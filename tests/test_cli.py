@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -296,6 +297,22 @@ def test_exit_budget_applies_to_cached_construction(capsys, monkeypatch, fresh_c
     assert (error["n"], error["terms"], error["budget"]) == (3, 729, 100)
     code, out = run(capsys, "verify", "pieri", "--n", "3", "--maxPart", "1")
     assert code == 3 and json.loads(out)["error"]["terms"] == 729
+
+
+def test_exit_budget_bounds_freudenthal_work(capsys, monkeypatch):
+    # the seed box of n = 1 is small, but Freudenthal's sum grows with the
+    # part: C(1 + 10000, 1) * 10000 steps, refused before any construction
+    monkeypatch.delenv("OCTABOSON_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out = run(capsys, "poly", "--n", "1", "--lambda", "10000")
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "budget"
+    assert (error["n"], error["terms"], error["budget"]) == (1, 100_010_000, 4_000_000)
+    # the suites bound the largest part they build, unit-step neighbours included
+    code, out = run(capsys, "verify", "pieri", "--n", "1", "--maxPart", "2000")
+    assert code == 3 and json.loads(out)["error"]["terms"] == 2002 * 2001
 
 
 def test_separated_negative_rational(capsys):

@@ -380,4 +380,5 @@ def test_general_formulas_match_reduced_oracles_random_params(params, parts):
     for l in range(6):
         assert create(l, f, params) == reduced_create(l, f, params, hop_red)
         assert annihilate(l, f, params) == reduced_annihilate(l, f)
-    assert _twist_ratio(lam, params, False) == 1 == _twist_ratio(lam, params, True)
+    m0, m1 = multiplicity(lam, 0), multiplicity(lam, 1)
+    assert _twist_ratio(m0, m1, params, False) == 1 == _twist_ratio(m0, m1, params, True)

@@ -1,0 +1,126 @@
+"""``verify_relation`` on basis images against the route through functions.
+
+``verify_relation`` applies both sides of a relation to each delta function
+as one (state, coefficient) pair.  The oracle below applies the same
+relation table to whole ``LatticeFunction``s through the public operators,
+so the relation checks still exercise ``_apply_steps``; both routes must
+give the same exact worst residual and case count.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from octaboson import qboson
+from octaboson.partitions import enumerate_partitions, multiplicity
+from octaboson.qboson import (
+    EXCHANGE_RELATIONS,
+    RELATION_IDS,
+    LatticeFunction,
+    RelationResidual,
+    annihilate,
+    create,
+    number_op,
+    verify_relation,
+)
+from octaboson.qkernels import PROFILES, default_params, occupation_key
+
+
+class FunctionOps:
+    """The sector operators of a relation check on whole functions."""
+
+    def __init__(self, l, k, params, twisted):
+        self.params = params
+        self.q = params.q
+        self.twist_on = twisted and l == 0 and k == 1
+
+    def a(self, site, f):
+        return annihilate(site, f, self.params)
+
+    def c(self, site, f):
+        return create(site, f, self.params)
+
+    def n(self, site, f):
+        return number_op(site, f, self.params)
+
+    def scale(self, factor, f):
+        return f.scale(factor)
+
+    def diag(self, scalar, site, f):
+        return LatticeFunction(
+            f.n,
+            {lam: scalar(*occupation_key(lam, site), self.params) * v for lam, v in f.values.items()},
+        )
+
+    def twist(self, f, inverse):
+        if not self.twist_on:
+            return f
+        return LatticeFunction(
+            f.n,
+            {
+                lam: qboson._twist_ratio(
+                    multiplicity(lam, 0), multiplicity(lam, 1), self.params, inverse
+                )
+                * v
+                for lam, v in f.values.items()
+            },
+        )
+
+
+def function_route(relation_id, l, k, n, max_part, params, twisted=True):
+    sides = qboson._RELATIONS[relation_id]
+    ops = FunctionOps(l, k, params, twisted)
+    states = enumerate_partitions(n, max_part)
+    worst = Fraction(0)
+    for mu in states:
+        lhs, rhs = sides(ops, l, k, LatticeFunction.delta(mu))
+        worst = max([worst, *(abs(v) for v in (lhs - rhs).values.values())])
+    return RelationResidual(worst, len(states))
+
+
+def suite_cases():
+    """(relation, l, k, twisted) of every check ``verify algebra`` runs."""
+    site_max = 5
+    for rid in RELATION_IDS:
+        for l in range(site_max + 1):
+            for k in range(site_max + 1):
+                if rid not in EXCHANGE_RELATIONS or l < k:
+                    yield rid, l, k, True
+    yield "d1", 0, 1, False
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("max_part", [2, 3])
+def test_basis_images_match_the_function_route(profile, max_part):
+    params = default_params(profile)
+    for n in range(4):
+        for rid, l, k, twisted in suite_cases():
+            expected = function_route(rid, l, k, n, max_part, params, twisted)
+            got = verify_relation(rid, l, k, n, max_part, params, twisted=twisted)
+            assert got == expected, (rid, l, k, twisted, n)
+            assert type(got.residual) is Fraction
+
+
+def test_untwisted_witness_residual_is_exact_and_nonzero(params4):
+    for n in (2, 3):
+        expected = function_route("d1", 0, 1, n, 3, params4, twisted=False)
+        assert expected.residual != 0
+        assert verify_relation("d1", 0, 1, n, 3, params4, twisted=False) == expected
+
+
+def as_function(image, n):
+    if image is None:
+        return LatticeFunction.zero(n)
+    mu, value = image
+    return LatticeFunction(n, {mu: Fraction(1) if value is None else value})
+
+
+def test_image_residual_is_the_largest_difference():
+    # the suites' relations send both sides to one state; a broken relation
+    # could send them to two, or to a zero coefficient
+    images = (None, ((1,), None), ((1,), Fraction(-3)), ((1,), Fraction(0)), ((0,), Fraction(2)))
+    for lhs in images:
+        for rhs in images:
+            difference = (as_function(lhs, 1) - as_function(rhs, 1)).values.values()
+            expected = max([Fraction(0), *(abs(v) for v in difference)])
+            assert qboson._image_residual(lhs, rhs) == expected, (lhs, rhs)
