@@ -19,7 +19,9 @@ scalars of the relations, per the occupation numbers it reads
 (``qkernels.occupation_key``) and parameter point; the operators apply the
 cached steps to a function's values.  The relation checks apply both sides
 of a relation to one delta function at a time, so each side is one basis
-image, a (state, coefficient) pair, and no function is built per state.
+image, a (state, coefficient) pair, and no function is built per state;
+the relations that read one site (SINGLE_SITE_RELATIONS) need one check
+per site, whatever the second site.
 """
 
 from __future__ import annotations
@@ -380,10 +382,16 @@ RELATION_IDS = tuple(_RELATIONS)
 #: the relations between the operators at two distinct sites; they need l < k
 EXCHANGE_RELATIONS = ("d1", "d2", "e1", "e2")
 
+#: the relations that read site l alone: their statement at (l, k) is the
+#: statement at (l, 0), for every k
+SINGLE_SITE_RELATIONS = ("b", "c")
+
 
 class RelationResidual(NamedTuple):
     """The worst exact residual of a relation over the sector's delta basis
-    and the number of basis functions checked."""
+    and the number of basis functions checked.  ``verify algebra`` checks a
+    relation of SINGLE_SITE_RELATIONS once per l and counts its cases at
+    every (l, k), so there its ``cases`` counts statements, not checks."""
 
     residual: Fraction
     cases: int

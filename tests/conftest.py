@@ -1,9 +1,14 @@
+import importlib
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from octaboson import hallittlewood
 from octaboson.qkernels import ParamSet, default_params
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +56,15 @@ def fresh_construction():
     yield
     for fn in caches:
         fn.cache_clear()
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """``bench/run.py``, whose ``clear_caches`` runs before every benchmark op."""
+    names = ("run", "checks", "spans", "speed", "workloads")
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("run")
+    for name in names:
+        sys.modules.pop(name, None)

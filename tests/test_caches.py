@@ -1,16 +1,14 @@
 """The package's caches change no result and stay bounded.
 
 Each operator step is cached per (site, state, parameter point), each
-coefficient and relation scalar per occupation numbers and point, and each
-norm per (state, point); a result must not depend on what an earlier point
-left in a cache, and the benchmark, which empties every module-level
-``lru_cache`` before each op, must reach each cache.
+coefficient and relation scalar per occupation numbers and point, each
+norm per (state, point) and each q-series factor per its arguments; a
+result must not depend on what an earlier point left in a cache, and the
+benchmark, which empties every module-level ``lru_cache`` before each op,
+must reach each cache.
 """
 
-import importlib
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -26,9 +24,9 @@ from octaboson.qboson import (
 from octaboson.qkernels import ParamSet, default_params
 
 F = Fraction
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-#: the (site, state) step caches and the caches keyed by occupation numbers
+#: the (site, state) step caches, the caches keyed by occupation numbers
+#: and the q-series caches
 STEP_CACHES = (
     qboson._annihilate_step,
     qboson._create_step,
@@ -41,6 +39,8 @@ STEP_CACHES = (
     qkernels._down_hop,
     qkernels._boundary_potential,
     qkernels._quadratic_norm,
+    qkernels.qpochhammer,
+    qkernels.qinteger,
 )
 
 #: (relation, l, k, twisted) at boundary and bulk sites, with the untwisted
@@ -50,18 +50,6 @@ CASES = tuple(
     for rid in RELATION_IDS
     for l, k in (((0, 1), (1, 2)) if rid in EXCHANGE_RELATIONS else ((0, 0), (0, 1), (1, 0)))
 ) + (("d1", 0, 1, False),)
-
-
-@pytest.fixture
-def bench_run(monkeypatch):
-    """``bench/run.py``, whose ``clear_caches`` runs before every benchmark op."""
-    names = ("run", "checks", "spans", "speed", "workloads")
-    monkeypatch.syspath_prepend(str(BENCH))
-    for name in names:
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    yield importlib.import_module("run")
-    for name in names:
-        sys.modules.pop(name, None)
 
 
 def _other_point(params: ParamSet) -> ParamSet:

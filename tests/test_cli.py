@@ -126,10 +126,12 @@ def test_orthogonality_chosen_grid_over_budget(capsys):
 
 
 def test_algebra_witness_below_two_particles(capsys):
-    # the untwisted (0, 1) witness removes two particles, so it cannot fail
-    # on sectors 0 and 1: not applicable there, and the suite passes
-    for n in ("0", "1"):
-        code, out = run(capsys, "verify", "algebra", "--n", n, "--maxPart", "2")
+    # the untwisted (0, 1) witness removes a particle from site 0 and one
+    # from site 1, so it cannot fail on sectors 0 and 1, nor when maxPart 0
+    # leaves site 1 empty: not applicable there, and the suite passes
+    sizes = [(n, "2") for n in ("0", "1")] + [(n, "0") for n in ("2", "3", "4")]
+    for n, max_part in sizes:
+        code, out = run(capsys, "verify", "algebra", "--n", n, "--maxPart", max_part)
         payload = json.loads(out)
         assert code == 0, out
         witness = payload["untwistedBoundaryPair"]

@@ -16,6 +16,7 @@ from octaboson.partitions import enumerate_partitions, multiplicity
 from octaboson.qboson import (
     EXCHANGE_RELATIONS,
     RELATION_IDS,
+    SINGLE_SITE_RELATIONS,
     LatticeFunction,
     RelationResidual,
     annihilate,
@@ -124,3 +125,24 @@ def test_image_residual_is_the_largest_difference():
             difference = (as_function(lhs, 1) - as_function(rhs, 1)).values.values()
             expected = max([Fraction(0), *(abs(v) for v in difference)])
             assert qboson._image_residual(lhs, rhs) == expected, (lhs, rhs)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_single_site_relations_read_l_alone(profile):
+    # ``verify algebra`` checks these relations once per l and counts the
+    # result at every k; both sides, not only the residual, must not read k
+    params = default_params(profile)
+    sites = range(6)
+    for rid in SINGLE_SITE_RELATIONS:
+        sides = qboson._RELATIONS[rid]
+        for n in range(4):
+            for max_part in (2, 3):
+                for l in sites:
+                    at_zero = verify_relation(rid, l, 0, n, max_part, params)
+                    ops_at_zero = qboson._SectorOps(l, 0, params, True)
+                    for k in sites:
+                        got = verify_relation(rid, l, k, n, max_part, params)
+                        assert got == at_zero, (rid, l, k, n, max_part)
+                        ops = qboson._SectorOps(l, k, params, True)
+                        for delta in qboson._delta_images(n, max_part):
+                            assert sides(ops, l, k, delta) == sides(ops_at_zero, l, 0, delta)
