@@ -48,8 +48,8 @@ from .hallittlewood import (
     pieri_residual,
     principal_specialization,
 )
+from .budget import BudgetExceededError
 from .torus import (
-    BudgetExceededError,
     QuadratureSpec,
     convergence_probe,
     gram_matrix,

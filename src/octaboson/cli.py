@@ -22,9 +22,9 @@ import re
 import sys
 from fractions import Fraction
 
-from . import hallittlewood, qboson, torus
+from . import budget, hallittlewood, qboson, torus
 from .laurent import NotDivisibleError
-from .partitions import enumerate_partitions, multiplicity, raise_indices, unit_steps
+from .partitions import enumerate_partitions, raise_indices, unit_steps
 from .qboson import LatticeFunction
 from .qkernels import (
     DEFAULT_POINTS,
@@ -111,18 +111,13 @@ def _emit_error(kind: str, message: str, args, evidence: dict | None = None) -> 
     _emit({"error": {"type": kind, "message": message, **(evidence or {})}}, args)
 
 
-def _check_seed_budget(n: int, lams, params, neighbours: bool = False) -> None:
-    """Apply the node budget to the seed blocks that the polynomials of
-    lams (and of their unit-step neighbours) read, before any of them is
-    built: a cached block or polynomial would skip the check."""
-    if neighbours:
-        lams = [*lams, *(target for lam in lams for _, _, target in unit_steps(lam))]
-    hallittlewood.check_seed_budget(
-        n,
-        {multiplicity(lam, 0) for lam in lams},
-        params,
-        max_part=max((lam[0] for lam in lams if lam), default=0),
-    )
+def _with_neighbours(lams):
+    """lams, then their unit-step neighbours, lazily: ``check_budget`` reads
+    the first partition's length before any step is taken."""
+    yield from lams
+    for lam in lams:
+        for _, _, target in unit_steps(lam):
+            yield target
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +131,7 @@ def _cmd_poly(args) -> int:
     if len(lam) != args.n:
         raise GenericityError(f"--lambda has {len(lam)} parts but --n is {args.n}")
     params.ensure_generic(args.n, max(lam, default=0))
-    zero_counts = {multiplicity(lam, 0)}
-    if args.compare_macdonald:
-        # the classical formula reads the block without zero parts
-        zero_counts.add(0)
-    hallittlewood.check_seed_budget(args.n, zero_counts, params, max_part=max(lam, default=0))
+    hallittlewood.check_budget([lam], params)
     hl = hallittlewood.hl_polynomial(lam, params)
     value = hallittlewood.principal_specialization(hl)
     inverse = 1 / hallittlewood.principal_normalizer(lam, params)
@@ -183,7 +174,7 @@ def _suite_orthogonality(args, params) -> tuple[dict, list]:
     # an explicit grid is checked against the budget before any construction
     quad = None if args.quad_points is None else torus.QuadratureSpec(args.quad_points, n)
     lams = enumerate_partitions(n, max_part)
-    _check_seed_budget(n, lams, params)
+    hallittlewood.check_budget(lams, params)
     polys = [hallittlewood.hl_polynomial(lam, params).poly for lam in lams]
     if quad is None:
         quad = torus.QuadratureSpec(torus.choose_points(polys, params, tol), n)
@@ -239,7 +230,7 @@ def _suite_pieri(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     params.ensure_generic(n, max_part + 1)
     lams = enumerate_partitions(n, max_part)
-    _check_seed_budget(n, lams, params, neighbours=True)
+    hallittlewood.check_budget(_with_neighbours(lams), params)
     cases = []
     for lam in lams:
         good = hallittlewood.pieri_residual(lam, params).is_zero
@@ -390,7 +381,7 @@ def _suite_eigen(args, params) -> tuple[dict, list]:
     params.ensure_generic(n, max_part + 1)
     rng = random.Random(args.seed)
     lams = enumerate_partitions(n, max_part)
-    _check_seed_budget(n, lams, params, neighbours=True)
+    hallittlewood.check_budget(_with_neighbours(lams), params)
     cases = []
     for _ in range(20):
         xi = tuple(rng.uniform(0.0, 2 * 3.141592653589793) for _ in range(n))
@@ -463,6 +454,10 @@ def _suite_degeneration(args, params) -> tuple[dict, list]:
 
 
 def _suite_scattering(args, params) -> tuple[dict, list]:
+    # each of the 100 samples takes up to n^2 factors
+    factors = 100 * args.n**2
+    what = f"{factors} scattering factors at n = {args.n}"
+    budget.check(factors, what, {"n": args.n, "factors": factors})
     rng = random.Random(args.seed)
     tol = 1e-12
     worst = 0.0
@@ -610,7 +605,7 @@ def main(argv=None) -> int:
         evidence = {"lambda": list(exc.lam), "mu": list(exc.mu)}
         _emit_error("internal-invariant", str(exc), args, evidence)
         return EXIT_INTERNAL
-    except torus.BudgetExceededError as exc:
+    except budget.BudgetExceededError as exc:
         _emit_error("budget", str(exc), args, exc.evidence)
         return EXIT_BUDGET
 

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import torus
+from . import budget, torus
 from .laurent import LaurentPoly, NotDivisibleError
 from .partitions import (
     is_partition,
@@ -160,19 +160,14 @@ def _exponent_box(n: int, binomials: Binomials) -> tuple[list[int], list[int]]:
 
 def _check_box(n: int, size: Sequence[int]) -> None:
     terms = math.prod(size)
-    budget = torus.node_budget()
-    if terms > budget:
-        raise torus.BudgetExceededError(
-            f"seed block of n = {n} may hold {terms} terms, over the budget {budget} "
-            f"(set {torus.BUDGET_ENV} to raise it)",
-            {"n": n, "terms": terms, "budget": budget},
-        )
+    evidence = {"n": n, "terms": terms}
+    budget.check(terms, f"seed block of n = {n} may hold {terms} terms", evidence)
     # only a raised budget gets here with a box whose keys overflow int64
     if terms > _INT64_MAX:
-        raise torus.BudgetExceededError(
+        raise budget.BudgetExceededError(
             f"seed block of n = {n} may hold {terms} terms, beyond the int64 "
             f"exponent keys of the straightening",
-            {"n": n, "terms": terms, "budget": budget},
+            {**evidence, "budget": budget.node_budget()},
         )
 
 
@@ -230,36 +225,30 @@ def _seed_binomials(n: int, zero_count: int, params: ParamSet) -> list:
     return binomials
 
 
-def check_seed_budget(
-    n: int, zero_counts: Iterable[int], params: ParamSet, max_part: int = 0
-) -> None:
-    """Raise BudgetExceededError, before any work, when the exponent box of
-    a seed block with one of these zero counts, or the Freudenthal work of
-    partitions with parts up to ``max_part``, exceeds the node budget.
+def check_budget(lams: Iterable[tuple[int, ...]], params: ParamSet) -> None:
+    """Refuse, before any work, to build the polynomials of lams: a
+    ValueError beyond MAX_VARIABLES parts, read off the first partition
+    before the others (lams may be a costly generator), and a
+    BudgetExceededError when the exponent box of a seed block they read, or
+    Freudenthal's work for their largest part, exceeds the node budget.
 
-    ``_binomial_product`` makes the box check, but a cached block or
-    polynomial skips it; callers that must honour the budget of the
-    current environment call this first.
+    A cached block or polynomial skips ``_binomial_product``'s box check,
+    so callers bound by the current budget call this first.  At profile two
+    every block has one box, so the classical formula needs no check of its own.
     """
+    parts = iter(lams)
+    first = next(parts, ())
+    n = len(first)
     _check_variables(n)
-    for zero_count in sorted(set(zero_counts)):
+    lams = [first, *parts]
+    for zero_count in sorted({multiplicity(lam, 0) for lam in lams}):
         _check_box(n, _exponent_box(n, _seed_binomials(n, zero_count, params))[1])
-    _check_freudenthal(n, max_part)
-
-
-def _check_freudenthal(n: int, max_part: int) -> None:
-    """Bound the work of ``character_multiplicities``, which grows with the
-    parts, not with the seed: the C(n + max_part, n) dominant weights with
-    parts up to max_part, times the n^2 positive roots, times max_part, the
-    length of the longest root string through a weight."""
+    # Freudenthal's work grows with the parts: C(n + max_part, n) dominant
+    # weights, times n^2 positive roots, times max_part, the longest root string
+    max_part = max(max(lam, default=0) for lam in lams)
     terms = math.comb(n + max_part, n) * n * n * max_part
-    budget = torus.node_budget()
-    if terms > budget:
-        raise torus.BudgetExceededError(
-            f"Freudenthal's sum for parts up to {max_part} at n = {n} may take "
-            f"{terms} steps, over the budget {budget} (set {torus.BUDGET_ENV} to raise it)",
-            {"n": n, "terms": terms, "budget": budget},
-        )
+    what = f"Freudenthal's sum for parts up to {max_part} at n = {n} may take {terms} steps"
+    budget.check(terms, what, {"n": n, "terms": terms})
 
 
 #: One suite needs the n + 1 blocks of one parameter point (zero counts

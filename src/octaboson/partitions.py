@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-Part = int
-Partition = tuple  # alias for documentation purposes; entries are ints
+from . import budget
 
 
 def is_partition(parts: Sequence[int]) -> bool:
@@ -56,11 +55,15 @@ def enumerate_partitions(n: int, max_part: int) -> list[tuple[int, ...]]:
     """All length-n partitions with parts <= max_part, in graded lex order.
 
     They are the multisets of n parts drawn from max_part down to 0, so the
-    count is binomial(n + max_part, n).  Graded lex (total size first, then
-    lexicographic) is the deterministic order used by every report.
+    count is binomial(n + max_part, n), checked against the node budget
+    before any is built.  Graded lex (total size first, then lexicographic)
+    is the deterministic order used by every report.
     """
     if n < 0 or max_part < 0:
         raise ValueError("n and max_part must be nonnegative")
+    states = math.comb(n + max_part, n)
+    what = f"{states} partitions of length {n} with parts up to {max_part}"
+    budget.check(states, what, {"n": n, "maxPart": max_part, "states": states})
     descending = range(max_part, -1, -1)
     return sorted(
         itertools.combinations_with_replacement(descending, n), key=lambda p: (sum(p), p)

@@ -411,14 +411,8 @@ def hop_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Frac
     lam = tuple(lam)
     unit_step(lam, j, step)  # validates
     if step == -1:
-        return _down_hop(multiplicity(lam, lam[j]), params)
+        return qinteger(multiplicity(lam, lam[j]), params.q)
     return creation_coeff(lam, lam[j], params)
-
-
-@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
-def _down_hop(m: int, params: ParamSet) -> Fraction:
-    """The down-hop rate [m] of a part of multiplicity m."""
-    return qinteger(m, params.q)
 
 
 # ---------------------------------------------------------------------------

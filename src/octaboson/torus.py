@@ -27,19 +27,16 @@ FFT, built from real factors and cached per (params, n, M).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
+from . import budget
 from .laurent import LaurentPoly
 from .partitions import group_order, positive_roots
 from .qkernels import ParamSet
-
-BUDGET_ENV = "OCTABOSON_BUDGET"
-DEFAULT_NODE_BUDGET = 4_000_000
 
 #: grid sizes tried by choose_points: 8, 16, 24, ...
 POINTS_STEP = 8
@@ -47,30 +44,9 @@ POINTS_STEP = 8
 RADII = 128
 
 
-class BudgetExceededError(RuntimeError):
-    """The requested work exceeds the configured budget.
-
-    ``evidence`` is a JSON-ready dict, e.g. the grid size a check needs; it
-    is empty by default.
-    """
-
-    def __init__(self, message: str, evidence: dict | None = None):
-        super().__init__(message)
-        self.evidence = evidence or {}
-
-
-def node_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_NODE_BUDGET
-
-
 def _check_nodes(m: int, n: int) -> None:
-    if m**n > node_budget():
-        raise BudgetExceededError(
-            f"{m}^{n} nodes exceed the budget {node_budget()} "
-            f"(set {BUDGET_ENV} to raise it)",
-            {"M": m, "n": n, "nodes": m**n, "budget": node_budget()},
-        )
+    nodes = m**n
+    budget.check(nodes, f"a grid of {m}^{n} = {nodes} nodes", {"M": m, "n": n, "nodes": nodes})
 
 
 @dataclass(frozen=True)

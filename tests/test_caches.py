@@ -36,7 +36,6 @@ STEP_CACHES = (
     qboson._pair_scalar_c,
     qboson._twist_ratio,
     qkernels._creation_coeff,
-    qkernels._down_hop,
     qkernels._boundary_potential,
     qkernels._quadratic_norm,
     qkernels.qpochhammer,

@@ -5,6 +5,7 @@ import pytest
 
 from octaboson import cli, hallittlewood
 from octaboson.laurent import NotDivisibleError
+from octaboson.partitions import unit_steps
 from octaboson.qkernels import default_params
 
 
@@ -315,6 +316,62 @@ def test_exit_budget_bounds_freudenthal_work(capsys, monkeypatch):
     # the suites bound the largest part they build, unit-step neighbours included
     code, out = run(capsys, "verify", "pieri", "--n", "1", "--maxPart", "2000")
     assert code == 3 and json.loads(out)["error"]["terms"] == 2002 * 2001
+
+
+def test_exit_budget_bounds_sector_states(capsys, monkeypatch):
+    # suites that build no polynomial are bounded by the C(4 + 5, 4) = 126
+    # states of their largest sector, before it is enumerated
+    monkeypatch.setenv("OCTABOSON_BUDGET", "100")
+    for suite in ("algebra", "adjoint", "degeneration"):
+        code, out = run(capsys, "verify", suite, "--n", "4", "--maxPart", "5")
+        assert code == 3, suite
+        error = json.loads(out)["error"]
+        assert error["type"] == "budget", suite
+        assert (error["n"], error["maxPart"], error["states"], error["budget"]) == (4, 5, 126, 100)
+
+
+def test_exit_budget_bounds_scattering_factors(capsys, monkeypatch):
+    # 100 samples of up to n^2 factors each: 400 at n = 2
+    monkeypatch.setenv("OCTABOSON_BUDGET", "400")
+    assert run(capsys, "verify", "scattering", "--n", "2")[0] == 0
+    monkeypatch.setenv("OCTABOSON_BUDGET", "399")
+    code, out = run(capsys, "verify", "scattering", "--n", "2")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "budget"
+    assert (error["n"], error["factors"], error["budget"]) == (2, 400, 399)
+
+
+def test_too_many_variables_refused_before_any_neighbour(capsys, monkeypatch):
+    # the variable limit is read off the first partition, so no unit-step
+    # neighbour of the sector is listed before the refusal
+    calls = []
+
+    def counting_unit_steps(lam):
+        calls.append(lam)
+        return unit_steps(lam)
+
+    monkeypatch.setattr(cli, "unit_steps", counting_unit_steps)
+    for suite in ("pieri", "eigen"):
+        code, out = run(capsys, "verify", suite, "--n", "5", "--maxPart", "1")
+        assert code == 1, suite
+        error = json.loads(out)["error"]
+        assert error["type"] == "parameter" and "at most 4 variables" in error["message"]
+    assert calls == []
+
+
+def test_budget_setting_must_be_a_nonnegative_integer(capsys, monkeypatch):
+    for raw in ("abc", "-5", "1e6", " 100"):
+        monkeypatch.setenv("OCTABOSON_BUDGET", raw)
+        code, out = run(capsys, "poly", "--n", "2", "--lambda", "2,1")
+        assert code == 1, raw
+        error = json.loads(out)["error"]
+        assert error["type"] == "parameter" and "OCTABOSON_BUDGET" in error["message"], raw
+    # an empty setting is the default; a cap of 0 is valid and refuses any work
+    monkeypatch.setenv("OCTABOSON_BUDGET", "")
+    assert run(capsys, "poly", "--n", "2", "--lambda", "2,1")[0] == 0
+    monkeypatch.setenv("OCTABOSON_BUDGET", "0")
+    assert run(capsys, "poly", "--n", "2", "--lambda", "2,1")[0] == 3
 
 
 def test_separated_negative_rational(capsys):

@@ -18,12 +18,6 @@ FLOAT_TOLERANCE = 1e-12
 GOLDENS = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["reports"]
 
 
-def _changed_since_capture(argv: list[str]) -> bool:
-    """Degeneration from a two-profile point used to build its t4 -> 0 point
-    from t3 = 0 and exit 1; it now runs the t3,t4 -> 0 check alone."""
-    return argv[:2] == ["verify", "degeneration"] and "two" in argv
-
-
 def flatten(value, path: str = "") -> tuple[dict[str, object], dict[str, float]]:
     """Split a report into its non-float and float fields, keyed by path."""
     exact: dict[str, object] = {}
@@ -54,9 +48,6 @@ def test_golden_reports_replay():
     for golden in GOLDENS:
         argv = golden["argv"]
         code, out = run(argv)
-        if _changed_since_capture(argv):
-            assert golden["exit"] == 1 and code == 0, argv
-            continue
         assert code == golden["exit"], argv
         if "csv" in argv:
             assert out == golden["stdout"], argv

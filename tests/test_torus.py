@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octaboson.budget import BudgetExceededError
 from octaboson.hallittlewood import hl_polynomial, monomial_symmetric
 from octaboson.laurent import LaurentPoly, apply_w
 from octaboson.partitions import (
@@ -17,7 +18,6 @@ from octaboson.partitions import (
 )
 from octaboson.qkernels import ParamSet, quadratic_norm
 from octaboson.torus import (
-    BudgetExceededError,
     QuadratureSpec,
     _log_weight_sup,
     _weight_sq_grid,
