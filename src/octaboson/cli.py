@@ -28,7 +28,6 @@ from .partitions import enumerate_partitions, raise_indices, unit_steps
 from .qboson import LatticeFunction
 from .qkernels import (
     DEFAULT_POINTS,
-    GenericityError,
     ParamSet,
     boundary_potential,
     hop_coeff,
@@ -66,13 +65,11 @@ _PARAM_FLAGS = ("--q", "--t1", "--t2", "--t3", "--t4")
 
 def _parse_rational(text: str, flag: str) -> Fraction:
     if not _RATIONAL_RE.match(text.strip()):
-        raise GenericityError(
-            f"{flag} must be an exact rational like '1/2' or '-3'; got {text!r}"
-        )
+        raise ValueError(f"{flag} must be an exact rational like '1/2' or '-3'; got {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise GenericityError(f"{flag} has a zero denominator; got {text!r}") from None
+        raise ValueError(f"{flag} has a zero denominator; got {text!r}") from None
 
 
 def _build_params(args) -> ParamSet:
@@ -111,6 +108,11 @@ def _emit_error(kind: str, message: str, args, evidence: dict | None = None) -> 
     _emit({"error": {"type": kind, "message": message, **(evidence or {})}}, args)
 
 
+def _joined(parts) -> str:
+    """A partition as one CSV cell, e.g. "2,1"."""
+    return ",".join(map(str, parts))
+
+
 def _with_neighbours(lams):
     """lams, then their unit-step neighbours, lazily: ``check_budget`` reads
     the first partition's length before any step is taken."""
@@ -127,9 +129,12 @@ def _with_neighbours(lams):
 
 def _cmd_poly(args) -> int:
     params = _build_params(args)
-    lam = tuple(int(p) for p in args.lam.split(",")) if args.lam else (0,) * args.n
+    try:
+        lam = tuple(int(p) for p in args.lam.split(",")) if args.lam else (0,) * args.n
+    except ValueError:
+        raise ValueError(f"--lambda must be comma-separated integers; got {args.lam!r}") from None
     if len(lam) != args.n:
-        raise GenericityError(f"--lambda has {len(lam)} parts but --n is {args.n}")
+        raise ValueError(f"--lambda has {len(lam)} parts but --n is {args.n}")
     params.ensure_generic(args.n, max(lam, default=0))
     hallittlewood.check_budget([lam], params)
     hl = hallittlewood.hl_polynomial(lam, params)
@@ -141,7 +146,7 @@ def _cmd_poly(args) -> int:
             {"mu": list(mu), "coeff": str(hl.expansion[mu])}
             for mu in sorted(hl.expansion, key=lambda m: (sum(m), m))
         ],
-        "norm": str(hl.norm),
+        "norm": str(quadratic_norm(lam, params)),
         "principalSpecialization": {
             "value": str(value),
             "expected": str(inverse),
@@ -154,7 +159,7 @@ def _cmd_poly(args) -> int:
         other = hallittlewood.macdonald_formula(lam, params)
         payload["equal"] = other.expansion == hl.expansion
         ok = ok and payload["equal"]
-    rows = [{"mu": ",".join(map(str, mu)), "coeff": str(c)} for mu, c in hl.expansion.items()]
+    rows = [{"mu": _joined(mu), "coeff": str(c)} for mu, c in hl.expansion.items()]
     _emit(payload, args, rows)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -180,49 +185,31 @@ def _suite_orthogonality(args, params) -> tuple[dict, list]:
         quad = torus.QuadratureSpec(torus.choose_points(polys, params, tol), n)
     gram = torus.gram_matrix(polys, params, quad)
     pairs = []
-    rows = []
     ok = True
     for i, lam in enumerate(lams):
         for j, mu in enumerate(lams[i:], start=i):
             if diagonal_only and mu != lam:
                 continue
             value = complex(gram[i, j])
-            if lam == mu:
-                expected = quadratic_norm(lam, params)
-                err = abs(value - float(expected))
-                bound = tol * (1 + abs(float(expected)))
-                expected_str = str(expected)
-            else:
-                err = abs(value)
-                bound = tol
-                expected_str = "0"
-            ok = ok and err < bound
-            entry = {
-                "lambda": list(lam),
-                "mu": list(mu),
-                "value": {"re": value.real, "im": value.imag},
-                "expected": expected_str,
-                "absErr": err,
-            }
-            pairs.append(entry)
-            rows.append(
+            expected = quadratic_norm(lam, params) if lam == mu else 0
+            err = abs(value - float(expected))
+            ok = ok and err < tol * (1 + abs(float(expected)))
+            pairs.append(
                 {
-                    "lambda": ",".join(map(str, lam)),
-                    "mu": ",".join(map(str, mu)),
-                    "re": value.real,
-                    "im": value.imag,
-                    "expected": expected_str,
+                    "lambda": list(lam),
+                    "mu": list(mu),
+                    "value": {"re": value.real, "im": value.imag},
+                    "expected": str(expected),
                     "absErr": err,
                 }
             )
-    payload = {
-        "suite": args.suite,
-        "n": n,
-        "M": quad.points_per_dim,
-        "tolerance": tol,
-        "pairs": pairs,
-        "pass": ok,
-    }
+    # the CSV columns: lambda, mu, re, im, expected, absErr
+    rows = [
+        {"lambda": _joined(p["lambda"]), "mu": _joined(p["mu"]), **p["value"],
+         "expected": p["expected"], "absErr": p["absErr"]}
+        for p in pairs
+    ]
+    payload = {"M": quad.points_per_dim, "tolerance": tol, "pairs": pairs, "pass": ok}
     return payload, rows
 
 
@@ -239,15 +226,13 @@ def _suite_pieri(args, params) -> tuple[dict, list]:
         )
     ok = all(c["pass"] for c in cases)
     payload = {
-        "suite": "pieri",
-        "n": n,
         "maxPart": max_part,
         "mode": "exact",
         "maxResidual": "0" if ok else "nonzero",
         "pass": ok,
         "cases": cases,
     }
-    rows = [{"lambda": ",".join(map(str, c["lambda"])), "pass": c["pass"]} for c in cases]
+    rows = [{"lambda": _joined(c["lambda"]), "pass": c["pass"]} for c in cases]
     return payload, rows
 
 
@@ -257,7 +242,7 @@ def _relation_filter(requested: str | None) -> list[str]:
     name = requested.removeprefix("com-")
     matches = [rid for rid in qboson.RELATION_IDS if rid == name or rid.startswith(name)]
     if not matches:
-        raise GenericityError(f"unknown relation {requested!r}")
+        raise ValueError(f"unknown relation {requested!r}")
     return matches
 
 
@@ -312,8 +297,6 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
     if not applicable:
         witness_report["applicable"] = False
     payload = {
-        "suite": "algebra",
-        "n": n,
         "maxPart": max_part,
         "relations": reports,
         "untwistedBoundaryPair": witness_report,
@@ -330,17 +313,28 @@ def _pairing(f: LatticeFunction, g: LatticeFunction, params) -> object:
     return qboson.sector_inner_product(f, g, params)
 
 
+def _checks_report(max_part: int, checks: list[dict]) -> tuple[dict, list]:
+    """The report of an exact suite of named checks; the checks are its CSV rows."""
+    passed = all(c["pass"] for c in checks)
+    return {"maxPart": max_part, "mode": "exact", "checks": checks, "pass": passed}, checks
+
+
 def _suite_adjoint(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     params.ensure_generic(n + 1, max_part + 1)
-    # one delta function per state of sectors 0..n
-    deltas = [
-        {mu: LatticeFunction.delta(mu) for mu in enumerate_partitions(sector, max_part)}
-        for sector in range(n + 1)
-    ]
+    # sectors 0..n, then the pairs the two loops below visit, are bounded
+    # before any operator is applied
+    sectors = [enumerate_partitions(sector, max_part) for sector in range(n + 1)]
+    sizes = [len(states) for states in sectors]
+    adjoint_cases = (max_part + 1) * sum(a * b for a, b in zip(sizes, sizes[1:]))
+    sym_cases = sum(size * size for size in sizes[1:])
+    pairs = adjoint_cases + sym_cases
+    what = f"{pairs} operator pairs at n = {n}, maxPart = {max_part}"
+    budget.check(pairs, what, {"n": n, "maxPart": max_part, "pairs": pairs})
+    # one delta function per state
+    deltas = [{mu: LatticeFunction.delta(mu) for mu in states} for states in sectors]
     checks = []
     # adjointness between consecutive sectors
-    adjoint_cases = 0
     adjoint_ok = True
     for lower, upper in zip(deltas, deltas[1:]):
         for l in range(max_part + 1):
@@ -351,10 +345,8 @@ def _suite_adjoint(args, params) -> tuple[dict, list]:
                     lhs = _pairing(created_f, g, params)
                     rhs = _pairing(f, annihilated, params)
                     adjoint_ok = adjoint_ok and lhs == rhs
-                    adjoint_cases += 1
     checks.append({"name": "adjointness", "cases": adjoint_cases, "pass": adjoint_ok})
     # symmetry of the Hamiltonian in each sector
-    sym_cases = 0
     sym_ok = True
     for sector in deltas[1:]:
         images = {lam: qboson.apply_hamiltonian(f, params) for lam, f in sector.items()}
@@ -363,17 +355,8 @@ def _suite_adjoint(args, params) -> tuple[dict, list]:
                 lhs = _pairing(images[lam], g, params)
                 rhs = _pairing(f, images[mu], params)
                 sym_ok = sym_ok and lhs == rhs
-                sym_cases += 1
     checks.append({"name": "hamiltonian-symmetry", "cases": sym_cases, "pass": sym_ok})
-    payload = {
-        "suite": "adjoint",
-        "n": n,
-        "maxPart": max_part,
-        "mode": "exact",
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
-    return payload, checks
+    return _checks_report(max_part, checks)
 
 
 def _suite_eigen(args, params) -> tuple[dict, list]:
@@ -390,8 +373,6 @@ def _suite_eigen(args, params) -> tuple[dict, list]:
             {"xi": list(xi), "maxResidual": residual, "pass": residual < qboson.EIGEN_TOLERANCE}
         )
     payload = {
-        "suite": "eigen",
-        "n": n,
         "maxPart": max_part,
         "tolerance": qboson.EIGEN_TOLERANCE,
         "maxResidual": max(c["maxResidual"] for c in cases),
@@ -442,15 +423,7 @@ def _suite_degeneration(args, params) -> tuple[dict, list]:
         run("t4->0", three, norm_three, hop_up_three, potential_three)
     two = ParamSet(q=q, ts=(ts[0], ts[1], Fraction(0), Fraction(0)), profile="two")
     run("t3,t4->0", two, norm_two, hop_up_two, potential_two)
-    payload = {
-        "suite": "degeneration",
-        "n": n,
-        "maxPart": max_part,
-        "mode": "exact",
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
-    return payload, checks
+    return _checks_report(max_part, checks)
 
 
 def _suite_scattering(args, params) -> tuple[dict, list]:
@@ -461,7 +434,7 @@ def _suite_scattering(args, params) -> tuple[dict, list]:
     rng = random.Random(args.seed)
     tol = 1e-12
     worst = 0.0
-    cases = []
+    rows = []
     for _ in range(100):
         x = rng.uniform(-10.0, 10.0)
         s, s0 = qboson.scattering_factors(x, params)
@@ -470,22 +443,20 @@ def _suite_scattering(args, params) -> tuple[dict, list]:
         xi = [rng.uniform(-10.0, 10.0) for _ in range(dim)]
         err = max(err, abs(abs(qboson.scattering_matrix(xi, params)) - 1.0))
         worst = max(worst, err)
-        cases.append({"x": x, "err": err})
+        rows.append({"x": x, "err": err})
     s_zero, s0_zero = qboson.scattering_factors(0.0, params)
     anchors_ok = abs(s_zero - 1) < tol and abs(s0_zero - 1) < tol
     payload = {
-        "suite": "scattering",
-        "n": args.n,
         "tolerance": tol,
         "maxUnimodularityError": worst,
         "anchorsAtZero": anchors_ok,
         "pass": worst < tol and anchors_ok,
     }
-    rows = [{"x": c["x"], "err": c["err"]} for c in cases]
     return payload, rows
 
 
-#: Each suite returns (report, CSV rows); the report's "pass" is the verdict.
+#: Each suite returns (report, CSV rows); the report's "pass" is the verdict,
+#: and ``_cmd_verify`` adds the fields every report shares.
 SUITES = {
     "orthogonality": _suite_orthogonality,
     "norms": _suite_orthogonality,
@@ -501,8 +472,7 @@ SUITES = {
 def _cmd_verify(args) -> int:
     params = _build_params(args)
     payload, rows = SUITES[args.suite](args, params)
-    payload["params"] = params.to_json_dict()
-    payload["seed"] = args.seed
+    payload.update(suite=args.suite, n=args.n, params=params.to_json_dict(), seed=args.seed)
     _emit(payload, args, rows)
     return EXIT_OK if payload["pass"] else EXIT_FAIL
 
@@ -595,7 +565,7 @@ def main(argv=None) -> int:
         if args.command == "poly":
             return _cmd_poly(args)
         return _cmd_verify(args)
-    except (GenericityError, ValueError) as exc:
+    except ValueError as exc:
         _emit_error("parameter", str(exc), args)
         return EXIT_FAIL
     except NotDivisibleError as exc:

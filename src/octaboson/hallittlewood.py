@@ -70,7 +70,7 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class HLPolynomial:
-    """A constructed polynomial: its orbit-sum expansion and norm.
+    """A constructed polynomial: its orbit-sum expansion.
 
     The expansion is the construction's result; the Laurent polynomial
     ``poly`` is rebuilt from it on first read (one pass over the orbits)
@@ -79,7 +79,6 @@ class HLPolynomial:
 
     lam: tuple[int, ...]
     expansion: Mapping[tuple[int, ...], Fraction]
-    norm: Fraction
     params: ParamSet
 
     @cached_property
@@ -134,9 +133,7 @@ def _finalize(
             raise InvariantError(
                 f"expansion of {lam} has support {mu} outside the lower set", lam, mu
             )
-    return HLPolynomial(
-        lam=lam, expansion=expansion, norm=quadratic_norm(lam, params), params=params
-    )
+    return HLPolynomial(lam=lam, expansion=expansion, params=params)
 
 
 #: (exponents, coefficients, denominator): the (S, n) int64 exponent matrix,

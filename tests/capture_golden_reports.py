@@ -4,8 +4,11 @@ Run from the repository root, on the commit whose reports are the reference:
 
     PYTHONPATH=src python tests/capture_golden_reports.py
 
-Each argv goes through ``cli.main`` in one process; its exit code and
-stdout are written to ``tests/golden_reports.json``.
+Only the argvs ``tests/golden_reports.json`` does not hold yet are run,
+each through ``cli.main`` in one process; its exit code and stdout are
+appended with the commit it was captured at.  The entries already there
+and the file's own ``capturedAt`` are kept as they are; to capture an
+entry again, delete it (or the file) first.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ SECOND_POINT = {
 
 #: Suites whose reports hold no floats; their CSV is compared byte for byte.
 EXACT_SUITES = ("pieri", "algebra", "adjoint", "degeneration")
+#: Suites with float CSV cells, compared cell by cell within a tolerance.
+FLOAT_SUITES = ("orthogonality", "norms", "eigen", "scattering")
 
 SUITE_ARGS = {
     "orthogonality": ["--n", "2", "--maxPart", "2", "--M", "32"],
@@ -58,7 +63,7 @@ def golden_argvs() -> list[list[str]]:
                 continue
             for suite, args in SUITE_ARGS.items():
                 argvs.append(["verify", suite, *args, *flags])
-            for suite in EXACT_SUITES:
+            for suite in EXACT_SUITES + FLOAT_SUITES:
                 argvs.append(["verify", suite, *SUITE_ARGS[suite], *flags, "--format", "csv"])
             argvs.append(["poly", "--n", "2", "--lambda", "2,1", *flags, "--format", "csv"])
     # the empty partition through every route that builds or evaluates it
@@ -80,15 +85,17 @@ def main() -> None:
     sha = subprocess.run(
         ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=True
     ).stdout.strip()
-    entries = []
-    for argv in golden_argvs():
+    if GOLDEN_PATH.exists():
+        goldens = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    else:
+        goldens = {"capturedAt": sha, "reports": []}
+    held = [entry["argv"] for entry in goldens["reports"]]
+    missing = [argv for argv in golden_argvs() if argv not in held]
+    for argv in missing:
         code, out = run(argv)
-        entries.append({"argv": argv, "exit": code, "stdout": out})
-    GOLDEN_PATH.write_text(
-        json.dumps({"capturedAt": sha, "reports": entries}, indent=1) + "\n",
-        encoding="utf-8",
-    )
-    print(f"{len(entries)} reports captured at {sha} into {GOLDEN_PATH}")
+        goldens["reports"].append({"argv": argv, "exit": code, "stdout": out, "capturedAt": sha})
+    GOLDEN_PATH.write_text(json.dumps(goldens, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(missing)} reports captured at {sha} into {GOLDEN_PATH}")
 
 
 if __name__ == "__main__":

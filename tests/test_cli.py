@@ -6,6 +6,7 @@ import pytest
 from octaboson import cli, hallittlewood
 from octaboson.laurent import NotDivisibleError
 from octaboson.partitions import unit_steps
+from octaboson.qboson import LatticeFunction
 from octaboson.qkernels import default_params
 
 
@@ -328,6 +329,43 @@ def test_exit_budget_bounds_sector_states(capsys, monkeypatch):
         error = json.loads(out)["error"]
         assert error["type"] == "budget", suite
         assert (error["n"], error["maxPart"], error["states"], error["budget"]) == (4, 5, 126, 100)
+
+
+def test_exit_budget_bounds_adjoint_pairs(capsys, monkeypatch):
+    # sectors of 1, 7, 28, 84 states: 7 * (7 + 196 + 2352) adjointness pairs
+    # and 49 + 784 + 7056 symmetry pairs, refused before any operator runs
+    monkeypatch.setenv("OCTABOSON_BUDGET", "1000")
+    code, out = run(capsys, "verify", "adjoint", "--n", "3", "--maxPart", "6")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "budget"
+    assert (error["n"], error["maxPart"], error["pairs"], error["budget"]) == (3, 6, 25774, 1000)
+    # the 135,751 states of the top sector pass, its 8.8e10 pairs do not,
+    # and no delta function is built before the refusal
+    calls = []
+    real_delta = LatticeFunction.delta
+
+    def counting_delta(lam):
+        calls.append(lam)
+        return real_delta(lam)
+
+    monkeypatch.setattr(LatticeFunction, "delta", staticmethod(counting_delta))
+    monkeypatch.delenv("OCTABOSON_BUDGET")
+    code, out = run(capsys, "verify", "adjoint", "--n", "4", "--maxPart", "40")
+    assert code == 3 and json.loads(out)["error"]["pairs"] == 87_705_902_678
+    assert calls == []
+    # the counter sees the delta functions of a run within the budget
+    code, _ = run(capsys, "verify", "adjoint", "--n", "1", "--maxPart", "1")
+    assert code == 0 and len(calls) == 3
+
+
+def test_malformed_lambda_names_the_flag(capsys):
+    for raw in ("a,b", "1,,0", "2.0,1"):
+        code, out = run(capsys, "poly", "--n", "2", "--lambda", raw)
+        assert code == 1, raw
+        error = json.loads(out)["error"]
+        assert error["type"] == "parameter", raw
+        assert "--lambda" in error["message"] and repr(raw) in error["message"], raw
 
 
 def test_exit_budget_bounds_scattering_factors(capsys, monkeypatch):
