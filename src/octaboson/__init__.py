@@ -49,12 +49,7 @@ from .hallittlewood import (
     principal_specialization,
 )
 from .budget import BudgetExceededError
-from .torus import (
-    QuadratureSpec,
-    convergence_probe,
-    gram_matrix,
-    inner_product,
-)
+from .torus import QuadratureSpec, gram_matrix, inner_product
 from .qboson import (
     EXCHANGE_RELATIONS,
     RELATION_IDS,

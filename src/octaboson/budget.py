@@ -1,6 +1,7 @@
 """The node budget: one cap, OCTABOSON_BUDGET, on every count of work that
-is known before the work starts (grid nodes, seed-block terms, Freudenthal
-steps, sector states, adjoint pairs, scattering factors), read at each check."""
+is known before the work starts (grid nodes, cosine-matrix entries,
+seed-block terms, Freudenthal steps, sector states, adjoint pairs,
+scattering factors), read at each check."""
 
 from __future__ import annotations
 

@@ -178,6 +178,7 @@ def _suite_orthogonality(args, params) -> tuple[dict, list]:
     tol = 1e-8 if n <= 2 else 1e-6
     # an explicit grid is checked against the budget before any construction
     quad = None if args.quad_points is None else torus.QuadratureSpec(args.quad_points, n)
+    hallittlewood.check_variables(n)
     lams = enumerate_partitions(n, max_part)
     hallittlewood.check_budget(lams, params)
     polys = [hallittlewood.hl_polynomial(lam, params).poly for lam in lams]
@@ -216,6 +217,7 @@ def _suite_orthogonality(args, params) -> tuple[dict, list]:
 def _suite_pieri(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     params.ensure_generic(n, max_part + 1)
+    hallittlewood.check_variables(n)
     lams = enumerate_partitions(n, max_part)
     hallittlewood.check_budget(_with_neighbours(lams), params)
     cases = []
@@ -363,6 +365,7 @@ def _suite_eigen(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     params.ensure_generic(n, max_part + 1)
     rng = random.Random(args.seed)
+    hallittlewood.check_variables(n)
     lams = enumerate_partitions(n, max_part)
     hallittlewood.check_budget(_with_neighbours(lams), params)
     cases = []

@@ -236,7 +236,7 @@ def check_budget(lams: Iterable[tuple[int, ...]], params: ParamSet) -> None:
     parts = iter(lams)
     first = next(parts, ())
     n = len(first)
-    _check_variables(n)
+    check_variables(n)
     lams = [first, *parts]
     for zero_count in sorted({multiplicity(lam, 0) for lam in lams}):
         _check_box(n, _exponent_box(n, _seed_binomials(n, zero_count, params))[1])
@@ -385,11 +385,13 @@ def _checked_partition(lam: Sequence[int]) -> tuple[int, ...]:
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
-    _check_variables(len(lam))
+    check_variables(len(lam))
     return lam
 
 
-def _check_variables(n: int) -> None:
+def check_variables(n: int) -> None:
+    """Refuse exact construction in more than MAX_VARIABLES variables with
+    a ValueError; callers that list partitions check n before listing them."""
     if n > MAX_VARIABLES:
         raise ValueError(f"exact construction supports at most {MAX_VARIABLES} variables")
 
@@ -517,7 +519,7 @@ def hl_gram_schmidt(
     if len(support) == 1:
         return {lam: 1.0}
     basis = [monomial_symmetric(mu) for mu in support]
-    gram = torus.gram_matrix(basis, params, quad).real
+    gram = torus.gram_matrix(basis, params, quad)
     idx = support.index(lam)
     others = [i for i in range(len(support)) if i != idx]
     sub = gram[np.ix_(others, others)]

@@ -10,15 +10,22 @@ The rule is applied in coefficient space (Trefethen & Weideman, "The
 exponentially convergent trapezoidal rule", SIAM Review 56, 2014): the
 M-point rule sees a Laurent polynomial only through its Fourier
 coefficients folded modulo M.  With f = sum_a f_a x^a, g = sum_b g_b x^b
-and w_M = fftn(|weight|^2) / M^n on the nodes 2 pi k / M,
+and w_M[d] = sum_k |weight|^2(2 pi k / M) e^{-2 pi i <d, k> / M} / M^n,
 
     <f, g>_M = sum_{a, b} f_a g_b w_M[(b - a) mod M] / |W|,
 
 which is the grid sum itself, not an approximation of it: differences that
 leave the grid box wrap exactly as on the grid.  There is one assembly,
 ``gram_matrix``; ``inner_product`` is the off-diagonal entry of the Gram
-matrix of its two arguments.  The only O(M^n) work is the weight and its
-FFT, built from real factors and cached per (params, n, M).
+matrix of its two arguments.
+
+Each sign flip z_j -> 1/z_j lies in W, and |1 - z^{-beta}| = |1 - z^beta|
+on the torus, so the grid weight is unchanged by k_j -> -k_j mod M.  It is
+therefore evaluated only at 0 <= k_j <= M // 2, and its transform is a
+real product of cosines: w_M is real, even in every d_j, and tabulated at
+0 <= d_j <= M // 2 by contracting each axis with a folded cosine matrix.
+The Gram matrix comes out real.  The only work that grows with M is this
+table, on (M // 2 + 1)^n nodes, cached per (params, n, M).
 
 ``aliasing_bound`` states how far the rule is from the integral, and
 ``choose_points`` picks M from it when the user gives none.
@@ -47,6 +54,12 @@ RADII = 128
 def _check_nodes(m: int, n: int) -> None:
     nodes = m**n
     budget.check(nodes, f"a grid of {m}^{n} = {nodes} nodes", {"M": m, "n": n, "nodes": nodes})
+    # the cosine matrix of _weight_fourier has (M // 2 + 1)^2 entries, and
+    # from n = 2 on no more than the grid has nodes
+    if n == 1:
+        entries = (m // 2 + 1) ** 2
+        what = f"a cosine matrix of ({m} // 2 + 1)^2 = {entries} entries"
+        budget.check(entries, what, {"M": m, "n": n, "entries": entries})
 
 
 @dataclass(frozen=True)
@@ -65,37 +78,56 @@ class QuadratureSpec:
 
 
 def _weight_sq_grid(params: ParamSet, n: int, m: int) -> np.ndarray:
-    """|weight|^2 at the nodes 2 pi k / M, as an array of shape (M,) * n.
+    """|weight|^2 at the nodes 2 pi k / M with 0 <= k_j <= M // 2, the
+    nodes the sign flips do not repeat, as an array of shape (M // 2 + 1,) * n.
 
-    Every factor is real, |1 - a e^{i phi}|^2 = 1 - 2 a cos(phi) + a^2, and
-    is gathered from one length-M cosine table at the node index <beta, i>
-    of its root beta: (1 - z^beta) on every positive root, over (1 - q z^beta)
-    on the short roots and the boundary factors (1 - t_r z_j) on e_j, half
-    the long root 2 e_j.
+    Every factor is real, |1 - a e^{i phi}|^2 = 1 - 2 a cos(phi) + a^2, so
+    each positive root beta reads one length-M table at the node index
+    <beta, k> mod M: |1 - z^beta|^2 / |1 - q z^beta|^2 on the short roots,
+    and on the long root 2 e_j, whose table is read at k_j,
+    |1 - z_j^2|^2 over the boundary factors prod_r |1 - t_r z_j|^2.
     """
     cos = np.cos(np.arange(m) * (2.0 * np.pi / m))
-    index = np.ogrid[(slice(0, m),) * n]
 
-    def factor(a: float, k: np.ndarray) -> np.ndarray:
-        return 1.0 - 2.0 * a * cos[k % m] + a * a
+    def factor(a: float, c: np.ndarray) -> np.ndarray:
+        return 1.0 - 2.0 * a * c + a * a
 
     q = float(params.q)
-    ts = [float(t) for t in params.ts if t]
-    value = np.ones((m,) * n)
+    short = factor(1.0, cos) / factor(q, cos)
+    long = factor(1.0, cos[2 * np.arange(m) % m])
+    for t in params.ts:
+        if t:
+            long /= factor(float(t), cos)
+    index = np.ogrid[(slice(0, m // 2 + 1),) * n]
+    value = np.ones((m // 2 + 1,) * n)
     for beta in positive_roots(n):
         k = sum(b * i for b, i in zip(beta, index) if b)
-        if 2 not in beta:
-            value *= factor(1.0, k) / factor(q, k)
-        else:
-            value *= factor(1.0, k) / np.prod([factor(t, k // 2) for t in ts], axis=0)
+        value *= short[k % m] if 2 not in beta else long[k // 2]
     return value
 
 
+#: One entry holds (M // 2 + 1)^n floats, about 8 M^n / 2^n bytes: 1.5 MB
+#: at n = 4, M = 40, and at most 8 MB within the default node budget.
 @lru_cache(maxsize=16)
 def _weight_fourier(params: ParamSet, n: int, m: int) -> np.ndarray:
-    """w_M = fftn(|weight|^2) / M^n: the weight's Fourier coefficients
-    folded modulo M, the only table the rule needs."""
-    return np.fft.fftn(_weight_sq_grid(params, n, m)) / m**n
+    """w_M[d] at 0 <= d_j <= M // 2, shape (M // 2 + 1,) * n: the weight's
+    Fourier coefficients folded modulo M, the only table the rule needs.
+
+    The weight is even in every k_j, so the DFT along an axis is the real
+    sum over k_j <= M // 2 of fold(k_j) cos(2 pi d_j k_j / M) / M, where
+    fold counts k_j and M - k_j: 1 at k_j = 0 and 2 k_j = M, else 2.
+    """
+    table = _weight_sq_grid(params, n, m)
+    if n:  # at n = 0 the table is 1 and the budget leaves M unbounded
+        half = np.arange(m // 2 + 1)
+        fold = np.where((half == 0) | (2 * half == m), 1.0, 2.0)
+        cos = np.cos(np.arange(m) * (2.0 * np.pi / m))
+        matrix = fold * cos[np.outer(half, half) % m] / m
+        # each pass sums the leading axis k_j and appends d_j last, so after
+        # n passes the axes are back in order
+        for _ in range(n):
+            table = np.tensordot(table, matrix, axes=([0], [1]))
+    return table
 
 
 def inner_product(
@@ -126,34 +158,20 @@ def _coefficients(basis: Sequence[LaurentPoly], n: int) -> tuple[np.ndarray, np.
 def gram_matrix(
     basis: Sequence[LaurentPoly], params: ParamSet, quad: QuadratureSpec
 ) -> np.ndarray:
-    """Matrix of pairwise inner products of the basis (Hermitian up to
-    quadrature roundoff): E K E^T / |W| with K[a, b] = w_M[(b - a) mod M]
-    for a, b in the union of the basis' exponents."""
+    """Matrix of pairwise inner products of the basis, real and symmetric:
+    E K E^T / |W| with K[a, b] = w_M[(b - a) mod M] for a, b in the union
+    of the basis' exponents, read from the table at min(d_j, M - d_j)."""
     n, m = quad.n, quad.points_per_dim
     if any(p.nvars != n for p in basis):
         raise ValueError("dimension mismatch between basis and grid")
     coeffs, exps = _coefficients(basis, n)
-    # flat index of (b - a) mod M in the C-ordered table, one axis at a time
+    # flat index of the folded (b - a) mod M in the C-ordered table, one axis at a time
     flat = np.zeros((len(exps), len(exps)), dtype=np.intp)
     for j in range(n):
-        flat = flat * m + (exps[None, :, j] - exps[:, None, j]) % m
+        d = (exps[None, :, j] - exps[:, None, j]) % m
+        flat = flat * (m // 2 + 1) + np.minimum(d, m - d)
     kernel = _weight_fourier(params, n, m).ravel()[flat]
     return coeffs @ kernel @ coeffs.T / group_order(n)
-
-
-def convergence_probe(
-    f: LaurentPoly,
-    g: LaurentPoly,
-    params: ParamSet,
-    m_list: Sequence[int],
-) -> list[complex]:
-    """Inner products along an increasing sequence of grid resolutions."""
-    if list(m_list) != sorted(m_list):
-        raise ValueError("m_list must be increasing")
-    return [
-        inner_product(f, g, params, QuadratureSpec(points_per_dim=m, n=f.nvars))
-        for m in m_list
-    ]
 
 
 def _log_weight_sup(radius: np.ndarray, n: int, params: ParamSet) -> np.ndarray:
@@ -240,7 +258,7 @@ def choose_points(basis: Sequence[LaurentPoly], params: ParamSet, tol: float) ->
     most tol / 2, leaving the other half of the tolerance to roundoff.
 
     Raises BudgetExceededError, with that M as evidence, when its grid
-    exceeds the node budget.
+    (or, at n = 1, its cosine matrix) exceeds the node budget.
     """
     terms = _aliasing_terms(basis, params)
     m = POINTS_STEP

@@ -71,6 +71,15 @@ def golden_argvs() -> list[list[str]]:
     argvs.append(["poly", "--n", "0", "--profile", "two", "--compare-macdonald"])
     argvs.append(["verify", "orthogonality", "--n", "0", "--maxPart", "2"])
     argvs.append(["verify", "eigen", "--n", "0", "--maxPart", "2"])
+    # grids the sign fold of the weight treats apart: odd M (no middle
+    # node), M below the exponent span (differences alias), n = 1 and 3,
+    # and the M that choose_points picks
+    orthogonality = ["verify", "orthogonality"]
+    argvs.append([*orthogonality, "--n", "2", "--maxPart", "2", "--M", "5"])
+    argvs.append([*orthogonality, "--n", "2", "--maxPart", "2", "--M", "7", "--format", "csv"])
+    argvs.append([*orthogonality, "--n", "1", "--maxPart", "3", "--M", "8"])
+    argvs.append([*orthogonality, "--n", "3", "--maxPart", "1", "--M", "6"])
+    argvs.append([*orthogonality, "--n", "2", "--maxPart", "2"])
     return argvs
 
 

@@ -84,7 +84,7 @@ def test_orthogonality_csv_one_row_per_pair(tmp_path, capsys):
 
 
 def test_orthogonality_assembles_one_gram(capsys, monkeypatch):
-    # one Gram assembly over one weight FFT for all 21 pairs (pairwise
+    # one Gram assembly over one weight table for all 21 pairs (pairwise
     # inner products would assemble 21 Gram matrices)
     calls = []
     gram_matrix = cli.torus.gram_matrix
@@ -396,6 +396,23 @@ def test_too_many_variables_refused_before_any_neighbour(capsys, monkeypatch):
         error = json.loads(out)["error"]
         assert error["type"] == "parameter" and "at most 4 variables" in error["message"]
     assert calls == []
+
+
+def test_too_many_variables_refused_before_any_partition(capsys, monkeypatch):
+    # --n is checked against the variable limit before the 1.2M states of
+    # --n 5 --maxPart 40 would be listed
+    def no_listing(n, max_part):
+        raise AssertionError(f"partitions listed at n = {n}, maxPart = {max_part}")
+
+    monkeypatch.setattr(cli, "enumerate_partitions", no_listing)
+    for suite in ("orthogonality", "norms", "pieri", "eigen"):
+        code, out = run(capsys, "verify", suite, "--n", "5", "--maxPart", "40")
+        assert code == 1, suite
+        error = json.loads(out)["error"]
+        assert error == {
+            "type": "parameter",
+            "message": "exact construction supports at most 4 variables",
+        }, suite
 
 
 def test_budget_setting_must_be_a_nonnegative_integer(capsys, monkeypatch):

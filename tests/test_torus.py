@@ -20,10 +20,10 @@ from octaboson.qkernels import ParamSet, quadratic_norm
 from octaboson.torus import (
     QuadratureSpec,
     _log_weight_sup,
+    _weight_fourier,
     _weight_sq_grid,
     aliasing_bound,
     choose_points,
-    convergence_probe,
     gram_matrix,
     inner_product,
 )
@@ -74,15 +74,43 @@ def test_weight_zeros(params4):
     assert abs(weight_delta([math.pi], params4)) < 1e-12
 
 
+def pointwise_weight_sq(n: int, m: int, params) -> np.ndarray:
+    """|weight|^2 at all M^n nodes, shape (M,) * n, by ``weight_delta``."""
+    values = [abs(weight_delta(list(x), params)) ** 2 for x in nodes(n, m)]
+    return np.array(values).reshape((m,) * n)
+
+
 def test_weight_two_codings_agree(params4):
-    # pointwise complex evaluation against the real-factor grid
+    # pointwise complex evaluation against the real-factor grid, on the
+    # nodes the sign fold keeps, 0 <= k_j <= M // 2
     for n, m in ((1, 8), (2, 8), (3, 5)):
-        grid = nodes(n, m)
-        sq = _weight_sq_grid(params4, n, m).ravel()
-        for idx in range(0, grid.shape[0], 3):
-            xi = grid[idx]
-            direct = abs(weight_delta(list(xi), params4)) ** 2
-            assert abs(direct - sq[idx]) < 1e-12
+        half = (slice(0, m // 2 + 1),) * n
+        sq = _weight_sq_grid(params4, n, m)
+        assert sq.shape == (m // 2 + 1,) * n
+        assert np.max(np.abs(pointwise_weight_sq(n, m, params4)[half] - sq)) < 1e-12
+
+
+def test_weight_is_even_in_every_node_index(params4):
+    # the premise of the fold: each sign flip z_j -> 1/z_j, which moves
+    # the node k_j to -k_j mod M, leaves the weight unchanged
+    for n, m in ((1, 7), (2, 8), (3, 5)):
+        grid = pointwise_weight_sq(n, m, params4)
+        for j in range(n):
+            flipped = np.take(grid, -np.arange(m) % m, axis=j)
+            assert np.max(np.abs(flipped - grid)) < 1e-12
+
+
+def test_folded_table_is_the_fft_of_the_grid(params4):
+    # every coefficient of the folded real table against the complex FFT
+    # of the full pointwise grid, odd M (no middle node) included
+    for n in (1, 2, 3):
+        for m in (4, 5, 7, 8, 16):
+            reference = np.fft.fftn(pointwise_weight_sq(n, m, params4)) / m**n
+            table = _weight_fourier(params4, n, m)
+            assert table.dtype == np.float64 and table.shape == (m // 2 + 1,) * n
+            for d in itertools.product(range(m), repeat=n):
+                folded = tuple(min(c, m - c) for c in d)
+                assert abs(reference[d] - table[folded]) < 1e-12
 
 
 small_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -245,6 +273,11 @@ def test_gram_matrix(params4):
         assert abs(g3[i, i] - expected) < 1e-8 * (1 + abs(expected))
 
 
+def convergence_probe(f, g, params, m_list) -> list[complex]:
+    """Inner products along an increasing sequence of grid resolutions."""
+    return [inner_product(f, g, params, QuadratureSpec(points_per_dim=m, n=f.nvars)) for m in m_list]
+
+
 def test_convergence_probe(params4):
     one = LaurentPoly.one(1)
     values = convergence_probe(one, one, params4, [8, 16, 32, 64])
@@ -256,9 +289,6 @@ def test_convergence_probe(params4):
     m1 = monomial_symmetric((1,))
     v64, v128 = convergence_probe(m1, m1, params4, [64, 128])
     assert abs(v64 - v128) < 1e-12
-
-    with pytest.raises(ValueError):
-        convergence_probe(one, one, params4, [32, 16])
 
 
 def test_trapezoid_exact_for_constants():
@@ -299,6 +329,17 @@ def test_budget(monkeypatch):
         QuadratureSpec(points_per_dim=64, n=2)
     monkeypatch.delenv("OCTABOSON_BUDGET")
     QuadratureSpec(points_per_dim=64, n=2)
+
+
+def test_budget_bounds_the_cosine_matrix_at_one_variable(monkeypatch):
+    # at n = 1 the (M // 2 + 1)^2 entries of the weight's cosine matrix
+    # outnumber the M nodes; from n = 2 on the node count bounds them
+    monkeypatch.delenv("OCTABOSON_BUDGET", raising=False)
+    QuadratureSpec(points_per_dim=3998, n=1)
+    QuadratureSpec(points_per_dim=2000, n=2)
+    with pytest.raises(BudgetExceededError) as info:
+        QuadratureSpec(points_per_dim=4000, n=1)
+    assert info.value.evidence == {"M": 4000, "n": 1, "entries": 2001**2, "budget": 4_000_000}
 
 
 def test_quadrature_spec_validation():
