@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import budget, hallittlewood, qboson, torus
 from .laurent import NotDivisibleError
-from .partitions import enumerate_partitions, raise_indices, unit_steps
+from .partitions import enumerate_partitions, raise_indices, sector_size, unit_steps
 from .qboson import LatticeFunction
 from .qkernels import (
     DEFAULT_POINTS,
@@ -251,10 +251,9 @@ def _relation_filter(requested: str | None) -> list[str]:
 def _suite_algebra(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     params.ensure_generic(n, max_part + 2)
-    relations = _relation_filter(args.relation)
     site_max = 5
-    reports = []
-    for rid in relations:
+    pairs_of = {}
+    for rid in _relation_filter(args.relation):
         if rid in qboson.EXCHANGE_RELATIONS:
             site_pairs = [(l, k) for l in range(site_max) for k in range(l + 1, site_max + 1)]
         else:
@@ -263,6 +262,14 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
         # counts its cases, since its statement at (l, k) is the one at l
         if rid in qboson.SINGLE_SITE_RELATIONS:
             site_pairs = [(l, 0) for l, _ in site_pairs]
+        pairs_of[rid] = site_pairs
+    # each distinct site pair of a relation, and the witness below, applies
+    # both sides to every state of the sector
+    work = sector_size(n, max_part) * (1 + sum(len(set(p)) for p in pairs_of.values()))
+    what = f"{work} relation checks at n = {n}, maxPart = {max_part}"
+    budget.check(work, what, {"n": n, "maxPart": max_part, "checks": work})
+    reports = []
+    for rid, site_pairs in pairs_of.items():
         residuals = {
             pair: qboson.verify_relation(rid, *pair, n, max_part, params)
             for pair in dict.fromkeys(site_pairs)
@@ -389,6 +396,12 @@ def _suite_eigen(args, params) -> tuple[dict, list]:
 def _suite_degeneration(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     q, ts = params.q, params.ts
+    # the sectors' sizes are checked first, then the maxPart + 2 sites at
+    # which every state is created on and annihilated from
+    states = sum(sector_size(sector, max_part) for sector in range(n + 1))
+    work = states * (max_part + 2)
+    what = f"{work} operator applications at n = {n}, maxPart = {max_part}"
+    budget.check(work, what, {"n": n, "maxPart": max_part, "applications": work})
     checks = []
 
     def run(name: str, reduced: ParamSet, norm_red, hop_red, pot_red) -> None:

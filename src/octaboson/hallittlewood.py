@@ -5,11 +5,12 @@ hyperoctahedral group and dividing by the type-C Weyl denominator is, by the
 Weyl character formula, a signed sum of Sp(2n) characters: every term x^e of
 x^{-lam-rho} times the integer seed block is straightened into the dominant
 chamber (dropped when it is fixed by a reflection), all rows of the seed's
-exponent matrix at once in numpy, and each character is expanded in orbit
-sums by Freudenthal's multiplicity formula with every division checked to
-be exact.  The orbit sum over all 2^n n! group elements followed by exact
-binomial division gives the same polynomials and is kept in the test suite
-as an oracle, as is the row-at-a-time straightening.  The secondary route
+exponent matrix at once in numpy; times the Weyl denominator, the sum is
+unitriangular in its orbit-sum coefficients, solved for in integers.  The
+orbit sum over all 2^n n! group elements followed by exact binomial division
+gives the same polynomials and is kept in the test suite as an oracle, as
+are the row-at-a-time straightening and Freudenthal's formula for the
+characters.  The secondary route
 orthogonalizes the monomial basis numerically against the torus inner
 product and is used only as a cross check.  A third construction, valid when t_3 = t_4 = 0, uses the
 classical lambda-independent coefficient and is compared against the
@@ -18,6 +19,7 @@ primary route as an exact polynomial identity.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,8 +30,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import budget, torus
-from .laurent import LaurentPoly, NotDivisibleError
+from .laurent import LaurentPoly
 from .partitions import (
+    enumerate_partitions,
     is_partition,
     lower_set,
     multiplicity,
@@ -227,7 +230,7 @@ def check_budget(lams: Iterable[tuple[int, ...]], params: ParamSet) -> None:
     ValueError beyond MAX_VARIABLES parts, read off the first partition
     before the others (lams may be a costly generator), and a
     BudgetExceededError when the exponent box of a seed block they read, or
-    Freudenthal's work for their largest part, exceeds the node budget.
+    the orbit expansion's work for their largest part, exceeds the node budget.
 
     A cached block or polynomial skips ``_binomial_product``'s box check,
     so callers bound by the current budget call this first.  At profile two
@@ -240,11 +243,13 @@ def check_budget(lams: Iterable[tuple[int, ...]], params: ParamSet) -> None:
     lams = [first, *parts]
     for zero_count in sorted({multiplicity(lam, 0) for lam in lams}):
         _check_box(n, _exponent_box(n, _seed_binomials(n, zero_count, params))[1])
-    # Freudenthal's work grows with the parts: C(n + max_part, n) dominant
-    # weights, times n^2 positive roots, times max_part, the longest root string
+    # C(n + max_part, n) n^2 max_part bounds the orbit expansion's
+    # (max_part + 2)^n lookup codes up to a factor 1.5, and its
+    # C(n + max_part, n) (|W| - 1) index entries up to a factor 1.2 at the
+    # largest part the default budget admits (20 at n = 4)
     max_part = max(max(lam, default=0) for lam in lams)
     terms = math.comb(n + max_part, n) * n * n * max_part
-    what = f"Freudenthal's sum for parts up to {max_part} at n = {n} may take {terms} steps"
+    what = f"orbit expansion for parts up to {max_part} at n = {n} may take {terms} steps"
     budget.check(terms, what, {"n": n, "terms": terms})
 
 
@@ -293,64 +298,99 @@ def _straighten(
     return out
 
 
-#: Keyed by the weight alone, so parameter sweeps share the entries; one
-#: suite reads at most 55 (``verify eigen --n 4``).
-@lru_cache(maxsize=1024)
-def character_multiplicities(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Orbit-sum expansion of the irreducible Sp(2n) character chi_mu.
+#: one entry per n <= MAX_VARIABLES; the tables of one suite share it
+@lru_cache(maxsize=8)
+def _weyl_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(det w, rho - w rho) for the 2^n n! - 1 signed permutations w != 1,
+    those with det w = 1 first, as read-only int64 arrays of shape
+    (|W| - 1,) and (|W| - 1, n).
 
-    Returns (nu, K_mu_nu) pairs with chi_mu = sum K_mu_nu m_nu over the
-    dominant weights nu <= mu with |mu| - |nu| even, highest first.  The
-    multiplicities come from Freudenthal's formula
-        (|mu + rho|^2 - |nu + rho|^2) K_nu
-            = 2 sum_{alpha > 0} sum_{k >= 1} K_{nu + k alpha} <nu + k alpha, alpha>
-    in integers, with K constant on group orbits; a division that does not
-    go through raises NotDivisibleError naming the character, the weight,
-    the numerator and the divisor.
+    w rho runs over the signed permutations of rho, and det w = (-1)^l(w)
+    with l(w) the number of positive roots alpha with <w rho, alpha> < 0.
     """
-    n = len(mu)
     rho = weyl_vector(n)
+    perms = np.array(list(itertools.permutations(rho)), dtype=np.int64, ndmin=2)
+    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64, ndmin=2)
+    images = (perms[:, None, :] * signs).reshape(len(perms) * len(signs), n)
+    roots = np.array(positive_roots(n), dtype=np.int64).reshape(n * n, n)
+    dets = 1 - 2 * ((images @ roots.T < 0).sum(axis=1) % 2)
+    shifts = np.array(rho, dtype=np.int64) - images
+    moved = np.flatnonzero(shifts.any(axis=1))
+    moved = moved[np.argsort(-dets[moved], kind="stable")]
+    dets, shifts = dets[moved], shifts[moved]
+    dets.flags.writeable = shifts.flags.writeable = False
+    return dets, shifts
 
-    def norm_shifted(nu: tuple[int, ...]) -> int:
-        return sum((x + r) ** 2 for x, r in zip(nu, rho))
 
-    weights = sorted(
-        (nu for nu in lower_set(mu) if (sum(mu) - sum(nu)) % 2 == 0),
-        key=lambda nu: -sum(x * r for x, r in zip(nu, rho)),
-    )
-    roots = positive_roots(n)
-    top = norm_shifted(mu)
-    mult = {mu: 1}
-    for nu in weights:
-        if nu == mu:
-            continue
-        total = 0
-        for alpha in roots:
-            # the alpha-string through a weight is unbroken, so the first
-            # step outside the weights ends it
-            k = 1
-            while True:
-                x = [v + k * a for v, a in zip(nu, alpha)]
-                m = mult.get(tuple(sorted(map(abs, x), reverse=True)))
-                if m is None:
-                    break
-                total += m * sum(v * a for v, a in zip(x, alpha))
-                k += 1
-        gap = top - norm_shifted(nu)
-        value, remainder = divmod(2 * total, gap)
-        if remainder:
-            raise NotDivisibleError(
-                f"Freudenthal step for chi_{mu} at weight {nu}: "
-                f"{2 * total} is not divisible by {gap}",
-                evidence={
-                    "character": list(mu),
-                    "weight": list(nu),
-                    "numerator": 2 * total,
-                    "divisor": gap,
-                },
-            )
-        mult[nu] = value
-    return tuple((nu, mult[nu]) for nu in weights if mult[nu])
+#: (weight, w) pairs per block, so a block's int64 images stay near 1 MB
+_BLOCK_ENTRIES = 1 << 15
+
+
+#: One suite reads one entry per largest part (n = 4, maxPart 3 and its
+#: unit-step neighbours: 5); the bound stops sweeps from growing memory.
+@lru_cache(maxsize=32)
+def _inversion_entries(n: int, top: int):
+    """(weights, position, targets, starts, positives) for the dominant
+    weights kappa with parts <= top, in decreasing graded lex order.
+
+    targets[starts[i]:starts[i + 1]] are the positions of
+    dom(kappa_i + rho - w rho) over the w != 1 whose image has parts <= top,
+    the first positives[i] of them with det w = 1.  An image dominates its
+    weight, and graded lex extends dominance, so the image is listed first.
+    The images are found in numpy, a block of weights at a time: absolute
+    values, capped at top + 1, sorted and coded in base top + 2, then a
+    dense lookup of the positions, which reads -1 for a code with a capped
+    part.
+    """
+    weights = np.array(enumerate_partitions(n, top)[::-1], dtype=np.int64, ndmin=2)
+    radix = (top + 2) ** np.arange(n, dtype=np.int64)
+    # positions in the narrowest signed type: int16 up to n = 4, top = 20
+    lookup = np.full((top + 2) ** n, -1, dtype=np.min_scalar_type(-len(weights)))
+    lookup[weights[:, ::-1] @ radix] = np.arange(len(weights))
+    dets, shifts = _weyl_shifts(n)
+    positive = np.count_nonzero(dets == 1)
+    targets, counts, positives = [], [], []
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(shifts)))
+    for first in range(0, len(weights), rows):
+        images = weights[first : first + rows, None, :] + shifts
+        np.abs(images, out=images)
+        np.minimum(images, top + 1, out=images)
+        images.sort(axis=2)
+        found = lookup[images @ radix]
+        kept = found >= 0
+        targets.append(found[kept])
+        counts.append(kept.sum(axis=1))
+        positives.append(kept[:, :positive].sum(axis=1))
+    starts = [0, *np.cumsum(np.concatenate(counts)).tolist()]
+    weights = [tuple(w) for w in weights.tolist()]
+    position = {w: i for i, w in enumerate(weights)}
+    return weights, position, np.concatenate(targets), starts, np.concatenate(positives).tolist()
+
+
+def _orbit_coefficients(coeffs: Mapping[tuple[int, ...], int], n: int) -> dict:
+    """The nonzero d_nu with sum_mu c_mu chi_mu = sum_nu d_nu m_nu, for the
+    integer c_mu of ``_straighten``, without expanding any character.
+
+    Times A(x^rho) = sum_w det(w) x^{w rho}, the sum is
+    sum_mu c_mu A(x^{mu + rho}) = A(x^rho) sum_nu d_nu m_nu, whose
+    coefficients at x^{kappa + rho} give
+        d_kappa = c_kappa - sum_{w != 1} det(w) d_{dom(kappa + rho - w rho)}.
+    rho - w rho is a nonzero sum of positive roots for w != 1, so the
+    system is unitriangular in dominance and is solved from the top down,
+    in integers.  Every nu <= mu has nu_1 <= mu_1, so d vanishes beyond the
+    largest part of a nonzero c.
+    """
+    top = max((max(mu, default=0) for mu, c in coeffs.items() if c), default=0)
+    weights, position, targets, starts, positives = _inversion_entries(n, top)
+    d = [0] * len(weights)
+    for mu, c in coeffs.items():
+        if c:
+            d[position[mu]] = c
+    get = d.__getitem__
+    for i, k in enumerate(positives):
+        row = targets[starts[i] : starts[i + 1]].tolist()
+        d[i] += sum(map(get, row[k:])) - sum(map(get, row[:k]))
+    return {w: v for w, v in zip(weights, d) if v}
 
 
 def _straightened_expansion(
@@ -366,17 +406,11 @@ def _straightened_expansion(
     exponents, coefficients, denominator = seed
     n = len(lam)
     shift = [p + r for p, r in zip(lam, weyl_vector(n))]
-    coeffs = _straighten(exponents, coefficients, shift)
-    totals: dict[tuple[int, ...], int] = {}
-    for mu, c in coeffs.items():
-        if c:
-            for nu, k in character_multiplicities(mu):
-                totals[nu] = totals.get(nu, 0) + c * k
+    totals = _orbit_coefficients(_straighten(exponents, coefficients, shift), n)
     factor = (-1) ** (n * n) * scale / denominator
     return {
         nu: factor * totals[nu]
         for nu in sorted(totals, key=lambda e: (sum(e), e), reverse=True)
-        if totals[nu]
     }
 
 

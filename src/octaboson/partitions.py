@@ -5,9 +5,9 @@ A partition is a weakly decreasing tuple of nonnegative integers of fixed
 length n; the empty tuple encodes the length-0 partition.  Partitions index
 both the polynomial family and the states of the lattice model (the parts
 are particle positions on the half line).  The positive roots of C_n give
-the Weyl denominator, the torus weight and the character multiplicities;
-the unit steps lam +- e_j give the recurrence, the Hamiltonian and the
-boundary potential.
+the Weyl denominator, the torus weight and the signs det w of the orbit
+expansion; the unit steps lam +- e_j give the recurrence, the Hamiltonian
+and the boundary potential.
 """
 
 from __future__ import annotations
@@ -51,19 +51,26 @@ def dominance_leq(mu: tuple[int, ...], lam: tuple[int, ...]) -> bool:
     return True
 
 
-def enumerate_partitions(n: int, max_part: int) -> list[tuple[int, ...]]:
-    """All length-n partitions with parts <= max_part, in graded lex order.
-
-    They are the multisets of n parts drawn from max_part down to 0, so the
-    count is binomial(n + max_part, n), checked against the node budget
-    before any is built.  Graded lex (total size first, then lexicographic)
-    is the deterministic order used by every report.
-    """
+def sector_size(n: int, max_part: int) -> int:
+    """binomial(n + max_part, n), the number of length-n partitions with
+    parts <= max_part (the multisets of n parts drawn from max_part down to
+    0), once it is checked against the node budget."""
     if n < 0 or max_part < 0:
         raise ValueError("n and max_part must be nonnegative")
     states = math.comb(n + max_part, n)
     what = f"{states} partitions of length {n} with parts up to {max_part}"
     budget.check(states, what, {"n": n, "maxPart": max_part, "states": states})
+    return states
+
+
+def enumerate_partitions(n: int, max_part: int) -> list[tuple[int, ...]]:
+    """All length-n partitions with parts <= max_part, in graded lex order.
+
+    Their count, ``sector_size``, is checked against the node budget before
+    any is built.  Graded lex (total size first, then lexicographic) is the
+    deterministic order used by every report.
+    """
+    sector_size(n, max_part)
     descending = range(max_part, -1, -1)
     return sorted(
         itertools.combinations_with_replacement(descending, n), key=lambda p: (sum(p), p)

@@ -48,7 +48,7 @@ def fresh_construction():
     caches = (
         hallittlewood.hl_polynomial,
         hallittlewood.macdonald_formula,
-        hallittlewood.character_multiplicities,
+        hallittlewood._inversion_entries,
         hallittlewood._seed_block,
     )
     for fn in caches:

@@ -5,7 +5,10 @@ This module builds them the original way: sum w(seed / D) over all 2^n n!
 signed permutations w, with D the product of (1 - x^alpha) over the
 positive roots, as one numerator over D, then divide by the n^2 binomials
 exactly.  It is independent of the library's seed block, straightening and
-character code, and costs |W| times the seed size, so it is used for n <= 3.
+orbit-expansion code, and costs |W| times the seed size, so it is used for
+n <= 3.  Freudenthal's multiplicity formula, which the library used to
+expand each Sp(2n) character, is kept here too, as the oracle of that
+expansion.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from octaboson.hallittlewood import expand_in_monomials
-from octaboson.laurent import LaurentPoly, div_binomial_exact
-from octaboson.partitions import hyperoctahedral_group, positive_roots
+from octaboson.laurent import LaurentPoly, NotDivisibleError, div_binomial_exact
+from octaboson.partitions import hyperoctahedral_group, lower_set, positive_roots, weyl_vector
 from octaboson.qkernels import ParamSet, monic_normalizer, quadratic_norm
 
 
@@ -161,3 +164,63 @@ def oracle_macdonald(lam: tuple[int, ...], params: ParamSet):
     summed = orbit_sum_over_denominator(_classical_seed(n, params).shift([-p for p in lam]), n)
     poly = summed * quadratic_norm(lam, params)
     return poly, expand_in_monomials(poly)
+
+
+@lru_cache(maxsize=None)
+def character_multiplicities(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Orbit-sum expansion of the irreducible Sp(2n) character chi_mu.
+
+    Returns (nu, K_mu_nu) pairs with chi_mu = sum K_mu_nu m_nu over the
+    dominant weights nu <= mu with |mu| - |nu| even, highest first.  The
+    multiplicities come from Freudenthal's formula
+        (|mu + rho|^2 - |nu + rho|^2) K_nu
+            = 2 sum_{alpha > 0} sum_{k >= 1} K_{nu + k alpha} <nu + k alpha, alpha>
+    in integers, with K constant on group orbits; a division that does not
+    go through raises NotDivisibleError naming the character, the weight,
+    the numerator and the divisor.  The library solves for the orbit-sum
+    expansion of a signed sum of characters directly
+    (``hallittlewood._orbit_coefficients``); this is the independent side.
+    """
+    n = len(mu)
+    rho = weyl_vector(n)
+
+    def norm_shifted(nu: tuple[int, ...]) -> int:
+        return sum((x + r) ** 2 for x, r in zip(nu, rho))
+
+    weights = sorted(
+        (nu for nu in lower_set(mu) if (sum(mu) - sum(nu)) % 2 == 0),
+        key=lambda nu: -sum(x * r for x, r in zip(nu, rho)),
+    )
+    roots = positive_roots(n)
+    top = norm_shifted(mu)
+    mult = {mu: 1}
+    for nu in weights:
+        if nu == mu:
+            continue
+        total = 0
+        for alpha in roots:
+            # the alpha-string through a weight is unbroken, so the first
+            # step outside the weights ends it
+            k = 1
+            while True:
+                x = [v + k * a for v, a in zip(nu, alpha)]
+                m = mult.get(tuple(sorted(map(abs, x), reverse=True)))
+                if m is None:
+                    break
+                total += m * sum(v * a for v, a in zip(x, alpha))
+                k += 1
+        gap = top - norm_shifted(nu)
+        value, remainder = divmod(2 * total, gap)
+        if remainder:
+            raise NotDivisibleError(
+                f"Freudenthal step for chi_{mu} at weight {nu}: "
+                f"{2 * total} is not divisible by {gap}",
+                evidence={
+                    "character": list(mu),
+                    "weight": list(nu),
+                    "numerator": 2 * total,
+                    "divisor": gap,
+                },
+            )
+        mult[nu] = value
+    return tuple((nu, mult[nu]) for nu in weights if mult[nu])

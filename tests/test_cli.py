@@ -7,7 +7,6 @@ from octaboson import cli, hallittlewood
 from octaboson.laurent import NotDivisibleError
 from octaboson.partitions import unit_steps
 from octaboson.qboson import LatticeFunction
-from octaboson.qkernels import default_params
 
 
 def run(capsys, *argv):
@@ -233,23 +232,6 @@ def test_exit_internal_divisibility(capsys, monkeypatch):
     assert json.loads(out)["error"]["type"] == "internal-divisibility"
 
 
-def test_exit_internal_freudenthal_step(capsys, monkeypatch, fresh_construction):
-    # without the long root 2 e_2 the multiplicity of (0, 0) in chi_(2, 0)
-    # comes out as 16/12; the seed block of (2, 0) is built first, so the
-    # patched list reaches Freudenthal's sum alone
-    hallittlewood._seed_block(2, 1, default_params())
-    roots = hallittlewood.positive_roots
-    monkeypatch.setattr(hallittlewood, "positive_roots", lambda n: roots(n)[:-1])
-    code, out = run(capsys, "poly", "--n", "2", "--lambda", "2,0")
-    assert code == 2
-    error = json.loads(out)["error"]
-    assert error["type"] == "internal-divisibility"
-    assert "16 is not divisible by 12" in error["message"]
-    assert error["character"] == [2, 0] and error["weight"] == [0, 0]
-    assert error["numerator"] == 16 and error["divisor"] == 12
-    assert hallittlewood._seed_block.cache_info().misses == 1
-
-
 def test_exit_internal_not_monic(capsys, monkeypatch, fresh_construction):
     normalizer = hallittlewood.monic_normalizer
     monkeypatch.setattr(
@@ -329,6 +311,42 @@ def test_exit_budget_bounds_sector_states(capsys, monkeypatch):
         error = json.loads(out)["error"]
         assert error["type"] == "budget", suite
         assert (error["n"], error["maxPart"], error["states"], error["budget"]) == (4, 5, 126, 100)
+
+
+def test_exit_budget_bounds_algebra_checks(capsys, monkeypatch):
+    # 3 states of n = 2, maxPart = 1, times 144 distinct (relation, site
+    # pair) checks and the witness
+    monkeypatch.setenv("OCTABOSON_BUDGET", "435")
+    assert run(capsys, "verify", "algebra", "--n", "2", "--maxPart", "1")[0] == 0
+    monkeypatch.setenv("OCTABOSON_BUDGET", "434")
+    code, out = run(capsys, "verify", "algebra", "--n", "2", "--maxPart", "1")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "budget"
+    assert (error["n"], error["maxPart"], error["checks"], error["budget"]) == (2, 1, 435, 434)
+    # the 135,751 states of n = 4, maxPart = 40 pass their own check
+    monkeypatch.delenv("OCTABOSON_BUDGET")
+    code, out = run(capsys, "verify", "algebra", "--n", "4", "--maxPart", "40")
+    assert code == 3 and json.loads(out)["error"]["checks"] == 135_751 * 145
+    argv = ("verify", "algebra", "--n", "4", "--maxPart", "40", "--relation", "com-a1")
+    code, out = run(capsys, *argv)
+    assert code == 3 and json.loads(out)["error"]["checks"] == 135_751 * 37
+
+
+def test_exit_budget_bounds_degeneration_applications(capsys, monkeypatch):
+    # sectors of 1, 2 and 3 states at n = 2, maxPart = 1, each state at
+    # maxPart + 2 = 3 sites
+    monkeypatch.setenv("OCTABOSON_BUDGET", "18")
+    assert run(capsys, "verify", "degeneration", "--n", "2", "--maxPart", "1")[0] == 0
+    monkeypatch.setenv("OCTABOSON_BUDGET", "17")
+    code, out = run(capsys, "verify", "degeneration", "--n", "2", "--maxPart", "1")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "budget"
+    assert (error["n"], error["maxPart"], error["applications"], error["budget"]) == (2, 1, 18, 17)
+    monkeypatch.delenv("OCTABOSON_BUDGET")
+    code, out = run(capsys, "verify", "degeneration", "--n", "4", "--maxPart", "40")
+    assert code == 3 and json.loads(out)["error"]["applications"] == 148_995 * 42
 
 
 def test_exit_budget_bounds_adjoint_pairs(capsys, monkeypatch):

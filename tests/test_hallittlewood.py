@@ -1,11 +1,14 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import orbit_oracle
+from octaboson import hallittlewood
 from octaboson.hallittlewood import (
-    character_multiplicities,
     expand_in_monomials,
     hl_gram_schmidt,
     hl_polynomial,
@@ -16,7 +19,7 @@ from octaboson.hallittlewood import (
     principal_specialization,
     reconstruct_from_expansion,
 )
-from octaboson.laurent import LaurentPoly, apply_w, div_binomial_exact
+from octaboson.laurent import LaurentPoly, NotDivisibleError, apply_w, div_binomial_exact
 from octaboson.partitions import (
     dominance_leq,
     enumerate_partitions,
@@ -29,7 +32,7 @@ from octaboson.partitions import (
 )
 from octaboson.qkernels import ParamSet, principal_normalizer, tau_vector
 from octaboson.torus import QuadratureSpec
-from orbit_oracle import oracle_hl, oracle_macdonald, wave_coefficient
+from orbit_oracle import character_multiplicities, oracle_hl, oracle_macdonald, wave_coefficient
 
 F = Fraction
 
@@ -174,6 +177,73 @@ def test_character_dimensions_match_weyl_formula():
                 )
             total = sum(k * len(orbit(nu)) for nu, k in character_multiplicities(mu))
             assert total == dim, mu
+
+
+def test_freudenthal_step_not_divisible(monkeypatch):
+    # without the long root 2 e_2 the multiplicity of (0, 0) in chi_(2, 0)
+    # comes out as 16/12; the uncached function keeps the patch out of the cache
+    roots = orbit_oracle.positive_roots
+    monkeypatch.setattr(orbit_oracle, "positive_roots", lambda n: roots(n)[:-1])
+    with pytest.raises(NotDivisibleError) as info:
+        character_multiplicities.__wrapped__((2, 0))
+    assert "16 is not divisible by 12" in str(info.value)
+    assert info.value.evidence == {
+        "character": [2, 0], "weight": [0, 0], "numerator": 16, "divisor": 12
+    }
+
+
+def _straightened(lam: tuple[int, ...], params: ParamSet) -> dict[tuple[int, ...], int]:
+    """The integer character coefficients c_mu of the construction of lam."""
+    n = len(lam)
+    exponents, coefficients, _ = hallittlewood._seed_block(n, lam.count(0), params)
+    shift = [p + r for p, r in zip(lam, weyl_vector(n))]
+    return hallittlewood._straighten(exponents, coefficients, shift)
+
+
+def _freudenthal_orbit_coefficients(coeffs) -> dict[tuple[int, ...], int]:
+    totals: dict[tuple[int, ...], int] = {}
+    for mu, c in coeffs.items():
+        for nu, k in character_multiplicities(mu):
+            totals[nu] = totals.get(nu, 0) + c * k
+    return {nu: v for nu, v in totals.items() if v}
+
+
+#: (n, max_part): parts up to 2n for n <= 3, and parts up to 2 at n = 4
+ORBIT_CASES = [(1, 2), (2, 4), (3, 6), (4, 2)]
+
+
+@pytest.mark.parametrize("n, max_part", ORBIT_CASES)
+def test_orbit_coefficients_match_freudenthal(n, max_part, params4):
+    for lam in enumerate_partitions(n, max_part):
+        coeffs = _straightened(lam, params4)
+        expected = _freudenthal_orbit_coefficients(coeffs)
+        assert hallittlewood._orbit_coefficients(coeffs, n) == expected, lam
+
+
+def test_every_weyl_row_is_needed(monkeypatch, params4, fresh_construction):
+    # deleting any one row w != 1 of the (det w, rho - w rho) table changes
+    # the orbit coefficients of some lam with parts up to 2n
+    shifts = hallittlewood._weyl_shifts
+    for n, max_part in ORBIT_CASES[:3]:
+        cases = []
+        for lam in enumerate_partitions(n, max_part):
+            coeffs = _straightened(lam, params4)
+            cases.append((coeffs, hallittlewood._orbit_coefficients(coeffs, n)))
+        rows = len(shifts(n)[0])
+        assert rows == 2**n * math.factorial(n) - 1
+        for row in range(rows):
+            def mutant(m, row=row):
+                dets, moved = shifts(m)
+                return np.delete(dets, row), np.delete(moved, row, axis=0)
+
+            monkeypatch.setattr(hallittlewood, "_weyl_shifts", mutant)
+            hallittlewood._inversion_entries.cache_clear()
+            assert any(
+                hallittlewood._orbit_coefficients(coeffs, n) != expected
+                for coeffs, expected in cases
+            ), (n, row)
+        monkeypatch.setattr(hallittlewood, "_weyl_shifts", shifts)
+        hallittlewood._inversion_entries.cache_clear()
 
 
 def test_n4_family(params4, params2):
