@@ -275,18 +275,19 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
             for pair in dict.fromkeys(site_pairs)
         }
         checks = [residuals[pair] for pair in site_pairs]
-        worst = max(check.residual for check in checks)
-        reports.append(
-            {
-                "relation": f"com-{rid}",
-                "n": n,
-                "maxPart": max_part,
-                "mode": "exact",
-                "maxResidual": str(worst),
-                "pass": worst == 0,
-                "cases": sum(check.cases for check in checks),
-            }
-        )
+        worst = max(checks, key=lambda check: check.residual)
+        report = {
+            "relation": f"com-{rid}",
+            "n": n,
+            "maxPart": max_part,
+            "mode": "exact",
+            "maxResidual": str(worst.residual),
+            "pass": worst.residual == 0,
+            "cases": sum(check.cases for check in checks),
+        }
+        if worst.worst_case:
+            report["worstCase"] = _worst_case_fields(worst.worst_case)
+        reports.append(report)
     # Boundary-pair witness: without the diagonal twist the (0, 1) exchange
     # relations fail in the full profile and hold in the reduced ones.  It
     # removes a particle from site 0 and one from site 1, so it cannot show
@@ -305,13 +306,32 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
     }
     if not applicable:
         witness_report["applicable"] = False
+    if not witness_ok and witness.worst_case:
+        witness_report["worstCase"] = _worst_case_fields(witness.worst_case)
     payload = {
         "maxPart": max_part,
         "relations": reports,
         "untwistedBoundaryPair": witness_report,
         "pass": all(r["pass"] for r in reports) and witness_ok,
     }
-    return payload, reports
+    # the CSV keeps its columns; the worst case is in the JSON alone
+    rows = [{key: value for key, value in r.items() if key != "worstCase"} for r in reports]
+    return payload, rows
+
+
+def _worst_case_fields(case: qboson.WorstCase) -> dict:
+    """The site pair, the delta function's state and both sides' images at
+    a failing relation's worst case; a zero image is null."""
+
+    def image(side):
+        return None if side is None else {"state": list(side[0]), "value": str(side[1])}
+
+    return {
+        "sites": list(case.sites),
+        "state": list(case.state),
+        "lhs": image(case.lhs),
+        "rhs": image(case.rhs),
+    }
 
 
 def _pairing(f: LatticeFunction, g: LatticeFunction, params) -> object:

@@ -17,11 +17,19 @@ distinct states.  Each step's target is cached per (site, state,
 parameter point), and each coefficient, of the steps and of the diagonal
 scalars of the relations, per the occupation numbers it reads
 (``qkernels.occupation_key``) and parameter point; the operators apply the
-cached steps to a function's values.  The relation checks apply both sides
-of a relation to one delta function at a time, so each side is one basis
-image, a (state, coefficient) pair, and no function is built per state;
-the relations that read one site (SINGLE_SITE_RELATIONS) need one check
-per site, whatever the second site.
+cached steps to a function's values.
+
+The relation checks apply each side of a relation once, to the sector's
+whole delta basis: a batch holds one basis image per delta function, a
+(state, numerator, denominator) triple of integers, and no function is
+built per state.  Each operator of a side reads one table per (operator,
+site), state -> (target, numerator, denominator), filled on first use from
+the cached steps and shared by every check at the parameter point; the
+number operator reads occupation counts and a list of the powers of q.
+The two sides are compared by integer cross-multiplication, and a
+``Fraction`` is built only where they differ.  The relations that read one
+site (SINGLE_SITE_RELATIONS) need one check per site, whatever the second
+site.
 """
 
 from __future__ import annotations
@@ -119,9 +127,11 @@ class LatticeFunction:
 # ---------------------------------------------------------------------------
 
 
-#: Entries of each (site, state) step cache.  One step of ``verify algebra``
-#: reaches 630 (site, state) keys at n = 3, maxPart 3 and 1,086 at n = 4,
-#: maxPart 3, at one parameter point.
+#: Entries of each (site, state) step cache.  ``verify algebra`` reads the
+#: annihilation and creation steps once per entry of its step tables: 630
+#: and 586 (site, state) keys at n = 3, maxPart 3, and 1,086 and 1,012 at
+#: n = 4, maxPart 3, at one parameter point; its tables hold 1,490 and
+#: 2,583 entries in all.
 _STEP_CACHE_SIZE = 4096
 
 #: Entries of each cache keyed by occupation numbers; one parameter point of
@@ -302,67 +312,131 @@ def _pair_scalar_c(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fra
     return value
 
 
-def _times(value, coeff):
-    """value * coeff, where None stands for 1 on either side."""
-    if coeff is None:
-        return value
-    if value is None:
-        return coeff
-    return value * coeff
+#: Parameter points whose step tables are kept.  One ``verify algebra``
+#: suite reads one point; a table's entries are bounded by the states of
+#: the sectors it is applied to.
+_POINT_CACHE_SIZE = 16
 
 
-class _SectorOps:
+class _StepTable(dict):
+    """state -> (target, numerator, denominator) of one operator at one site
+    and parameter point, or None where the operator gives 0.  An entry is
+    filled on first use from ``fill(state)``, a (target, coefficient) pair
+    or None, where a coefficient None stands for 1."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, state):
+        image = self.fill(state)
+        if image is not None:
+            target, coeff = image
+            image = (target, 1, 1) if coeff is None else (target, coeff.numerator, coeff.denominator)
+        self[state] = image
+        return image
+
+
+class _PointTables:
+    """The step tables of the relation checks at one parameter point, keyed
+    by operator and site, and the numerators and denominators of the powers
+    of q; all are filled on first use."""
+
+    def __init__(self, q: Fraction):
+        self.q = q
+        self.steps: dict[tuple, _StepTable] = {}
+        self.q_num, self.q_den = [1], [1]
+
+    def q_powers(self, count: int) -> tuple[list[int], list[int]]:
+        """Numerators and denominators of q^0, .., q^(count - 1), at least."""
+        while len(self.q_num) < count:
+            self.q_num.append(self.q_num[-1] * self.q.numerator)
+            self.q_den.append(self.q_den[-1] * self.q.denominator)
+        return self.q_num, self.q_den
+
+
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
+def _point_tables(params: ParamSet) -> _PointTables:
+    """The step tables shared by every relation check at one point."""
+    return _PointTables(params.q)
+
+
+class _BasisOps:
     """The sector operators of a relation check at one parameter point,
-    acting on basis images; ``twist`` alone places the diagonal twist of
-    the exchange relations.
+    acting on the whole delta basis at once; ``twist`` alone places the
+    diagonal twist of the exchange relations.
 
-    Every operator of the relations is monomial on the delta basis, so
-    each side applied to delta_mu is one basis image: a pair (state,
-    coefficient), or None for the zero function.  A coefficient None is 1
-    and multiplies nothing.
+    Every operator of the relations is monomial on the delta basis, so each
+    side sends delta_mu to one basis image: a triple (state, numerator,
+    denominator) of integers, or None for the zero function.  A batch is
+    the list of the images of the sector's delta functions, in basis order.
     """
 
-    def __init__(self, l: int, k: int, params: ParamSet, twisted: bool):
+    def __init__(self, l: int, k: int, n: int, params: ParamSet, twisted: bool):
         self.params = params
         self.q = params.q
+        tables = _point_tables(params)
+        self.steps = tables.steps
+        # a side reaches sector n + 2 at most, where m_l <= n + 2
+        self.q_num, self.q_den = tables.q_powers(n + 3)
         # ultralocality breaks on the boundary pair (0, 1) alone; the twist
         # ratio is exactly 1 at t = 0
         self.twist_on = twisted and l == 0 and k == 1
 
-    def _step(self, step: Callable, site: int, image):
-        if image is None:
-            return None
-        mu, value = image
-        target = step(site, mu, self.params)
-        if target is None:
-            return None
-        return target[0], _times(value, target[1])
+    def _apply(self, key: tuple, fill: Callable, images):
+        """Each image times its step in the table under ``key``, which
+        ``fill`` completes; a zero image stays 0."""
+        table = self.steps.get(key)
+        if table is None:
+            table = self.steps[key] = _StepTable(fill)
+        return [
+            None if image is None or (step := table[image[0]]) is None
+            else (step[0], image[1] * step[1], image[2] * step[2])
+            for image in images
+        ]
 
-    def a(self, site: int, image):
-        return self._step(_annihilate_step, site, image)
+    def a(self, site: int, images):
+        params = self.params
+        return self._apply(("a", site), lambda mu: _annihilate_step(site, mu, params), images)
 
-    def c(self, site: int, image):
-        return self._step(_create_step, site, image)
+    def c(self, site: int, images):
+        params = self.params
+        return self._apply(("c", site), lambda mu: _create_step(site, mu, params), images)
 
-    def n(self, site: int, image):
-        return self._step(_number_step, site, image)
+    def n(self, site: int, images):
+        q_num, q_den = self.q_num, self.q_den
+        return [
+            None if image is None
+            else (image[0], image[1] * q_num[(m := image[0].count(site))], image[2] * q_den[m])
+            for image in images
+        ]
 
-    def scale(self, factor, image):
-        if image is None or factor == 1:
-            return image
-        return image[0], _times(image[1], factor)
+    def scale(self, factor, images):
+        if factor == 1:
+            return images
+        num, den = factor.numerator, factor.denominator
+        return [
+            None if image is None else (image[0], image[1] * num, image[2] * den)
+            for image in images
+        ]
 
-    def diag(self, scalar: Callable, site: int, image):
-        if image is None:
-            return None
-        mu, value = image
-        return mu, _times(value, scalar(*occupation_key(mu, site), self.params))
+    def diag(self, scalar: Callable, site: int, images):
+        params = self.params
+        return self._apply(
+            (scalar, site), lambda mu: (mu, scalar(*occupation_key(mu, site), params)), images
+        )
 
-    def twist(self, image, inverse: bool):
-        if not self.twist_on or image is None:
-            return image
-        mu, value = image
-        return mu, _times(value, _twist_ratio(*_occupation_pair(mu), self.params, inverse))
+    def twist(self, images, inverse: bool):
+        if not self.twist_on:
+            return images
+        params = self.params
+        return self._apply(
+            ("twist", inverse),
+            lambda mu: (mu, _twist_ratio(*_occupation_pair(mu), params, inverse)),
+            images,
+        )
 
 
 #: (lhs, rhs) of each relation applied to f, at sites l and k.
@@ -387,22 +461,54 @@ EXCHANGE_RELATIONS = ("d1", "d2", "e1", "e2")
 SINGLE_SITE_RELATIONS = ("b", "c")
 
 
+class WorstCase(NamedTuple):
+    """Where a relation's residual is largest: the site pair, the state mu
+    of the delta function, and each side's image of delta_mu, a (state,
+    value) pair or None for the zero function."""
+
+    sites: tuple[int, int]
+    state: tuple[int, ...]
+    lhs: tuple[tuple[int, ...], Fraction] | None
+    rhs: tuple[tuple[int, ...], Fraction] | None
+
+
 class RelationResidual(NamedTuple):
     """The worst exact residual of a relation over the sector's delta basis
     and the number of basis functions checked.  ``verify algebra`` checks a
     relation of SINGLE_SITE_RELATIONS once per l and counts its cases at
-    every (l, k), so there its ``cases`` counts statements, not checks."""
+    every (l, k), so there its ``cases`` counts statements, not checks.
+    ``worst_case`` is the first delta function, in basis order, whose
+    residual is the worst, or None when the relation holds."""
 
     residual: Fraction
     cases: int
+    worst_case: WorstCase | None = None
 
 
 #: One ``verify algebra`` suite reads one sector; the bound stops sweeps
 #: over sizes from growing memory.
 @lru_cache(maxsize=64)
-def _delta_images(n: int, max_part: int) -> tuple[tuple[tuple[int, ...], None], ...]:
-    """The basis image (mu, None) of each delta function of the sector."""
-    return tuple((mu, None) for mu in enumerate_partitions(n, max_part))
+def _delta_images(n: int, max_part: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The basis image (mu, 1, 1) of each delta function of the sector."""
+    return tuple((mu, 1, 1) for mu in enumerate_partitions(n, max_part))
+
+
+def _images_equal(lhs, rhs) -> bool:
+    """Whether two basis images are the same function, by cross-multiplying
+    their numerators and denominators."""
+    if lhs is None or rhs is None:
+        other = rhs if lhs is None else lhs
+        return other is None or other[1] == 0
+    if lhs[0] != rhs[0]:
+        return lhs[1] == 0 and rhs[1] == 0
+    return lhs[1] * rhs[2] == rhs[1] * lhs[2]
+
+
+def _valued_image(image):
+    """A basis image as (state, value), or None where it is 0."""
+    if image is None or image[1] == 0:
+        return None
+    return image[0], Fraction(image[1], image[2])
 
 
 def _image_value(image) -> Fraction:
@@ -431,26 +537,29 @@ def verify_relation(
     """Apply both sides of a field-algebra relation to every delta basis
     function of the sector; the relation holds when the residual is 0.
 
-    Each side sends a delta function to one basis image, so the two sides
-    are compared as (state, coefficient) pairs.  The EXCHANGE_RELATIONS
-    require l < k; with ``twisted=False`` the diagonal correction at the
-    boundary pair (0, 1) is dropped, which documents the breakdown of
-    ultralocality in the full profile.
+    Each side is applied once, to the whole basis, and sends each delta
+    function to one basis image; the two sides are compared image by image
+    by integer cross-multiplication, and a residual is taken only where
+    they differ.  The EXCHANGE_RELATIONS require l < k; with
+    ``twisted=False`` the diagonal correction at the boundary pair (0, 1)
+    is dropped, which documents the breakdown of ultralocality in the full
+    profile.
     """
     if relation_id not in RELATION_IDS:
         raise ValueError(f"relation must be one of {RELATION_IDS}")
     if relation_id in EXCHANGE_RELATIONS and not l < k:
         raise ValueError("exchange relations require l < k")
-    sides = _RELATIONS[relation_id]
-    ops = _SectorOps(l, k, params, twisted)
     basis = _delta_images(n, max_part)
-    worst = Fraction(0)
-    for delta in basis:
-        lhs, rhs = sides(ops, l, k, delta)
-        # equal images leave a residual of 0
-        if lhs != rhs:
-            worst = max(worst, _image_residual(lhs, rhs))
-    return RelationResidual(worst, len(basis))
+    lefts, rights = _RELATIONS[relation_id](_BasisOps(l, k, n, params, twisted), l, k, basis)
+    worst, worst_case = Fraction(0), None
+    for delta, lhs, rhs in zip(basis, lefts, rights):
+        if _images_equal(lhs, rhs):
+            continue
+        lhs, rhs = _valued_image(lhs), _valued_image(rhs)
+        residual = _image_residual(lhs, rhs)
+        if residual > worst:
+            worst, worst_case = residual, WorstCase((l, k), delta[0], lhs, rhs)
+    return RelationResidual(worst, len(basis), worst_case)
 
 
 # ---------------------------------------------------------------------------

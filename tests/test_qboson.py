@@ -190,9 +190,11 @@ def test_relations_multi_params(param_triple):
 
 def test_relation_result_is_exact(params4):
     for n, max_part in ((0, 2), (2, 3), (3, 1)):
-        residual, cases = verify_relation("d1", 0, 1, n, max_part, params4)
+        residual, cases, worst_case = verify_relation("d1", 0, 1, n, max_part, params4)
         assert isinstance(residual, Fraction)
         assert cases == len(enumerate_partitions(n, max_part))
+        # a relation that holds has no worst case to name
+        assert residual == 0 and worst_case is None
 
 
 def test_relation_validation(params4):

@@ -1,12 +1,14 @@
 """``verify_relation`` on basis images against the route through functions.
 
-``verify_relation`` applies both sides of a relation to each delta function
-as one (state, coefficient) pair.  The oracle below applies the same
-relation table to whole ``LatticeFunction``s through the public operators,
-so the relation checks still exercise ``_apply_steps``; both routes must
-give the same exact worst residual and case count.
+``verify_relation`` applies both sides of a relation to the whole delta
+basis at once, each delta function's image a (state, numerator,
+denominator) triple.  The oracle below applies the same relation table to
+one whole ``LatticeFunction`` per delta function through the public
+operators, so the relation checks still exercise ``_apply_steps``; both
+routes must give the same exact worst residual, case count and worst case.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,12 +21,13 @@ from octaboson.qboson import (
     SINGLE_SITE_RELATIONS,
     LatticeFunction,
     RelationResidual,
+    WorstCase,
     annihilate,
     create,
     number_op,
     verify_relation,
 )
-from octaboson.qkernels import PROFILES, default_params, occupation_key
+from octaboson.qkernels import PROFILES, ParamSet, default_params, occupation_key
 
 
 class FunctionOps:
@@ -68,15 +71,35 @@ class FunctionOps:
         )
 
 
+def function_image(f):
+    """The one (state, value) pair of a function, or None for zero."""
+    assert len(f.values) <= 1
+    return next(iter(f.values.items()), None)
+
+
 def function_route(relation_id, l, k, n, max_part, params, twisted=True):
     sides = qboson._RELATIONS[relation_id]
     ops = FunctionOps(l, k, params, twisted)
     states = enumerate_partitions(n, max_part)
-    worst = Fraction(0)
+    worst, worst_case = Fraction(0), None
     for mu in states:
         lhs, rhs = sides(ops, l, k, LatticeFunction.delta(mu))
-        worst = max([worst, *(abs(v) for v in (lhs - rhs).values.values())])
-    return RelationResidual(worst, len(states))
+        residual = max([Fraction(0), *(abs(v) for v in (lhs - rhs).values.values())])
+        if residual > worst:
+            worst = residual
+            worst_case = WorstCase((l, k), mu, function_image(lhs), function_image(rhs))
+    return RelationResidual(worst, len(states), worst_case)
+
+
+def large_height_params(profile, seed=61):
+    """A seeded point of ``profile`` whose parameters are a / 2^61: the
+    cross-multiplied numerators and denominators run far past 64 bits."""
+    rng = random.Random(seed)
+    height = 2**61
+    q = Fraction(rng.randrange(1, height, 2), height)
+    ts = [Fraction(rng.choice((-1, 1)) * rng.randrange(1, height, 2), height) for _ in range(4)]
+    zeros = {"four": 0, "three": 1, "two": 2}[profile]
+    return ParamSet(q=q, ts=tuple(ts[: 4 - zeros]) + (Fraction(0),) * zeros, profile=profile)
 
 
 def suite_cases():
@@ -93,19 +116,19 @@ def suite_cases():
 @pytest.mark.parametrize("profile", PROFILES)
 @pytest.mark.parametrize("max_part", [2, 3])
 def test_basis_images_match_the_function_route(profile, max_part):
-    params = default_params(profile)
-    for n in range(4):
-        for rid, l, k, twisted in suite_cases():
-            expected = function_route(rid, l, k, n, max_part, params, twisted)
-            got = verify_relation(rid, l, k, n, max_part, params, twisted=twisted)
-            assert got == expected, (rid, l, k, twisted, n)
-            assert type(got.residual) is Fraction
+    for params in (default_params(profile), large_height_params(profile)):
+        for n in range(4):
+            for rid, l, k, twisted in suite_cases():
+                expected = function_route(rid, l, k, n, max_part, params, twisted)
+                got = verify_relation(rid, l, k, n, max_part, params, twisted=twisted)
+                assert got == expected, (rid, l, k, twisted, n, params)
+                assert type(got.residual) is Fraction
 
 
 def test_untwisted_witness_residual_is_exact_and_nonzero(params4):
     for n in (2, 3):
         expected = function_route("d1", 0, 1, n, 3, params4, twisted=False)
-        assert expected.residual != 0
+        assert expected.residual != 0 and expected.worst_case.sites == (0, 1)
         assert verify_relation("d1", 0, 1, n, 3, params4, twisted=False) == expected
 
 
@@ -127,6 +150,29 @@ def test_image_residual_is_the_largest_difference():
             assert qboson._image_residual(lhs, rhs) == expected, (lhs, rhs)
 
 
+def test_images_equal_cross_multiplies():
+    # integer images are not reduced: equal values can have different
+    # numerators, equal numerators different values, and a zero image any
+    # state
+    images = (
+        None,
+        ((1,), 0, 3),
+        ((1,), 2, 4),
+        ((1,), 1, 2),
+        ((1,), 2, 3),
+        ((1,), -2, 4),
+        ((0,), 1, 2),
+        ((0,), 0, 5),
+    )
+    for lhs in images:
+        for rhs in images:
+            left, right = (
+                LatticeFunction(1, {} if image is None else {image[0]: Fraction(image[1], image[2])})
+                for image in (lhs, rhs)
+            )
+            assert qboson._images_equal(lhs, rhs) == (left - right).is_zero, (lhs, rhs)
+
+
 @pytest.mark.parametrize("profile", PROFILES)
 def test_single_site_relations_read_l_alone(profile):
     # ``verify algebra`` checks these relations once per l and counts the
@@ -137,12 +183,15 @@ def test_single_site_relations_read_l_alone(profile):
         sides = qboson._RELATIONS[rid]
         for n in range(4):
             for max_part in (2, 3):
+                basis = qboson._delta_images(n, max_part)
                 for l in sites:
                     at_zero = verify_relation(rid, l, 0, n, max_part, params)
-                    ops_at_zero = qboson._SectorOps(l, 0, params, True)
+                    ops_at_zero = qboson._BasisOps(l, 0, n, params, True)
+                    images_at_zero = sides(ops_at_zero, l, 0, basis)
+                    assert all(len(side) == len(basis) for side in images_at_zero)
                     for k in sites:
                         got = verify_relation(rid, l, k, n, max_part, params)
                         assert got == at_zero, (rid, l, k, n, max_part)
-                        ops = qboson._SectorOps(l, k, params, True)
-                        for delta in qboson._delta_images(n, max_part):
-                            assert sides(ops, l, k, delta) == sides(ops_at_zero, l, 0, delta)
+                        ops = qboson._BasisOps(l, k, n, params, True)
+                        # every delta function's image on both sides
+                        assert sides(ops, l, k, basis) == images_at_zero, (rid, l, k, n)

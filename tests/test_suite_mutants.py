@@ -1,14 +1,16 @@
 """The operator suites still catch a wrong formula.
 
 ``verify adjoint`` takes inner products only where supports meet,
-``verify algebra`` checks the single-site relations once per site and
-``verify degeneration`` compares functions directly; each mutant below
-breaks one formula in a way only the full check can see, and the suite
-must fail on it.  Every package cache is emptied around a mutant, so no
-mutated value outlives it.
+``verify algebra`` checks the single-site relations once per site, on
+step tables shared by every check at a point, and ``verify degeneration``
+compares functions directly; each mutant below breaks one formula in a way
+only the full check can see, and the suite must fail on it, with a failing
+algebra relation naming the mutated site in its ``worstCase``.  Every
+package cache is emptied around a mutant, so no mutated value outlives it.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +64,50 @@ def test_algebra_suite_checks_relation_b_at_every_site(capsys, monkeypatch, cold
     assert report["relation"] == "com-b" and report["maxResidual"] != "0"
     # 36 site pairs over the 21 states of the sector
     assert report["cases"] == 36 * 21
+    # checked once per l, at (l, 0); the right side alone is doubled
+    worst = report["worstCase"]
+    assert worst["sites"] == [5, 0] and 5 in worst["state"]
+    assert Fraction(worst["rhs"]["value"]) == 2 * Fraction(worst["lhs"]["value"])
+
+
+def test_algebra_suite_catches_one_wrong_annihilation_coefficient(
+    capsys, monkeypatch, cold_caches
+):
+    original = qboson._annihilation_coeff
+
+    def mutant(m0, m1, params):
+        value = original(m0, m1, params)
+        # one occupation pair of the state a particle is removed to
+        return 2 * value if (m0, m1) == (1, 0) else value
+
+    monkeypatch.setattr(qboson, "_annihilation_coeff", mutant)
+    code, payload = run(capsys, "verify", "algebra", "--n", "3", "--maxPart", "3")
+    assert code == cli.EXIT_FAIL
+    failing = [report for report in payload["relations"] if not report["pass"]]
+    assert failing
+    for report in failing:
+        worst = report["worstCase"]
+        assert worst["sites"][0] == 0, report["relation"]
+        assert worst["lhs"] != worst["rhs"]
+    # the passing relations' reports hold no worst case
+    assert all("worstCase" not in r for r in payload["relations"] if r["pass"])
+
+
+def test_algebra_witness_names_its_worst_case_when_it_fails(capsys, monkeypatch, cold_caches):
+    original = qboson._annihilate_step
+
+    def mutant(l, mu, params):
+        step = original(l, mu, params)
+        # one state at site 1: the untwisted (0, 1) pair stops commuting at t4 = 0
+        return (step[0], Fraction(2)) if (l, mu) == (1, (1, 1, 0)) else step
+
+    monkeypatch.setattr(qboson, "_annihilate_step", mutant)
+    argv = ("verify", "algebra", "--n", "3", "--maxPart", "3", "--profile", "three")
+    code, payload = run(capsys, *argv, "--relation", "com-d1")
+    assert code == cli.EXIT_FAIL
+    witness = payload["untwistedBoundaryPair"]
+    assert witness["failed"] and not witness["expectedFail"] and not witness["pass"]
+    assert witness["worstCase"]["sites"] == [0, 1]
 
 
 def test_degeneration_suite_catches_one_wrong_reduced_hop(capsys, monkeypatch, cold_caches):
