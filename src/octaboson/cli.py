@@ -24,13 +24,11 @@ from fractions import Fraction
 
 from . import budget, hallittlewood, qboson, torus
 from .laurent import NotDivisibleError
-from .partitions import enumerate_partitions, raise_indices, sector_size, unit_steps
+from .partitions import enumerate_partitions, sector_size, unit_steps
 from .qboson import LatticeFunction
 from .qkernels import (
     DEFAULT_POINTS,
     ParamSet,
-    boundary_potential,
-    hop_coeff,
     hop_up_three,
     hop_up_two,
     norm_three,
@@ -322,16 +320,17 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
 def _worst_case_fields(case: qboson.WorstCase) -> dict:
     """The site pair, the delta function's state and both sides' images at
     a failing relation's worst case; a zero image is null."""
-
-    def image(side):
-        return None if side is None else {"state": list(side[0]), "value": str(side[1])}
-
     return {
         "sites": list(case.sites),
         "state": list(case.state),
-        "lhs": image(case.lhs),
-        "rhs": image(case.rhs),
+        "lhs": _image_fields(case.lhs),
+        "rhs": _image_fields(case.rhs),
     }
+
+
+def _image_fields(image) -> dict | None:
+    """A basis image (state, value) as JSON fields, or null for zero."""
+    return None if image is None else {"state": list(image[0]), "value": str(image[1])}
 
 
 def _pairing(f: LatticeFunction, g: LatticeFunction, params) -> object:
@@ -422,44 +421,40 @@ def _suite_degeneration(args, params) -> tuple[dict, list]:
     work = states * (max_part + 2)
     what = f"{work} operator applications at n = {n}, maxPart = {max_part}"
     budget.check(work, what, {"n": n, "maxPart": max_part, "applications": work})
-    checks = []
-
-    def run(name: str, reduced: ParamSet, norm_red, hop_red, pot_red) -> None:
-        # the runtime's general formulas at zeroed t_r against the reduced
-        # closed forms, and the runtime operators against operators built
-        # from those closed forms, on every basis state
-        zts = reduced.ts
-        good = True
-        cases = 0
-        for sector in range(n + 1):
-            for lam in enumerate_partitions(sector, max_part):
-                good = good and quadratic_norm(lam, reduced) == norm_red(lam, q, zts)
-                cases += 1
-                for j in raise_indices(lam):
-                    good = good and hop_coeff(lam, j, +1, reduced) == hop_red(lam, j, q, zts)
-                    cases += 1
-                f = LatticeFunction.delta(lam)
-                for l in range(max_part + 2):
-                    created = qboson.reduced_create(l, f, reduced, hop_red)
-                    # neither function stores a zero, so equal functions
-                    # have equal values
-                    good = good and qboson.create(l, f, reduced) == created
-                    removed = qboson.reduced_annihilate(l, f)
-                    good = good and qboson.annihilate(l, f, reduced) == removed
-                    cases += 2
-        for m0 in range(n + 1):
-            for m1 in range(n + 1 - m0):
-                good = good and boundary_potential(m0, m1, reduced) == pot_red(m0, m1, q, zts)
-                cases += 1
-        checks.append({"name": name, "cases": cases, "pass": good})
-
-    # a two-profile point has t3 = 0 already, so only t3,t4 -> 0 applies
+    # the runtime's general formulas and operators at zeroed t_r against the
+    # reduced closed forms; a two-profile point has t3 = 0 already, so only
+    # t3,t4 -> 0 applies
+    reductions = []
     if ts[2]:
         three = ParamSet(q=q, ts=(ts[0], ts[1], ts[2], Fraction(0)), profile="three")
-        run("t4->0", three, norm_three, hop_up_three, potential_three)
+        reductions.append(("t4->0", three, norm_three, hop_up_three, potential_three))
     two = ParamSet(q=q, ts=(ts[0], ts[1], Fraction(0), Fraction(0)), profile="two")
-    run("t3,t4->0", two, norm_two, hop_up_two, potential_two)
-    return _checks_report(max_part, checks)
+    reductions.append(("t3,t4->0", two, norm_two, hop_up_two, potential_two))
+    checks = []
+    for name, reduced, *closed_forms in reductions:
+        result = qboson.verify_degeneration(n, max_part, reduced, *closed_forms)
+        check = {"name": name, "cases": result.cases, "pass": result.mismatch is None}
+        if result.mismatch:
+            check["firstFailure"] = _mismatch_fields(result.mismatch)
+        checks.append(check)
+    payload, _ = _checks_report(max_part, checks)
+    # the CSV keeps its columns; the first failure is in the JSON alone
+    rows = [{key: value for key, value in c.items() if key != "firstFailure"} for c in checks]
+    return payload, rows
+
+
+def _mismatch_fields(mismatch: qboson.DegenerationMismatch) -> dict:
+    """The kind and place of a degeneration check's first failing
+    comparison and its runtime and reduced sides: exact values, or for an
+    operator the images of the delta function, a zero image null."""
+    where = {key: list(v) if isinstance(v, tuple) else v for key, v in mismatch.where.items()}
+    side = _image_fields if mismatch.kind in ("create", "annihilate") else str
+    return {
+        "kind": mismatch.kind,
+        **where,
+        "runtime": side(mismatch.runtime),
+        "reduced": side(mismatch.reduced),
+    }
 
 
 def _suite_scattering(args, params) -> tuple[dict, list]:

@@ -287,7 +287,7 @@ def _straighten(
     dom = -np.sort(-a, axis=1)
     rows = np.flatnonzero((a > 0).all(axis=1) & (dom[:, :-1] > dom[:, 1:]).all(axis=1))
     e, a = e[rows], a[rows]
-    upper, lower = np.triu_indices(n, 1)
+    upper, lower = _index_pairs(n)
     odd = ((e < 0).sum(axis=1) + (a[:, upper] < a[:, lower]).sum(axis=1)) % 2
     mus = (dom[rows] - np.array(weyl_vector(n), dtype=np.int64)).tolist()
     out: dict[tuple[int, ...], int] = {}
@@ -320,6 +320,16 @@ def _weyl_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
     dets, shifts = dets[moved], shifts[moved]
     dets.flags.writeable = shifts.flags.writeable = False
     return dets, shifts
+
+
+#: one entry per n <= MAX_VARIABLES, as for ``_weyl_shifts``
+@lru_cache(maxsize=8)
+def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of n entries, as the read-only arrays of i and
+    of j that ``_straighten`` compares across."""
+    upper, lower = np.triu_indices(n, 1)
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
 
 
 #: (weight, w) pairs per block, so a block's int64 images stay near 1 MB

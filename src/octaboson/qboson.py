@@ -30,6 +30,12 @@ The two sides are compared by integer cross-multiplication, and a
 ``Fraction`` is built only where they differ.  The relations that read one
 site (SINGLE_SITE_RELATIONS) need one check per site, whatever the second
 site.
+
+The degeneration checks read the same step tables at their reduced points
+(t4 = 0, and t3 = t4 = 0): each table entry is compared, state by state,
+with the reduced step that the oracles ``reduced_create`` and
+``reduced_annihilate`` apply, again by integer cross-multiplication and
+with no function built per state.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .hallittlewood import hl_polynomial
@@ -46,6 +52,7 @@ from .partitions import (
     add_part,
     enumerate_partitions,
     multiplicity,
+    raise_indices,
     remove_part,
     unit_steps,
 )
@@ -131,7 +138,9 @@ class LatticeFunction:
 #: annihilation and creation steps once per entry of its step tables: 630
 #: and 586 (site, state) keys at n = 3, maxPart 3, and 1,086 and 1,012 at
 #: n = 4, maxPart 3, at one parameter point; its tables hold 1,490 and
-#: 2,583 entries in all.
+#: 2,583 entries in all.  ``verify degeneration`` reads each step once per
+#: state of sectors 0..n and site up to maxPart + 1 at each of its reduced
+#: points: 175 keys at n = 3, maxPart 3, and 350 at n = 4, maxPart 3.
 _STEP_CACHE_SIZE = 4096
 
 #: Entries of each cache keyed by occupation numbers; one parameter point of
@@ -313,8 +322,9 @@ def _pair_scalar_c(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fra
 
 
 #: Parameter points whose step tables are kept.  One ``verify algebra``
-#: suite reads one point; a table's entries are bounded by the states of
-#: the sectors it is applied to.
+#: suite reads one point and one ``verify degeneration`` suite two, its
+#: reduced points; a table's entries are bounded by the states of the
+#: sectors it is applied to.
 _POINT_CACHE_SIZE = 16
 
 
@@ -340,27 +350,49 @@ class _StepTable(dict):
 
 
 class _PointTables:
-    """The step tables of the relation checks at one parameter point, keyed
+    """The step tables of the operator checks at one parameter point, keyed
     by operator and site, and the numerators and denominators of the powers
     of q; all are filled on first use."""
 
-    def __init__(self, q: Fraction):
-        self.q = q
+    def __init__(self, params: ParamSet):
+        self.params = params
         self.steps: dict[tuple, _StepTable] = {}
         self.q_num, self.q_den = [1], [1]
 
+    def table(self, key: tuple, fill: Callable) -> _StepTable:
+        """The table under ``key``, made with ``fill`` if it is new."""
+        table = self.steps.get(key)
+        if table is None:
+            table = self.steps[key] = _StepTable(fill)
+        return table
+
+    def annihilation(self, site: int) -> _StepTable:
+        table = self.steps.get(("a", site))
+        if table is None:
+            params = self.params
+            table = self.table(("a", site), lambda mu: _annihilate_step(site, mu, params))
+        return table
+
+    def creation(self, site: int) -> _StepTable:
+        table = self.steps.get(("c", site))
+        if table is None:
+            params = self.params
+            table = self.table(("c", site), lambda mu: _create_step(site, mu, params))
+        return table
+
     def q_powers(self, count: int) -> tuple[list[int], list[int]]:
         """Numerators and denominators of q^0, .., q^(count - 1), at least."""
+        q = self.params.q
         while len(self.q_num) < count:
-            self.q_num.append(self.q_num[-1] * self.q.numerator)
-            self.q_den.append(self.q_den[-1] * self.q.denominator)
+            self.q_num.append(self.q_num[-1] * q.numerator)
+            self.q_den.append(self.q_den[-1] * q.denominator)
         return self.q_num, self.q_den
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _point_tables(params: ParamSet) -> _PointTables:
-    """The step tables shared by every relation check at one point."""
-    return _PointTables(params.q)
+    """The step tables shared by every operator check at one point."""
+    return _PointTables(params)
 
 
 class _BasisOps:
@@ -377,20 +409,16 @@ class _BasisOps:
     def __init__(self, l: int, k: int, n: int, params: ParamSet, twisted: bool):
         self.params = params
         self.q = params.q
-        tables = _point_tables(params)
-        self.steps = tables.steps
+        self.tables = _point_tables(params)
         # a side reaches sector n + 2 at most, where m_l <= n + 2
-        self.q_num, self.q_den = tables.q_powers(n + 3)
+        self.q_num, self.q_den = self.tables.q_powers(n + 3)
         # ultralocality breaks on the boundary pair (0, 1) alone; the twist
         # ratio is exactly 1 at t = 0
         self.twist_on = twisted and l == 0 and k == 1
 
-    def _apply(self, key: tuple, fill: Callable, images):
-        """Each image times its step in the table under ``key``, which
-        ``fill`` completes; a zero image stays 0."""
-        table = self.steps.get(key)
-        if table is None:
-            table = self.steps[key] = _StepTable(fill)
+    @staticmethod
+    def _apply(table: _StepTable, images):
+        """Each image times its step in ``table``; a zero image stays 0."""
         return [
             None if image is None or (step := table[image[0]]) is None
             else (step[0], image[1] * step[1], image[2] * step[2])
@@ -398,12 +426,10 @@ class _BasisOps:
         ]
 
     def a(self, site: int, images):
-        params = self.params
-        return self._apply(("a", site), lambda mu: _annihilate_step(site, mu, params), images)
+        return self._apply(self.tables.annihilation(site), images)
 
     def c(self, site: int, images):
-        params = self.params
-        return self._apply(("c", site), lambda mu: _create_step(site, mu, params), images)
+        return self._apply(self.tables.creation(site), images)
 
     def n(self, site: int, images):
         q_num, q_den = self.q_num, self.q_den
@@ -424,19 +450,19 @@ class _BasisOps:
 
     def diag(self, scalar: Callable, site: int, images):
         params = self.params
-        return self._apply(
-            (scalar, site), lambda mu: (mu, scalar(*occupation_key(mu, site), params)), images
+        table = self.tables.table(
+            (scalar, site), lambda mu: (mu, scalar(*occupation_key(mu, site), params))
         )
+        return self._apply(table, images)
 
     def twist(self, images, inverse: bool):
         if not self.twist_on:
             return images
         params = self.params
-        return self._apply(
-            ("twist", inverse),
-            lambda mu: (mu, _twist_ratio(*_occupation_pair(mu), params, inverse)),
-            images,
+        table = self.tables.table(
+            ("twist", inverse), lambda mu: (mu, _twist_ratio(*_occupation_pair(mu), params, inverse))
         )
+        return self._apply(table, images)
 
 
 #: (lhs, rhs) of each relation applied to f, at sites l and k.
@@ -563,34 +589,144 @@ def verify_relation(
 
 
 # ---------------------------------------------------------------------------
-# Degeneration oracles
+# Degeneration oracles and checks
 # ---------------------------------------------------------------------------
+
+
+def _reduced_create_step(l: int, mu: tuple[int, ...], params: ParamSet, hop_up: Callable):
+    """(target, coefficient) of delta_mu under create(l) at a reduced
+    profile: the coefficient of the created state lam is the reduced
+    closed-form up-hop rate ``hop_up(lam, j, q, ts)`` (``hop_up_three`` or
+    ``hop_up_two``) of a part lam[j] = l, independently of
+    ``creation_coeff``."""
+    lam = add_part(mu, l)
+    return lam, hop_up(lam, lam.index(l), params.q, params.ts)
+
+
+def _reduced_annihilate_step(l: int, mu: tuple[int, ...]):
+    """(target, None) of delta_mu under annihilate(l) at t = 0, the bare
+    removal of a particle from site l with no denominator, or None when
+    site l is empty."""
+    if multiplicity(mu, l) == 0:
+        return None
+    return remove_part(mu, l), None
 
 
 def reduced_create(
     l: int, f: LatticeFunction, params: ParamSet, hop_up: Callable
 ) -> LatticeFunction:
-    """Degeneration oracle for create at a reduced profile: the coefficient
-    of a created state lam is the reduced closed-form up-hop rate
-    ``hop_up(lam, j, q, ts)`` (``hop_up_three`` or ``hop_up_two``) of a part
-    lam[j] = l, independently of ``creation_coeff``."""
-    out: dict[tuple[int, ...], object] = {}
-    for mu, value in f.values.items():
-        lam = add_part(mu, l)
-        coeff = hop_up(lam, lam.index(l), params.q, params.ts)
-        out[lam] = out.get(lam, 0) + value * coeff
-    return LatticeFunction(f.n + 1, out)
+    """Degeneration oracle for create at a reduced profile: each state of f
+    takes its ``_reduced_create_step``."""
+    return _apply_steps(partial(_reduced_create_step, hop_up=hop_up), l, f, params, f.n + 1)
 
 
 def reduced_annihilate(l: int, f: LatticeFunction) -> LatticeFunction:
-    """Degeneration oracle for annihilate at t = 0: the bare removal of a
-    particle from site l, with no denominator."""
-    out: dict[tuple[int, ...], object] = {}
-    for mu, value in f.values.items():
-        if multiplicity(mu, l):
-            lam = remove_part(mu, l)
-            out[lam] = out.get(lam, 0) + value
-    return LatticeFunction(f.n - 1, out)
+    """Degeneration oracle for annihilate at t = 0: each state of f takes
+    its ``_reduced_annihilate_step``."""
+    return _apply_steps(
+        lambda site, mu, _params: _reduced_annihilate_step(site, mu), l, f, None, f.n - 1
+    )
+
+
+class DegenerationMismatch(NamedTuple):
+    """The first comparison of a degeneration check that fails.
+
+    ``kind`` is "norm", "hop", "create", "annihilate" or "potential";
+    ``where`` names the comparison: the state, with the raise index j of a
+    hop or the site of an operator, or the occupations (m0, m1) of a
+    potential.  ``runtime`` and ``reduced`` are the two sides: values, or
+    for an operator each side's image of delta_state, a (state, value) pair
+    or None for the zero function."""
+
+    kind: str
+    where: dict[str, object]
+    runtime: object
+    reduced: object
+
+
+class DegenerationResult(NamedTuple):
+    """The comparisons of a degeneration check, counted whether made or
+    not, and the first that fails, None when every one holds."""
+
+    cases: int
+    mismatch: DegenerationMismatch | None
+
+
+def verify_degeneration(
+    n: int,
+    max_part: int,
+    reduced: ParamSet,
+    norm_red: Callable,
+    hop_red: Callable,
+    pot_red: Callable,
+) -> DegenerationResult:
+    """Compare the runtime at a reduced point with the reduced closed forms
+    ``norm_red``, ``hop_red`` and ``pot_red`` (``norm_three``,
+    ``hop_up_three``, ``potential_three``, or their two-profile forms).
+
+    At each state of sectors 0..n with parts <= max_part, in basis order,
+    the check compares the quadratic norm, the up-hop rate of each raise
+    index, and at each site l <= max_part + 1 the images of the state's
+    delta function under create(l) and annihilate(l) with the reduced
+    steps; then the boundary potential at each occupation pair with
+    m0 + m1 <= n.  It stops at the first comparison that fails.
+
+    The runtime operators read the step tables of the point, shared with
+    the relation checks, and the oracles step tables of the reduced steps;
+    each pair of images is compared by integer cross-multiplication.  Each reduced rate ``hop_red(lam, j)`` is
+    evaluated once, for the create comparison that reaches lam and for the
+    hop comparison at lam.
+    """
+    states = [lam for sector in range(n + 1) for lam in enumerate_partitions(sector, max_part)]
+    sites = range(max_part + 2)
+    occupations = [(m0, m1) for m0 in range(n + 1) for m1 in range(n + 1 - m0)]
+    hops = sum(len(raise_indices(lam)) for lam in states)
+    cases = len(states) * (1 + 2 * len(sites)) + hops + len(occupations)
+    q, ts = reduced.q, reduced.ts
+    rates: dict[tuple, Fraction] = {}
+
+    def rate(lam, j, q, ts):
+        value = rates.get((lam, j))
+        if value is None:
+            value = rates[lam, j] = hop_red(lam, j, q, ts)
+        return value
+
+    def failure(kind, where, runtime, oracle) -> DegenerationResult:
+        return DegenerationResult(cases, DegenerationMismatch(kind, where, runtime, oracle))
+
+    tables = _point_tables(reduced)
+    operators = [
+        (
+            l,
+            tables.creation(l),
+            _StepTable(lambda mu, l=l: _reduced_create_step(l, mu, reduced, rate)),
+            tables.annihilation(l),
+            _StepTable(lambda mu, l=l: _reduced_annihilate_step(l, mu)),
+        )
+        for l in sites
+    ]
+    for lam in states:
+        runtime, oracle = quadratic_norm(lam, reduced), norm_red(lam, q, ts)
+        if runtime != oracle:
+            return failure("norm", {"state": lam}, runtime, oracle)
+        for j in raise_indices(lam):
+            runtime, oracle = hop_coeff(lam, j, +1, reduced), rate(lam, j, q, ts)
+            if runtime != oracle:
+                return failure("hop", {"state": lam, "j": j}, runtime, oracle)
+        for l, creation, reduced_creation, annihilation, reduced_annihilation in operators:
+            runtime, oracle = creation[lam], reduced_creation[lam]
+            if not _images_equal(runtime, oracle):
+                where = {"state": lam, "site": l}
+                return failure("create", where, _valued_image(runtime), _valued_image(oracle))
+            runtime, oracle = annihilation[lam], reduced_annihilation[lam]
+            if not _images_equal(runtime, oracle):
+                where = {"state": lam, "site": l}
+                return failure("annihilate", where, _valued_image(runtime), _valued_image(oracle))
+    for m0, m1 in occupations:
+        runtime, oracle = boundary_potential(m0, m1, reduced), pot_red(m0, m1, q, ts)
+        if runtime != oracle:
+            return failure("potential", {"occupations": (m0, m1)}, runtime, oracle)
+    return DegenerationResult(cases, None)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,15 @@ def golden_argvs() -> list[list[str]]:
     argvs.append([*orthogonality, "--n", "1", "--maxPart", "3", "--M", "8"])
     argvs.append([*orthogonality, "--n", "3", "--maxPart", "1", "--M", "6"])
     argvs.append([*orthogonality, "--n", "2", "--maxPart", "2"])
+    # degeneration on a larger basis at each profile, on the empty and the
+    # one-site basis, and at n = 4
+    degeneration = ["verify", "degeneration"]
+    for profile in ("four", "three", "two"):
+        argvs.append([*degeneration, "--n", "3", "--maxPart", "3", "--profile", profile])
+    argvs.append([*degeneration, "--n", "0", "--maxPart", "0"])
+    argvs.append([*degeneration, "--n", "1", "--maxPart", "0"])
+    argvs.append([*degeneration, "--n", "4", "--maxPart", "3"])
+    argvs.append([*degeneration, "--n", "3", "--maxPart", "3", "--profile", "three", "--format", "csv"])
     return argvs
 
 

@@ -68,3 +68,13 @@ def bench_run(monkeypatch):
     yield importlib.import_module("run")
     for name in names:
         sys.modules.pop(name, None)
+
+
+@pytest.fixture
+def cold_caches(bench_run):
+    """Every package cache emptied, by the benchmark's own rule, before and
+    after the test."""
+    modules = bench_run.spans.package_modules()
+    bench_run.clear_caches(modules)
+    yield
+    bench_run.clear_caches(modules)

@@ -3,10 +3,13 @@
 ``verify adjoint`` takes inner products only where supports meet,
 ``verify algebra`` checks the single-site relations once per site, on
 step tables shared by every check at a point, and ``verify degeneration``
-compares functions directly; each mutant below breaks one formula in a way
-only the full check can see, and the suite must fail on it, with a failing
-algebra relation naming the mutated site in its ``worstCase``.  Every
-package cache is emptied around a mutant, so no mutated value outlives it.
+compares the entries of those tables at its reduced points with the reduced
+steps, state by state, and reads each reduced hop rate once; each mutant
+below breaks one formula in a way only the full check can see, and the
+suite must fail on it, with a failing algebra relation naming the mutated
+site in its ``worstCase`` and a failing degeneration check the mutated
+(operator, site, state) in its ``firstFailure``.  Every package cache is
+emptied around a mutant, so no mutated value outlives it.
 """
 
 import json
@@ -15,16 +18,6 @@ from fractions import Fraction
 import pytest
 
 from octaboson import cli, qboson, qkernels
-
-
-@pytest.fixture
-def cold_caches(bench_run):
-    """Every package cache emptied, by the benchmark's own rule, before and
-    after the test."""
-    modules = bench_run.spans.package_modules()
-    bench_run.clear_caches(modules)
-    yield
-    bench_run.clear_caches(modules)
 
 
 def run(capsys, *argv):
@@ -124,17 +117,97 @@ def test_degeneration_suite_catches_one_wrong_reduced_hop(capsys, monkeypatch, c
         "t4->0": False,
         "t3,t4->0": True,
     }
+    # the create comparison reaches (1, 1, 0) before the hop comparison at it
+    first = payload["checks"][0]["firstFailure"]
+    assert (first["kind"], first["state"], first["site"]) == ("create", [1, 0], 1)
+    assert first["runtime"]["state"] == first["reduced"]["state"] == [1, 1, 0]
+    assert Fraction(first["reduced"]["value"]) == 2 * Fraction(first["runtime"]["value"])
+    assert "firstFailure" not in payload["checks"][1]
 
 
 def test_degeneration_suite_compares_whole_functions(capsys, monkeypatch, cold_caches):
-    # the reduced annihilation enters only through the function comparison
-    original = qboson.reduced_annihilate
+    # the reduced annihilation enters only through the image comparison
+    original = qboson._reduced_annihilate_step
 
-    def mutant(l, f):
-        removed = original(l, f)
-        return removed.scale(2) if (1, 0) in removed.values else removed
+    def mutant(l, mu):
+        step = original(l, mu)
+        return (step[0], Fraction(2)) if step and step[0] == (1, 0) else step
 
-    monkeypatch.setattr(qboson, "reduced_annihilate", mutant)
+    monkeypatch.setattr(qboson, "_reduced_annihilate_step", mutant)
     code, payload = run(capsys, "verify", "degeneration", "--n", "3", "--maxPart", "3")
     assert code == cli.EXIT_FAIL
     assert [c["pass"] for c in payload["checks"]] == [False, False]
+    # the first state of sector 3 whose removal lands on (1, 0)
+    for check in payload["checks"]:
+        assert check["firstFailure"] == {
+            "kind": "annihilate",
+            "state": [1, 0, 0],
+            "site": 0,
+            "runtime": {"state": [1, 0], "value": "1"},
+            "reduced": {"state": [1, 0], "value": "2"},
+        }
+
+
+def test_degeneration_suite_names_one_wrong_runtime_creation(capsys, monkeypatch, cold_caches):
+    original = qboson._create_step
+
+    def mutant(l, mu, params):
+        lam, coeff = original(l, mu, params)
+        # one step-table entry at the reduced points, where t4 = 0
+        return (lam, 2 * coeff) if (l, mu) == (2, (2, 1)) and not params.ts[3] else (lam, coeff)
+
+    monkeypatch.setattr(qboson, "_create_step", mutant)
+    code, payload = run(capsys, "verify", "degeneration", "--n", "3", "--maxPart", "3")
+    assert code == cli.EXIT_FAIL
+    assert [c["pass"] for c in payload["checks"]] == [False, False]
+    for check in payload["checks"]:
+        first = check["firstFailure"]
+        assert (first["kind"], first["state"], first["site"]) == ("create", [2, 1], 2)
+        assert first["runtime"]["state"] == first["reduced"]["state"] == [2, 2, 1]
+        assert Fraction(first["runtime"]["value"]) == 2 * Fraction(first["reduced"]["value"])
+    # the CSV keeps its columns; the first failure is in the JSON alone
+    argv = ["verify", "degeneration", "--n", "3", "--maxPart", "3", "--format", "csv"]
+    assert cli.main(argv) == cli.EXIT_FAIL
+    assert capsys.readouterr().out.splitlines() == [
+        "name,cases,pass",
+        "t4->0,455,False",
+        '"t3,t4->0",455,False',
+    ]
+
+
+
+@pytest.mark.parametrize(
+    "module, name, mutated, passes, first",
+    [
+        # the norm of the t3,t4 -> 0 closed forms at (1, 1)
+        (cli, "norm_two", lambda lam, *_: lam == (1, 1), [True, False],
+         {"kind": "norm", "state": [1, 1]}),
+        # the runtime rate of the up hop of part 1 of (2, 1, 0), which no
+        # create comparison reads
+        (qboson, "hop_coeff", lambda lam, j, *_: (lam, j) == ((2, 1, 0), 1), [False, False],
+         {"kind": "hop", "state": [2, 1, 0], "j": 1}),
+        # the potential of the t3,t4 -> 0 closed forms at (m0, m1) = (1, 1)
+        (cli, "potential_two", lambda m0, m1, *_: (m0, m1) == (1, 1), [True, False],
+         {"kind": "potential", "occupations": [1, 1]}),
+    ],
+    ids=["norm", "hop", "potential"],
+)
+def test_degeneration_suite_names_one_wrong_scalar(
+    capsys, monkeypatch, cold_caches, module, name, mutated, passes, first
+):
+    original = getattr(module, name)
+
+    def mutant(*args):
+        value = original(*args)
+        return 2 * value if mutated(*args) else value
+
+    monkeypatch.setattr(module, name, mutant)
+    code, payload = run(capsys, "verify", "degeneration", "--n", "3", "--maxPart", "3")
+    assert code == cli.EXIT_FAIL
+    assert [c["pass"] for c in payload["checks"]] == passes
+    doubled, other = ("runtime", "reduced") if module is qboson else ("reduced", "runtime")
+    for check in payload["checks"]:
+        if not check["pass"]:
+            failure = check["firstFailure"]
+            assert {key: failure[key] for key in first} == first
+            assert Fraction(failure[doubled]) == 2 * Fraction(failure[other])
