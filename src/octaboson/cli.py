@@ -342,9 +342,20 @@ def _pairing(f: LatticeFunction, g: LatticeFunction, params) -> object:
 
 
 def _checks_report(max_part: int, checks: list[dict]) -> tuple[dict, list]:
-    """The report of an exact suite of named checks; the checks are its CSV rows."""
+    """The report of an exact suite of named checks and its CSV rows, which
+    keep the columns name, cases and pass; a failing check's
+    ``firstFailure`` is in the JSON alone."""
     passed = all(c["pass"] for c in checks)
-    return {"maxPart": max_part, "mode": "exact", "checks": checks, "pass": passed}, checks
+    rows = [{key: value for key, value in c.items() if key != "firstFailure"} for c in checks]
+    return {"maxPart": max_part, "mode": "exact", "checks": checks, "pass": passed}, rows
+
+
+def _check(name: str, cases: int, failure: dict | None) -> dict:
+    """A named check, with its first failure where it fails."""
+    check = {"name": name, "cases": cases, "pass": failure is None}
+    if failure:
+        check["firstFailure"] = failure
+    return check
 
 
 def _suite_adjoint(args, params) -> tuple[dict, list]:
@@ -361,30 +372,48 @@ def _suite_adjoint(args, params) -> tuple[dict, list]:
     budget.check(pairs, what, {"n": n, "maxPart": max_part, "pairs": pairs})
     # one delta function per state
     deltas = [{mu: LatticeFunction.delta(mu) for mu in states} for states in sectors]
-    checks = []
-    # adjointness between consecutive sectors
-    adjoint_ok = True
+    checks = [
+        _check("adjointness", adjoint_cases, _adjointness_failure(deltas, max_part, params)),
+        _check("hamiltonian-symmetry", sym_cases, _symmetry_failure(deltas, params)),
+    ]
+    return _checks_report(max_part, checks)
+
+
+def _adjointness_failure(deltas: list[dict], max_part: int, params) -> dict | None:
+    """The first (site l, lower state mu, upper state lam) of consecutive
+    sectors with <create(l) delta_mu, delta_lam> != <delta_mu,
+    annihilate(l) delta_lam>, both sides exact, or None when none is."""
     for lower, upper in zip(deltas, deltas[1:]):
         for l in range(max_part + 1):
-            created = [(f, qboson.create(l, f, params)) for f in lower.values()]
-            for g in upper.values():
+            created = [(mu, f, qboson.create(l, f, params)) for mu, f in lower.items()]
+            for lam, g in upper.items():
                 annihilated = qboson.annihilate(l, g, params)
-                for f, created_f in created:
+                for mu, f, created_f in created:
                     lhs = _pairing(created_f, g, params)
                     rhs = _pairing(f, annihilated, params)
-                    adjoint_ok = adjoint_ok and lhs == rhs
-    checks.append({"name": "adjointness", "cases": adjoint_cases, "pass": adjoint_ok})
-    # symmetry of the Hamiltonian in each sector
-    sym_ok = True
+                    if lhs != rhs:
+                        return {
+                            "site": l,
+                            "lower": list(mu),
+                            "upper": list(lam),
+                            "lhs": str(lhs),
+                            "rhs": str(rhs),
+                        }
+    return None
+
+
+def _symmetry_failure(deltas: list[dict], params) -> dict | None:
+    """The first states (lam, mu) of one sector with <H delta_lam, delta_mu>
+    != <delta_lam, H delta_mu>, both sides exact, or None when none is."""
     for sector in deltas[1:]:
         images = {lam: qboson.apply_hamiltonian(f, params) for lam, f in sector.items()}
         for lam, f in sector.items():
             for mu, g in sector.items():
                 lhs = _pairing(images[lam], g, params)
                 rhs = _pairing(f, images[mu], params)
-                sym_ok = sym_ok and lhs == rhs
-    checks.append({"name": "hamiltonian-symmetry", "cases": sym_cases, "pass": sym_ok})
-    return _checks_report(max_part, checks)
+                if lhs != rhs:
+                    return {"left": list(lam), "right": list(mu), "lhs": str(lhs), "rhs": str(rhs)}
+    return None
 
 
 def _suite_eigen(args, params) -> tuple[dict, list]:
@@ -433,14 +462,9 @@ def _suite_degeneration(args, params) -> tuple[dict, list]:
     checks = []
     for name, reduced, *closed_forms in reductions:
         result = qboson.verify_degeneration(n, max_part, reduced, *closed_forms)
-        check = {"name": name, "cases": result.cases, "pass": result.mismatch is None}
-        if result.mismatch:
-            check["firstFailure"] = _mismatch_fields(result.mismatch)
-        checks.append(check)
-    payload, _ = _checks_report(max_part, checks)
-    # the CSV keeps its columns; the first failure is in the JSON alone
-    rows = [{key: value for key, value in c.items() if key != "firstFailure"} for c in checks]
-    return payload, rows
+        failure = _mismatch_fields(result.mismatch) if result.mismatch else None
+        checks.append(_check(name, result.cases, failure))
+    return _checks_report(max_part, checks)
 
 
 def _mismatch_fields(mismatch: qboson.DegenerationMismatch) -> dict:

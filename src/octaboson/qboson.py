@@ -13,19 +13,20 @@ spectral parameter does (wave functions, eigenvalue residuals, scattering).
 The elementary operators are monomial on the delta basis: annihilation,
 creation and the number operator each send a basis state to one basis
 state times a scalar (or annihilation to 0), and distinct states to
-distinct states.  Each step's target is cached per (site, state,
-parameter point), and each coefficient, of the steps and of the diagonal
-scalars of the relations, per the occupation numbers it reads
-(``qkernels.occupation_key``) and parameter point; the operators apply the
-cached steps to a function's values.
+distinct states.  Each coefficient, of the steps and of the diagonal
+scalars of the relations, is cached per the occupation numbers it reads
+(``qkernels.occupation_key``) and parameter point, and evaluated in
+integer arithmetic by ``qkernels.factor_ratio``; the operators apply the
+steps to a function's values.
 
 The relation checks apply each side of a relation once, to the sector's
 whole delta basis: a batch holds one basis image per delta function, a
 (state, numerator, denominator) triple of integers, and no function is
 built per state.  Each operator of a side reads one table per (operator,
 site), state -> (target, numerator, denominator), filled on first use from
-the cached steps and shared by every check at the parameter point; the
-number operator reads occupation counts and a list of the powers of q.
+the steps and shared by every check at the parameter point; the number
+operator reads occupation counts and the point's integer powers of q
+(``ParamSet.q_powers``).
 The two sides are compared by integer cross-multiplication, and a
 ``Fraction`` is built only where they differ.  The relations that read one
 site (SINGLE_SITE_RELATIONS) need one check per site, whatever the second
@@ -61,6 +62,7 @@ from .qkernels import (
     ParamSet,
     boundary_potential,
     creation_coeff,
+    factor_ratio,
     hop_coeff,
     occupation_key,
     quadratic_norm,
@@ -134,15 +136,6 @@ class LatticeFunction:
 # ---------------------------------------------------------------------------
 
 
-#: Entries of each (site, state) step cache.  ``verify algebra`` reads the
-#: annihilation and creation steps once per entry of its step tables: 630
-#: and 586 (site, state) keys at n = 3, maxPart 3, and 1,086 and 1,012 at
-#: n = 4, maxPart 3, at one parameter point; its tables hold 1,490 and
-#: 2,583 entries in all.  ``verify degeneration`` reads each step once per
-#: state of sectors 0..n and site up to maxPart + 1 at each of its reduced
-#: points: 175 keys at n = 3, maxPart 3, and 350 at n = 4, maxPart 3.
-_STEP_CACHE_SIZE = 4096
-
 #: Entries of each cache keyed by occupation numbers; one parameter point of
 #: ``verify algebra`` reads at most 24 keys of one at n = 3, maxPart 3 and
 #: 35 at n = 4, maxPart 3.
@@ -153,7 +146,6 @@ def _occupation_pair(lam: tuple[int, ...]) -> tuple[int, int]:
     return multiplicity(lam, 0), multiplicity(lam, 1)
 
 
-@lru_cache(maxsize=_STEP_CACHE_SIZE)
 def _annihilate_step(l: int, mu: tuple[int, ...], params: ParamSet):
     """(target, coefficient) of delta_mu under annihilate(l), or None when
     site l is empty; the coefficient is None where it is 1."""
@@ -168,20 +160,19 @@ def _annihilate_step(l: int, mu: tuple[int, ...], params: ParamSet):
 @lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
 def _annihilation_coeff(m0: int, m1: int, params: ParamSet) -> Fraction:
     """1 / (1 - t q^{2 m_0 + m_1}) at the occupations of the target state."""
-    denom = 1 - params.t * params.q ** (2 * m0 + m1)
-    if denom == 0:
+    k = 2 * m0 + m1
+    num, den = factor_ratio((), ((params.t, k),), *params.q_powers(k + 1))
+    if den == 0:
         raise GenericityError("annihilation denominator vanishes")
-    return 1 / denom
+    return Fraction(num, den)
 
 
-@lru_cache(maxsize=_STEP_CACHE_SIZE)
 def _create_step(l: int, mu: tuple[int, ...], params: ParamSet):
     """(target, coefficient) of delta_mu under create(l)."""
     lam = add_part(mu, l)
     return lam, creation_coeff(lam, l, params)
 
 
-@lru_cache(maxsize=_STEP_CACHE_SIZE)
 def _number_step(l: int, mu: tuple[int, ...], params: ParamSet):
     """(target, coefficient) of delta_mu under number_op(l); the
     coefficient is None where site l is empty."""
@@ -256,13 +247,14 @@ def sector_inner_product(f: LatticeFunction, g: LatticeFunction, params: ParamSe
 def _twist_ratio(m0: int, m1: int, params: ParamSet, inverse: bool) -> Fraction:
     """(1 - q t N0^2 N1) / (1 - t N0^2 N1) at occupations (m0, m1) of sites
     0, 1 (or its inverse)."""
-    base = params.t * params.q ** (2 * m0 + m1)
-    num, den = 1 - params.q * base, 1 - base
+    k = 2 * m0 + m1
+    upper, lower = ((params.t, k + 1),), ((params.t, k),)
     if inverse:
-        num, den = den, num
+        upper, lower = lower, upper
+    num, den = factor_ratio(upper, lower, *params.q_powers(k + 2))
     if den == 0:
         raise GenericityError("twist factor denominator vanishes")
-    return num / den
+    return Fraction(num, den)
 
 
 def _apply_diag(
@@ -274,51 +266,54 @@ def _apply_diag(
 @lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
 def _pair_scalar_b(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fraction:
     """Diagonal value of the normal-ordered product create(l) annihilate(l)
-    on a state with ``occupation_key`` (site, m, m0, m1) at l."""
-    q, t = params.q, params.t
-    value = (1 - q**m) / (1 - q)
+    on a state with ``occupation_key`` (site, m, m0, m1) at l:
+
+        (1 - q^m) / (1 - q), times at site 0 prod_{r<s} (1 - t_r t_s q^{m0-1}),
+        times at sites 0 and 1 (1 - t q^{2 m0 + m1 - 1}), times at site 0
+        (1 - t q^{m0-2}) / ((1 - t q^{2 m0 - 3}) (1 - t q^{2 m0 - 2})^2
+        (1 - t q^{2 m0 - 1}) (1 - t q^{2 m0 + m1 - 2})).
+    """
+    t = params.t
+    numerator, denominator = [(1, m)], [(1, 1)]
     if site == 0:
-        for prod in params.pair_products:
-            value *= 1 - prod * q ** (m0 - 1)
+        numerator += [(prod, m0 - 1) for prod in params.pair_products]
     if t and site <= 1:
-        value *= 1 - t * q ** (2 * m0 + m1 - 1)
+        numerator.append((t, 2 * m0 + m1 - 1))
         if site == 0:
-            denominator = (
-                (1 - t * q ** (2 * m0 - 3))
-                * (1 - t * q ** (2 * m0 - 2)) ** 2
-                * (1 - t * q ** (2 * m0 - 1))
-                * (1 - t * q ** (2 * m0 + m1 - 2))
-            )
-            if denominator == 0:
-                raise GenericityError("relation scalar denominator vanishes")
-            value *= (1 - t * q ** (m0 - 2)) / denominator
-    return value
+            numerator.append((t, m0 - 2))
+            exponents = (2 * m0 - 3, 2 * m0 - 2, 2 * m0 - 2, 2 * m0 - 1, 2 * m0 + m1 - 2)
+            denominator += [(t, k) for k in exponents]
+    num, den = factor_ratio(numerator, denominator, *params.q_powers(m + 2 * m0 + m1 + 4))
+    if den == 0:
+        raise GenericityError("relation scalar denominator vanishes")
+    return Fraction(num, den)
 
 
 @lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
 def _pair_scalar_c(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fraction:
     """Diagonal value of the anti-normal-ordered product annihilate(l)
-    create(l) on a state with ``occupation_key`` (site, m, m0, m1) at l."""
-    q, t = params.q, params.t
-    value = (1 - q ** (m + 1)) / (1 - q)
+    create(l) on a state with ``occupation_key`` (site, m, m0, m1) at l,
+    with B = t q^{2 m0 + m1}:
+
+        (1 - q^{m+1}) / (1 - q), times at site 0 prod_{r<s} (1 - t_r t_s q^{m0}),
+        times at site 1 (1 - B), at site 0 (1 - t q^{m0-1}) (1 - q B) /
+        ((1 - B) (1 - t q^{2 m0 - 1}) (1 - t q^{2 m0})^2 (1 - t q^{2 m0 + 1})).
+    """
+    t = params.t
+    numerator, denominator = [(1, m + 1)], [(1, 1)]
     if site == 0:
-        for prod in params.pair_products:
-            value *= 1 - prod * q**m0
+        numerator += [(prod, m0) for prod in params.pair_products]
     if t and site <= 1:
-        base = t * q ** (2 * m0 + m1)
+        k = 2 * m0 + m1
         if site == 1:
-            value *= 1 - base
+            numerator.append((t, k))
         else:
-            denominator = (
-                (1 - base)
-                * (1 - t * q ** (2 * m0 - 1))
-                * (1 - t * q ** (2 * m0)) ** 2
-                * (1 - t * q ** (2 * m0 + 1))
-            )
-            if denominator == 0:
-                raise GenericityError("relation scalar denominator vanishes")
-            value *= (1 - t * q ** (m0 - 1)) * (1 - q * base) / denominator
-    return value
+            numerator += [(t, m0 - 1), (t, k + 1)]
+            denominator += [(t, e) for e in (k, 2 * m0 - 1, 2 * m0, 2 * m0, 2 * m0 + 1)]
+    num, den = factor_ratio(numerator, denominator, *params.q_powers(m + 2 * m0 + m1 + 4))
+    if den == 0:
+        raise GenericityError("relation scalar denominator vanishes")
+    return Fraction(num, den)
 
 
 #: Parameter points whose step tables are kept.  One ``verify algebra``
@@ -351,13 +346,11 @@ class _StepTable(dict):
 
 class _PointTables:
     """The step tables of the operator checks at one parameter point, keyed
-    by operator and site, and the numerators and denominators of the powers
-    of q; all are filled on first use."""
+    by operator and site; each is filled on first use."""
 
     def __init__(self, params: ParamSet):
         self.params = params
         self.steps: dict[tuple, _StepTable] = {}
-        self.q_num, self.q_den = [1], [1]
 
     def table(self, key: tuple, fill: Callable) -> _StepTable:
         """The table under ``key``, made with ``fill`` if it is new."""
@@ -379,14 +372,6 @@ class _PointTables:
             params = self.params
             table = self.table(("c", site), lambda mu: _create_step(site, mu, params))
         return table
-
-    def q_powers(self, count: int) -> tuple[list[int], list[int]]:
-        """Numerators and denominators of q^0, .., q^(count - 1), at least."""
-        q = self.params.q
-        while len(self.q_num) < count:
-            self.q_num.append(self.q_num[-1] * q.numerator)
-            self.q_den.append(self.q_den[-1] * q.denominator)
-        return self.q_num, self.q_den
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
@@ -411,7 +396,7 @@ class _BasisOps:
         self.q = params.q
         self.tables = _point_tables(params)
         # a side reaches sector n + 2 at most, where m_l <= n + 2
-        self.q_num, self.q_den = self.tables.q_powers(n + 3)
+        self.q_num, self.q_den = params.q_powers(n + 3)
         # ultralocality breaks on the boundary pair (0, 1) alone; the twist
         # ratio is exactly 1 at t = 0
         self.twist_on = twisted and l == 0 and k == 1

@@ -18,6 +18,20 @@ reduced profiles and is skipped there, so zeroed couplings cost nothing.
 The reduced closed forms at t_4 = 0 and t_3 = t_4 = 0 are kept only as
 degeneration oracles: the degeneration suite and the tests compare them
 with the general formulas at zeroed t_r.
+
+The kernels keyed by a state or its occupation numbers (the quadratic norm,
+the creation coefficient, the boundary potential, and the annihilation,
+relation and twist scalars of ``qboson``) are products of factors
+(1 - x q^k), k in Z, plus a few sums in the potential.  They evaluate in
+integer arithmetic: ``factor_ratio`` multiplies the factors as unreduced
+(numerator, denominator) pairs from the integer numerator and denominator
+of x and the point's integer powers of q (``ParamSet.q_powers``), the
+potential combines such pairs by cross-multiplication, and each cached key
+builds one ``Fraction``, at the end.  A vanishing denominator is caught on
+its integer before any division.  The q-series primitives, the normalizers,
+the recurrence coefficients and the reduced closed forms stay in
+``Fraction`` arithmetic, so the closed forms remain an independent side of
+the degeneration checks.
 """
 
 from __future__ import annotations
@@ -107,6 +121,23 @@ class ParamSet:
         products = (self.ts[r] * self.ts[s] for r, s in itertools.combinations(range(4), 2))
         return tuple(prod for prod in products if prod)
 
+    @cached_property
+    def _q_power_lists(self) -> tuple[list[int], list[int]]:
+        return [1], [1]
+
+    def q_powers(self, count: int) -> tuple[list[int], list[int]]:
+        """Numerators and denominators of q^0, .., q^(count - 1), at least:
+        the one table of integer powers of q at this point, read by the
+        integer kernels and the operator checks.  It grows on demand;
+        callers only read it."""
+        num, den = self._q_power_lists
+        if len(num) < count:
+            q_num, q_den = self.q.numerator, self.q.denominator
+            while len(num) < count:
+                num.append(num[-1] * q_num)
+                den.append(den[-1] * q_den)
+        return num, den
+
     def ensure_generic_horizon(self, horizon: int, start: int = 1) -> None:
         """Reject t = q^m and t_r t_s = q^m for m = start..horizon."""
         qpow = self.q ** (start - 1)
@@ -161,10 +192,10 @@ def default_params(profile: str = "four") -> ParamSet:
 # q-series primitives
 # ---------------------------------------------------------------------------
 
-#: Entries of each q-series cache.  Norms, normalizers and the reduced
-#: closed forms repeat the same factors: ``verify pieri --n 4 --maxPart 2``
-#: reads 69 keys of ``qpochhammer`` and ``verify degeneration --n 3
-#: --maxPart 3`` reads 15.
+#: Entries of each q-series cache.  The normalizers and the reduced closed
+#: forms repeat the same factors: ``verify pieri --n 4 --maxPart 2`` reads
+#: 39 keys of ``qpochhammer`` and ``verify degeneration --n 3 --maxPart 3``
+#: reads 15.
 _QSERIES_CACHE_SIZE = 256
 
 
@@ -187,6 +218,29 @@ def qinteger(m: int, q: Fraction) -> Fraction:
     if m < 0:
         raise ValueError("m must be nonnegative")
     return (1 - Fraction(q) ** m) / (1 - Fraction(q))
+
+
+def factor_ratio(numerator, denominator, q_num, q_den) -> tuple[int, int]:
+    """The product of the factors (1 - x q^k) of ``numerator`` over that of
+    ``denominator``, as an unreduced integer pair (num, den).
+
+    A factor is a pair (x, k) of a rational or integer x and k in Z; the
+    arithmetic reads the integer numerator and denominator of x, and of
+    q^k = q_num[k] / q_den[k], or q_den[-k] / q_num[-k] for k < 0.  den is 0
+    exactly where a factor of ``denominator`` vanishes.
+    """
+    num = den = 1
+    for x, k in numerator:
+        a, b = (q_num[k], q_den[k]) if k >= 0 else (q_den[-k], q_num[-k])
+        b *= x.denominator
+        num *= b - x.numerator * a
+        den *= b
+    for x, k in denominator:
+        a, b = (q_num[k], q_den[k]) if k >= 0 else (q_den[-k], q_num[-k])
+        b *= x.denominator
+        num *= b
+        den *= b - x.numerator * a
+    return num, den
 
 
 def tau_vector(n: int, params: ParamSet) -> tuple[Fraction, ...]:
@@ -220,18 +274,20 @@ def quadratic_norm(lam: tuple[int, ...], params: ParamSet) -> Fraction:
 #: any suite at n <= 4, maxPart <= 3.
 @lru_cache(maxsize=1024)
 def _quadratic_norm(lam: tuple[int, ...], params: ParamSet) -> Fraction:
-    q, t = params.q, params.t
-    m0 = multiplicity(lam, 0)
-    numerator = (1 - q) ** len(lam)
-    denominator = _mult_qpoch_product(lam, q)
-    for prod in params.pair_products:
-        denominator *= qpochhammer(prod, m0, q)
+    """(1 - q)^n (t q^{m0-1})_{m0} over prod_l (q)_{m_l}, prod_{r<s}
+    (t_r t_s)_{m0} and (t q^{2 m0})_{m1}."""
+    t = params.t
+    n, m0 = len(lam), multiplicity(lam, 0)
+    numerator = [(1, 1)] * n
+    denominator = [(1, k) for part in set(lam) for k in range(1, multiplicity(lam, part) + 1)]
+    denominator += [(prod, k) for prod in params.pair_products for k in range(m0)]
     if t:
-        numerator *= qpochhammer(t * q ** (m0 - 1), m0, q)
-        denominator *= qpochhammer(t * q ** (2 * m0), multiplicity(lam, 1), q)
-    if denominator == 0:
+        numerator += [(t, k) for k in range(m0 - 1, 2 * m0 - 1)]
+        denominator += [(t, k) for k in range(2 * m0, 2 * m0 + multiplicity(lam, 1))]
+    num, den = factor_ratio(numerator, denominator, *params.q_powers(2 * n + 1))
+    if den == 0:
         raise GenericityError(f"norm denominator vanishes at lam = {lam}")
-    return numerator / denominator
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +443,23 @@ def creation_coeff(lam: tuple[int, ...], part: int, params: ParamSet) -> Fractio
 
 @lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
 def _creation_coeff(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fraction:
-    q, t = params.q, params.t
-    value = qinteger(m, q)
+    """[m] = (1 - q^m) / (1 - q), times at site 0 prod_{r<s} (1 - t_r t_s
+    q^{m0-1}), times at sites 0 and 1 (1 - t q^{2 m0 + m1 - 1}), times at
+    site 0 (1 - t q^{m0-2}) / ((1 - t q^{2 m0 - 3}) (1 - t q^{2 m0 - 2})^2
+    (1 - t q^{2 m0 - 1}))."""
+    t = params.t
+    numerator, denominator = [(1, m)], [(1, 1)]
     if site == 0:
-        for prod in params.pair_products:
-            value *= 1 - prod * q ** (m0 - 1)
+        numerator += [(prod, m0 - 1) for prod in params.pair_products]
     if t and site <= 1:
-        value *= 1 - t * q ** (2 * m0 + m1 - 1)
+        numerator.append((t, 2 * m0 + m1 - 1))
         if site == 0:
-            denominator = (
-                (1 - t * q ** (2 * m0 - 3))
-                * (1 - t * q ** (2 * m0 - 2)) ** 2
-                * (1 - t * q ** (2 * m0 - 1))
-            )
-            if denominator == 0:
-                raise GenericityError("creation coefficient denominator vanishes")
-            value *= (1 - t * q ** (m0 - 2)) / denominator
-    return value
+            numerator.append((t, m0 - 2))
+            denominator += [(t, k) for k in (2 * m0 - 3, 2 * m0 - 2, 2 * m0 - 2, 2 * m0 - 1)]
+    num, den = factor_ratio(numerator, denominator, *params.q_powers(m + 2 * m0 + m1 + 4))
+    if den == 0:
+        raise GenericityError("creation coefficient denominator vanishes")
+    return Fraction(num, den)
 
 
 def hop_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Fraction:
@@ -430,27 +486,49 @@ def boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
 
 @lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
 def _boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
-    q, ts, t = params.q, params.ts, params.t
-    t1 = ts[0]
-    n0 = q**m0
-    n1 = q**m1
+    """With N_i = q^{m_i}:
 
-    ratio_a = 1 - t / q * n0
-    for r, s in _PAIRS_BEYOND_T1:
-        ratio_a *= 1 - ts[r] * ts[s] * n0
-    ratio_b = 1 - t / q * n0**2 * n1
-    for r in range(1, 4):
-        ratio_b *= 1 - t1 * ts[r] / q * n0
+        (bracket_a (1 - N1) + bracket_b (1 - N0)) / (1 - q),
+        bracket_a = t / t1 N0 + t1 N0 (1 - ratio_a),
+        bracket_b = t1 + q / (t1 N0) (1 - ratio_b),
+        ratio_a = (1 - t N0 / q) prod_{1<r<s} (1 - t_r t_s N0)
+                  / ((1 - t N0^2) (1 - t N0^2 / q)),
+        ratio_b = (1 - t N0^2 N1 / q) prod_{r>1} (1 - t1 t_r N0 / q)
+                  / ((1 - t N0^2 / q^2) (1 - t N0^2 / q)),
+
+    the denominators of the ratios taken only where t != 0 (they are 1
+    at t = 0)."""
+    ts, t = params.ts, params.t
+    t1 = ts[0]
+    q_num, q_den = params.q_powers(2 * m0 + m1 + 3)
+    couplings_a = (ts[r] * ts[s] for r, s in _PAIRS_BEYOND_T1)
+    numerator_a = [(x, m0) for x in couplings_a if x]
+    numerator_b = [(x, m0 - 1) for x in (t1 * tr for tr in ts[1:]) if x]
+    denominator_a, denominator_b = [], []
     if t:
-        den_a = (1 - t * n0**2) * (1 - t / q * n0**2)
-        den_b = (1 - t / q**2 * n0**2) * (1 - t / q * n0**2)
-        if den_a == 0 or den_b == 0:
-            raise GenericityError("boundary potential denominator vanishes")
-        ratio_a /= den_a
-        ratio_b /= den_b
-    bracket_a = t / t1 * n0 + t1 * n0 * (1 - ratio_a)
-    bracket_b = t1 + q / (t1 * n0) * (1 - ratio_b)
-    return bracket_a * (1 - n1) / (1 - q) + bracket_b * (1 - n0) / (1 - q)
+        numerator_a.append((t, m0 - 1))
+        numerator_b.append((t, 2 * m0 + m1 - 1))
+        denominator_a += [(t, 2 * m0), (t, 2 * m0 - 1)]
+        denominator_b += [(t, 2 * m0 - 2), (t, 2 * m0 - 1)]
+    u_a, v_a = factor_ratio(numerator_a, denominator_a, q_num, q_den)
+    u_b, v_b = factor_ratio(numerator_b, denominator_b, q_num, q_den)
+    if v_a == 0 or v_b == 0:
+        raise GenericityError("boundary potential denominator vanishes")
+    # integer pairs, cross-multiplied: ratio_a = u_a / v_a, ratio_b = u_b / v_b,
+    # t1 = a1 / d1, t = t_num / t_den, N_i = p_i / r_i and q = p / r
+    a1, d1 = t1.numerator, t1.denominator
+    t_num, t_den = t.numerator, t.denominator
+    p0, r0, p1, r1 = q_num[m0], q_den[m0], q_num[m1], q_den[m1]
+    p, r = q_num[1], q_den[1]
+    bracket_a_num = p0 * (t_num * d1 * d1 * v_a + a1 * a1 * t_den * (v_a - u_a))
+    bracket_a_den = r0 * t_den * a1 * d1 * v_a
+    bracket_b_num = a1 * a1 * r * p0 * v_b + d1 * d1 * p * r0 * (v_b - u_b)
+    bracket_b_den = d1 * r * a1 * p0 * v_b
+    num = r * (
+        bracket_a_num * (r1 - p1) * bracket_b_den * r0
+        + bracket_b_num * (r0 - p0) * bracket_a_den * r1
+    )
+    return Fraction(num, bracket_a_den * r1 * bracket_b_den * r0 * (r - p))
 
 
 def potential_from_step_coeffs(lam: tuple[int, ...], params: ParamSet) -> Fraction:

@@ -1,9 +1,8 @@
 """The package's caches change no result and stay bounded.
 
-Each operator step is cached per (site, state, parameter point), each
-coefficient and relation scalar per occupation numbers and point, the
-relation checks' step tables per point, each norm per (state, point) and
-each q-series factor per its arguments; a
+Each coefficient and relation scalar is cached per occupation numbers and
+point, the operator steps in the relation checks' step tables per point,
+each norm per (state, point) and each q-series factor per its arguments; a
 result must not depend on what an earlier point left in a cache, and the
 benchmark, which empties every module-level ``lru_cache`` before each op,
 must reach each cache.
@@ -19,7 +18,6 @@ from octaboson.qboson import (
     RELATION_IDS,
     LatticeFunction,
     apply_hamiltonian,
-    number_op,
     sector_inner_product,
     verify_relation,
 )
@@ -27,13 +25,9 @@ from octaboson.qkernels import ParamSet, default_params
 
 F = Fraction
 
-#: the (site, state) step caches, the caches keyed by occupation numbers,
-#: the relation checks' step tables per parameter point and the q-series
-#: caches
+#: the caches keyed by occupation numbers, the relation checks' step tables
+#: per parameter point and the q-series caches
 STEP_CACHES = (
-    qboson._annihilate_step,
-    qboson._create_step,
-    qboson._number_step,
     qboson._annihilation_coeff,
     qboson._pair_scalar_b,
     qboson._pair_scalar_c,
@@ -87,8 +81,8 @@ def test_benchmark_empties_every_step_cache(bench_run, params4):
     f = LatticeFunction.delta((1, 0))
     sector_inner_product(f, f, params4)
     apply_hamiltonian(f, params4)
-    # the relation checks read occupation counts, not the number step
-    number_op(0, f, params4)
+    # the normalizers read the q-series factors, which the integer kernels do not
+    qkernels.principal_normalizer((1, 0), params4)
     assert all(cache.cache_info().currsize for cache in STEP_CACHES)
     bench_run.clear_caches(bench_run.spans.package_modules())
     assert [cache.cache_info().currsize for cache in STEP_CACHES] == [0] * len(STEP_CACHES)

@@ -1,10 +1,12 @@
 """The occupation-keyed coefficients against their per-state formulas.
 
 Each coefficient of the q-boson steps, of the relations' diagonal scalars
-and of the Hamiltonian is computed once per the occupation numbers it
-reads.  The oracles below compute each one from the state itself, as the
-formulas are written for a state; the two must agree exactly on every
-(site, state).
+and of the Hamiltonian, and each quadratic norm, is computed once per the
+occupation numbers or state it reads, in integer arithmetic.  The oracles
+below compute each one from the state itself in ``Fraction`` arithmetic,
+as the formulas are written for a state; the two must agree exactly on
+every (site, state), in value and in reduced form (``str``), at catalogue
+points and at points of height 2^61.
 """
 
 from fractions import Fraction
@@ -19,8 +21,10 @@ from octaboson.partitions import (
     raise_indices,
     remove_part,
 )
+from octaboson import qkernels
 from octaboson.qkernels import (
     PROFILES,
+    GenericityError,
     ParamSet,
     boundary_potential,
     creation_coeff,
@@ -28,17 +32,48 @@ from octaboson.qkernels import (
     hop_coeff,
     occupation_key,
     qinteger,
+    qpochhammer,
+    quadratic_norm,
 )
+from test_relation_routes import large_height_params
 
 F = Fraction
 
-#: the default point of each profile and one more with a negative t_1
-POINTS = tuple(default_params(profile) for profile in PROFILES) + (
-    ParamSet(q=F(1, 3), ts=(F(-1, 2), F(1, 5), F(-2, 7), F(3, 8))),
+#: the default point of each profile, one more with a negative t_1, and
+#: the seeded point of height 2^61 of each profile
+POINTS = (
+    tuple(default_params(profile) for profile in PROFILES)
+    + (ParamSet(q=F(1, 3), ts=(F(-1, 2), F(1, 5), F(-2, 7), F(3, 8))),)
+    + tuple(large_height_params(profile) for profile in PROFILES)
 )
 
 STATES = tuple(lam for n in range(5) for lam in enumerate_partitions(n, 3))
 SITES = range(6)
+
+
+def point_id(params):
+    height = max(x.denominator for x in (params.q, *params.ts))
+    return f"{params.profile}-{params.ts[0]}" if height < 2**61 else f"{params.profile}-2^61"
+
+
+def same(got, expected) -> bool:
+    """Equal values, and equal reduced forms."""
+    return got == expected and str(got) == str(expected)
+
+
+def quadratic_norm_oracle(lam, params):
+    q, t = params.q, params.t
+    m0 = multiplicity(lam, 0)
+    numerator = (1 - q) ** len(lam)
+    denominator = Fraction(1)
+    for value in set(lam):
+        denominator *= qpochhammer(q, multiplicity(lam, value), q)
+    for prod in params.pair_products:
+        denominator *= qpochhammer(prod, m0, q)
+    if t:
+        numerator *= qpochhammer(t * q ** (m0 - 1), m0, q)
+        denominator *= qpochhammer(t * q ** (2 * m0), multiplicity(lam, 1), q)
+    return numerator / denominator
 
 
 def creation_oracle(lam, part, params):
@@ -138,39 +173,69 @@ def boundary_potential_oracle(m0, m1, params):
     return bracket_a * (1 - n1) / (1 - q) + bracket_b * (1 - n0) / (1 - q)
 
 
-@pytest.mark.parametrize("params", POINTS, ids=lambda p: f"{p.profile}-{p.ts[0]}")
+@pytest.mark.parametrize("params", POINTS, ids=point_id)
 def test_step_coefficients_match_the_per_state_formulas(params):
     for lam in STATES:
         for site in SITES:
-            assert creation_coeff(lam, site, params) == creation_oracle(lam, site, params)
-            assert qboson._annihilate_step(site, lam, params) == annihilate_step_oracle(
-                site, lam, params
+            assert same(creation_coeff(lam, site, params), creation_oracle(lam, site, params))
+            assert same(
+                qboson._annihilate_step(site, lam, params), annihilate_step_oracle(site, lam, params)
             )
         for j in raise_indices(lam):
-            assert hop_coeff(lam, j, +1, params) == creation_oracle(lam, lam[j], params)
+            assert same(hop_coeff(lam, j, +1, params), creation_oracle(lam, lam[j], params))
         for j in lower_indices(lam):
-            assert hop_coeff(lam, j, -1, params) == qinteger(multiplicity(lam, lam[j]), params.q)
+            expected = qinteger(multiplicity(lam, lam[j]), params.q)
+            assert same(hop_coeff(lam, j, -1, params), expected)
 
 
-@pytest.mark.parametrize("params", POINTS, ids=lambda p: f"{p.profile}-{p.ts[0]}")
+@pytest.mark.parametrize("params", POINTS, ids=point_id)
 def test_relation_scalars_match_the_per_state_formulas(params):
     for lam in STATES:
         m0, m1 = multiplicity(lam, 0), multiplicity(lam, 1)
         for inverse in (False, True):
-            assert qboson._twist_ratio(m0, m1, params, inverse) == twist_oracle(lam, params, inverse)
+            got = qboson._twist_ratio(m0, m1, params, inverse)
+            assert same(got, twist_oracle(lam, params, inverse))
         for site in SITES:
             key = occupation_key(lam, site)
-            assert qboson._pair_scalar_b(*key, params) == pair_scalar_b_oracle(lam, site, params)
-            assert qboson._pair_scalar_c(*key, params) == pair_scalar_c_oracle(lam, site, params)
+            assert same(qboson._pair_scalar_b(*key, params), pair_scalar_b_oracle(lam, site, params))
+            assert same(qboson._pair_scalar_c(*key, params), pair_scalar_c_oracle(lam, site, params))
 
 
-@pytest.mark.parametrize("params", POINTS, ids=lambda p: f"{p.profile}-{p.ts[0]}")
+@pytest.mark.parametrize("params", POINTS, ids=point_id)
 def test_boundary_potential_matches_its_formula(params):
     for m0 in range(6):
         for m1 in range(6 - m0):
-            assert boundary_potential(m0, m1, params) == boundary_potential_oracle(m0, m1, params)
+            got = boundary_potential(m0, m1, params)
+            assert same(got, boundary_potential_oracle(m0, m1, params))
     with pytest.raises(ValueError, match="nonnegative"):
         boundary_potential(-1, 0, params)
+
+
+@pytest.mark.parametrize("params", POINTS, ids=point_id)
+def test_quadratic_norm_matches_its_formula(params):
+    for lam in STATES:
+        assert same(quadratic_norm(lam, params), quadratic_norm_oracle(lam, params))
+
+
+def test_a_vanishing_denominator_raises_before_any_division():
+    # q = 1/2 and t = t1 t2 t3 t4 = 4, set past ParamSet's validation, so
+    # that 1 - t q^2 = 0 and, for the product t3 t4 = 1, 1 - t3 t4 q^0 = 0
+    point = object.__new__(ParamSet)
+    for name, value in (("q", F(1, 2)), ("ts", (F(2), F(2), F(1), F(1))), ("profile", "four")):
+        object.__setattr__(point, name, value)
+    kernels = [
+        (qkernels._quadratic_norm, ((1, 0), point)),
+        (qkernels._creation_coeff, (0, 1, 2, 0, point)),
+        (qkernels._boundary_potential, (1, 0, point)),
+        (qboson._annihilation_coeff, (1, 0, point)),
+        (qboson._pair_scalar_b, (0, 1, 2, 0, point)),
+        (qboson._pair_scalar_c, (0, 1, 1, 0, point)),
+        (qboson._twist_ratio, (1, 0, point, False)),
+        (qboson._twist_ratio, (0, 1, point, True)),
+    ]
+    for kernel, args in kernels:
+        with pytest.raises(GenericityError, match="vanishes"):
+            kernel(*args)
 
 
 def test_occupation_key_reads_what_each_site_class_reads():

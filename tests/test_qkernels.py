@@ -79,6 +79,15 @@ def test_guard_beyond_construction_horizon():
         params.ensure_generic(4, 14)
 
 
+def test_q_powers_is_one_growing_table_per_point():
+    point = default_params("two")
+    num, den = point.q_powers(3)
+    assert [F(a, b) for a, b in zip(num, den)] == [point.q**k for k in range(len(num))]
+    again, _ = point.q_powers(7)
+    assert again is num and len(num) >= 7
+    assert [F(a, b) for a, b in zip(num, den)] == [point.q**k for k in range(len(num))]
+
+
 def test_equal_points_hash_equal():
     point = default_params("three")
     again = ParamSet(q=F(2, 4), ts=(F(1, 3), F(-2, 8), F(1, 5), 0), profile="three")

@@ -7,8 +7,9 @@ compares the entries of those tables at its reduced points with the reduced
 steps, state by state, and reads each reduced hop rate once; each mutant
 below breaks one formula in a way only the full check can see, and the
 suite must fail on it, with a failing algebra relation naming the mutated
-site in its ``worstCase`` and a failing degeneration check the mutated
-(operator, site, state) in its ``firstFailure``.  Every package cache is
+site in its ``worstCase``, a failing adjointness check the mutated site and
+state, and a failing degeneration check the mutated (operator, site, state)
+in its ``firstFailure``.  Every package cache is
 emptied around a mutant, so no mutated value outlives it.
 """
 
@@ -40,6 +41,22 @@ def test_adjoint_suite_catches_one_wrong_creation_coefficient(capsys, monkeypatc
         "adjointness": False,
         "hamiltonian-symmetry": False,
     }
+    adjointness, symmetry = (c["firstFailure"] for c in payload["checks"])
+    # the mutated key: the upper state holds two parts at the site, l >= 2
+    site = adjointness["site"]
+    assert site >= 2 and adjointness["upper"].count(site) == 2
+    assert len(adjointness["upper"]) == len(adjointness["lower"]) + 1
+    for failure in (adjointness, symmetry):
+        assert Fraction(failure["lhs"]) != Fraction(failure["rhs"])
+    assert symmetry["left"] != symmetry["right"]
+    # the CSV keeps its columns; the first failures are in the JSON alone
+    argv = ["verify", "adjoint", "--n", "3", "--maxPart", "3", "--format", "csv"]
+    assert cli.main(argv) == cli.EXIT_FAIL
+    assert capsys.readouterr().out.splitlines() == [
+        "name,cases,pass",
+        "adjointness,976,False",
+        "hamiltonian-symmetry,516,False",
+    ]
 
 
 def test_algebra_suite_checks_relation_b_at_every_site(capsys, monkeypatch, cold_caches):
