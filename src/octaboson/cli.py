@@ -4,9 +4,10 @@ emit JSON/CSV reports.
 Exit codes: 0 all checks passed (and --help); 1 failed check, parameter/guard
 violation or command-line usage error (with machine-readable error JSON,
 type "usage" for the last); 2 internal failure, either an
-exact division that did not go through or a constructed polynomial that is
+exact division that did not go through, a constructed polynomial that is
 not monic or leaves its lower set (the error JSON names lambda and the
-offending mu); 3 resource budget exceeded (for a quadrature grid the error
+offending mu), or any other exception (type "internal", naming the
+exception); 3 resource budget exceeded (for a quadrature grid the error
 JSON names the M it needs, for a seed block the terms its exponent box can
 hold).
 """
@@ -20,12 +21,12 @@ import json
 import random
 import re
 import sys
+import traceback
 from fractions import Fraction
 
 from . import budget, hallittlewood, qboson, torus
 from .laurent import NotDivisibleError
 from .partitions import enumerate_partitions, sector_size, unit_steps
-from .qboson import LatticeFunction
 from .qkernels import (
     DEFAULT_POINTS,
     ParamSet,
@@ -284,7 +285,7 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
             "cases": sum(check.cases for check in checks),
         }
         if worst.worst_case:
-            report["worstCase"] = _worst_case_fields(worst.worst_case)
+            report["worstCase"] = _mismatch_fields(worst.worst_case)
         reports.append(report)
     # Boundary-pair witness: without the diagonal twist the (0, 1) exchange
     # relations fail in the full profile and hold in the reduced ones.  It
@@ -305,7 +306,7 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
     if not applicable:
         witness_report["applicable"] = False
     if not witness_ok and witness.worst_case:
-        witness_report["worstCase"] = _worst_case_fields(witness.worst_case)
+        witness_report["worstCase"] = _mismatch_fields(witness.worst_case)
     payload = {
         "maxPart": max_part,
         "relations": reports,
@@ -317,103 +318,44 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
     return payload, rows
 
 
-def _worst_case_fields(case: qboson.WorstCase) -> dict:
-    """The site pair, the delta function's state and both sides' images at
-    a failing relation's worst case; a zero image is null."""
-    return {
-        "sites": list(case.sites),
-        "state": list(case.state),
-        "lhs": _image_fields(case.lhs),
-        "rhs": _image_fields(case.rhs),
-    }
-
-
-def _image_fields(image) -> dict | None:
-    """A basis image (state, value) as JSON fields, or null for zero."""
-    return None if image is None else {"state": list(image[0]), "value": str(image[1])}
-
-
-def _pairing(f: LatticeFunction, g: LatticeFunction, params) -> object:
-    """<f, g>, taken only where the supports meet; elsewhere it is 0, the
-    empty sum ``sector_inner_product`` would return."""
-    if f.values.keys().isdisjoint(g.values.keys()):
-        return 0
-    return qboson.sector_inner_product(f, g, params)
-
-
-def _checks_report(max_part: int, checks: list[dict]) -> tuple[dict, list]:
+def _checks_report(max_part: int, names, results) -> tuple[dict, list]:
     """The report of an exact suite of named checks and its CSV rows, which
     keep the columns name, cases and pass; a failing check's
     ``firstFailure`` is in the JSON alone."""
+    checks = []
+    for name, result in zip(names, results):
+        checks.append({"name": name, "cases": result.cases, "pass": result.mismatch is None})
+        if result.mismatch:
+            checks[-1]["firstFailure"] = _mismatch_fields(result.mismatch)
     passed = all(c["pass"] for c in checks)
     rows = [{key: value for key, value in c.items() if key != "firstFailure"} for c in checks]
     return {"maxPart": max_part, "mode": "exact", "checks": checks, "pass": passed}, rows
 
 
-def _check(name: str, cases: int, failure: dict | None) -> dict:
-    """A named check, with its first failure where it fails."""
-    check = {"name": name, "cases": cases, "pass": failure is None}
-    if failure:
-        check["firstFailure"] = failure
-    return check
+def _mismatch_fields(mismatch: qboson.Mismatch) -> dict:
+    """A failing comparison as JSON fields: its place, a state or site pair
+    as a list, and its two sides, an exact value as a string and an image
+    (state, value) of a delta function as fields, or null for zero."""
+    fields = {key: list(v) if isinstance(v, tuple) else v for key, v in mismatch.where.items()}
+    for key, side in mismatch.sides.items():
+        if isinstance(side, tuple):
+            side = {"state": list(side[0]), "value": str(side[1])}
+        elif side is not None:
+            side = str(side)
+        fields[key] = side
+    return fields
 
 
 def _suite_adjoint(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
     params.ensure_generic(n + 1, max_part + 1)
-    # sectors 0..n, then the pairs the two loops below visit, are bounded
-    # before any operator is applied
-    sectors = [enumerate_partitions(sector, max_part) for sector in range(n + 1)]
-    sizes = [len(states) for states in sectors]
-    adjoint_cases = (max_part + 1) * sum(a * b for a, b in zip(sizes, sizes[1:]))
-    sym_cases = sum(size * size for size in sizes[1:])
-    pairs = adjoint_cases + sym_cases
+    # the pairs the two checks count are bounded from the sectors' sizes,
+    # before any state is listed
+    pairs = sum(qboson.adjoint_cases(n, max_part))
     what = f"{pairs} operator pairs at n = {n}, maxPart = {max_part}"
     budget.check(pairs, what, {"n": n, "maxPart": max_part, "pairs": pairs})
-    # one delta function per state
-    deltas = [{mu: LatticeFunction.delta(mu) for mu in states} for states in sectors]
-    checks = [
-        _check("adjointness", adjoint_cases, _adjointness_failure(deltas, max_part, params)),
-        _check("hamiltonian-symmetry", sym_cases, _symmetry_failure(deltas, params)),
-    ]
-    return _checks_report(max_part, checks)
-
-
-def _adjointness_failure(deltas: list[dict], max_part: int, params) -> dict | None:
-    """The first (site l, lower state mu, upper state lam) of consecutive
-    sectors with <create(l) delta_mu, delta_lam> != <delta_mu,
-    annihilate(l) delta_lam>, both sides exact, or None when none is."""
-    for lower, upper in zip(deltas, deltas[1:]):
-        for l in range(max_part + 1):
-            created = [(mu, f, qboson.create(l, f, params)) for mu, f in lower.items()]
-            for lam, g in upper.items():
-                annihilated = qboson.annihilate(l, g, params)
-                for mu, f, created_f in created:
-                    lhs = _pairing(created_f, g, params)
-                    rhs = _pairing(f, annihilated, params)
-                    if lhs != rhs:
-                        return {
-                            "site": l,
-                            "lower": list(mu),
-                            "upper": list(lam),
-                            "lhs": str(lhs),
-                            "rhs": str(rhs),
-                        }
-    return None
-
-
-def _symmetry_failure(deltas: list[dict], params) -> dict | None:
-    """The first states (lam, mu) of one sector with <H delta_lam, delta_mu>
-    != <delta_lam, H delta_mu>, both sides exact, or None when none is."""
-    for sector in deltas[1:]:
-        images = {lam: qboson.apply_hamiltonian(f, params) for lam, f in sector.items()}
-        for lam, f in sector.items():
-            for mu, g in sector.items():
-                lhs = _pairing(images[lam], g, params)
-                rhs = _pairing(f, images[mu], params)
-                if lhs != rhs:
-                    return {"left": list(lam), "right": list(mu), "lhs": str(lhs), "rhs": str(rhs)}
-    return None
+    results = qboson.verify_adjoint(n, max_part, params)
+    return _checks_report(max_part, ("adjointness", "hamiltonian-symmetry"), results)
 
 
 def _suite_eigen(args, params) -> tuple[dict, list]:
@@ -459,26 +401,9 @@ def _suite_degeneration(args, params) -> tuple[dict, list]:
         reductions.append(("t4->0", three, norm_three, hop_up_three, potential_three))
     two = ParamSet(q=q, ts=(ts[0], ts[1], Fraction(0), Fraction(0)), profile="two")
     reductions.append(("t3,t4->0", two, norm_two, hop_up_two, potential_two))
-    checks = []
-    for name, reduced, *closed_forms in reductions:
-        result = qboson.verify_degeneration(n, max_part, reduced, *closed_forms)
-        failure = _mismatch_fields(result.mismatch) if result.mismatch else None
-        checks.append(_check(name, result.cases, failure))
-    return _checks_report(max_part, checks)
-
-
-def _mismatch_fields(mismatch: qboson.DegenerationMismatch) -> dict:
-    """The kind and place of a degeneration check's first failing
-    comparison and its runtime and reduced sides: exact values, or for an
-    operator the images of the delta function, a zero image null."""
-    where = {key: list(v) if isinstance(v, tuple) else v for key, v in mismatch.where.items()}
-    side = _image_fields if mismatch.kind in ("create", "annihilate") else str
-    return {
-        "kind": mismatch.kind,
-        **where,
-        "runtime": side(mismatch.runtime),
-        "reduced": side(mismatch.reduced),
-    }
+    names = [name for name, *_ in reductions]
+    results = [qboson.verify_degeneration(n, max_part, *reduction[1:]) for reduction in reductions]
+    return _checks_report(max_part, names, results)
 
 
 def _suite_scattering(args, params) -> tuple[dict, list]:
@@ -633,6 +558,11 @@ def main(argv=None) -> int:
     except budget.BudgetExceededError as exc:
         _emit_error("budget", str(exc), args, exc.evidence)
         return EXIT_BUDGET
+    except Exception as exc:
+        # any other exception is a fault of the program, not of the input
+        traceback.print_exc()
+        _emit_error("internal", str(exc), args, {"exception": type(exc).__name__})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -26,16 +26,21 @@ built per state.  Each operator of a side reads one table per (operator,
 site), state -> (target, numerator, denominator), filled on first use from
 the steps and shared by every check at the parameter point; the number
 operator reads occupation counts and the point's integer powers of q
-(``ParamSet.q_powers``).
-The two sides are compared by integer cross-multiplication, and a
+(``ParamSet.q_powers``); its batch of the delta basis itself is built
+once per point and sector.  The two sides are compared by integer cross-multiplication, and a
 ``Fraction`` is built only where they differ.  The relations that read one
 site (SINGLE_SITE_RELATIONS) need one check per site, whatever the second
 site.
 
+The adjoint checks apply the public operators once to each delta
+function: adjointness is then c_l(mu -> lam) N_lam = N_mu a_l(lam -> mu)
+per step, and symmetry detailed balance, H(lam -> mu) N_mu = N_lam
+H(mu -> lam) per unit step; other pairs' supports are apart.
+
 The degeneration checks read the same step tables at their reduced points
 (t4 = 0, and t3 = t4 = 0): each table entry is compared, state by state,
-with the reduced step that the oracles ``reduced_create`` and
-``reduced_annihilate`` apply, again by integer cross-multiplication and
+with the reduced steps ``_reduced_create_step`` and
+``_reduced_annihilate_step``, again by integer cross-multiplication and
 with no function built per state.
 """
 
@@ -45,7 +50,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .hallittlewood import hl_polynomial
@@ -55,6 +60,7 @@ from .partitions import (
     multiplicity,
     raise_indices,
     remove_part,
+    sector_size,
     unit_steps,
 )
 from .qkernels import (
@@ -257,12 +263,6 @@ def _twist_ratio(m0: int, m1: int, params: ParamSet, inverse: bool) -> Fraction:
     return Fraction(num, den)
 
 
-def _apply_diag(
-    f: LatticeFunction, scalar: Callable[[tuple[int, ...]], Fraction]
-) -> LatticeFunction:
-    return LatticeFunction._trusted(f.n, {lam: scalar(lam) * v for lam, v in f.values.items()})
-
-
 @lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
 def _pair_scalar_b(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fraction:
     """Diagonal value of the normal-ordered product create(l) annihilate(l)
@@ -318,8 +318,8 @@ def _pair_scalar_c(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fra
 
 #: Parameter points whose step tables are kept.  One ``verify algebra``
 #: suite reads one point and one ``verify degeneration`` suite two, its
-#: reduced points; a table's entries are bounded by the states of the
-#: sectors it is applied to.
+#: reduced points; a table's entries, and a point's batches, are bounded by
+#: the states of the sectors they are applied to.
 _POINT_CACHE_SIZE = 16
 
 
@@ -346,11 +346,12 @@ class _StepTable(dict):
 
 class _PointTables:
     """The step tables of the operator checks at one parameter point, keyed
-    by operator and site; each is filled on first use."""
+    by operator and site and each filled on first use, and its batches."""
 
     def __init__(self, params: ParamSet):
         self.params = params
         self.steps: dict[tuple, _StepTable] = {}
+        self.batches: dict[tuple, list] = {}
 
     def table(self, key: tuple, fill: Callable) -> _StepTable:
         """The table under ``key``, made with ``fill`` if it is new."""
@@ -388,18 +389,32 @@ class _BasisOps:
     Every operator of the relations is monomial on the delta basis, so each
     side sends delta_mu to one basis image: a triple (state, numerator,
     denominator) of integers, or None for the zero function.  A batch is
-    the list of the images of the sector's delta functions, in basis order.
+    the list of the images of the sector's delta functions, in basis order;
+    the batch of ``a``, ``c`` or ``n`` of the basis itself, the object
+    ``_delta_images(n, max_part)``, is kept per (operator, site, n, max_part).
     """
 
-    def __init__(self, l: int, k: int, n: int, params: ParamSet, twisted: bool):
+    def __init__(self, l: int, k: int, n: int, max_part: int, params: ParamSet, twisted: bool):
         self.params = params
         self.q = params.q
         self.tables = _point_tables(params)
+        self.basis = _delta_images(n, max_part)
+        self.sector = (n, max_part)
         # a side reaches sector n + 2 at most, where m_l <= n + 2
         self.q_num, self.q_den = params.q_powers(n + 3)
         # ultralocality breaks on the boundary pair (0, 1) alone; the twist
         # ratio is exactly 1 at t = 0
         self.twist_on = twisted and l == 0 and k == 1
+
+    def _first_level(self, key: tuple, apply: Callable, arg, images):
+        """apply(arg, images), kept in the point's batches for the basis."""
+        if images is not self.basis:
+            return apply(arg, images)
+        key += self.sector
+        batch = self.tables.batches.get(key)
+        if batch is None:
+            batch = self.tables.batches[key] = apply(arg, images)
+        return batch
 
     @staticmethod
     def _apply(table: _StepTable, images):
@@ -410,19 +425,23 @@ class _BasisOps:
             for image in images
         ]
 
-    def a(self, site: int, images):
-        return self._apply(self.tables.annihilation(site), images)
-
-    def c(self, site: int, images):
-        return self._apply(self.tables.creation(site), images)
-
-    def n(self, site: int, images):
+    def _powers(self, site: int, images):
+        """Each image times q^{m_site} of its state."""
         q_num, q_den = self.q_num, self.q_den
         return [
             None if image is None
             else (image[0], image[1] * q_num[(m := image[0].count(site))], image[2] * q_den[m])
             for image in images
         ]
+
+    def a(self, site: int, images):
+        return self._first_level(("a", site), self._apply, self.tables.annihilation(site), images)
+
+    def c(self, site: int, images):
+        return self._first_level(("c", site), self._apply, self.tables.creation(site), images)
+
+    def n(self, site: int, images):
+        return self._first_level(("n", site), self._powers, site, images)
 
     def scale(self, factor, images):
         if factor == 1:
@@ -472,15 +491,13 @@ EXCHANGE_RELATIONS = ("d1", "d2", "e1", "e2")
 SINGLE_SITE_RELATIONS = ("b", "c")
 
 
-class WorstCase(NamedTuple):
-    """Where a relation's residual is largest: the site pair, the state mu
-    of the delta function, and each side's image of delta_mu, a (state,
-    value) pair or None for the zero function."""
+class Mismatch(NamedTuple):
+    """A failing comparison of an operator check: its place, by states and
+    sites, and its two sides by name, each an exact value or an operator's
+    image of a delta function, a (state, value) pair or None for 0."""
 
-    sites: tuple[int, int]
-    state: tuple[int, ...]
-    lhs: tuple[tuple[int, ...], Fraction] | None
-    rhs: tuple[tuple[int, ...], Fraction] | None
+    where: dict[str, object]
+    sides: dict[str, object]
 
 
 class RelationResidual(NamedTuple):
@@ -488,12 +505,12 @@ class RelationResidual(NamedTuple):
     and the number of basis functions checked.  ``verify algebra`` checks a
     relation of SINGLE_SITE_RELATIONS once per l and counts its cases at
     every (l, k), so there its ``cases`` counts statements, not checks.
-    ``worst_case`` is the first delta function, in basis order, whose
-    residual is the worst, or None when the relation holds."""
+    ``worst_case`` names the site pair, the first delta function, in basis
+    order, whose residual is the worst, and both sides' images of it."""
 
     residual: Fraction
     cases: int
-    worst_case: WorstCase | None = None
+    worst_case: Mismatch | None = None
 
 
 #: One ``verify algebra`` suite reads one sector; the bound stops sweeps
@@ -523,9 +540,8 @@ def _valued_image(image):
 
 
 def _image_value(image) -> Fraction:
-    if image is None:
-        return Fraction(0)
-    return Fraction(1) if image[1] is None else image[1]
+    """The value of a (state, value) image, 0 for None."""
+    return Fraction(0) if image is None else image[1]
 
 
 def _image_residual(lhs, rhs) -> Fraction:
@@ -561,7 +577,8 @@ def verify_relation(
     if relation_id in EXCHANGE_RELATIONS and not l < k:
         raise ValueError("exchange relations require l < k")
     basis = _delta_images(n, max_part)
-    lefts, rights = _RELATIONS[relation_id](_BasisOps(l, k, n, params, twisted), l, k, basis)
+    ops = _BasisOps(l, k, n, max_part, params, twisted)
+    lefts, rights = _RELATIONS[relation_id](ops, l, k, basis)
     worst, worst_case = Fraction(0), None
     for delta, lhs, rhs in zip(basis, lefts, rights):
         if _images_equal(lhs, rhs):
@@ -569,12 +586,102 @@ def verify_relation(
         lhs, rhs = _valued_image(lhs), _valued_image(rhs)
         residual = _image_residual(lhs, rhs)
         if residual > worst:
-            worst, worst_case = residual, WorstCase((l, k), delta[0], lhs, rhs)
+            where = {"sites": (l, k), "state": delta[0]}
+            worst, worst_case = residual, Mismatch(where, {"lhs": lhs, "rhs": rhs})
     return RelationResidual(worst, len(basis), worst_case)
 
 
 # ---------------------------------------------------------------------------
-# Degeneration oracles and checks
+# Adjointness and symmetry
+# ---------------------------------------------------------------------------
+
+
+class CheckResult(NamedTuple):
+    """A check's cases, counted whether compared or not, and first failure."""
+
+    cases: int
+    mismatch: Mismatch | None
+
+
+def adjoint_cases(n: int, max_part: int) -> tuple[int, int]:
+    """The pairs (l, mu, lam), l <= max_part, of S_s x S_{s+1} and (lam, mu)
+    of S_s x S_s, s >= 1, over the sectors S_0..S_n with parts <= max_part:
+    read off the sectors' sizes, each checked against the budget in turn."""
+    sizes = [sector_size(sector, max_part) for sector in range(n + 1)]
+    adjointness = (max_part + 1) * sum(a * b for a, b in zip(sizes, sizes[1:]))
+    return adjointness, sum(size * size for size in sizes[1:])
+
+
+def _weighted(value, norm: Fraction) -> tuple[int, int]:
+    """value * norm as an unreduced integer pair; a missing value is 0."""
+    if value is None:
+        return 0, 1
+    return value.numerator * norm.numerator, value.denominator * norm.denominator
+
+
+def _unbalanced(rows, cols, down: dict, up: dict, norms: dict):
+    """The first (row, col), rows and then cols in basis order, with
+    down(row -> col) N_col != N_row up(col -> row), and those two sides, or
+    None.  ``down[row]`` and ``up[col]`` are the values of the images of the
+    delta functions; the pairs neither reaches hold, both sides being 0."""
+    index = {col: i for i, col in enumerate(cols)}
+    sources: dict[tuple, set[int]] = {}
+    for i, col in enumerate(cols):
+        for target in up[col]:
+            sources.setdefault(target, set()).add(i)
+    for row in rows:
+        values = down[row]
+        for i in sorted(sources.get(row, set()) | {index[t] for t in values if t in index}):
+            col = cols[i]
+            first = _weighted(values.get(col), norms[col])
+            second = _weighted(up[col].get(row), norms[row])
+            if first[0] * second[1] != second[0] * first[1]:
+                return row, col, Fraction(*first), Fraction(*second)
+    return None
+
+
+def verify_adjoint(n: int, max_part: int, params: ParamSet) -> tuple[CheckResult, CheckResult]:
+    """Check, on the delta functions of the states with parts <= max_part,
+    that create(l), l <= max_part, is the adjoint of annihilate(l) between
+    consecutive sectors of 0..n, and ``apply_hamiltonian`` symmetric on
+    sectors 1..n, for ``sector_inner_product``.
+
+    Each operator is applied once to each delta function; its image holds
+    one state, or for H the state and its unit-step neighbours, so each
+    identity is one equation per step, c_l(mu -> lam) N_lam = N_mu
+    a_l(lam -> mu) and H(lam -> mu) N_mu = N_lam H(mu -> lam), N_lam =
+    <delta_lam, delta_lam>, compared by integer cross-multiplication.  The
+    cases are ``adjoint_cases``; a first failure is the first failing pair
+    by sector, l, lam and mu."""
+    adjointness, symmetry = adjoint_cases(n, max_part)
+    sectors = [enumerate_partitions(sector, max_part) for sector in range(n + 1)]
+    deltas = {lam: LatticeFunction.delta(lam) for states in sectors for lam in states}
+    norms = {lam: sector_inner_product(f, f, params) for lam, f in deltas.items()}
+
+    def adjointness_mismatch() -> Mismatch | None:
+        for lower, upper in zip(sectors, sectors[1:]):
+            for l in range(max_part + 1):
+                up = {mu: create(l, deltas[mu], params).values for mu in lower}
+                down = {lam: annihilate(l, deltas[lam], params).values for lam in upper}
+                if found := _unbalanced(upper, lower, down, up, norms):
+                    lam, mu, rhs, lhs = found
+                    where = {"site": l, "lower": mu, "upper": lam}
+                    return Mismatch(where, {"lhs": lhs, "rhs": rhs})
+        return None
+
+    def symmetry_mismatch() -> Mismatch | None:
+        for states in sectors[1:]:
+            images = {lam: apply_hamiltonian(deltas[lam], params).values for lam in states}
+            if found := _unbalanced(states, states, images, images, norms):
+                lam, mu, lhs, rhs = found
+                return Mismatch({"left": lam, "right": mu}, {"lhs": lhs, "rhs": rhs})
+        return None
+
+    return CheckResult(adjointness, adjointness_mismatch()), CheckResult(symmetry, symmetry_mismatch())
+
+
+# ---------------------------------------------------------------------------
+# Degeneration checks
 # ---------------------------------------------------------------------------
 
 
@@ -597,46 +704,6 @@ def _reduced_annihilate_step(l: int, mu: tuple[int, ...]):
     return remove_part(mu, l), None
 
 
-def reduced_create(
-    l: int, f: LatticeFunction, params: ParamSet, hop_up: Callable
-) -> LatticeFunction:
-    """Degeneration oracle for create at a reduced profile: each state of f
-    takes its ``_reduced_create_step``."""
-    return _apply_steps(partial(_reduced_create_step, hop_up=hop_up), l, f, params, f.n + 1)
-
-
-def reduced_annihilate(l: int, f: LatticeFunction) -> LatticeFunction:
-    """Degeneration oracle for annihilate at t = 0: each state of f takes
-    its ``_reduced_annihilate_step``."""
-    return _apply_steps(
-        lambda site, mu, _params: _reduced_annihilate_step(site, mu), l, f, None, f.n - 1
-    )
-
-
-class DegenerationMismatch(NamedTuple):
-    """The first comparison of a degeneration check that fails.
-
-    ``kind`` is "norm", "hop", "create", "annihilate" or "potential";
-    ``where`` names the comparison: the state, with the raise index j of a
-    hop or the site of an operator, or the occupations (m0, m1) of a
-    potential.  ``runtime`` and ``reduced`` are the two sides: values, or
-    for an operator each side's image of delta_state, a (state, value) pair
-    or None for the zero function."""
-
-    kind: str
-    where: dict[str, object]
-    runtime: object
-    reduced: object
-
-
-class DegenerationResult(NamedTuple):
-    """The comparisons of a degeneration check, counted whether made or
-    not, and the first that fails, None when every one holds."""
-
-    cases: int
-    mismatch: DegenerationMismatch | None
-
-
 def verify_degeneration(
     n: int,
     max_part: int,
@@ -644,7 +711,7 @@ def verify_degeneration(
     norm_red: Callable,
     hop_red: Callable,
     pot_red: Callable,
-) -> DegenerationResult:
+) -> CheckResult:
     """Compare the runtime at a reduced point with the reduced closed forms
     ``norm_red``, ``hop_red`` and ``pot_red`` (``norm_three``,
     ``hop_up_three``, ``potential_three``, or their two-profile forms).
@@ -654,13 +721,15 @@ def verify_degeneration(
     index, and at each site l <= max_part + 1 the images of the state's
     delta function under create(l) and annihilate(l) with the reduced
     steps; then the boundary potential at each occupation pair with
-    m0 + m1 <= n.  It stops at the first comparison that fails.
+    m0 + m1 <= n.  It stops at the first comparison that fails, and names
+    its ``kind`` ("norm", "hop", "create", "annihilate" or "potential"),
+    place and sides ``runtime`` and ``reduced``.
 
     The runtime operators read the step tables of the point, shared with
     the relation checks, and the oracles step tables of the reduced steps;
-    each pair of images is compared by integer cross-multiplication.  Each reduced rate ``hop_red(lam, j)`` is
-    evaluated once, for the create comparison that reaches lam and for the
-    hop comparison at lam.
+    each pair of images is compared by integer cross-multiplication.  Each
+    reduced rate ``hop_red(lam, j)`` is evaluated once, for the create
+    comparison that reaches lam and for the hop comparison at lam.
     """
     states = [lam for sector in range(n + 1) for lam in enumerate_partitions(sector, max_part)]
     sites = range(max_part + 2)
@@ -676,8 +745,9 @@ def verify_degeneration(
             value = rates[lam, j] = hop_red(lam, j, q, ts)
         return value
 
-    def failure(kind, where, runtime, oracle) -> DegenerationResult:
-        return DegenerationResult(cases, DegenerationMismatch(kind, where, runtime, oracle))
+    def failure(kind, where, runtime, oracle) -> CheckResult:
+        sides = {"runtime": runtime, "reduced": oracle}
+        return CheckResult(cases, Mismatch({"kind": kind, **where}, sides))
 
     tables = _point_tables(reduced)
     operators = [
@@ -711,7 +781,7 @@ def verify_degeneration(
         runtime, oracle = boundary_potential(m0, m1, reduced), pot_red(m0, m1, q, ts)
         if runtime != oracle:
             return failure("potential", {"occupations": (m0, m1)}, runtime, oracle)
-    return DegenerationResult(cases, None)
+    return CheckResult(cases, None)
 
 
 # ---------------------------------------------------------------------------
@@ -740,10 +810,9 @@ def apply_hamiltonian(f: LatticeFunction, params: ParamSet) -> LatticeFunction:
 def hamiltonian_from_operators(f: LatticeFunction, params: ParamSet) -> LatticeFunction:
     """Assemble the Hamiltonian from creation/annihilation pairs; on a
     finitely supported function the site sum truncates at the largest part."""
-    result = _apply_diag(
-        f,
-        lambda lam: boundary_potential(*_occupation_pair(lam), params),
-    )
+    result = LatticeFunction._trusted(f.n, {
+        lam: boundary_potential(*_occupation_pair(lam), params) * v for lam, v in f.values.items()
+    })
     top = max((max(lam) for lam in f.values if lam), default=0)
     for l in range(top + 1):
         result = result + create(l, annihilate(l + 1, f, params), params)

@@ -26,8 +26,6 @@ from octaboson.qboson import (
     apply_hamiltonian,
     create,
     eigen_residual,
-    reduced_annihilate,
-    reduced_create,
     scattering_factors,
     scattering_matrix,
     sector_inner_product,
@@ -45,6 +43,7 @@ from octaboson.qkernels import (
     quadratic_norm,
 )
 from octaboson.torus import QuadratureSpec, inner_product
+from lattice_oracle import reduced_annihilate, reduced_create
 
 PARAMS = default_params("four")
 PARAMS_TWO = default_params("two")

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from octaboson import cli, hallittlewood
+from octaboson import cli, hallittlewood, partitions, qboson
 from octaboson.laurent import NotDivisibleError
 from octaboson.partitions import unit_steps
 from octaboson.qboson import LatticeFunction
@@ -232,6 +232,19 @@ def test_exit_internal_divisibility(capsys, monkeypatch):
     assert json.loads(out)["error"]["type"] == "internal-divisibility"
 
 
+def test_exit_internal_unmapped_exception(capsys, monkeypatch):
+    # an exception that no handler maps is a fault of the program: exit 2
+    # with its type named, not a traceback and exit 1, a failed identity
+    def broken(args, params):
+        raise RuntimeError("suite broke")
+
+    monkeypatch.setitem(cli.SUITES, "adjoint", broken)
+    code, out = run(capsys, "verify", "adjoint", "--n", "1")
+    assert code == cli.EXIT_INTERNAL
+    error = json.loads(out)["error"]
+    assert error == {"type": "internal", "message": "suite broke", "exception": "RuntimeError"}
+
+
 def test_exit_internal_not_monic(capsys, monkeypatch, fresh_construction):
     normalizer = hallittlewood.monic_normalizer
     monkeypatch.setattr(
@@ -375,6 +388,26 @@ def test_exit_budget_bounds_adjoint_pairs(capsys, monkeypatch):
     # the counter sees the delta functions of a run within the budget
     code, _ = run(capsys, "verify", "adjoint", "--n", "1", "--maxPart", "1")
     assert code == 0 and len(calls) == 3
+
+
+def test_adjoint_refusal_lists_no_sector(capsys, monkeypatch):
+    # the pairs are counted from the sectors' sizes: the 635,376 states of
+    # the top sector pass, its 1.9e12 pairs do not, and no sector is listed
+    calls = []
+    real_enumerate = partitions.enumerate_partitions
+
+    def counting_enumerate(n, max_part):
+        calls.append((n, max_part))
+        return real_enumerate(n, max_part)
+
+    for module in (partitions, qboson, cli):
+        monkeypatch.setattr(module, "enumerate_partitions", counting_enumerate)
+    code, out = run(capsys, "verify", "adjoint", "--n", "4", "--maxPart", "60")
+    assert code == 3 and json.loads(out)["error"]["pairs"] == 1_948_987_344_688
+    assert calls == []
+    # the counter sees the sectors of a run within the budget
+    code, _ = run(capsys, "verify", "adjoint", "--n", "1", "--maxPart", "1")
+    assert code == 0 and calls == [(0, 1), (1, 1)]
 
 
 def test_malformed_lambda_names_the_flag(capsys):

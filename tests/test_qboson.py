@@ -20,8 +20,6 @@ from octaboson.qboson import (
     energy,
     hamiltonian_from_operators,
     number_op,
-    reduced_annihilate,
-    reduced_create,
     scattering_factors,
     scattering_matrix,
     sector_inner_product,
@@ -41,6 +39,7 @@ from octaboson.qkernels import (
     qinteger,
     quadratic_norm,
 )
+from lattice_oracle import reduced_annihilate, reduced_create
 
 F = Fraction
 

@@ -20,8 +20,8 @@ from octaboson.qboson import (
     RELATION_IDS,
     SINGLE_SITE_RELATIONS,
     LatticeFunction,
+    Mismatch,
     RelationResidual,
-    WorstCase,
     annihilate,
     create,
     number_op,
@@ -87,7 +87,8 @@ def function_route(relation_id, l, k, n, max_part, params, twisted=True):
         residual = max([Fraction(0), *(abs(v) for v in (lhs - rhs).values.values())])
         if residual > worst:
             worst = residual
-            worst_case = WorstCase((l, k), mu, function_image(lhs), function_image(rhs))
+            images = {"lhs": function_image(lhs), "rhs": function_image(rhs)}
+            worst_case = Mismatch({"sites": (l, k), "state": mu}, images)
     return RelationResidual(worst, len(states), worst_case)
 
 
@@ -128,7 +129,7 @@ def test_basis_images_match_the_function_route(profile, max_part):
 def test_untwisted_witness_residual_is_exact_and_nonzero(params4):
     for n in (2, 3):
         expected = function_route("d1", 0, 1, n, 3, params4, twisted=False)
-        assert expected.residual != 0 and expected.worst_case.sites == (0, 1)
+        assert expected.residual != 0 and expected.worst_case.where["sites"] == (0, 1)
         assert verify_relation("d1", 0, 1, n, 3, params4, twisted=False) == expected
 
 
@@ -136,13 +137,14 @@ def as_function(image, n):
     if image is None:
         return LatticeFunction.zero(n)
     mu, value = image
-    return LatticeFunction(n, {mu: Fraction(1) if value is None else value})
+    return LatticeFunction(n, {mu: value})
 
 
 def test_image_residual_is_the_largest_difference():
     # the suites' relations send both sides to one state; a broken relation
     # could send them to two, or to a zero coefficient
-    images = (None, ((1,), None), ((1,), Fraction(-3)), ((1,), Fraction(0)), ((0,), Fraction(2)))
+    images = (None, ((1,), Fraction(1)), ((1,), Fraction(-3)), ((1,), Fraction(0)))
+    images += (((0,), Fraction(2)),)
     for lhs in images:
         for rhs in images:
             difference = (as_function(lhs, 1) - as_function(rhs, 1)).values.values()
@@ -186,12 +188,12 @@ def test_single_site_relations_read_l_alone(profile):
                 basis = qboson._delta_images(n, max_part)
                 for l in sites:
                     at_zero = verify_relation(rid, l, 0, n, max_part, params)
-                    ops_at_zero = qboson._BasisOps(l, 0, n, params, True)
+                    ops_at_zero = qboson._BasisOps(l, 0, n, max_part, params, True)
                     images_at_zero = sides(ops_at_zero, l, 0, basis)
                     assert all(len(side) == len(basis) for side in images_at_zero)
                     for k in sites:
                         got = verify_relation(rid, l, k, n, max_part, params)
                         assert got == at_zero, (rid, l, k, n, max_part)
-                        ops = qboson._BasisOps(l, k, n, params, True)
+                        ops = qboson._BasisOps(l, k, n, max_part, params, True)
                         # every delta function's image on both sides
                         assert sides(ops, l, k, basis) == images_at_zero, (rid, l, k, n)

@@ -1,6 +1,6 @@
 """The operator suites still catch a wrong formula.
 
-``verify adjoint`` takes inner products only where supports meet,
+``verify adjoint`` checks one equation per step of the operators' images,
 ``verify algebra`` checks the single-site relations once per site, on
 step tables shared by every check at a point, and ``verify degeneration``
 compares the entries of those tables at its reduced points with the reduced
