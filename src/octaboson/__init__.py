@@ -35,7 +35,6 @@ from .qkernels import (
     qpochhammer,
     quadratic_norm,
     tau_vector,
-    wave_normalizer,
 )
 from .hallittlewood import (
     ConditioningError,
@@ -44,7 +43,6 @@ from .hallittlewood import (
     hl_polynomial,
     macdonald_formula,
     monomial_symmetric,
-    normalized_polynomial,
     pieri_residual,
     principal_specialization,
 )

@@ -121,6 +121,19 @@ def _with_neighbours(lams):
             yield target
 
 
+def _recurrence_states(args, params) -> list[tuple[int, ...]]:
+    """The states of ``pieri`` and ``eigen``, listed and checked before
+    work: both read the polynomials of the states and of their unit-step
+    neighbours, so the point must be generic up to maxPart + 1 and those
+    polynomials within the budget."""
+    n, max_part = args.n, args.max_part
+    params.ensure_generic(n, max_part + 1)
+    hallittlewood.check_variables(n)
+    lams = enumerate_partitions(n, max_part)
+    hallittlewood.check_budget(_with_neighbours(lams), params)
+    return lams
+
+
 # ---------------------------------------------------------------------------
 # poly command
 # ---------------------------------------------------------------------------
@@ -214,20 +227,21 @@ def _suite_orthogonality(args, params) -> tuple[dict, list]:
 
 
 def _suite_pieri(args, params) -> tuple[dict, list]:
-    n, max_part = args.n, args.max_part
-    params.ensure_generic(n, max_part + 1)
-    hallittlewood.check_variables(n)
-    lams = enumerate_partitions(n, max_part)
-    hallittlewood.check_budget(_with_neighbours(lams), params)
+    """The recurrence residual of every state; a failing case adds
+    ``nonzeroTerms`` and ``firstTerm``, the residual's largest orbit in
+    (degree, lex) order, in the JSON alone."""
     cases = []
-    for lam in lams:
-        good = hallittlewood.pieri_residual(lam, params).is_zero
-        cases.append(
-            {"lambda": list(lam), "residual": "0" if good else "nonzero", "pass": good}
-        )
+    for lam in _recurrence_states(args, params):
+        residual = hallittlewood.pieri_residual(lam, params)
+        case = {"lambda": list(lam), "residual": "0", "pass": not residual}
+        if residual:
+            case["residual"] = "nonzero"
+            mu, coeff = next(iter(residual.items()))
+            case.update(nonzeroTerms=len(residual), firstTerm={"mu": list(mu), "coeff": str(coeff)})
+        cases.append(case)
     ok = all(c["pass"] for c in cases)
     payload = {
-        "maxPart": max_part,
+        "maxPart": args.max_part,
         "mode": "exact",
         "maxResidual": "0" if ok else "nonzero",
         "pass": ok,
@@ -359,21 +373,17 @@ def _suite_adjoint(args, params) -> tuple[dict, list]:
 
 
 def _suite_eigen(args, params) -> tuple[dict, list]:
-    n, max_part = args.n, args.max_part
-    params.ensure_generic(n, max_part + 1)
+    lams = _recurrence_states(args, params)
     rng = random.Random(args.seed)
-    hallittlewood.check_variables(n)
-    lams = enumerate_partitions(n, max_part)
-    hallittlewood.check_budget(_with_neighbours(lams), params)
     cases = []
     for _ in range(20):
-        xi = tuple(rng.uniform(0.0, 2 * 3.141592653589793) for _ in range(n))
+        xi = tuple(rng.uniform(0.0, 2 * 3.141592653589793) for _ in range(args.n))
         residual = qboson.eigen_residual(xi, lams, params)
         cases.append(
             {"xi": list(xi), "maxResidual": residual, "pass": residual < qboson.EIGEN_TOLERANCE}
         )
     payload = {
-        "maxPart": max_part,
+        "maxPart": args.max_part,
         "tolerance": qboson.EIGEN_TOLERANCE,
         "maxResidual": max(c["maxResidual"] for c in cases),
         "cases": cases,

@@ -15,6 +15,10 @@ orthogonalizes the monomial basis numerically against the torus inner
 product and is used only as a cross check.  A third construction, valid when t_3 = t_4 = 0, uses the
 classical lambda-independent coefficient and is compared against the
 primary route as an exact polynomial identity.
+
+The lattice recurrence is checked on the orbit-sum expansions, where
+m_(1) = sum_j (x_j + 1/x_j) moves each orbit sum m_mu to those of
+dom(mu +- e_j); no Laurent polynomial is built.
 """
 
 from __future__ import annotations
@@ -475,11 +479,6 @@ def macdonald_formula(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     return _finalize(lam, expansion, params)
 
 
-def normalized_polynomial(hl: HLPolynomial) -> LaurentPoly:
-    """The principally normalized family member c_lam * p_lam."""
-    return principal_normalizer(hl.lam, hl.params) * hl.poly
-
-
 def principal_specialization(hl: HLPolynomial) -> Fraction:
     """Exact value of the polynomial at x_j = q^{n-j} t_1.
 
@@ -518,32 +517,43 @@ def principal_specialization(hl: HLPolynomial) -> Fraction:
     return Fraction(numerator, common * (tn * td) ** top_a * (qn * qd) ** top_b)
 
 
-def pieri_residual(lam: tuple[int, ...], params: ParamSet) -> LaurentPoly:
-    """Left side minus right side of the lattice recurrence; contract: zero.
+@lru_cache(maxsize=256)
+def _orbit_one_products(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(nu, a) with m_(1) m_mu = sum a m_nu for m_(1) = sum_j (x_j + 1/x_j):
+    nu runs over dom(mu +- e_j), and a counts the (j, +-) with dom(nu -+ e_j) = mu."""
 
-    LHS: P_lam * (sum_j (x_j + 1/x_j) - sum_j (tau_j + 1/tau_j)).
+    def neighbours(e):
+        moved = (e[:j] + (e[j] + s,) + e[j + 1 :] for j in range(len(e)) for s in (1, -1))
+        return [tuple(sorted(map(abs, m), reverse=True)) for m in moved]
+
+    return tuple((nu, neighbours(nu).count(mu)) for nu in dict.fromkeys(neighbours(mu)))
+
+
+def pieri_residual(lam: tuple[int, ...], params: ParamSet) -> dict[tuple[int, ...], Fraction]:
+    """Left side minus right side of the lattice recurrence in the orbit-sum
+    basis, its nonzero coefficients in decreasing (degree, lex) order;
+    contract: empty.
+
+    LHS: P_lam * (m_(1) - sum_j (tau_j + 1/tau_j)).
     RHS: sum over valid steps of the step coefficient times
-    (P_{lam +- e_j} - P_lam).
+    (P_{lam +- e_j} - P_lam), for P_mu = principal_normalizer(mu) p_mu.
     """
     lam = tuple(lam)
-    n = len(lam)
-    base = hl_polynomial(lam, params)
-    p_base = normalized_polynomial(base)
-
-    spectral = sum(
-        (LaurentPoly.variable(n, j) + LaurentPoly.variable(n, j, -1) for j in range(n)),
-        LaurentPoly.zero(n),
-    )
-    tau = tau_vector(n, params)
-    offset = sum((tj + 1 / tj for tj in tau), Fraction(0))
-    lhs = p_base * spectral - offset * p_base
-
-    rhs = LaurentPoly.zero(n)
-    for j, step, target in unit_steps(lam):
-        coeff = pieri_coeff(lam, j, step, params)
-        neighbor = normalized_polynomial(hl_polynomial(target, params))
-        rhs = rhs + coeff * (neighbor - p_base)
-    return lhs - rhs
+    steps = [(pieri_coeff(lam, j, step, params), target) for j, step, target in unit_steps(lam)]
+    offset = sum((tj + 1 / tj for tj in tau_vector(len(lam), params)), Fraction(0))
+    diagonal = sum(coeff for coeff, _ in steps) - offset
+    c = principal_normalizer(lam, params)
+    base = [(mu, c * value) for mu, value in hl_polynomial(lam, params).expansion.items()]
+    out = {mu: diagonal * value for mu, value in base}
+    for mu, value in base:
+        for nu, count in _orbit_one_products(mu):
+            out[nu] = out.get(nu, 0) + count * value
+    for coeff, target in steps:
+        factor = coeff * principal_normalizer(target, params)
+        for mu, value in hl_polynomial(target, params).expansion.items():
+            out[mu] = out.get(mu, 0) - factor * value
+    order = sorted(out, key=lambda e: (sum(e), e), reverse=True)
+    return {mu: out[mu] for mu in order if out[mu]}
 
 
 def hl_gram_schmidt(

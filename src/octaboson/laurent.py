@@ -196,23 +196,15 @@ class LaurentPoly:
 
     # -- evaluation ---------------------------------------------------
 
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        """Numerical evaluation at nonzero complex coordinates."""
-        return self._evaluate([complex(z) for z in point], 0j)
-
     def evaluate_exact(self, point: Sequence[Fraction]) -> Fraction:
         """Exact evaluation at nonzero rational coordinates."""
-        return self._evaluate([Fraction(z) for z in point], Fraction(0))
-
-    def _evaluate(self, pt: list, total):
-        """total plus the sum of coeff * prod z**e over the terms, at the
-        converted point pt.  A Fraction coefficient times a complex power is
-        complex(coeff) times it, so one loop serves exact and complex points."""
+        pt = [Fraction(z) for z in point]
         if len(pt) != self.nvars:
             raise ValueError("point length mismatch")
         for j, z in enumerate(pt):
             if z == 0 and any(e[j] < 0 for e in self.terms):
                 raise ZeroDivisionError(f"coordinate {j} is zero but appears inverted")
+        total = Fraction(0)
         for exp, coeff in self.terms.items():
             value = coeff
             for z, e in zip(pt, exp):

@@ -209,17 +209,3 @@ def hyperoctahedral_group(n: int) -> Iterator[SignedPermutation]:
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):
             yield SignedPermutation(perm, signs)
-
-
-def group_generators(n: int) -> list[SignedPermutation]:
-    """Adjacent transpositions plus one sign flip; they generate the group."""
-    gens = []
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append(SignedPermutation(tuple(perm), (1,) * n))
-    if n >= 1:
-        signs = [1] * n
-        signs[n - 1] = -1
-        gens.append(SignedPermutation(tuple(range(n)), tuple(signs)))
-    return gens

@@ -7,8 +7,9 @@ the two boundary sites 0 and 1, which breaks ultralocality there: the
 operators attached to those sites commute only up to a diagonal twist.
 
 All algebraic identity checks run in exact rational arithmetic on delta
-bases and must produce literal zeros; complex floats enter only where the
-spectral parameter does (wave functions, eigenvalue residuals, scattering).
+bases and must produce literal zeros; floats enter only where the spectral
+parameter does.  Wave functions are real cosine sums, and complex floats
+enter only in scattering.
 
 The elementary operators are monomial on the delta basis: annihilation,
 creation and the number operator each send a basis state to one basis
@@ -47,6 +48,7 @@ with no function built per state.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -78,8 +80,8 @@ from .qkernels import (
 class LatticeFunction:
     """Finitely supported function on the length-n partition sector.
 
-    Values are exact rationals in identity checks and complex numbers for
-    wave functions; zeros are never stored.  Annihilation maps sector n to
+    Values are exact rationals in identity checks and floats for wave
+    functions (complex values work too); zeros are never stored.  Annihilation maps sector n to
     n - 1 at every n, so sector -1 holds one function, the zero image of
     the vacuum; functions of different sectors never add.
     """
@@ -825,12 +827,28 @@ def hamiltonian_from_operators(f: LatticeFunction, params: ParamSet) -> LatticeF
 # ---------------------------------------------------------------------------
 
 
-def wave_function(xi: Sequence[float], lam: Sequence[int], params: ParamSet) -> complex:
-    """Value of the eigenfunction with spectral parameter xi at a state."""
+@lru_cache(maxsize=256)
+def _distinct_permutations(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(dict.fromkeys(itertools.permutations(mu)))
+
+
+def wave_function(xi: Sequence[float], lam: Sequence[int], params: ParamSet) -> float:
+    """Value of the eigenfunction with spectral parameter xi at a state.
+
+    It reads the orbit-sum expansion: the sign flips pair each term of m_mu
+    with its conjugate, so m_mu(e^{i xi}) is the sum over the distinct
+    permutations pi of mu of prod_{pi_j > 0} 2 cos(pi_j xi_j).
+    """
     lam = tuple(lam)
-    hl = hl_polynomial(lam, params)
-    point = [cmath.exp(1j * x) for x in xi]
-    return hl.poly.evaluate(point) / float(quadratic_norm(lam, params))
+    cosines = [[2 * math.cos(k * x) for k in range(max(lam, default=0) + 1)] for x in xi]
+    value = sum(
+        float(coeff) * sum(
+            math.prod(row[k] for row, k in zip(cosines, pi) if k)
+            for pi in _distinct_permutations(mu)
+        )
+        for mu, coeff in hl_polynomial(lam, params).expansion.items()
+    )
+    return value / float(quadratic_norm(lam, params))
 
 
 def energy(xi: Sequence[float]) -> float:

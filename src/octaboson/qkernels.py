@@ -42,11 +42,7 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Sequence
 
-from .partitions import (
-    multiplicity,
-    unit_step,
-    unit_steps,
-)
+from .partitions import multiplicity, unit_step
 
 PROFILES = ("four", "three", "two")
 
@@ -333,31 +329,6 @@ def principal_normalizer(lam: tuple[int, ...], params: ParamSet) -> Fraction:
     return numerator / denominator
 
 
-def wave_normalizer(lam: tuple[int, ...], params: ParamSet) -> Fraction:
-    """h with wave function = (principally normalized polynomial) / h.
-
-    Closed form:  tau^lam (t q^{m0-1})_{m0} prod_{1<r<s} (t_r t_s q^{m0})_{n-m0}
-    divided by (t q^{n-1})_n, times the norm of the zero partition.  Equals
-    principal_normalizer * quadratic_norm identically.
-    """
-    lam = tuple(lam)
-    n = len(lam)
-    q = params.q
-    ts = params.ts
-    m0 = multiplicity(lam, 0)
-    t = params.t
-    value = Fraction(1)
-    for tau_j, part in zip(tau_vector(n, params), lam):
-        value *= tau_j**part
-    value *= qpochhammer(t * q ** (m0 - 1), m0, q)
-    for r, s in _PAIRS_BEYOND_T1:
-        value *= qpochhammer(ts[r] * ts[s] * q**m0, n - m0, q)
-    denominator = qpochhammer(t * q ** (n - 1), n, q)
-    if denominator == 0:
-        raise GenericityError(f"wave normalizer denominator vanishes at {lam}")
-    return value / denominator * quadratic_norm((0,) * n, params)
-
-
 # ---------------------------------------------------------------------------
 # Lattice-step coefficients
 # ---------------------------------------------------------------------------
@@ -529,20 +500,6 @@ def _boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
         + bracket_b_num * (r0 - p0) * bracket_a_den * r1
     )
     return Fraction(num, bracket_a_den * r1 * bracket_b_den * r0 * (r - p))
-
-
-def potential_from_step_coeffs(lam: tuple[int, ...], params: ParamSet) -> Fraction:
-    """Independent route to the boundary potential from the recurrence data:
-
-    sum_j (tau_j + 1/tau_j) minus the recurrence coefficient of every valid
-    unit step.
-    """
-    lam = tuple(lam)
-    tau = tau_vector(len(lam), params)
-    value = sum((tj + 1 / tj for tj in tau), Fraction(0))
-    for j, step, _ in unit_steps(lam):
-        value -= pieri_coeff(lam, j, step, params)
-    return value
 
 
 # ---------------------------------------------------------------------------

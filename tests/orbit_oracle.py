@@ -13,16 +13,30 @@ expansion.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from octaboson.hallittlewood import expand_in_monomials
+from octaboson.hallittlewood import HLPolynomial, expand_in_monomials, hl_polynomial
 from octaboson.laurent import LaurentPoly, NotDivisibleError, div_binomial_exact
-from octaboson.partitions import hyperoctahedral_group, lower_set, positive_roots, weyl_vector
-from octaboson.qkernels import ParamSet, monic_normalizer, quadratic_norm
+from octaboson.partitions import (
+    hyperoctahedral_group,
+    lower_set,
+    positive_roots,
+    unit_steps,
+    weyl_vector,
+)
+from octaboson.qkernels import (
+    ParamSet,
+    monic_normalizer,
+    pieri_coeff,
+    principal_normalizer,
+    quadratic_norm,
+    tau_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -224,3 +238,42 @@ def character_multiplicities(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...]
             )
         mult[nu] = value
     return tuple((nu, mult[nu]) for nu in weights if mult[nu])
+
+
+def normalized_polynomial(hl: HLPolynomial) -> LaurentPoly:
+    """The principally normalized family member c_lam * p_lam."""
+    return principal_normalizer(hl.lam, hl.params) * hl.poly
+
+
+def laurent_pieri_residual(lam: tuple[int, ...], params: ParamSet) -> LaurentPoly:
+    """Left side minus right side of the lattice recurrence as a Laurent
+    polynomial; contract: zero.
+
+    LHS: P_lam * (sum_j (x_j + 1/x_j) - sum_j (tau_j + 1/tau_j)).
+    RHS: sum over valid steps of the step coefficient times
+    (P_{lam +- e_j} - P_lam).
+    """
+    lam = tuple(lam)
+    n = len(lam)
+    p_base = normalized_polynomial(hl_polynomial(lam, params))
+    spectral = sum(
+        (LaurentPoly.variable(n, j) + LaurentPoly.variable(n, j, -1) for j in range(n)),
+        LaurentPoly.zero(n),
+    )
+    offset = sum((tj + 1 / tj for tj in tau_vector(n, params)), Fraction(0))
+    lhs = p_base * spectral - offset * p_base
+    rhs = LaurentPoly.zero(n)
+    for j, step, target in unit_steps(lam):
+        coeff = pieri_coeff(lam, j, step, params)
+        neighbor = normalized_polynomial(hl_polynomial(target, params))
+        rhs = rhs + coeff * (neighbor - p_base)
+    return lhs - rhs
+
+
+def evaluate_on_torus(p: LaurentPoly, xi: Sequence[float]) -> complex:
+    """p at x_j = e^{i xi_j}, term by term."""
+    point = [cmath.exp(1j * x) for x in xi]
+    return sum(
+        (complex(c) * math.prod(z**e for z, e in zip(point, exp)) for exp, c in p.terms.items()),
+        0j,
+    )

@@ -1,4 +1,3 @@
-import cmath
 from fractions import Fraction
 
 import pytest
@@ -82,11 +81,10 @@ def test_apply_w_is_ring_homomorphism():
 
 def test_evaluate():
     p = x(0) + x(0, power=-1)
-    assert abs(p.evaluate([cmath.exp(1j * cmath.pi / 2)])) < 1e-15
-    assert LaurentPoly.one(3).evaluate([1j, 2.0, -1.0]) == 1
+    assert LaurentPoly.one(3).evaluate_exact([Fraction(1, 2), 2, -1]) == 1
     assert p.evaluate_exact([Fraction(2)]) == Fraction(5, 2)
     with pytest.raises(ZeroDivisionError):
-        p.evaluate([0.0])
+        p.evaluate_exact([Fraction(0)])
 
 
 small_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from octaboson import hallittlewood
 from octaboson.partitions import enumerate_partitions, multiplicity, raise_indices
 from octaboson.qboson import (
     EIGEN_TOLERANCE,
@@ -313,6 +314,26 @@ def test_scattering_factors(params4, params2):
             (1 - t1 * cmath.exp(1j * x)) * (1 - t2 * cmath.exp(1j * x))
         )
         assert abs(s0_two - direct) < 1e-12
+
+
+def test_scattering_factors_are_the_plane_wave_factor_ratios(param_triple, params2):
+    # the plane-wave coefficient's factors (1 - c x^beta) of the seed block,
+    # each at x^beta = e^{-ix} over its reflection x^beta = e^{ix}: s on the
+    # short roots beta (q), s0 on the boundary steps e_j (t_r)
+    rng = random.Random(3)
+    for params in (*param_triple, params2):
+        seed = hallittlewood._seed_binomials(2, 0, params)
+        short = [float(c) for c, beta in seed if beta in ((1, -1), (1, 1))]
+        boundary = [float(c) for c, beta in seed if beta == (1, 0)]
+        assert len(short) == 2 and len(boundary) == sum(1 for t in params.ts if t)
+        for _ in range(20):
+            x = rng.uniform(-8, 8)
+            down, up = cmath.exp(-1j * x), cmath.exp(1j * x)
+            s, s0 = scattering_factors(x, params)
+            for c in short:
+                assert abs(s - (1 - c * down) / (1 - c * up)) < 1e-13
+            ratio = math.prod((1 - c * down) / (1 - c * up) for c in boundary)
+            assert abs(s0 - ratio) < 1e-13
 
 
 def test_scattering_matrix(params4):

@@ -11,6 +11,7 @@ from octaboson.partitions import (
     unit_steps,
 )
 from octaboson.qkernels import (
+    _PAIRS_BEYOND_T1,
     GenericityError,
     ParamSet,
     boundary_potential,
@@ -18,7 +19,6 @@ from octaboson.qkernels import (
     hop_coeff,
     monic_normalizer,
     pieri_coeff,
-    potential_from_step_coeffs,
     principal_normalizer,
     qinteger,
     qpochhammer,
@@ -26,7 +26,6 @@ from octaboson.qkernels import (
     tau_vector,
     norm_three,
     norm_two,
-    wave_normalizer,
 )
 
 F = Fraction
@@ -135,6 +134,34 @@ def test_monic_normalizer_examples(params4):
     assert monic_normalizer((0,), params4) == 2
     for k in (2, 3, 4):
         assert monic_normalizer((k,), params4) == 1
+
+
+def wave_normalizer(lam, params):
+    """h with wave function = (principally normalized polynomial) / h.
+
+    Closed form:  tau^lam (t q^{m0-1})_{m0} prod_{1<r<s} (t_r t_s q^{m0})_{n-m0}
+    divided by (t q^{n-1})_n, times the norm of the zero partition.  Equals
+    principal_normalizer * quadratic_norm identically.
+    """
+    n = len(lam)
+    q, ts, t = params.q, params.ts, params.t
+    m0 = multiplicity(lam, 0)
+    value = F(1)
+    for tau_j, part in zip(tau_vector(n, params), lam):
+        value *= tau_j**part
+    value *= qpochhammer(t * q ** (m0 - 1), m0, q)
+    for r, s in _PAIRS_BEYOND_T1:
+        value *= qpochhammer(ts[r] * ts[s] * q**m0, n - m0, q)
+    return value / qpochhammer(t * q ** (n - 1), n, q) * quadratic_norm((0,) * n, params)
+
+
+def potential_from_step_coeffs(lam, params):
+    """The boundary potential from the recurrence data: sum_j (tau_j + 1/tau_j)
+    minus the recurrence coefficient of every valid unit step."""
+    value = sum((tj + 1 / tj for tj in tau_vector(len(lam), params)), F(0))
+    for j, step, _ in unit_steps(lam):
+        value -= pieri_coeff(lam, j, step, params)
+    return value
 
 
 def test_principal_normalizer_examples(params4):

@@ -9,8 +9,10 @@ below breaks one formula in a way only the full check can see, and the
 suite must fail on it, with a failing algebra relation naming the mutated
 site in its ``worstCase``, a failing adjointness check the mutated site and
 state, and a failing degeneration check the mutated (operator, site, state)
-in its ``firstFailure``.  Every package cache is
-emptied around a mutant, so no mutated value outlives it.
+in its ``firstFailure``.  ``verify pieri`` checks the recurrence on the
+orbit-sum expansions, and a failing case names its residual's size and
+largest orbit.  Every package cache is emptied around a mutant, so no
+mutated value outlives it.
 """
 
 import json
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from octaboson import cli, qboson, qkernels
+from octaboson import cli, hallittlewood, qboson, qkernels
 
 
 def run(capsys, *argv):
@@ -56,6 +58,42 @@ def test_adjoint_suite_catches_one_wrong_creation_coefficient(capsys, monkeypatc
         "name,cases,pass",
         "adjointness,976,False",
         "hamiltonian-symmetry,516,False",
+    ]
+
+
+def test_pieri_suite_names_the_residual_of_one_wrong_coefficient(capsys, monkeypatch, cold_caches):
+    original = hallittlewood.pieri_coeff
+
+    def mutant(lam, j, step, params):
+        value = original(lam, j, step, params)
+        # the step (1, 0) -> (0, 0)
+        return 2 * value if (lam, step) == ((1, 0), -1) else value
+
+    monkeypatch.setattr(hallittlewood, "pieri_coeff", mutant)
+    code, payload = run(capsys, "verify", "pieri", "--n", "2", "--maxPart", "2")
+    assert code == cli.EXIT_FAIL
+    assert payload["maxResidual"] == "nonzero" and not payload["pass"]
+    (failing,) = [case for case in payload["cases"] if not case["pass"]]
+    assert failing["lambda"] == [1, 0] and failing["residual"] == "nonzero"
+    # the extra step term is c (P_(1,0) - P_(0,0)): its orbits (1, 0) and
+    # (0, 0), the largest with the normalizer of P_(1,0) as its factor
+    params = qkernels.default_params("four")
+    expected = original((1, 0), 0, -1, params) * qkernels.principal_normalizer((1, 0), params)
+    assert failing["nonzeroTerms"] == 2
+    assert failing["firstTerm"] == {"mu": [1, 0], "coeff": str(expected)}
+    passing = [case for case in payload["cases"] if case["pass"]]
+    assert all(set(case) == {"lambda", "residual", "pass"} for case in passing)
+    # the CSV keeps its columns; the witness is in the JSON alone
+    argv = ["verify", "pieri", "--n", "2", "--maxPart", "2", "--format", "csv"]
+    assert cli.main(argv) == cli.EXIT_FAIL
+    assert capsys.readouterr().out.splitlines() == [
+        "lambda,pass",
+        '"0,0",True',
+        '"1,0",False',
+        '"1,1",True',
+        '"2,0",True',
+        '"2,1",True',
+        '"2,2",True',
     ]
 
 
