@@ -3,13 +3,13 @@
 
 The weight is analytic on the torus, so the plain trapezoidal rule
 converges geometrically; the Gram matrix of the family comes out diagonal
-with the predicted exact norms on the diagonal.
+with the predicted exact norms on the diagonal.  Every polynomial enters
+as its orbit-sum expansion mu -> coefficient.
 """
 
 import numpy as np
 
 from octaboson import (
-    LaurentPoly,
     QuadratureSpec,
     default_params,
     enumerate_partitions,
@@ -22,7 +22,7 @@ from octaboson import (
 params = default_params()
 
 # --- convergence of the rule -------------------------------------------------
-one = LaurentPoly.one(1)
+one = {(0,): 1}
 exact = float(quadratic_norm((0,), params))
 print("trapezoid convergence for <1, 1> at n = 1 (exact %.15f):" % exact)
 for m in [8, 16, 32, 64]:
@@ -33,7 +33,7 @@ print()
 # --- Gram matrix of the family ------------------------------------------------
 lams = enumerate_partitions(2, 2)
 quad = QuadratureSpec(points_per_dim=64, n=2)
-basis = [hl_polynomial(lam, params).poly for lam in lams]
+basis = [hl_polynomial(lam, params).expansion for lam in lams]
 gram = gram_matrix(basis, params, quad)
 off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
 print("Gram matrix over enumerate(2,2), M = 64:")
@@ -51,5 +51,5 @@ print()
 quad3 = QuadratureSpec(points_per_dim=32, n=3)
 pa = hl_polynomial((1, 1, 1), params)
 pb = hl_polynomial((2, 0, 0), params)
-value = inner_product(pa.poly, pb.poly, params, quad3)
+value = inner_product(pa.expansion, pb.expansion, params, quad3)
 print(f"noncomparable pair at n = 3: |<p_(1,1,1), p_(2,0,0)>| = {abs(value):.2e}")

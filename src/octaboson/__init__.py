@@ -37,12 +37,9 @@ from .qkernels import (
     tau_vector,
 )
 from .hallittlewood import (
-    ConditioningError,
     HLPolynomial,
-    hl_gram_schmidt,
     hl_polynomial,
     macdonald_formula,
-    monomial_symmetric,
     pieri_residual,
     principal_specialization,
 )

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import budget, hallittlewood, qboson, torus
 from .laurent import NotDivisibleError
-from .partitions import enumerate_partitions, sector_size, unit_steps
+from .partitions import enumerate_partitions, sector_size
 from .qkernels import (
     DEFAULT_POINTS,
     ParamSet,
@@ -112,26 +112,15 @@ def _joined(parts) -> str:
     return ",".join(map(str, parts))
 
 
-def _with_neighbours(lams):
-    """lams, then their unit-step neighbours, lazily: ``check_budget`` reads
-    the first partition's length before any step is taken."""
-    yield from lams
-    for lam in lams:
-        for _, _, target in unit_steps(lam):
-            yield target
-
-
 def _recurrence_states(args, params) -> list[tuple[int, ...]]:
-    """The states of ``pieri`` and ``eigen``, listed and checked before
-    work: both read the polynomials of the states and of their unit-step
+    """The states of ``pieri`` and ``eigen``, checked before they are
+    listed: both read the polynomials of the states and of their unit-step
     neighbours, so the point must be generic up to maxPart + 1 and those
     polynomials within the budget."""
     n, max_part = args.n, args.max_part
     params.ensure_generic(n, max_part + 1)
-    hallittlewood.check_variables(n)
-    lams = enumerate_partitions(n, max_part)
-    hallittlewood.check_budget(_with_neighbours(lams), params)
-    return lams
+    hallittlewood.check_sector_budget(n, max_part, params, neighbours=True)
+    return enumerate_partitions(n, max_part)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +179,12 @@ def _suite_orthogonality(args, params) -> tuple[dict, list]:
     tol = 1e-8 if n <= 2 else 1e-6
     # an explicit grid is checked against the budget before any construction
     quad = None if args.quad_points is None else torus.QuadratureSpec(args.quad_points, n)
-    hallittlewood.check_variables(n)
+    hallittlewood.check_sector_budget(n, max_part, params)
     lams = enumerate_partitions(n, max_part)
-    hallittlewood.check_budget(lams, params)
-    polys = [hallittlewood.hl_polynomial(lam, params).poly for lam in lams]
+    expansions = [hallittlewood.hl_polynomial(lam, params).expansion for lam in lams]
     if quad is None:
-        quad = torus.QuadratureSpec(torus.choose_points(polys, params, tol), n)
-    gram = torus.gram_matrix(polys, params, quad)
+        quad = torus.QuadratureSpec(torus.choose_points(expansions, params, tol), n)
+    gram = torus.gram_matrix(expansions, params, quad)
     pairs = []
     ok = True
     for i, lam in enumerate(lams):
@@ -373,15 +361,20 @@ def _suite_adjoint(args, params) -> tuple[dict, list]:
 
 
 def _suite_eigen(args, params) -> tuple[dict, list]:
+    """The eigenvalue residual at 20 seeded xi; a failing case adds
+    ``worstState``, the state of its largest residual, in the JSON alone."""
     lams = _recurrence_states(args, params)
     rng = random.Random(args.seed)
     cases = []
     for _ in range(20):
         xi = tuple(rng.uniform(0.0, 2 * 3.141592653589793) for _ in range(args.n))
-        residual = qboson.eigen_residual(xi, lams, params)
-        cases.append(
-            {"xi": list(xi), "maxResidual": residual, "pass": residual < qboson.EIGEN_TOLERANCE}
-        )
+        residuals = qboson.eigen_residuals(xi, lams, params)
+        worst = max(residuals, key=residuals.get)
+        residual = residuals[worst]
+        case = {"xi": list(xi), "maxResidual": residual, "pass": residual < qboson.EIGEN_TOLERANCE}
+        if not case["pass"]:
+            case["worstState"] = {"lambda": list(worst), "residual": residual}
+        cases.append(case)
     payload = {
         "maxPart": args.max_part,
         "tolerance": qboson.EIGEN_TOLERANCE,

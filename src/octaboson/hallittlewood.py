@@ -9,12 +9,12 @@ exponent matrix at once in numpy; times the Weyl denominator, the sum is
 unitriangular in its orbit-sum coefficients, solved for in integers.  The
 orbit sum over all 2^n n! group elements followed by exact binomial division
 gives the same polynomials and is kept in the test suite as an oracle, as
-are the row-at-a-time straightening and Freudenthal's formula for the
-characters.  The secondary route
-orthogonalizes the monomial basis numerically against the torus inner
-product and is used only as a cross check.  A third construction, valid when t_3 = t_4 = 0, uses the
-classical lambda-independent coefficient and is compared against the
-primary route as an exact polynomial identity.
+are the row-at-a-time straightening, Freudenthal's formula for the
+characters, and the numerical Gram-Schmidt orthogonalization of the orbit
+sums against the torus inner product, the cross check of the exact route.
+A second construction, valid when t_3 = t_4 = 0, uses the classical
+lambda-independent coefficient and is compared against the primary route
+as an exact polynomial identity.
 
 The lattice recurrence is checked on the orbit-sum expansions, where
 m_(1) = sum_j (x_j + 1/x_j) moves each orbit sum m_mu to those of
@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import budget, torus
+from . import budget
 from .laurent import LaurentPoly
 from .partitions import (
     enumerate_partitions,
@@ -42,6 +42,7 @@ from .partitions import (
     multiplicity,
     orbit,
     positive_roots,
+    sector_size,
     unit_steps,
     weyl_vector,
 )
@@ -57,10 +58,6 @@ from .qkernels import (
 #: Exact construction is kept at desk scale: its cost follows the seed block,
 #: about 11,000 terms at n = 4 and 270,000 at n = 5.
 MAX_VARIABLES = 4
-
-
-class ConditioningError(RuntimeError):
-    """The Gram system of the numerical route is too ill-conditioned."""
 
 
 class InvariantError(RuntimeError):
@@ -91,12 +88,6 @@ class HLPolynomial:
     @cached_property
     def poly(self) -> LaurentPoly:
         return reconstruct_from_expansion(self.expansion, len(self.lam))
-
-
-def monomial_symmetric(lam: tuple[int, ...]) -> LaurentPoly:
-    """Orbit sum m_lam = sum of x^mu over the signed-permutation orbit."""
-    lam = tuple(lam)
-    return LaurentPoly(len(lam), {mu: Fraction(1) for mu in orbit(lam)})
 
 
 def expand_in_monomials(p: LaurentPoly) -> dict[tuple[int, ...], Fraction]:
@@ -229,29 +220,46 @@ def _seed_binomials(n: int, zero_count: int, params: ParamSet) -> list:
     return binomials
 
 
-def check_budget(lams: Iterable[tuple[int, ...]], params: ParamSet) -> None:
-    """Refuse, before any work, to build the polynomials of lams: a
-    ValueError beyond MAX_VARIABLES parts, read off the first partition
-    before the others (lams may be a costly generator), and a
+def check_budget(lams: Sequence[tuple[int, ...]], params: ParamSet) -> None:
+    """Refuse, before any work, to build the polynomials of lams, partitions
+    of one length: a ValueError beyond MAX_VARIABLES parts, and a
     BudgetExceededError when the exponent box of a seed block they read, or
     the orbit expansion's work for their largest part, exceeds the node budget.
-
     A cached block or polynomial skips ``_binomial_product``'s box check,
     so callers bound by the current budget call this first.  At profile two
     every block has one box, so the classical formula needs no check of its own.
     """
-    parts = iter(lams)
-    first = next(parts, ())
-    n = len(first)
+    n = len(lams[0])
     check_variables(n)
-    lams = [first, *parts]
-    for zero_count in sorted({multiplicity(lam, 0) for lam in lams}):
+    zero_counts = {multiplicity(lam, 0) for lam in lams}
+    _check_work(n, zero_counts, max(max(lam, default=0) for lam in lams), params)
+
+
+def check_sector_budget(
+    n: int, max_part: int, params: ParamSet, neighbours: bool = False
+) -> None:
+    """``check_budget`` of the length-n partitions with parts <= max_part,
+    and of their unit-step neighbours if asked, from (n, max_part) alone,
+    after the sector's size and before any partition is listed.  The zero
+    counts are 0..n, or at max_part = 0 those of 0^n and its neighbour
+    (1, 0^(n-1)); the largest part is max_part, + 1 with the neighbours.
+    """
+    check_variables(n)
+    sector_size(n, max_part)
+    lowest = 0 if max_part else max(n - neighbours, 0)
+    top = max_part + 1 if neighbours and n else max_part
+    _check_work(n, range(lowest, n + 1), top, params)
+
+
+def _check_work(n: int, zero_counts: Iterable[int], max_part: int, params: ParamSet) -> None:
+    """The budget checks of ``check_budget``: the seed block of each zero
+    count, in increasing order, then the orbit expansion up to max_part."""
+    for zero_count in sorted(zero_counts):
         _check_box(n, _exponent_box(n, _seed_binomials(n, zero_count, params))[1])
     # C(n + max_part, n) n^2 max_part bounds the orbit expansion's
     # (max_part + 2)^n lookup codes up to a factor 1.5, and its
     # C(n + max_part, n) (|W| - 1) index entries up to a factor 1.2 at the
     # largest part the default budget admits (20 at n = 4)
-    max_part = max(max(lam, default=0) for lam in lams)
     terms = math.comb(n + max_part, n) * n * n * max_part
     what = f"orbit expansion for parts up to {max_part} at n = {n} may take {terms} steps"
     budget.check(terms, what, {"n": n, "terms": terms})
@@ -554,34 +562,3 @@ def pieri_residual(lam: tuple[int, ...], params: ParamSet) -> dict[tuple[int, ..
             out[mu] = out.get(mu, 0) - factor * value
     order = sorted(out, key=lambda e: (sum(e), e), reverse=True)
     return {mu: out[mu] for mu in order if out[mu]}
-
-
-def hl_gram_schmidt(
-    lam: tuple[int, ...],
-    params: ParamSet,
-    quad: "torus.QuadratureSpec",
-) -> dict[tuple[int, ...], float]:
-    """Numerical construction: solve for the triangular expansion whose
-    projections onto every strictly smaller orbit sum vanish.
-
-    One linear system per partition (the order is partial, so a sequential
-    sweep is not even well defined); the system matrix is the Gram matrix
-    of the lower-set orbit sums under the torus inner product.
-    """
-    lam = tuple(lam)
-    support = lower_set(lam)
-    if len(support) == 1:
-        return {lam: 1.0}
-    basis = [monomial_symmetric(mu) for mu in support]
-    gram = torus.gram_matrix(basis, params, quad)
-    idx = support.index(lam)
-    others = [i for i in range(len(support)) if i != idx]
-    sub = gram[np.ix_(others, others)]
-    condition = np.linalg.cond(sub)
-    if condition > 1e12:
-        raise ConditioningError(f"Gram system condition {condition:.3e} exceeds 1e12")
-    rhs = -gram[others, idx]
-    coeffs = np.linalg.solve(sub, rhs)
-    result = {support[i]: float(c) for i, c in zip(others, coeffs)}
-    result[lam] = 1.0
-    return result

@@ -861,11 +861,12 @@ def energy(xi: Sequence[float]) -> float:
 EIGEN_TOLERANCE = 1e-10
 
 
-def eigen_residual(
+def eigen_residuals(
     xi: Sequence[float], lam_set: Sequence[Sequence[int]], params: ParamSet
-) -> float:
-    """Largest relative residual of the eigenvalue equation on the given
-    states; the equation holds to roundoff below EIGEN_TOLERANCE.
+) -> dict[tuple[int, ...], float]:
+    """The relative residual of the eigenvalue equation at each of the
+    given states, in their order; it holds to roundoff below
+    EIGEN_TOLERANCE.
 
     The coefficient Hamiltonian ``apply_hamiltonian`` acts on the
     wave-function values at the states and their unit-step neighbors; its
@@ -879,10 +880,12 @@ def eigen_residual(
     phi = {lam: wave_function(xi, lam, params) for lam in sorted(needed)}
     image = apply_hamiltonian(LatticeFunction(len(xi), phi), params)
     e_val = energy(xi)
-    return max(
-        (abs(image(lam) - e_val * phi[lam]) / max(1.0, abs(phi[lam])) for lam in lam_set),
-        default=0.0,
-    )
+    return {lam: abs(image(lam) - e_val * phi[lam]) / max(1.0, abs(phi[lam])) for lam in lam_set}
+
+
+def eigen_residual(xi: Sequence[float], lam_set: Sequence[Sequence[int]], params: ParamSet) -> float:
+    """The largest of ``eigen_residuals``, 0 for no states."""
+    return max(eigen_residuals(xi, lam_set, params).values(), default=0.0)
 
 
 def scattering_factors(x: float, params: ParamSet) -> tuple[complex, complex]:

@@ -135,18 +135,21 @@ class ParamSet:
         return num, den
 
     def ensure_generic_horizon(self, horizon: int, start: int = 1) -> None:
-        """Reject t = q^m and t_r t_s = q^m for m = start..horizon."""
-        qpow = self.q ** (start - 1)
-        t = self.t
+        """Reject t = q^m and t_r t_s = q^m for m = start..horizon, t first
+        at each m.  Fractions in lowest terms, q^m among them, are equal
+        exactly when their numerators and denominators are, so the values
+        are compared as integer pairs; the powers past ``q_powers`` are
+        not kept, since the horizon grows with maxPart before any budget
+        check."""
+        num, den = (powers[start - 1] for powers in self.q_powers(start))
+        t = (self.t.numerator, self.t.denominator)
+        pairs = [(prod.numerator, prod.denominator) for prod in self.pair_products]
         for _ in range(start, horizon + 1):
-            qpow *= self.q
-            if t == qpow:
-                raise GenericityError(f"t = q^m degeneracy at q^m = {qpow}")
-            for prod in self.pair_products:
-                if prod == qpow:
-                    raise GenericityError(
-                        f"t_r t_s = q^m degeneracy at q^m = {qpow}"
-                    )
+            num, den = num * self.q.numerator, den * self.q.denominator
+            if t == (num, den):
+                raise GenericityError(f"t = q^m degeneracy at q^m = {num}/{den}")
+            if (num, den) in pairs:
+                raise GenericityError(f"t_r t_s = q^m degeneracy at q^m = {num}/{den}")
 
     def ensure_generic(self, n: int, max_part: int) -> None:
         """Guard every denominator exponent reachable at sector size (n, max_part).

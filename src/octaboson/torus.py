@@ -4,7 +4,7 @@ The weight is analytic on the torus (its poles sit off |z| = 1 because
 0 < q < 1 and |t_r| < 1), so the tensor-product trapezoidal rule converges
 geometrically in the number M of nodes per angle.  Exact identity
 certification never relies on this module; it provides the quadrature side
-of the orthogonality checks and the Gram matrices of the numerical route.
+of the orthogonality checks.
 
 The rule is applied in coefficient space (Trefethen & Weideman, "The
 exponentially convergent trapezoidal rule", SIAM Review 56, 2014): the
@@ -14,18 +14,25 @@ and w_M[d] = sum_k |weight|^2(2 pi k / M) e^{-2 pi i <d, k> / M} / M^n,
 
     <f, g>_M = sum_{a, b} f_a g_b w_M[(b - a) mod M] / |W|,
 
-which is the grid sum itself, not an approximation of it: differences that
-leave the grid box wrap exactly as on the grid.  There is one assembly,
-``gram_matrix``; ``inner_product`` is the off-diagonal entry of the Gram
-matrix of its two arguments.
+the grid sum itself: differences that leave the grid box wrap as on it.
 
-Each sign flip z_j -> 1/z_j lies in W, and |1 - z^{-beta}| = |1 - z^beta|
-on the torus, so the grid weight is unchanged by k_j -> -k_j mod M.  It is
-therefore evaluated only at 0 <= k_j <= M // 2, and its transform is a
-real product of cosines: w_M is real, even in every d_j, and tabulated at
-0 <= d_j <= M // 2 by contracting each axis with a folded cosine matrix.
-The Gram matrix comes out real.  The only work that grows with M is this
-table, on (M // 2 + 1)^n nodes, cached per (params, n, M).
+The polynomials are W-invariant and given by their orbit-sum expansions
+f = sum_mu c_mu m_mu.  The weight is W-invariant too, so the sum over
+a in W mu is the same for every b in W nu, and the orbit sums' Gram is
+
+    G[mu, nu] = |W nu| sum_{a in W mu} w_M[(nu - a) mod M] / |W|,
+
+one gather over the orbit elements of the union of the supports; the
+polynomials' Gram is C G C^T over their coefficients C.  There is one
+assembly, ``gram_matrix``; ``inner_product`` is its off-diagonal entry.
+
+Each sign flip z_j -> 1/z_j lies in W, so the grid weight is unchanged by
+k_j -> -k_j mod M: it is evaluated only at 0 <= k_j <= M // 2, and w_M is
+real, even in every d_j, and tabulated by contracting each axis with a
+folded cosine matrix.  Orbit sums with parts up to top differ by
+|d_j| <= 2 top, so the contraction keeps only the band
+d_j <= min(2 top, M // 2): 5 cosine rows of 97 at M = 192, top = 2.  The
+only work that grows with M is this table, cached per (params, n, M, band).
 
 ``aliasing_bound`` states how far the rule is from the integral, and
 ``choose_points`` picks M from it when the user gives none.
@@ -36,14 +43,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from numbers import Real
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import budget
-from .laurent import LaurentPoly
-from .partitions import group_order, positive_roots
+from .partitions import group_order, orbit, positive_roots
 from .qkernels import ParamSet
+
+#: an orbit-sum expansion sum_mu c_mu m_mu as mu -> c_mu, keyed by
+#: dominant weights
+Expansion = Mapping[tuple[int, ...], Real]
 
 #: grid sizes tried by choose_points: 8, 16, 24, ...
 POINTS_STEP = 8
@@ -106,12 +117,12 @@ def _weight_sq_grid(params: ParamSet, n: int, m: int) -> np.ndarray:
     return value
 
 
-#: One entry holds (M // 2 + 1)^n floats, about 8 M^n / 2^n bytes: 1.5 MB
-#: at n = 4, M = 40, and at most 8 MB within the default node budget.
+#: One entry holds at most (M // 2 + 1)^n floats, about 8 M^n / 2^n bytes:
+#: 1.5 MB at n = 4, M = 40, and at most 8 MB within the default node budget.
 @lru_cache(maxsize=16)
-def _weight_fourier(params: ParamSet, n: int, m: int) -> np.ndarray:
-    """w_M[d] at 0 <= d_j <= M // 2, shape (M // 2 + 1,) * n: the weight's
-    Fourier coefficients folded modulo M, the only table the rule needs.
+def _weight_fourier(params: ParamSet, n: int, m: int, band: int) -> np.ndarray:
+    """w_M[d] at 0 <= d_j <= band <= M // 2, shape (band + 1,) * n: the
+    weight's Fourier coefficients folded modulo M.
 
     The weight is even in every k_j, so the DFT along an axis is the real
     sum over k_j <= M // 2 of fold(k_j) cos(2 pi d_j k_j / M) / M, where
@@ -122,7 +133,7 @@ def _weight_fourier(params: ParamSet, n: int, m: int) -> np.ndarray:
         half = np.arange(m // 2 + 1)
         fold = np.where((half == 0) | (2 * half == m), 1.0, 2.0)
         cos = np.cos(np.arange(m) * (2.0 * np.pi / m))
-        matrix = fold * cos[np.outer(half, half) % m] / m
+        matrix = fold * cos[np.outer(half[: band + 1], half) % m] / m
         # each pass sums the leading axis k_j and appends d_j last, so after
         # n passes the axes are back in order
         for _ in range(n):
@@ -130,10 +141,9 @@ def _weight_fourier(params: ParamSet, n: int, m: int) -> np.ndarray:
     return table
 
 
-def inner_product(
-    f: LaurentPoly, g: LaurentPoly, params: ParamSet, quad: QuadratureSpec
-) -> complex:
-    """Trapezoidal approximation of the weighted torus inner product.
+def inner_product(f: Expansion, g: Expansion, params: ParamSet, quad: QuadratureSpec) -> complex:
+    """Trapezoidal approximation of the weighted torus inner product of two
+    orbit-sum expansions.
 
     The integrand is smooth and periodic, so the error decays geometrically
     in points_per_dim with rate max(q, |t_r|); ``aliasing_bound`` bounds it.
@@ -141,37 +151,47 @@ def inner_product(
     return complex(gram_matrix([f, g], params, quad)[0, 1])
 
 
-def _coefficients(basis: Sequence[LaurentPoly], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(E, U): the (k, |U|) matrix E of the coefficients on U, and the
-    union U of the basis' exponent vectors as a (|U|, n) integer array."""
-    columns: dict[tuple[int, ...], int] = {}
-    for p in basis:
-        for exp in p.terms:
-            columns.setdefault(exp, len(columns))
-    coeffs = np.zeros((len(basis), len(columns)))
-    for i, p in enumerate(basis):
-        for exp, c in p.terms.items():
-            coeffs[i, columns[exp]] = float(c)
-    return coeffs, np.array(list(columns), dtype=np.intp).reshape(len(columns), n)
+def _support(expansions: Sequence[Expansion]) -> tuple[list[tuple[int, ...]], int]:
+    """(support, top): the weights of the expansions' nonzero coefficients,
+    each once, and the largest |entry| top among them, so that every
+    exponent of their orbit sums lies in [-top, top]^n."""
+    support = list(dict.fromkeys(mu for e in expansions for mu, c in e.items() if c))
+    return support, max((max(map(abs, mu), default=0) for mu in support), default=0)
 
 
 def gram_matrix(
-    basis: Sequence[LaurentPoly], params: ParamSet, quad: QuadratureSpec
+    expansions: Sequence[Expansion], params: ParamSet, quad: QuadratureSpec
 ) -> np.ndarray:
-    """Matrix of pairwise inner products of the basis, real and symmetric:
-    E K E^T / |W| with K[a, b] = w_M[(b - a) mod M] for a, b in the union
-    of the basis' exponents, read from the table at min(d_j, M - d_j)."""
+    """Matrix of pairwise inner products of the orbit-sum expansions, real
+    and symmetric: C G C^T over their coefficients C on the union of their
+    supports, with the orbit Gram
+    G[mu, nu] = |W nu| sum_{a in W mu} w_M[(nu - a) mod M] / |W|,
+    read from the weight's table on the band 0 <= d_j <= min(2 top, M // 2).
+    """
     n, m = quad.n, quad.points_per_dim
-    if any(p.nvars != n for p in basis):
+    if any(len(mu) != n for e in expansions for mu in e):
         raise ValueError("dimension mismatch between basis and grid")
-    coeffs, exps = _coefficients(basis, n)
-    # flat index of the folded (b - a) mod M in the C-ordered table, one axis at a time
-    flat = np.zeros((len(exps), len(exps)), dtype=np.intp)
-    for j in range(n):
-        d = (exps[None, :, j] - exps[:, None, j]) % m
-        flat = flat * (m // 2 + 1) + np.minimum(d, m - d)
-    kernel = _weight_fourier(params, n, m).ravel()[flat]
-    return coeffs @ kernel @ coeffs.T / group_order(n)
+    support, top = _support(expansions)
+    if not support:
+        return np.zeros((len(expansions), len(expansions)))
+    orbits = [orbit(mu) for mu in support]
+    elements = np.array([a for o in orbits for a in o], dtype=np.intp)
+    elements = elements.reshape(len(elements), n)  # (1, 0) at n = 0
+    entries = len(elements) * len(support)
+    what = f"an orbit Gram kernel of {len(elements)} x {len(support)} = {entries} entries"
+    budget.check(entries, what, {"n": n, "entries": entries})
+    # flat index of the folded (nu - a) mod M in the band table, axis by axis
+    band = min(2 * top, m // 2)
+    flat = np.zeros((len(elements), len(support)), dtype=np.intp)
+    for j, column in enumerate(zip(*support)):
+        d = (np.array(column) - elements[:, None, j]) % m
+        flat = flat * (band + 1) + np.minimum(d, m - d)
+    kernel = _weight_fourier(params, n, m, band).ravel()[flat]
+    sizes = np.array([len(o) for o in orbits])
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    gram = np.add.reduceat(kernel, starts, axis=0) * sizes / group_order(n)
+    coeffs = np.array([[float(e.get(mu, 0)) for mu in support] for e in expansions])
+    return coeffs @ gram @ coeffs.T
 
 
 def _log_weight_sup(radius: np.ndarray, n: int, params: ParamSet) -> np.ndarray:
@@ -190,21 +210,21 @@ def _log_weight_sup(radius: np.ndarray, n: int, params: ParamSet) -> np.ndarray:
     return off_axis + 2 * (n - 1) * short + long
 
 
-def _aliasing_terms(basis: Sequence[LaurentPoly], params: ParamSet):
+def _aliasing_terms(expansions: Sequence[Expansion], params: ParamSet):
     """(n, log R, log of the M-independent factor) on the radii
     R = rho^{-s}, s = 1/RADII, ..., 1 - 1/RADII; None if the rule is exact."""
-    n = basis[0].nvars if basis else 0
-    coeffs, exps = _coefficients(basis, n)
-    if n == 0 or not coeffs.any():
+    support, top = _support(expansions)
+    n = len(support[0]) if support else 0
+    if n == 0:
         return None  # a constant integrand: the rule is exact
-    norm = float(np.max(np.abs(coeffs).sum(axis=1)))
-    span = int(np.max(exps.max(axis=0) - exps.min(axis=0)))
+    sizes = {mu: len(orbit(mu)) for mu in support}  # the terms of each orbit sum
+    norm = max(sum(abs(float(c)) * sizes[mu] for mu, c in e.items() if c) for e in expansions)
     rho = max([float(params.q)] + [abs(float(t)) for t in params.ts])
     radius = (1 / rho) ** (np.arange(1, RADII) / RADII)
     log_r = np.log(radius)
     base = (
         2 * math.log(norm) - math.log(group_order(n))
-        + _log_weight_sup(radius, n, params) + span * log_r
+        + _log_weight_sup(radius, n, params) + 2 * top * log_r
     )
     return n, log_r, base
 
@@ -221,14 +241,16 @@ def _bound_at(terms, m: int) -> float:
     return float(np.exp(np.min(log_bound)))
 
 
-def aliasing_bound(basis: Sequence[LaurentPoly], params: ParamSet, m: int) -> float:
-    """Upper bound on |gram_matrix(basis) - exact Gram| in every entry, for
-    the M-point rule in exact arithmetic.
+def aliasing_bound(expansions: Sequence[Expansion], params: ParamSet, m: int) -> float:
+    """Upper bound on |gram_matrix(expansions) - exact Gram| in every entry,
+    for the M-point rule in exact arithmetic.
 
     Derivation.  The rule's error on <f, g> is
     sum_{a,b} f_a g_b sum_{k != 0} w_{b-a+Mk} / |W|, so it is at most
     ||f||_1 ||g||_1 A / |W| with A = max_d sum_{k != 0} |w_{d+Mk}| over
-    differences |d_j| <= D, the widest exponent span of the basis.
+    differences |d_j| <= D, the widest exponent span of the basis.  An
+    orbit sum m_mu has |W mu| terms with coefficient 1, so ||f||_1 is
+    sum |c_mu| |W mu|, and D = 2 top.
 
     w(z) = prod_{beta in Phi} (1 - z^beta) / [prod_{beta short} (1 - q z^beta)
     prod_{j, r, +-} (1 - t_r z_j^{+-1})] over the 2 n^2 roots Phi of C_n is
@@ -250,19 +272,19 @@ def aliasing_bound(basis: Sequence[LaurentPoly], params: ParamSet, m: int) -> fl
     A <= S(R) R^D y / (1 - y) with y = 3^n R^{-M} < 1.  The bound is the
     least of these over the radii R = rho^{-s}, s = 1/RADII, ..., 1 - 1/RADII.
     """
-    return _bound_at(_aliasing_terms(basis, params), m)
+    return _bound_at(_aliasing_terms(expansions, params), m)
 
 
-def choose_points(basis: Sequence[LaurentPoly], params: ParamSet, tol: float) -> int:
+def choose_points(expansions: Sequence[Expansion], params: ParamSet, tol: float) -> int:
     """The smallest M in steps of POINTS_STEP whose aliasing bound is at
     most tol / 2, leaving the other half of the tolerance to roundoff.
 
     Raises BudgetExceededError, with that M as evidence, when its grid
     (or, at n = 1, its cosine matrix) exceeds the node budget.
     """
-    terms = _aliasing_terms(basis, params)
+    terms = _aliasing_terms(expansions, params)
     m = POINTS_STEP
     while _bound_at(terms, m) > tol / 2:
         m += POINTS_STEP
-    _check_nodes(m, basis[0].nvars if basis else 0)
+    _check_nodes(m, 0 if terms is None else terms[0])
     return m

@@ -8,7 +8,9 @@ exactly.  It is independent of the library's seed block, straightening and
 orbit-expansion code, and costs |W| times the seed size, so it is used for
 n <= 3.  Freudenthal's multiplicity formula, which the library used to
 expand each Sp(2n) character, is kept here too, as the oracle of that
-expansion.
+expansion, and so is the numerical route: Gram-Schmidt orthogonalization of
+the orbit sums against the torus inner product, the cross check of the
+exact construction.
 """
 
 from __future__ import annotations
@@ -20,11 +22,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
+from octaboson import torus
 from octaboson.hallittlewood import HLPolynomial, expand_in_monomials, hl_polynomial
 from octaboson.laurent import LaurentPoly, NotDivisibleError, div_binomial_exact
 from octaboson.partitions import (
     hyperoctahedral_group,
     lower_set,
+    orbit,
     positive_roots,
     unit_steps,
     weyl_vector,
@@ -277,3 +283,42 @@ def evaluate_on_torus(p: LaurentPoly, xi: Sequence[float]) -> complex:
         (complex(c) * math.prod(z**e for z, e in zip(point, exp)) for exp, c in p.terms.items()),
         0j,
     )
+
+
+def monomial_symmetric(lam: tuple[int, ...]) -> LaurentPoly:
+    """Orbit sum m_lam = sum of x^mu over the signed-permutation orbit."""
+    lam = tuple(lam)
+    return LaurentPoly(len(lam), {mu: Fraction(1) for mu in orbit(lam)})
+
+
+class ConditioningError(RuntimeError):
+    """The Gram system of the numerical route is too ill-conditioned."""
+
+
+def hl_gram_schmidt(
+    lam: tuple[int, ...], params: ParamSet, quad: torus.QuadratureSpec
+) -> dict[tuple[int, ...], float]:
+    """Numerical construction: solve for the triangular expansion whose
+    projections onto every strictly smaller orbit sum vanish.
+
+    One linear system per partition (the order is partial, so a sequential
+    sweep is not even well defined); the system matrix is the Gram matrix
+    of the lower-set orbit sums, the unit expansions {mu: 1}, under the
+    torus inner product.
+    """
+    lam = tuple(lam)
+    support = lower_set(lam)
+    if len(support) == 1:
+        return {lam: 1.0}
+    gram = torus.gram_matrix([{mu: 1} for mu in support], params, quad)
+    idx = support.index(lam)
+    others = [i for i in range(len(support)) if i != idx]
+    sub = gram[np.ix_(others, others)]
+    condition = np.linalg.cond(sub)
+    if condition > 1e12:
+        raise ConditioningError(f"Gram system condition {condition:.3e} exceeds 1e12")
+    rhs = -gram[others, idx]
+    coeffs = np.linalg.solve(sub, rhs)
+    result = {support[i]: float(c) for i, c in zip(others, coeffs)}
+    result[lam] = 1.0
+    return result

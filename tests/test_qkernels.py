@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,72 @@ def test_guard_beyond_construction_horizon():
         params.ensure_generic(4, 11)
     with pytest.raises(GenericityError):
         params.ensure_generic(4, 14)
+
+
+def fraction_guard(q, ts, horizon, start=1):
+    """The genericity guard as a loop over Fraction powers of q: the
+    message of the first degeneracy, t before the pairs at each m, or None."""
+    t = ts[0] * ts[1] * ts[2] * ts[3]
+    pairs = [ts[r] * ts[s] for r, s in itertools.combinations(range(4), 2) if ts[r] * ts[s]]
+    qpow = q ** (start - 1)
+    for _ in range(start, horizon + 1):
+        qpow *= q
+        if t == qpow:
+            return f"t = q^m degeneracy at q^m = {qpow}"
+        for prod in pairs:
+            if prod == qpow:
+                return f"t_r t_s = q^m degeneracy at q^m = {qpow}"
+    return None
+
+
+#: (q, ts, profile): t = q^m and t_r t_s = q^m at m = 1, 20 and 21, their
+#: negatives, and t = 0 at profiles three and two
+GUARD_CASES = [
+    (F(1, 2), (F(9, 10), F(9, 10), F(9, 10), F(500, 729)), "four"),  # t = q
+    (F(1, 2), (F(3, 5), F(5, 7), F(7, 9), F(3, 2**20)), "four"),  # t = q^20
+    (F(1, 2), (F(3, 5), F(5, 7), F(7, 9), F(3, 2**21)), "four"),  # t = q^21
+    (F(1, 2), (F(-3, 5), F(5, 7), F(7, 9), F(3, 2**20)), "four"),  # t = -q^20
+    (F(1, 2), (F(1, 2), F(1, 2), F(1, 2), F(1, 2**17)), "four"),  # t_1 t_2 = q^2, t = q^20
+    (F(1, 2), (F(3, 4), F(2, 3), F(1, 5), F(-1, 7)), "four"),  # t_1 t_2 = q
+    (F(1, 2), (F(1, 2**10), F(1, 2**10), F(1, 3), F(1, 5)), "four"),  # t_1 t_2 = q^20
+    (F(1, 2), (F(1, 2**10), F(1, 2**11), F(1, 3), F(1, 5)), "four"),  # t_1 t_2 = q^21
+    (F(1, 2), (F(-1, 2**10), F(1, 2**10), F(1, 3), F(1, 5)), "four"),  # t_1 t_2 = -q^20
+    (F(2, 3), (F(2, 3), F(2, 3), F(1, 5), F(1, 7)), "four"),  # t_1 t_2 = q^2
+    (F(1, 2), (F(1, 2**10), F(1, 2**10), F(1, 3), F(0)), "three"),  # t = 0, pair q^20
+    (F(1, 2), (F(1, 2**10), F(1, 2**11), F(1, 3), F(0)), "three"),  # t = 0, pair q^21
+    (F(1, 2), (F(3, 4), F(2, 3), F(0), F(0)), "two"),  # t = 0, pair q
+    (F(1, 2), (F(-3, 4), F(2, 3), F(0), F(0)), "two"),  # t = 0, pair -q
+    (F(1, 2), (F(1, 3), F(-1, 4), F(0), F(0)), "two"),
+]
+
+
+@pytest.mark.parametrize("q, ts, profile", GUARD_CASES)
+def test_integer_guard_matches_the_fraction_loop(q, ts, profile):
+    def outcome(*sector):
+        try:
+            params = ParamSet(q=q, ts=ts, profile=profile)
+            if sector:
+                params.ensure_generic(*sector)
+        except GenericityError as exc:
+            return str(exc)
+        return None
+
+    expected = fraction_guard(q, ts, 20)
+    assert outcome() == expected
+    if expected is None:
+        # the edge of ensure_generic: 2n + maxPart + 3 = 20 checks nothing
+        # beyond construction, 21 checks m = 21
+        for n, max_part in ((0, 0), (4, 9), (4, 10), (9, 0), (4, 14)):
+            horizon = 2 * n + max_part + 3
+            assert outcome(n, max_part) == fraction_guard(q, ts, horizon, start=21)
+
+
+def test_guard_cases_reach_both_degeneracies_within_and_past_construction():
+    within = [fraction_guard(q, ts, 20) for q, ts, _ in GUARD_CASES]
+    past = [fraction_guard(q, ts, 21, start=21) for q, ts, _ in GUARD_CASES]
+    for kind in ("t = q^m", "t_r t_s = q^m"):
+        assert any(m and m.startswith(kind) for m in within)
+        assert any(m and m.startswith(kind) for m in past)
 
 
 def test_q_powers_is_one_growing_table_per_point():

@@ -11,7 +11,8 @@ site in its ``worstCase``, a failing adjointness check the mutated site and
 state, and a failing degeneration check the mutated (operator, site, state)
 in its ``firstFailure``.  ``verify pieri`` checks the recurrence on the
 orbit-sum expansions, and a failing case names its residual's size and
-largest orbit.  Every package cache is emptied around a mutant, so no
+largest orbit; a failing ``verify eigen`` case names the state of its
+largest residual.  Every package cache is emptied around a mutant, so no
 mutated value outlives it.
 """
 
@@ -95,6 +96,35 @@ def test_pieri_suite_names_the_residual_of_one_wrong_coefficient(capsys, monkeyp
         '"2,1",True',
         '"2,2",True',
     ]
+
+
+def test_eigen_suite_names_the_state_of_its_largest_residual(capsys, monkeypatch, cold_caches):
+    original = qboson.wave_function
+
+    def mutant(xi, lam, params):
+        value = original(xi, lam, params)
+        # the neighbour (3,) of the top state (2,): only the Hamiltonian's
+        # image at (2,) reads it
+        return 2 * value if tuple(lam) == (3,) else value
+
+    monkeypatch.setattr(qboson, "wave_function", mutant)
+    code, payload = run(capsys, "verify", "eigen", "--n", "1", "--maxPart", "2")
+    assert code == cli.EXIT_FAIL and not payload["pass"]
+    assert all(not case["pass"] for case in payload["cases"])
+    for case in payload["cases"]:
+        assert case["maxResidual"] >= qboson.EIGEN_TOLERANCE
+        assert case["worstState"] == {"lambda": [2], "residual": case["maxResidual"]}
+    # the CSV keeps its columns; the witness is in the JSON alone
+    argv = ["verify", "eigen", "--n", "1", "--maxPart", "2", "--format", "csv"]
+    assert cli.main(argv) == cli.EXIT_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "xi,maxResidual,pass" and len(lines) == 21
+    assert all(line.endswith(",False") for line in lines[1:])
+    # a passing case carries no witness
+    monkeypatch.setattr(qboson, "wave_function", original)
+    code, payload = run(capsys, "verify", "eigen", "--n", "1", "--maxPart", "2")
+    assert code == cli.EXIT_OK
+    assert all(set(case) == {"xi", "maxResidual", "pass"} for case in payload["cases"])
 
 
 def test_algebra_suite_checks_relation_b_at_every_site(capsys, monkeypatch, cold_caches):
