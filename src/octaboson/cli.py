@@ -177,9 +177,13 @@ def _suite_orthogonality(args, params) -> tuple[dict, list]:
     diagonal_only = args.suite == "norms"
     params.ensure_generic(n, max_part)
     tol = 1e-8 if n <= 2 else 1e-6
-    # an explicit grid is checked against the budget before any construction
+    # an explicit grid, and then the Gram kernel it reads, are checked
+    # against the budget before any construction; without one, the grid
+    # chosen from the expansions is checked first
     quad = None if args.quad_points is None else torus.QuadratureSpec(args.quad_points, n)
     hallittlewood.check_sector_budget(n, max_part, params)
+    if quad is not None:
+        torus.check_sector_kernel(n, max_part)
     lams = enumerate_partitions(n, max_part)
     expansions = [hallittlewood.hl_polynomial(lam, params).expansion for lam in lams]
     if quad is None:

@@ -19,6 +19,12 @@ as an exact polynomial identity.
 The lattice recurrence is checked on the orbit-sum expansions, where
 m_(1) = sum_j (x_j + 1/x_j) moves each orbit sum m_mu to those of
 dom(mu +- e_j); no Laurent polynomial is built.
+
+numpy is imported inside the functions that build the seed block and
+straighten it, not with the module: the operator suites load this module
+(through ``cli`` and ``qboson``) but never construct a polynomial, and
+importing numpy was most of their start-up.  The first construction pays
+the import once.
 """
 
 from __future__ import annotations
@@ -29,9 +35,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import budget
 from .laurent import LaurentPoly
@@ -54,6 +58,9 @@ from .qkernels import (
     quadratic_norm,
     tau_vector,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Exact construction is kept at desk scale: its cost follows the seed block,
 #: about 11,000 terms at n = 4 and 270,000 at n = 5.
@@ -137,11 +144,11 @@ def _finalize(
 #: (exponents, coefficients, denominator): the (S, n) int64 exponent matrix,
 #: read-only, and the S integer coefficients of its rows over one common
 #: denominator.
-IntegerSeed = tuple[np.ndarray, tuple[int, ...], int]
+IntegerSeed = tuple["np.ndarray", tuple[int, ...], int]
 Binomials = Sequence[tuple[Fraction, tuple[int, ...]]]
 
 #: Exponent keys and exponents are int64 in the straightening.
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1
 
 
 def _exponent_box(n: int, binomials: Binomials) -> tuple[list[int], list[int]]:
@@ -179,6 +186,8 @@ def _binomial_product(n: int, binomials: Binomials) -> IntegerSeed:
     keys are decoded once, at the end, into the rows of the exponent
     matrix by one vectorized divmod by the strides.
     """
+    import numpy as np
+
     lo, size = _exponent_box(n, binomials)
     _check_box(n, size)
     strides = [math.prod(size[i + 1 :]) for i in range(n)]
@@ -290,6 +299,8 @@ def _straighten(
     integer coefficients are summed exactly; a mu whose contributions
     cancel is kept with coefficient 0.
     """
+    import numpy as np
+
     n = len(shift)
     bound = _INT64_MAX - int(np.abs(exponents).max(initial=0))
     if any(abs(s) > bound for s in shift):
@@ -320,6 +331,8 @@ def _weyl_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
     w rho runs over the signed permutations of rho, and det w = (-1)^l(w)
     with l(w) the number of positive roots alpha with <w rho, alpha> < 0.
     """
+    import numpy as np
+
     rho = weyl_vector(n)
     perms = np.array(list(itertools.permutations(rho)), dtype=np.int64, ndmin=2)
     signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64, ndmin=2)
@@ -339,6 +352,8 @@ def _weyl_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs i < j of n entries, as the read-only arrays of i and
     of j that ``_straighten`` compares across."""
+    import numpy as np
+
     upper, lower = np.triu_indices(n, 1)
     upper.flags.writeable = lower.flags.writeable = False
     return upper, lower
@@ -364,6 +379,8 @@ def _inversion_entries(n: int, top: int):
     dense lookup of the positions, which reads -1 for a code with a capped
     part.
     """
+    import numpy as np
+
     weights = np.array(enumerate_partitions(n, top)[::-1], dtype=np.int64, ndmin=2)
     radix = (top + 2) ** np.arange(n, dtype=np.int64)
     # positions in the narrowest signed type: int16 up to n = 4, top = 20

@@ -37,6 +37,7 @@ the degeneration checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -135,21 +136,28 @@ class ParamSet:
         return num, den
 
     def ensure_generic_horizon(self, horizon: int, start: int = 1) -> None:
-        """Reject t = q^m and t_r t_s = q^m for m = start..horizon, t first
-        at each m.  Fractions in lowest terms, q^m among them, are equal
-        exactly when their numerators and denominators are, so the values
-        are compared as integer pairs; the powers past ``q_powers`` are
-        not kept, since the horizon grows with maxPart before any budget
-        check."""
-        num, den = (powers[start - 1] for powers in self.q_powers(start))
-        t = (self.t.numerator, self.t.denominator)
-        pairs = [(prod.numerator, prod.denominator) for prod in self.pair_products]
-        for _ in range(start, horizon + 1):
-            num, den = num * self.q.numerator, den * self.q.denominator
-            if t == (num, den):
-                raise GenericityError(f"t = q^m degeneracy at q^m = {num}/{den}")
-            if (num, den) in pairs:
-                raise GenericityError(f"t_r t_s = q^m degeneracy at q^m = {num}/{den}")
+        """Reject t = q^m and t_r t_s = q^m for m = start..horizon, the
+        smallest such m first and t before the pairs at one m.  Since
+        0 < q < 1, a positive x equals q^m for at most one m, the nearest
+        integer to log x / log q; only the integers next to that estimate
+        are tried, and exactly, as lowest-terms numerator and denominator
+        pairs, so the cost does not grow with the horizon, which grows with
+        maxPart before any budget check."""
+        q_num, q_den = self.q.numerator, self.q.denominator
+        log_q = math.log(q_num) - math.log(q_den)
+        candidates = [("t", self.t)] + [("t_r t_s", x) for x in self.pair_products]
+        hits = []
+        for kind, x in candidates:
+            if x <= 0:
+                continue
+            estimate = round((math.log(x.numerator) - math.log(x.denominator)) / log_q)
+            for m in range(max(start, estimate - 1), min(horizon, estimate + 1) + 1):
+                if x.denominator == q_den**m and x.numerator == q_num**m:
+                    hits.append((m, kind, x))
+        if hits:
+            # min keeps the first of equal m, so t comes before the pairs
+            _, kind, x = min(hits, key=lambda hit: hit[0])
+            raise GenericityError(f"{kind} = q^m degeneracy at q^m = {x.numerator}/{x.denominator}")
 
     def ensure_generic(self, n: int, max_part: int) -> None:
         """Guard every denominator exponent reachable at sector size (n, max_part).

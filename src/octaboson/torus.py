@@ -36,6 +36,9 @@ only work that grows with M is this table, cached per (params, n, M, band).
 
 ``aliasing_bound`` states how far the rule is from the integral, and
 ``choose_points`` picks M from it when the user gives none.
+
+As in ``hallittlewood``, numpy is imported inside the functions that use
+it, so that loading the package for an operator suite does not load it.
 """
 
 from __future__ import annotations
@@ -44,13 +47,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import budget
 from .partitions import group_order, orbit, positive_roots
 from .qkernels import ParamSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: an orbit-sum expansion sum_mu c_mu m_mu as mu -> c_mu, keyed by
 #: dominant weights
@@ -71,6 +75,21 @@ def _check_nodes(m: int, n: int) -> None:
         entries = (m // 2 + 1) ** 2
         what = f"a cosine matrix of ({m} // 2 + 1)^2 = {entries} entries"
         budget.check(entries, what, {"M": m, "n": n, "entries": entries})
+
+
+def _check_kernel(n: int, elements: int, weights: int) -> None:
+    entries = elements * weights
+    what = f"an orbit Gram kernel of {elements} x {weights} = {entries} entries"
+    budget.check(entries, what, {"n": n, "entries": entries})
+
+
+def check_sector_kernel(n: int, max_part: int) -> None:
+    """The budget check of ``gram_matrix`` over the polynomials of the
+    length-n partitions with parts <= max_part, before any is built.  Each
+    is monic within its lower set, so the union of their supports is every
+    such partition: C(n + max_part, n) weights, whose orbits hold the
+    (2 max_part + 1)^n points of [-max_part, max_part]^n."""
+    _check_kernel(n, (2 * max_part + 1) ** n, math.comb(n + max_part, n))
 
 
 @dataclass(frozen=True)
@@ -98,6 +117,8 @@ def _weight_sq_grid(params: ParamSet, n: int, m: int) -> np.ndarray:
     and on the long root 2 e_j, whose table is read at k_j,
     |1 - z_j^2|^2 over the boundary factors prod_r |1 - t_r z_j|^2.
     """
+    import numpy as np
+
     cos = np.cos(np.arange(m) * (2.0 * np.pi / m))
 
     def factor(a: float, c: np.ndarray) -> np.ndarray:
@@ -128,6 +149,8 @@ def _weight_fourier(params: ParamSet, n: int, m: int, band: int) -> np.ndarray:
     sum over k_j <= M // 2 of fold(k_j) cos(2 pi d_j k_j / M) / M, where
     fold counts k_j and M - k_j: 1 at k_j = 0 and 2 k_j = M, else 2.
     """
+    import numpy as np
+
     table = _weight_sq_grid(params, n, m)
     if n:  # at n = 0 the table is 1 and the budget leaves M unbounded
         half = np.arange(m // 2 + 1)
@@ -168,6 +191,8 @@ def gram_matrix(
     G[mu, nu] = |W nu| sum_{a in W mu} w_M[(nu - a) mod M] / |W|,
     read from the weight's table on the band 0 <= d_j <= min(2 top, M // 2).
     """
+    import numpy as np
+
     n, m = quad.n, quad.points_per_dim
     if any(len(mu) != n for e in expansions for mu in e):
         raise ValueError("dimension mismatch between basis and grid")
@@ -177,9 +202,7 @@ def gram_matrix(
     orbits = [orbit(mu) for mu in support]
     elements = np.array([a for o in orbits for a in o], dtype=np.intp)
     elements = elements.reshape(len(elements), n)  # (1, 0) at n = 0
-    entries = len(elements) * len(support)
-    what = f"an orbit Gram kernel of {len(elements)} x {len(support)} = {entries} entries"
-    budget.check(entries, what, {"n": n, "entries": entries})
+    _check_kernel(n, len(elements), len(support))
     # flat index of the folded (nu - a) mod M in the band table, axis by axis
     band = min(2 * top, m // 2)
     flat = np.zeros((len(elements), len(support)), dtype=np.intp)
@@ -197,6 +220,8 @@ def gram_matrix(
 def _log_weight_sup(radius: np.ndarray, n: int, params: ParamSet) -> np.ndarray:
     """log of the bound S(R) on |w(z)| over |z_i| = R, |z_k| = 1 (k != i);
     see ``aliasing_bound`` for the factor count."""
+    import numpy as np
+
     q = float(params.q)
     ts = [abs(float(t)) for t in params.ts if t]
     log_r = np.log(radius)
@@ -213,6 +238,8 @@ def _log_weight_sup(radius: np.ndarray, n: int, params: ParamSet) -> np.ndarray:
 def _aliasing_terms(expansions: Sequence[Expansion], params: ParamSet):
     """(n, log R, log of the M-independent factor) on the radii
     R = rho^{-s}, s = 1/RADII, ..., 1 - 1/RADII; None if the rule is exact."""
+    import numpy as np
+
     support, top = _support(expansions)
     n = len(support[0]) if support else 0
     if n == 0:
@@ -230,6 +257,8 @@ def _aliasing_terms(expansions: Sequence[Expansion], params: ParamSet):
 
 
 def _bound_at(terms, m: int) -> float:
+    import numpy as np
+
     if terms is None:
         return 0.0
     n, log_r, base = terms

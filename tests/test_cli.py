@@ -443,6 +443,40 @@ def test_polynomial_suite_refusal_lists_no_sector(suite, capsys, monkeypatch):
     assert code == 0 and calls[0] == (1, 1)
 
 
+@pytest.mark.parametrize("suite", ["orthogonality", "norms"])
+def test_gram_kernel_refused_before_any_polynomial(suite, capsys, monkeypatch):
+    # with --M the orbit Gram kernel is counted from (n, maxPart): each P_lam
+    # is monic, so the supports cover the sector, (2 * 6 + 1)^4 = 28,561
+    # orbit elements against C(10, 4) = 210 weights; no polynomial is built
+    calls = []
+    real_polynomial = hallittlewood.hl_polynomial
+
+    def counting_polynomial(lam, params):
+        calls.append(lam)
+        return real_polynomial(lam, params)
+
+    monkeypatch.setattr(hallittlewood, "hl_polynomial", counting_polynomial)
+    code, out = run(capsys, "verify", suite, "--n", "4", "--maxPart", "6", "--M", "8")
+    assert code == 3 and json.loads(out)["error"] == {
+        "type": "budget",
+        "message": "an orbit Gram kernel of 28561 x 210 = 5997810 entries, "
+        "over the budget 4000000 (set OCTABOSON_BUDGET to raise it)",
+        "n": 4,
+        "entries": 5_997_810,
+        "budget": 4_000_000,
+    }
+    assert calls == []
+    # the count is the one the assembly checks: (2 * 3 + 1)^2 = 49 elements
+    # against the 10 weights with parts <= 3 at n = 2
+    monkeypatch.setenv("OCTABOSON_BUDGET", "489")
+    code, out = run(capsys, "verify", suite, "--n", "2", "--maxPart", "3", "--M", "8")
+    assert code == 3 and json.loads(out)["error"]["entries"] == 490
+    assert calls == []
+    monkeypatch.setenv("OCTABOSON_BUDGET", "490")
+    code, _ = run(capsys, "verify", suite, "--n", "2", "--maxPart", "3", "--M", "8")
+    assert code in (0, 1) and len(calls) == 10
+
+
 def test_sector_budget_reads_the_zero_counts_of_the_states(capsys, monkeypatch):
     # the seed blocks at n = 3 hold up to 729, 567, 441 and 343 terms for 0
     # to 3 zero parts; at maxPart 0 the states are 0^3 alone, read with their

@@ -79,20 +79,26 @@ def test_guard_beyond_construction_horizon():
         params.ensure_generic(4, 14)
 
 
-def fraction_guard(q, ts, horizon, start=1):
-    """The genericity guard as a loop over Fraction powers of q: the
-    message of the first degeneracy, t before the pairs at each m, or None."""
+def fraction_degeneracy(q, ts, horizon, start=1):
+    """The genericity guard as a loop over Fraction powers of q: (m, message)
+    of the first degeneracy, t before the pairs at each m, or None."""
     t = ts[0] * ts[1] * ts[2] * ts[3]
     pairs = [ts[r] * ts[s] for r, s in itertools.combinations(range(4), 2) if ts[r] * ts[s]]
     qpow = q ** (start - 1)
-    for _ in range(start, horizon + 1):
+    for m in range(start, horizon + 1):
         qpow *= q
         if t == qpow:
-            return f"t = q^m degeneracy at q^m = {qpow}"
+            return m, f"t = q^m degeneracy at q^m = {qpow}"
         for prod in pairs:
             if prod == qpow:
-                return f"t_r t_s = q^m degeneracy at q^m = {qpow}"
+                return m, f"t_r t_s = q^m degeneracy at q^m = {qpow}"
     return None
+
+
+def fraction_guard(q, ts, horizon, start=1):
+    """The message of ``fraction_degeneracy``, or None."""
+    found = fraction_degeneracy(q, ts, horizon, start)
+    return found and found[1]
 
 
 #: (q, ts, profile): t = q^m and t_r t_s = q^m at m = 1, 20 and 21, their
@@ -113,6 +119,15 @@ GUARD_CASES = [
     (F(1, 2), (F(3, 4), F(2, 3), F(0), F(0)), "two"),  # t = 0, pair q
     (F(1, 2), (F(-3, 4), F(2, 3), F(0), F(0)), "two"),  # t = 0, pair -q
     (F(1, 2), (F(1, 3), F(-1, 4), F(0), F(0)), "two"),
+    # far past construction: t = q^12000, t_1 t_2 = q^5000 and, at q = 2/3,
+    # t_1 t_2 = q^1000; t_1 t_2 = t_3 t_4 = q^21 before t = q^42
+    (F(1, 2), (F(3, 5), F(5, 7), F(7, 9), F(3, 2**12_000)), "four"),
+    (F(1, 2), (F(1, 2**2500), F(1, 2**2500), F(1, 3), F(1, 5)), "four"),
+    (F(2, 3), (F(2**500, 3**500), F(2**500, 3**500), F(1, 5), F(1, 7)), "four"),
+    (F(1, 2), (F(1, 2**10), F(1, 2**11), F(3, 2**10), F(1, 3 * 2**11)), "four"),
+    # t_1 t_2 = q^22 + 3^-22 has the denominator of q^22 but not its
+    # numerator; t_3 t_4 = q^30
+    (F(2, 3), (F(2**22 + 1, 3**21), F(1, 3), F(2**15, 3**15), F(2**15, 3**15)), "four"),
 ]
 
 
@@ -135,6 +150,12 @@ def test_integer_guard_matches_the_fraction_loop(q, ts, profile):
         for n, max_part in ((0, 0), (4, 9), (4, 10), (9, 0), (4, 14)):
             horizon = 2 * n + max_part + 3
             assert outcome(n, max_part) == fraction_guard(q, ts, horizon, start=21)
+        # horizons on either side of the far degeneracies, up to 10^5, read
+        # from one loop: the guard's cost does not grow with the horizon
+        far = fraction_degeneracy(q, ts, 100_000, start=21)
+        for horizon in (999, 1000, 4999, 5000, 11_999, 12_000, 99_999, 100_000):
+            expected = far[1] if far and far[0] <= horizon else None
+            assert outcome(1, horizon - 5) == expected
 
 
 def test_guard_cases_reach_both_degeneracies_within_and_past_construction():

@@ -117,3 +117,8 @@ def test_keys_beyond_int64_are_refused(monkeypatch):
     monkeypatch.setenv("OCTABOSON_BUDGET", str(2**70))
     with pytest.raises(BudgetExceededError, match="int64"):
         _binomial_product(2, binomials)
+
+
+def test_int64_bound_is_numpy_int64_max():
+    # the bound is written as 2^63 - 1 so that the module loads without numpy
+    assert hallittlewood._INT64_MAX == np.iinfo(np.int64).max
