@@ -10,6 +10,10 @@ offending mu), or any other exception (type "internal", naming the
 exception); 3 resource budget exceeded (for a quadrature grid the error
 JSON names the M it needs, for a seed block the terms its exponent box can
 hold).
+
+The operator suites (algebra, adjoint, degeneration) run whole in
+``qboson``: the genericity guard, the budget check and the step tables and
+batches, which live for one suite run; here their results become reports.
 """
 
 from __future__ import annotations
@@ -26,18 +30,8 @@ from fractions import Fraction
 
 from . import budget, hallittlewood, qboson, torus
 from .laurent import NotDivisibleError
-from .partitions import enumerate_partitions, sector_size
-from .qkernels import (
-    DEFAULT_POINTS,
-    ParamSet,
-    hop_up_three,
-    hop_up_two,
-    norm_three,
-    norm_two,
-    potential_three,
-    potential_two,
-    quadratic_norm,
-)
+from .partitions import enumerate_partitions
+from .qkernels import DEFAULT_POINTS, ParamSet, quadratic_norm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -243,61 +237,27 @@ def _suite_pieri(args, params) -> tuple[dict, list]:
     return payload, rows
 
 
-def _relation_filter(requested: str | None) -> list[str]:
-    if not requested:
-        return list(qboson.RELATION_IDS)
-    name = requested.removeprefix("com-")
-    matches = [rid for rid in qboson.RELATION_IDS if rid == name or rid.startswith(name)]
-    if not matches:
-        raise ValueError(f"unknown relation {requested!r}")
-    return matches
-
-
 def _suite_algebra(args, params) -> tuple[dict, list]:
     n, max_part = args.n, args.max_part
-    params.ensure_generic(n, max_part + 2)
-    site_max = 5
-    pairs_of = {}
-    for rid in _relation_filter(args.relation):
-        if rid in qboson.EXCHANGE_RELATIONS:
-            site_pairs = [(l, k) for l in range(site_max) for k in range(l + 1, site_max + 1)]
-        else:
-            site_pairs = [(l, k) for l in range(site_max + 1) for k in range(site_max + 1)]
-        # a single-site relation is checked once per l; every pair still
-        # counts its cases, since its statement at (l, k) is the one at l
-        if rid in qboson.SINGLE_SITE_RELATIONS:
-            site_pairs = [(l, 0) for l, _ in site_pairs]
-        pairs_of[rid] = site_pairs
-    # each distinct site pair of a relation, and the witness below, applies
-    # both sides to every state of the sector
-    work = sector_size(n, max_part) * (1 + sum(len(set(p)) for p in pairs_of.values()))
-    what = f"{work} relation checks at n = {n}, maxPart = {max_part}"
-    budget.check(work, what, {"n": n, "maxPart": max_part, "checks": work})
+    relations, witness = qboson.verify_algebra(n, max_part, params, args.relation)
     reports = []
-    for rid, site_pairs in pairs_of.items():
-        residuals = {
-            pair: qboson.verify_relation(rid, *pair, n, max_part, params)
-            for pair in dict.fromkeys(site_pairs)
-        }
-        checks = [residuals[pair] for pair in site_pairs]
-        worst = max(checks, key=lambda check: check.residual)
+    for rid, result in relations.items():
         report = {
             "relation": f"com-{rid}",
             "n": n,
             "maxPart": max_part,
             "mode": "exact",
-            "maxResidual": str(worst.residual),
-            "pass": worst.residual == 0,
-            "cases": sum(check.cases for check in checks),
+            "maxResidual": str(result.residual),
+            "pass": result.residual == 0,
+            "cases": result.cases,
         }
-        if worst.worst_case:
-            report["worstCase"] = _mismatch_fields(worst.worst_case)
+        if result.worst_case:
+            report["worstCase"] = _mismatch_fields(result.worst_case)
         reports.append(report)
     # Boundary-pair witness: without the diagonal twist the (0, 1) exchange
     # relations fail in the full profile and hold in the reduced ones.  It
     # removes a particle from site 0 and one from site 1, so it cannot show
     # the failure below 2 particles or when no particle can sit at site 1.
-    witness = qboson.verify_relation("d1", 0, 1, n, max_part, params, twisted=False)
     applicable = n >= 2 and max_part >= 1
     expect_failure = applicable and params.profile == "four"
     failed = witness.residual != 0
@@ -324,12 +284,12 @@ def _suite_algebra(args, params) -> tuple[dict, list]:
     return payload, rows
 
 
-def _checks_report(max_part: int, names, results) -> tuple[dict, list]:
-    """The report of an exact suite of named checks and its CSV rows, which
-    keep the columns name, cases and pass; a failing check's
+def _checks_report(max_part: int, results: dict) -> tuple[dict, list]:
+    """The report of an exact suite of checks, by name, and its CSV rows,
+    which keep the columns name, cases and pass; a failing check's
     ``firstFailure`` is in the JSON alone."""
     checks = []
-    for name, result in zip(names, results):
+    for name, result in results.items():
         checks.append({"name": name, "cases": result.cases, "pass": result.mismatch is None})
         if result.mismatch:
             checks[-1]["firstFailure"] = _mismatch_fields(result.mismatch)
@@ -353,15 +313,8 @@ def _mismatch_fields(mismatch: qboson.Mismatch) -> dict:
 
 
 def _suite_adjoint(args, params) -> tuple[dict, list]:
-    n, max_part = args.n, args.max_part
-    params.ensure_generic(n + 1, max_part + 1)
-    # the pairs the two checks count are bounded from the sectors' sizes,
-    # before any state is listed
-    pairs = sum(qboson.adjoint_cases(n, max_part))
-    what = f"{pairs} operator pairs at n = {n}, maxPart = {max_part}"
-    budget.check(pairs, what, {"n": n, "maxPart": max_part, "pairs": pairs})
-    results = qboson.verify_adjoint(n, max_part, params)
-    return _checks_report(max_part, ("adjointness", "hamiltonian-symmetry"), results)
+    results = qboson.verify_adjoint(args.n, args.max_part, params)
+    return _checks_report(args.max_part, dict(zip(("adjointness", "hamiltonian-symmetry"), results)))
 
 
 def _suite_eigen(args, params) -> tuple[dict, list]:
@@ -391,26 +344,7 @@ def _suite_eigen(args, params) -> tuple[dict, list]:
 
 
 def _suite_degeneration(args, params) -> tuple[dict, list]:
-    n, max_part = args.n, args.max_part
-    q, ts = params.q, params.ts
-    # the sectors' sizes are checked first, then the maxPart + 2 sites at
-    # which every state is created on and annihilated from
-    states = sum(sector_size(sector, max_part) for sector in range(n + 1))
-    work = states * (max_part + 2)
-    what = f"{work} operator applications at n = {n}, maxPart = {max_part}"
-    budget.check(work, what, {"n": n, "maxPart": max_part, "applications": work})
-    # the runtime's general formulas and operators at zeroed t_r against the
-    # reduced closed forms; a two-profile point has t3 = 0 already, so only
-    # t3,t4 -> 0 applies
-    reductions = []
-    if ts[2]:
-        three = ParamSet(q=q, ts=(ts[0], ts[1], ts[2], Fraction(0)), profile="three")
-        reductions.append(("t4->0", three, norm_three, hop_up_three, potential_three))
-    two = ParamSet(q=q, ts=(ts[0], ts[1], Fraction(0), Fraction(0)), profile="two")
-    reductions.append(("t3,t4->0", two, norm_two, hop_up_two, potential_two))
-    names = [name for name, *_ in reductions]
-    results = [qboson.verify_degeneration(n, max_part, *reduction[1:]) for reduction in reductions]
-    return _checks_report(max_part, names, results)
+    return _checks_report(args.max_part, qboson.verify_degeneration(args.n, args.max_part, params))
 
 
 def _suite_scattering(args, params) -> tuple[dict, list]:

@@ -17,30 +17,35 @@ state times a scalar (or annihilation to 0), and distinct states to
 distinct states.  Each coefficient, of the steps and of the diagonal
 scalars of the relations, is cached per the occupation numbers it reads
 (``qkernels.occupation_key``) and parameter point, and evaluated in
-integer arithmetic by ``qkernels.factor_ratio``; the operators apply the
+integer arithmetic by ``qkernels.exact_ratio``; the operators apply the
 steps to a function's values.
+
+Each operator suite runs whole here, its genericity guard and budget
+check first: ``verify_algebra``, ``verify_adjoint`` and
+``verify_degeneration``.  The step tables and batches they read are made
+for one suite run and go with it; no table outlives the run.
 
 The relation checks apply each side of a relation once, to the sector's
 whole delta basis: a batch holds one basis image per delta function, a
 (state, numerator, denominator) triple of integers, and no function is
 built per state.  Each operator of a side reads one table per (operator,
 site), state -> (target, numerator, denominator), filled on first use from
-the steps and shared by every check at the parameter point; the number
+the steps and shared by every check of the run (``_BasisOps``); the number
 operator reads occupation counts and the point's integer powers of q
-(``ParamSet.q_powers``); its batch of the delta basis itself is built
-once per point and sector.  The two sides are compared by integer cross-multiplication, and a
-``Fraction`` is built only where they differ.  The relations that read one
-site (SINGLE_SITE_RELATIONS) need one check per site, whatever the second
-site.
+(``ParamSet.q_powers``); the batch of each operator and site of the delta
+basis itself is built once per run.  The two sides are compared by integer
+cross-multiplication, and a ``Fraction`` is built only where they differ.
+The relations that read one site (SINGLE_SITE_RELATIONS) need one check
+per site, whatever the second site.
 
 The adjoint checks apply the public operators once to each delta
 function: adjointness is then c_l(mu -> lam) N_lam = N_mu a_l(lam -> mu)
 per step, and symmetry detailed balance, H(lam -> mu) N_mu = N_lam
 H(mu -> lam) per unit step; other pairs' supports are apart.
 
-The degeneration checks read the same step tables at their reduced points
-(t4 = 0, and t3 = t4 = 0): each table entry is compared, state by state,
-with the reduced steps ``_reduced_create_step`` and
+The degeneration checks read step tables of the runtime steps at their
+reduced points (t4 = 0, and t3 = t4 = 0): each table entry is compared,
+state by state, with the reduced steps ``_reduced_create_step`` and
 ``_reduced_annihilate_step``, again by integer cross-multiplication and
 with no function built per state.
 """
@@ -55,6 +60,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+from . import budget
 from .hallittlewood import hl_polynomial
 from .partitions import (
     add_part,
@@ -66,13 +72,19 @@ from .partitions import (
     unit_steps,
 )
 from .qkernels import (
-    GenericityError,
+    OCCUPATION_CACHE_SIZE,
     ParamSet,
     boundary_potential,
     creation_coeff,
-    factor_ratio,
+    exact_ratio,
     hop_coeff,
+    hop_up_three,
+    hop_up_two,
+    norm_three,
+    norm_two,
     occupation_key,
+    potential_three,
+    potential_two,
     quadratic_norm,
 )
 
@@ -144,12 +156,6 @@ class LatticeFunction:
 # ---------------------------------------------------------------------------
 
 
-#: Entries of each cache keyed by occupation numbers; one parameter point of
-#: ``verify algebra`` reads at most 24 keys of one at n = 3, maxPart 3 and
-#: 35 at n = 4, maxPart 3.
-_OCCUPATION_CACHE_SIZE = 1024
-
-
 def _occupation_pair(lam: tuple[int, ...]) -> tuple[int, int]:
     return multiplicity(lam, 0), multiplicity(lam, 1)
 
@@ -165,14 +171,10 @@ def _annihilate_step(l: int, mu: tuple[int, ...], params: ParamSet):
     return lam, None
 
 
-@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+@lru_cache(maxsize=OCCUPATION_CACHE_SIZE)
 def _annihilation_coeff(m0: int, m1: int, params: ParamSet) -> Fraction:
     """1 / (1 - t q^{2 m_0 + m_1}) at the occupations of the target state."""
-    k = 2 * m0 + m1
-    num, den = factor_ratio((), ((params.t, k),), *params.q_powers(k + 1))
-    if den == 0:
-        raise GenericityError("annihilation denominator vanishes")
-    return Fraction(num, den)
+    return exact_ratio((), ((params.t, 2 * m0 + m1),), params, "annihilation denominator vanishes")
 
 
 def _create_step(l: int, mu: tuple[int, ...], params: ParamSet):
@@ -251,7 +253,7 @@ def sector_inner_product(f: LatticeFunction, g: LatticeFunction, params: ParamSe
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+@lru_cache(maxsize=OCCUPATION_CACHE_SIZE)
 def _twist_ratio(m0: int, m1: int, params: ParamSet, inverse: bool) -> Fraction:
     """(1 - q t N0^2 N1) / (1 - t N0^2 N1) at occupations (m0, m1) of sites
     0, 1 (or its inverse)."""
@@ -259,13 +261,10 @@ def _twist_ratio(m0: int, m1: int, params: ParamSet, inverse: bool) -> Fraction:
     upper, lower = ((params.t, k + 1),), ((params.t, k),)
     if inverse:
         upper, lower = lower, upper
-    num, den = factor_ratio(upper, lower, *params.q_powers(k + 2))
-    if den == 0:
-        raise GenericityError("twist factor denominator vanishes")
-    return Fraction(num, den)
+    return exact_ratio(upper, lower, params, "twist factor denominator vanishes")
 
 
-@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+@lru_cache(maxsize=OCCUPATION_CACHE_SIZE)
 def _pair_scalar_b(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fraction:
     """Diagonal value of the normal-ordered product create(l) annihilate(l)
     on a state with ``occupation_key`` (site, m, m0, m1) at l:
@@ -285,13 +284,10 @@ def _pair_scalar_b(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fra
             numerator.append((t, m0 - 2))
             exponents = (2 * m0 - 3, 2 * m0 - 2, 2 * m0 - 2, 2 * m0 - 1, 2 * m0 + m1 - 2)
             denominator += [(t, k) for k in exponents]
-    num, den = factor_ratio(numerator, denominator, *params.q_powers(m + 2 * m0 + m1 + 4))
-    if den == 0:
-        raise GenericityError("relation scalar denominator vanishes")
-    return Fraction(num, den)
+    return exact_ratio(numerator, denominator, params, "relation scalar denominator vanishes")
 
 
-@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+@lru_cache(maxsize=OCCUPATION_CACHE_SIZE)
 def _pair_scalar_c(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fraction:
     """Diagonal value of the anti-normal-ordered product annihilate(l)
     create(l) on a state with ``occupation_key`` (site, m, m0, m1) at l,
@@ -312,17 +308,7 @@ def _pair_scalar_c(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fra
         else:
             numerator += [(t, m0 - 1), (t, k + 1)]
             denominator += [(t, e) for e in (k, 2 * m0 - 1, 2 * m0, 2 * m0, 2 * m0 + 1)]
-    num, den = factor_ratio(numerator, denominator, *params.q_powers(m + 2 * m0 + m1 + 4))
-    if den == 0:
-        raise GenericityError("relation scalar denominator vanishes")
-    return Fraction(num, den)
-
-
-#: Parameter points whose step tables are kept.  One ``verify algebra``
-#: suite reads one point and one ``verify degeneration`` suite two, its
-#: reduced points; a table's entries, and a point's batches, are bounded by
-#: the states of the sectors they are applied to.
-_POINT_CACHE_SIZE = 16
+    return exact_ratio(numerator, denominator, params, "relation scalar denominator vanishes")
 
 
 class _StepTable(dict):
@@ -346,76 +332,45 @@ class _StepTable(dict):
         return image
 
 
-class _PointTables:
-    """The step tables of the operator checks at one parameter point, keyed
-    by operator and site and each filled on first use, and its batches."""
-
-    def __init__(self, params: ParamSet):
-        self.params = params
-        self.steps: dict[tuple, _StepTable] = {}
-        self.batches: dict[tuple, list] = {}
-
-    def table(self, key: tuple, fill: Callable) -> _StepTable:
-        """The table under ``key``, made with ``fill`` if it is new."""
-        table = self.steps.get(key)
-        if table is None:
-            table = self.steps[key] = _StepTable(fill)
-        return table
-
-    def annihilation(self, site: int) -> _StepTable:
-        table = self.steps.get(("a", site))
-        if table is None:
-            params = self.params
-            table = self.table(("a", site), lambda mu: _annihilate_step(site, mu, params))
-        return table
-
-    def creation(self, site: int) -> _StepTable:
-        table = self.steps.get(("c", site))
-        if table is None:
-            params = self.params
-            table = self.table(("c", site), lambda mu: _create_step(site, mu, params))
-        return table
-
-
-@lru_cache(maxsize=_POINT_CACHE_SIZE)
-def _point_tables(params: ParamSet) -> _PointTables:
-    """The step tables shared by every operator check at one point."""
-    return _PointTables(params)
-
-
 class _BasisOps:
-    """The sector operators of a relation check at one parameter point,
-    acting on the whole delta basis at once; ``twist`` alone places the
-    diagonal twist of the exchange relations.
+    """The sector operators of the relation checks of one run, at one
+    parameter point, acting on one sector's whole delta basis at once;
+    ``twist`` alone places the diagonal twist of the exchange relations.
 
     Every operator of the relations is monomial on the delta basis, so each
     side sends delta_mu to one basis image: a triple (state, numerator,
     denominator) of integers, or None for the zero function.  A batch is
-    the list of the images of the sector's delta functions, in basis order;
-    the batch of ``a``, ``c`` or ``n`` of the basis itself, the object
-    ``_delta_images(n, max_part)``, is kept per (operator, site, n, max_part).
+    the list of the images of the sector's delta functions, in basis order.
+    The run owns its step tables, one per (operator, site) and each filled
+    on first use, and its batches of ``a``, ``c`` and ``n`` of the basis
+    itself, one per (operator, site): every check of the run shares them,
+    and they go with the run.
     """
 
-    def __init__(self, l: int, k: int, n: int, max_part: int, params: ParamSet, twisted: bool):
+    def __init__(self, n: int, max_part: int, params: ParamSet):
         self.params = params
         self.q = params.q
-        self.tables = _point_tables(params)
-        self.basis = _delta_images(n, max_part)
-        self.sector = (n, max_part)
+        self.basis = tuple((mu, 1, 1) for mu in enumerate_partitions(n, max_part))
         # a side reaches sector n + 2 at most, where m_l <= n + 2
         self.q_num, self.q_den = params.q_powers(n + 3)
-        # ultralocality breaks on the boundary pair (0, 1) alone; the twist
-        # ratio is exactly 1 at t = 0
-        self.twist_on = twisted and l == 0 and k == 1
+        self.tables: dict[tuple, _StepTable] = {}
+        self.batches: dict[tuple, list] = {}
+        self.twist_on = False
+
+    def _table(self, key: tuple, fill: Callable) -> _StepTable:
+        """The table under ``key``, made with ``fill`` if it is new."""
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = _StepTable(fill)
+        return table
 
     def _first_level(self, key: tuple, apply: Callable, arg, images):
-        """apply(arg, images), kept in the point's batches for the basis."""
+        """apply(arg, images), kept in the run's batches for the basis."""
         if images is not self.basis:
             return apply(arg, images)
-        key += self.sector
-        batch = self.tables.batches.get(key)
+        batch = self.batches.get(key)
         if batch is None:
-            batch = self.tables.batches[key] = apply(arg, images)
+            batch = self.batches[key] = apply(arg, images)
         return batch
 
     @staticmethod
@@ -436,11 +391,17 @@ class _BasisOps:
             for image in images
         ]
 
+    # the fills close over the point, not over self: a table that held the
+    # run would keep it alive until the cycle collector runs
     def a(self, site: int, images):
-        return self._first_level(("a", site), self._apply, self.tables.annihilation(site), images)
+        params = self.params
+        table = self._table(("a", site), lambda mu: _annihilate_step(site, mu, params))
+        return self._first_level(("a", site), self._apply, table, images)
 
     def c(self, site: int, images):
-        return self._first_level(("c", site), self._apply, self.tables.creation(site), images)
+        params = self.params
+        table = self._table(("c", site), lambda mu: _create_step(site, mu, params))
+        return self._first_level(("c", site), self._apply, table, images)
 
     def n(self, site: int, images):
         return self._first_level(("n", site), self._powers, site, images)
@@ -456,19 +417,38 @@ class _BasisOps:
 
     def diag(self, scalar: Callable, site: int, images):
         params = self.params
-        table = self.tables.table(
-            (scalar, site), lambda mu: (mu, scalar(*occupation_key(mu, site), params))
-        )
+        table = self._table((scalar, site), lambda mu: (mu, scalar(*occupation_key(mu, site), params)))
         return self._apply(table, images)
 
     def twist(self, images, inverse: bool):
         if not self.twist_on:
             return images
         params = self.params
-        table = self.tables.table(
+        table = self._table(
             ("twist", inverse), lambda mu: (mu, _twist_ratio(*_occupation_pair(mu), params, inverse))
         )
         return self._apply(table, images)
+
+    def residual(self, relation_id: str, l: int, k: int, twisted: bool = True) -> "RelationResidual":
+        """``verify_relation`` on the run's tables and batches."""
+        if relation_id not in RELATION_IDS:
+            raise ValueError(f"relation must be one of {RELATION_IDS}")
+        if relation_id in EXCHANGE_RELATIONS and not l < k:
+            raise ValueError("exchange relations require l < k")
+        # ultralocality breaks on the boundary pair (0, 1) alone; the twist
+        # ratio is exactly 1 at t = 0
+        self.twist_on = twisted and l == 0 and k == 1
+        lefts, rights = _RELATIONS[relation_id](self, l, k, self.basis)
+        worst, worst_case = Fraction(0), None
+        for delta, lhs, rhs in zip(self.basis, lefts, rights):
+            if _images_equal(lhs, rhs):
+                continue
+            lhs, rhs = _valued_image(lhs), _valued_image(rhs)
+            residual = _image_residual(lhs, rhs)
+            if residual > worst:
+                where = {"sites": (l, k), "state": delta[0]}
+                worst, worst_case = residual, Mismatch(where, {"lhs": lhs, "rhs": rhs})
+        return RelationResidual(worst, len(self.basis), worst_case)
 
 
 #: (lhs, rhs) of each relation applied to f, at sites l and k.
@@ -504,7 +484,7 @@ class Mismatch(NamedTuple):
 
 class RelationResidual(NamedTuple):
     """The worst exact residual of a relation over the sector's delta basis
-    and the number of basis functions checked.  ``verify algebra`` checks a
+    and the number of basis functions checked.  ``verify_algebra`` checks a
     relation of SINGLE_SITE_RELATIONS once per l and counts its cases at
     every (l, k), so there its ``cases`` counts statements, not checks.
     ``worst_case`` names the site pair, the first delta function, in basis
@@ -513,14 +493,6 @@ class RelationResidual(NamedTuple):
     residual: Fraction
     cases: int
     worst_case: Mismatch | None = None
-
-
-#: One ``verify algebra`` suite reads one sector; the bound stops sweeps
-#: over sizes from growing memory.
-@lru_cache(maxsize=64)
-def _delta_images(n: int, max_part: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """The basis image (mu, 1, 1) of each delta function of the sector."""
-    return tuple((mu, 1, 1) for mu in enumerate_partitions(n, max_part))
 
 
 def _images_equal(lhs, rhs) -> bool:
@@ -574,23 +546,52 @@ def verify_relation(
     is dropped, which documents the breakdown of ultralocality in the full
     profile.
     """
-    if relation_id not in RELATION_IDS:
-        raise ValueError(f"relation must be one of {RELATION_IDS}")
-    if relation_id in EXCHANGE_RELATIONS and not l < k:
-        raise ValueError("exchange relations require l < k")
-    basis = _delta_images(n, max_part)
-    ops = _BasisOps(l, k, n, max_part, params, twisted)
-    lefts, rights = _RELATIONS[relation_id](ops, l, k, basis)
-    worst, worst_case = Fraction(0), None
-    for delta, lhs, rhs in zip(basis, lefts, rights):
-        if _images_equal(lhs, rhs):
+    return _BasisOps(n, max_part, params).residual(relation_id, l, k, twisted)
+
+
+def verify_algebra(
+    n: int, max_part: int, params: ParamSet, relation: str | None
+) -> tuple[dict[str, RelationResidual], RelationResidual]:
+    """Check, on the delta basis of sector n with parts <= max_part, each
+    relation whose id begins with ``relation`` less a leading "com-" (all
+    for None), and the untwisted d1 witness at the boundary pair (0, 1).
+
+    The point is guarded up to part maxPart + 2 before ``relation`` is
+    read, and the checks, each applying both sides to every state, are
+    counted against the budget before any runs.  The sites are 0..5, l < k
+    for an exchange relation; a single-site relation is checked once per l
+    and its cases counted at every (l, k).  All checks share one
+    ``_BasisOps``; a relation's result is its first worst check, with the
+    cases of all its checks.
+    """
+    params.ensure_generic(n, max_part + 2)
+    name = (relation or "").removeprefix("com-")
+    sites = range(6)
+    pairs_of = {}
+    for rid in RELATION_IDS:
+        if not rid.startswith(name):
             continue
-        lhs, rhs = _valued_image(lhs), _valued_image(rhs)
-        residual = _image_residual(lhs, rhs)
-        if residual > worst:
-            where = {"sites": (l, k), "state": delta[0]}
-            worst, worst_case = residual, Mismatch(where, {"lhs": lhs, "rhs": rhs})
-    return RelationResidual(worst, len(basis), worst_case)
+        if rid in EXCHANGE_RELATIONS:
+            site_pairs = [(l, k) for l in sites for k in sites if l < k]
+        else:
+            site_pairs = [(l, k) for l in sites for k in sites]
+        if rid in SINGLE_SITE_RELATIONS:
+            site_pairs = [(l, 0) for l, _ in site_pairs]
+        pairs_of[rid] = site_pairs
+    if not pairs_of:
+        raise ValueError(f"unknown relation {relation!r}")
+    # each distinct site pair of a relation, and the witness, is one check
+    work = sector_size(n, max_part) * (1 + sum(len(set(p)) for p in pairs_of.values()))
+    what = f"{work} relation checks at n = {n}, maxPart = {max_part}"
+    budget.check(work, what, {"n": n, "maxPart": max_part, "checks": work})
+    ops = _BasisOps(n, max_part, params)
+    results = {}
+    for rid, site_pairs in pairs_of.items():
+        residuals = {pair: ops.residual(rid, *pair) for pair in dict.fromkeys(site_pairs)}
+        checks = [residuals[pair] for pair in site_pairs]
+        worst = max(checks, key=lambda check: check.residual)
+        results[rid] = worst._replace(cases=sum(check.cases for check in checks))
+    return results, ops.residual("d1", 0, 1, twisted=False)
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +604,6 @@ class CheckResult(NamedTuple):
 
     cases: int
     mismatch: Mismatch | None
-
-
-def adjoint_cases(n: int, max_part: int) -> tuple[int, int]:
-    """The pairs (l, mu, lam), l <= max_part, of S_s x S_{s+1} and (lam, mu)
-    of S_s x S_s, s >= 1, over the sectors S_0..S_n with parts <= max_part:
-    read off the sectors' sizes, each checked against the budget in turn."""
-    sizes = [sector_size(sector, max_part) for sector in range(n + 1)]
-    adjointness = (max_part + 1) * sum(a * b for a, b in zip(sizes, sizes[1:]))
-    return adjointness, sum(size * size for size in sizes[1:])
 
 
 def _weighted(value, norm: Fraction) -> tuple[int, int]:
@@ -653,9 +645,18 @@ def verify_adjoint(n: int, max_part: int, params: ParamSet) -> tuple[CheckResult
     identity is one equation per step, c_l(mu -> lam) N_lam = N_mu
     a_l(lam -> mu) and H(lam -> mu) N_mu = N_lam H(mu -> lam), N_lam =
     <delta_lam, delta_lam>, compared by integer cross-multiplication.  The
-    cases are ``adjoint_cases``; a first failure is the first failing pair
-    by sector, l, lam and mu."""
-    adjointness, symmetry = adjoint_cases(n, max_part)
+    cases are the pairs (l, mu, lam), l <= max_part, of S_s x S_{s+1} and
+    (lam, mu) of S_s x S_s, s >= 1, over the sectors S_0..S_n; a first
+    failure is the first failing pair by sector, l, lam and mu.  The guard
+    reaches sector n + 1 and part maxPart + 1, and the pairs, counted from
+    the sectors' sizes, meet the budget before any state is listed."""
+    params.ensure_generic(n + 1, max_part + 1)
+    sizes = [sector_size(sector, max_part) for sector in range(n + 1)]
+    adjointness = (max_part + 1) * sum(a * b for a, b in zip(sizes, sizes[1:]))
+    symmetry = sum(size * size for size in sizes[1:])
+    pairs = adjointness + symmetry
+    what = f"{pairs} operator pairs at n = {n}, maxPart = {max_part}"
+    budget.check(pairs, what, {"n": n, "maxPart": max_part, "pairs": pairs})
     sectors = [enumerate_partitions(sector, max_part) for sector in range(n + 1)]
     deltas = {lam: LatticeFunction.delta(lam) for states in sectors for lam in states}
     norms = {lam: sector_inner_product(f, f, params) for lam, f in deltas.items()}
@@ -706,7 +707,28 @@ def _reduced_annihilate_step(l: int, mu: tuple[int, ...]):
     return remove_part(mu, l), None
 
 
-def verify_degeneration(
+def verify_degeneration(n: int, max_part: int, params: ParamSet) -> dict[str, CheckResult]:
+    """The runtime at zeroed t_r against the reduced closed forms, by
+    check name: "t4->0" where t3 != 0, and "t3,t4->0" (``_reduced_check``).
+    The guard reaches sector n + 1 and part maxPart + 1, as in
+    ``verify_adjoint``, and covers the reduced points; then every state,
+    at each of the maxPart + 2 sites, is counted against the budget."""
+    params.ensure_generic(n + 1, max_part + 1)
+    states = sum(sector_size(sector, max_part) for sector in range(n + 1))
+    work = states * (max_part + 2)
+    what = f"{work} operator applications at n = {n}, maxPart = {max_part}"
+    budget.check(work, what, {"n": n, "maxPart": max_part, "applications": work})
+    q, ts = params.q, params.ts
+    results = {}
+    if ts[2]:
+        three = ParamSet(q=q, ts=(*ts[:3], Fraction(0)), profile="three")
+        results["t4->0"] = _reduced_check(n, max_part, three, norm_three, hop_up_three, potential_three)
+    two = ParamSet(q=q, ts=(*ts[:2], Fraction(0), Fraction(0)), profile="two")
+    results["t3,t4->0"] = _reduced_check(n, max_part, two, norm_two, hop_up_two, potential_two)
+    return results
+
+
+def _reduced_check(
     n: int,
     max_part: int,
     reduced: ParamSet,
@@ -727,11 +749,11 @@ def verify_degeneration(
     its ``kind`` ("norm", "hop", "create", "annihilate" or "potential"),
     place and sides ``runtime`` and ``reduced``.
 
-    The runtime operators read the step tables of the point, shared with
-    the relation checks, and the oracles step tables of the reduced steps;
-    each pair of images is compared by integer cross-multiplication.  Each
-    reduced rate ``hop_red(lam, j)`` is evaluated once, for the create
-    comparison that reaches lam and for the hop comparison at lam.
+    The runtime operators and the oracles each read step tables of their
+    steps, made for the check; each pair of images is compared by integer
+    cross-multiplication.  Each reduced rate ``hop_red(lam, j)`` is
+    evaluated once, for the create comparison that reaches lam and for the
+    hop comparison at lam.
     """
     states = [lam for sector in range(n + 1) for lam in enumerate_partitions(sector, max_part)]
     sites = range(max_part + 2)
@@ -751,13 +773,12 @@ def verify_degeneration(
         sides = {"runtime": runtime, "reduced": oracle}
         return CheckResult(cases, Mismatch({"kind": kind, **where}, sides))
 
-    tables = _point_tables(reduced)
     operators = [
         (
             l,
-            tables.creation(l),
+            _StepTable(lambda mu, l=l: _create_step(l, mu, reduced)),
             _StepTable(lambda mu, l=l: _reduced_create_step(l, mu, reduced, rate)),
-            tables.annihilation(l),
+            _StepTable(lambda mu, l=l: _annihilate_step(l, mu, reduced)),
             _StepTable(lambda mu, l=l: _reduced_annihilate_step(l, mu)),
         )
         for l in sites

@@ -27,11 +27,12 @@ integer arithmetic: ``factor_ratio`` multiplies the factors as unreduced
 (numerator, denominator) pairs from the integer numerator and denominator
 of x and the point's integer powers of q (``ParamSet.q_powers``), the
 potential combines such pairs by cross-multiplication, and each cached key
-builds one ``Fraction``, at the end.  A vanishing denominator is caught on
-its integer before any division.  The q-series primitives, the normalizers,
-the recurrence coefficients and the reduced closed forms stay in
-``Fraction`` arithmetic, so the closed forms remain an independent side of
-the degeneration checks.
+builds one ``Fraction``, at the end (``exact_ratio`` for a product of
+factors alone).  A vanishing denominator is caught on its integer before
+any division.  The q-series primitives, the normalizers, the recurrence
+coefficients and the reduced closed forms stay in ``Fraction``
+arithmetic, so the closed forms remain an independent side of the
+degeneration checks.
 """
 
 from __future__ import annotations
@@ -125,12 +126,13 @@ class ParamSet:
     def q_powers(self, count: int) -> tuple[list[int], list[int]]:
         """Numerators and denominators of q^0, .., q^(count - 1), at least:
         the one table of integer powers of q at this point, read by the
-        integer kernels and the operator checks.  It grows on demand;
-        callers only read it."""
+        integer kernels and the operator checks.  It grows on demand, to at
+        least twice its length, so a table read at growing exponents grows
+        a few times only; callers only read it."""
         num, den = self._q_power_lists
         if len(num) < count:
             q_num, q_den = self.q.numerator, self.q.denominator
-            while len(num) < count:
+            for _ in range(max(count, 2 * len(num)) - len(num)):
                 num.append(num[-1] * q_num)
                 den.append(den[-1] * q_den)
         return num, den
@@ -250,6 +252,23 @@ def factor_ratio(numerator, denominator, q_num, q_den) -> tuple[int, int]:
     return num, den
 
 
+def exact_ratio(numerator, denominator, params: ParamSet, message: str, *details) -> Fraction:
+    """``factor_ratio`` of the factors at the point's powers of q, as a
+    ``Fraction``; GenericityError(message.format(*details)) where a factor
+    of ``denominator`` vanishes, formatted only then.  The point's table of
+    powers is read as it stands and, where a factor's |k| lies beyond it,
+    grown to the factors' largest |k|: a scan of every call's exponents
+    would cost a third of a kernel's time."""
+    try:
+        num, den = factor_ratio(numerator, denominator, *params.q_powers(1))
+    except IndexError:
+        top = max(abs(k) for _, k in itertools.chain(numerator, denominator))
+        num, den = factor_ratio(numerator, denominator, *params.q_powers(top + 1))
+    if den == 0:
+        raise GenericityError(message.format(*details))
+    return Fraction(num, den)
+
+
 def tau_vector(n: int, params: ParamSet) -> tuple[Fraction, ...]:
     """tau_j = q^{n-j} t_1 for j = 1..n (0-based index j-1)."""
     return tuple(params.q ** (n - 1 - j) * params.ts[0] for j in range(n))
@@ -291,10 +310,7 @@ def _quadratic_norm(lam: tuple[int, ...], params: ParamSet) -> Fraction:
     if t:
         numerator += [(t, k) for k in range(m0 - 1, 2 * m0 - 1)]
         denominator += [(t, k) for k in range(2 * m0, 2 * m0 + multiplicity(lam, 1))]
-    num, den = factor_ratio(numerator, denominator, *params.q_powers(2 * n + 1))
-    if den == 0:
-        raise GenericityError(f"norm denominator vanishes at lam = {lam}")
-    return Fraction(num, den)
+    return exact_ratio(numerator, denominator, params, "norm denominator vanishes at lam = {}", lam)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +409,11 @@ def pieri_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Fr
     return value
 
 
-#: Entries of each occupation-keyed coefficient cache.  Of the suites at
-#: n <= 4, maxPart <= 3, ``verify degeneration --n 4 --maxPart 3`` reads the
-#: most: 70 keys of ``_creation_coeff`` over its two reduced points.
-_OCCUPATION_CACHE_SIZE = 1024
+#: Entries of each occupation-keyed coefficient cache, here and in ``qboson``.
+#: Of the suites at n <= 4, maxPart <= 3, ``verify degeneration --n 4
+#: --maxPart 3`` reads the most: 70 keys of ``_creation_coeff`` over its two
+#: reduced points.
+OCCUPATION_CACHE_SIZE = 1024
 
 
 def occupation_key(lam: tuple[int, ...], site: int) -> tuple[int, int, int, int]:
@@ -423,7 +440,7 @@ def creation_coeff(lam: tuple[int, ...], part: int, params: ParamSet) -> Fractio
     return _creation_coeff(*occupation_key(lam, part), params)
 
 
-@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+@lru_cache(maxsize=OCCUPATION_CACHE_SIZE)
 def _creation_coeff(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fraction:
     """[m] = (1 - q^m) / (1 - q), times at site 0 prod_{r<s} (1 - t_r t_s
     q^{m0-1}), times at sites 0 and 1 (1 - t q^{2 m0 + m1 - 1}), times at
@@ -438,10 +455,7 @@ def _creation_coeff(site: int, m: int, m0: int, m1: int, params: ParamSet) -> Fr
         if site == 0:
             numerator.append((t, m0 - 2))
             denominator += [(t, k) for k in (2 * m0 - 3, 2 * m0 - 2, 2 * m0 - 2, 2 * m0 - 1)]
-    num, den = factor_ratio(numerator, denominator, *params.q_powers(m + 2 * m0 + m1 + 4))
-    if den == 0:
-        raise GenericityError("creation coefficient denominator vanishes")
-    return Fraction(num, den)
+    return exact_ratio(numerator, denominator, params, "creation coefficient denominator vanishes")
 
 
 def hop_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Fraction:
@@ -466,7 +480,7 @@ def boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
     return _boundary_potential(m0, m1, params)
 
 
-@lru_cache(maxsize=_OCCUPATION_CACHE_SIZE)
+@lru_cache(maxsize=OCCUPATION_CACHE_SIZE)
 def _boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
     """With N_i = q^{m_i}:
 

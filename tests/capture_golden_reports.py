@@ -89,6 +89,16 @@ def golden_argvs() -> list[list[str]]:
     argvs.append([*degeneration, "--n", "1", "--maxPart", "0"])
     argvs.append([*degeneration, "--n", "4", "--maxPart", "3"])
     argvs.append([*degeneration, "--n", "3", "--maxPart", "3", "--profile", "three", "--format", "csv"])
+    # the operator suites' budget refusals, an unknown and a single-site
+    # relation, and at a point degenerate beyond the construction guard the
+    # genericity error, which comes before the unknown relation
+    for suite in ("algebra", "adjoint", "degeneration"):
+        argvs.append(["verify", suite, "--n", "4", "--maxPart", "40"])
+    algebra = ["verify", "algebra"]
+    argvs.append([*algebra, "--relation", "com-x"])
+    argvs.append([*algebra, "--n", "2", "--maxPart", "2", "--relation", "com-b", "--format", "csv"])
+    degenerate = ["--q", "1/2", "--t1", "1/1024", "--t2", "1/2048", "--t3", "1/3", "--t4", "1/5"]
+    argvs.append([*algebra, "--relation", "com-x", "--n", "1", "--maxPart", "20", *degenerate])
     return argvs
 
 

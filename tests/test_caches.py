@@ -1,8 +1,8 @@
 """The package's caches change no result and stay bounded.
 
 Each coefficient and relation scalar is cached per occupation numbers and
-point, the operator steps in the relation checks' step tables per point,
-each norm per (state, point) and each q-series factor per its arguments; a
+point, each norm per (state, point) and each q-series factor per its
+arguments (the operator checks' step tables belong to one suite run); a
 result must not depend on what an earlier point left in a cache, and the
 benchmark, which empties every module-level ``lru_cache`` before each op,
 must reach each cache.
@@ -25,14 +25,12 @@ from octaboson.qkernels import ParamSet, default_params
 
 F = Fraction
 
-#: the caches keyed by occupation numbers, the relation checks' step tables
-#: per parameter point and the q-series caches
+#: the caches keyed by occupation numbers and the q-series caches
 STEP_CACHES = (
     qboson._annihilation_coeff,
     qboson._pair_scalar_b,
     qboson._pair_scalar_c,
     qboson._twist_ratio,
-    qboson._point_tables,
     qkernels._creation_coeff,
     qkernels._boundary_potential,
     qkernels._quadratic_norm,

@@ -169,6 +169,18 @@ def test_degeneration_from_two_profile(capsys):
     assert [c["name"] for c in json.loads(out)["checks"]] == ["t4->0", "t3,t4->0"]
 
 
+def test_degeneration_guards_the_sectors_and_sites_it_reads(capsys):
+    # t1 t2 = q^21 passes construction, which guards q^m up to m = 20; the
+    # suite reads sector n + 1 = 2 and parts up to maxPart + 1 = 21, whose
+    # horizon reaches m = 21, as ``verify algebra`` and ``verify adjoint`` do
+    point = ["--q", "1/2", "--t1", "1/1024", "--t2", "1/2048", "--t3", "1/3", "--t4", "1/5"]
+    for suite in ("degeneration", "algebra", "adjoint"):
+        code, out = run(capsys, "verify", suite, "--n", "1", "--maxPart", "20", *point)
+        assert code == 1, suite
+        error = json.loads(out)["error"]
+        assert error == {"type": "parameter", "message": "t_r t_s = q^m degeneracy at q^m = 1/2097152"}
+
+
 def test_exit_guard_violation(capsys):
     # t1 t2 = q triggers the genericity guard
     code, out = run(

@@ -1,11 +1,11 @@
 """``verify degeneration`` on step tables against the route through functions.
 
-The suite compares, state by state, the entries of the step tables at its
-reduced points (``_point_tables``, shared with the relation checks) with
-the reduced steps, and builds no function.  Here every table entry must
-equal the single value of ``create`` and ``annihilate`` of the delta
-function, and every reduced step that of the oracles ``reduced_create``
-and ``reduced_annihilate``, so the suite still certifies the public operators
+The suite compares, state by state, the entries of the runtime's step
+tables at its reduced points, made for the run, with the reduced steps,
+and builds no function.  Here every table entry must equal the single
+value of ``create`` and ``annihilate`` of the delta function, and every
+reduced step that of the oracles ``reduced_create`` and
+``reduced_annihilate``, so the suite still certifies the public operators
 and oracles; and the suite must evaluate each step once per reduced point,
 state and site: as many steps of each kind as the applications it states.
 """
@@ -50,13 +50,19 @@ def points(profile):
 @pytest.mark.parametrize("profile", PROFILES)
 def test_step_tables_match_the_operators(profile):
     for params in points(profile):
-        tables = qboson._point_tables(params)
+        # the runtime's tables as ``verify degeneration`` makes them
+        creation = {
+            l: qboson._StepTable(lambda mu, l=l: qboson._create_step(l, mu, params)) for l in SITES
+        }
+        annihilation = {
+            l: qboson._StepTable(lambda mu, l=l: qboson._annihilate_step(l, mu, params)) for l in SITES
+        }
         for mu in STATES:
             f = LatticeFunction.delta(mu)
             for l in SITES:
-                created = qboson._valued_image(tables.creation(l)[mu])
+                created = qboson._valued_image(creation[l][mu])
                 assert created == function_image(create(l, f, params)), (l, mu, params)
-                removed = qboson._valued_image(tables.annihilation(l)[mu])
+                removed = qboson._valued_image(annihilation[l][mu])
                 assert removed == function_image(annihilate(l, f, params)), (l, mu, params)
 
 
@@ -118,7 +124,7 @@ def test_degeneration_steps_are_its_stated_applications(capsys, monkeypatch, col
         rates[lam, j] += 1
         return hop_up_three(lam, j, q, ts)
 
-    monkeypatch.setattr(cli, "hop_up_three", counted_rate)
+    monkeypatch.setattr(qboson, "hop_up_three", counted_rate)
     code, payload = run(capsys, "verify", "degeneration", "--n", str(n), "--maxPart", str(max_part))
     assert code == 0
     # one step of each kind per reduced point, state and site: the stated

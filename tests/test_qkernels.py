@@ -17,6 +17,7 @@ from octaboson.qkernels import (
     ParamSet,
     boundary_potential,
     default_params,
+    exact_ratio,
     hop_coeff,
     monic_normalizer,
     pieri_coeff,
@@ -173,6 +174,17 @@ def test_q_powers_is_one_growing_table_per_point():
     again, _ = point.q_powers(7)
     assert again is num and len(num) >= 7
     assert [F(a, b) for a, b in zip(num, den)] == [point.q**k for k in range(len(num))]
+
+
+def test_exact_ratio_sizes_the_powers_from_its_factors():
+    # a new point's table holds q^0 alone; the factor at k = -3 reads q^3
+    point = ParamSet(q=F(1, 2), ts=(F(1, 3), F(-1, 4), F(1, 5), F(-1, 6)))
+    value = exact_ratio(((F(1, 3), -3),), ((1, 2),), point, "unused")
+    assert value == (1 - F(1, 3) * 8) / (1 - F(1, 4)) and type(value) is Fraction
+    assert exact_ratio((), (), point, "unused") == 1
+    # 1 - 4 q^2 = 0; the message is formatted with the details
+    with pytest.raises(GenericityError, match=r"^denominator vanishes at \(1, 0\)$"):
+        exact_ratio(((F(1, 3), 1),), ((4, 2),), point, "denominator vanishes at {}", (1, 0))
 
 
 def test_equal_points_hash_equal():

@@ -8,12 +8,14 @@ operators, so the relation checks still exercise ``_apply_steps``; both
 routes must give the same exact worst residual, case count and worst case.
 """
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from octaboson import qboson
+from octaboson import cli, qboson
 from octaboson.partitions import enumerate_partitions, multiplicity
 from octaboson.qboson import (
     EXCHANGE_RELATIONS,
@@ -119,9 +121,12 @@ def suite_cases():
 def test_basis_images_match_the_function_route(profile, max_part):
     for params in (default_params(profile), large_height_params(profile)):
         for n in range(4):
+            # the checks of one sector share its tables and batches, as in a
+            # ``verify algebra`` run
+            ops = qboson._BasisOps(n, max_part, params)
             for rid, l, k, twisted in suite_cases():
                 expected = function_route(rid, l, k, n, max_part, params, twisted)
-                got = verify_relation(rid, l, k, n, max_part, params, twisted=twisted)
+                got = ops.residual(rid, l, k, twisted)
                 assert got == expected, (rid, l, k, twisted, n, params)
                 assert type(got.residual) is Fraction
 
@@ -185,15 +190,44 @@ def test_single_site_relations_read_l_alone(profile):
         sides = qboson._RELATIONS[rid]
         for n in range(4):
             for max_part in (2, 3):
-                basis = qboson._delta_images(n, max_part)
+                ops = qboson._BasisOps(n, max_part, params)
+                basis = ops.basis
                 for l in sites:
-                    at_zero = verify_relation(rid, l, 0, n, max_part, params)
-                    ops_at_zero = qboson._BasisOps(l, 0, n, max_part, params, True)
-                    images_at_zero = sides(ops_at_zero, l, 0, basis)
+                    at_zero = ops.residual(rid, l, 0)
+                    images_at_zero = sides(ops, l, 0, basis)
                     assert all(len(side) == len(basis) for side in images_at_zero)
                     for k in sites:
-                        got = verify_relation(rid, l, k, n, max_part, params)
+                        got = ops.residual(rid, l, k)
                         assert got == at_zero, (rid, l, k, n, max_part)
-                        ops = qboson._BasisOps(l, k, n, max_part, params, True)
                         # every delta function's image on both sides
                         assert sides(ops, l, k, basis) == images_at_zero, (rid, l, k, n)
+
+
+def test_algebra_run_fills_each_step_once(capsys, monkeypatch):
+    # one ``verify algebra`` run builds one ``_BasisOps``, whose step tables
+    # every relation check and the witness share: each (operator, site,
+    # state) step is evaluated once
+    built, steps = [], Counter()
+
+    class CountedOps(qboson._BasisOps):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    def counted(name, step):
+        def wrapper(l, mu, params):
+            steps[name, l, mu] += 1
+            return step(l, mu, params)
+        return wrapper
+
+    monkeypatch.setattr(qboson, "_BasisOps", CountedOps)
+    for name in ("_annihilate_step", "_create_step"):
+        monkeypatch.setattr(qboson, name, counted(name, getattr(qboson, name)))
+    assert cli.main(["verify", "algebra", "--n", "3", "--maxPart", "3"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["pass"]
+    assert len(built) == 1
+    # both operators at each of the sites 0..5
+    assert {(name, l) for name, l, _ in steps} == {
+        (name, l) for name in ("_annihilate_step", "_create_step") for l in range(6)
+    }
+    assert set(steps.values()) == {1}

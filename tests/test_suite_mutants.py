@@ -2,14 +2,14 @@
 
 ``verify adjoint`` checks one equation per step of the operators' images,
 ``verify algebra`` checks the single-site relations once per site, on
-step tables shared by every check at a point, and ``verify degeneration``
-compares the entries of those tables at its reduced points with the reduced
-steps, state by state, and reads each reduced hop rate once; each mutant
-below breaks one formula in a way only the full check can see, and the
-suite must fail on it, with a failing algebra relation naming the mutated
-site in its ``worstCase``, a failing adjointness check the mutated site and
-state, and a failing degeneration check the mutated (operator, site, state)
-in its ``firstFailure``.  ``verify pieri`` checks the recurrence on the
+step tables shared by every check of the run, and ``verify degeneration``
+compares the entries of the runtime's step tables at its reduced points
+with the reduced steps, state by state, and reads each reduced hop rate
+once; each mutant below breaks one formula in a way only the full check
+can see, and the suite must fail on it, with a failing algebra relation
+naming the mutated site in its ``worstCase``, a failing adjointness check
+the mutated site and state, and a failing degeneration check the mutated
+(operator, site, state) in its ``firstFailure``.  ``verify pieri`` checks the recurrence on the
 orbit-sum expansions, and a failing case names its residual's size and
 largest orbit; a failing ``verify eigen`` case names the state of its
 largest residual.  Every package cache is emptied around a mutant, so no
@@ -189,13 +189,13 @@ def test_algebra_witness_names_its_worst_case_when_it_fails(capsys, monkeypatch,
 
 
 def test_degeneration_suite_catches_one_wrong_reduced_hop(capsys, monkeypatch, cold_caches):
-    original = cli.hop_up_three
+    original = qboson.hop_up_three
 
     def mutant(lam, j, q, ts):
         value = original(lam, j, q, ts)
         return 2 * value if lam == (1, 1, 0) else value
 
-    monkeypatch.setattr(cli, "hop_up_three", mutant)
+    monkeypatch.setattr(qboson, "hop_up_three", mutant)
     code, payload = run(capsys, "verify", "degeneration", "--n", "3", "--maxPart", "3")
     assert code == cli.EXIT_FAIL
     assert {c["name"]: c["pass"] for c in payload["checks"]} == {
@@ -262,35 +262,37 @@ def test_degeneration_suite_names_one_wrong_runtime_creation(capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "module, name, mutated, passes, first",
+    "name, mutated, passes, first, doubled",
     [
         # the norm of the t3,t4 -> 0 closed forms at (1, 1)
-        (cli, "norm_two", lambda lam, *_: lam == (1, 1), [True, False],
-         {"kind": "norm", "state": [1, 1]}),
+        ("norm_two", lambda lam, *_: lam == (1, 1), [True, False],
+         {"kind": "norm", "state": [1, 1]}, "reduced"),
         # the runtime rate of the up hop of part 1 of (2, 1, 0), which no
         # create comparison reads
-        (qboson, "hop_coeff", lambda lam, j, *_: (lam, j) == ((2, 1, 0), 1), [False, False],
-         {"kind": "hop", "state": [2, 1, 0], "j": 1}),
+        ("hop_coeff", lambda lam, j, *_: (lam, j) == ((2, 1, 0), 1), [False, False],
+         {"kind": "hop", "state": [2, 1, 0], "j": 1}, "runtime"),
         # the potential of the t3,t4 -> 0 closed forms at (m0, m1) = (1, 1)
-        (cli, "potential_two", lambda m0, m1, *_: (m0, m1) == (1, 1), [True, False],
-         {"kind": "potential", "occupations": [1, 1]}),
+        ("potential_two", lambda m0, m1, *_: (m0, m1) == (1, 1), [True, False],
+         {"kind": "potential", "occupations": [1, 1]}, "reduced"),
     ],
     ids=["norm", "hop", "potential"],
 )
 def test_degeneration_suite_names_one_wrong_scalar(
-    capsys, monkeypatch, cold_caches, module, name, mutated, passes, first
+    capsys, monkeypatch, cold_caches, name, mutated, passes, first, doubled
 ):
-    original = getattr(module, name)
+    # ``verify_degeneration`` reads the runtime formulas and the closed forms
+    # through the bindings of ``qboson``
+    original = getattr(qboson, name)
 
     def mutant(*args):
         value = original(*args)
         return 2 * value if mutated(*args) else value
 
-    monkeypatch.setattr(module, name, mutant)
+    monkeypatch.setattr(qboson, name, mutant)
     code, payload = run(capsys, "verify", "degeneration", "--n", "3", "--maxPart", "3")
     assert code == cli.EXIT_FAIL
     assert [c["pass"] for c in payload["checks"]] == passes
-    doubled, other = ("runtime", "reduced") if module is qboson else ("reduced", "runtime")
+    other = "reduced" if doubled == "runtime" else "runtime"
     for check in payload["checks"]:
         if not check["pass"]:
             failure = check["firstFailure"]
