@@ -12,10 +12,10 @@ from octaboson import (
     default_params,
     enumerate_partitions,
     hl_polynomial,
-    pieri_residual,
     principal_normalizer,
     principal_specialization,
     tau_vector,
+    verify_pieri,
 )
 
 params = default_params()
@@ -54,8 +54,11 @@ print()
 # the residual is computed on the orbit-sum expansions: multiplying by
 # m_(1) = sum_j (x_j + 1/x_j) moves each orbit sum to its unit-step
 # neighbours, and the residual is the dict of its nonzero orbit
-# coefficients.
+# coefficients.  One run checks every state of a sector, each polynomial
+# (of the states and their unit-step neighbours) built once for the run.
 print("recurrence residuals (exact, in the orbit-sum basis):")
-for lam in [(0,), (3,), (2, 2), (3, 1)]:
-    residual = pieri_residual(lam, params)
-    print(f"  lambda = {list(lam)}: nonzero orbit coefficients -> {len(residual)}")
+for n, max_part in [(1, 3), (2, 3)]:
+    residuals = verify_pieri(n, max_part, params)
+    nonzero = sum(len(residual) for residual in residuals.values())
+    print(f"  n = {n}, parts <= {max_part}: {len(residuals)} states, "
+          f"nonzero orbit coefficients -> {nonzero}")

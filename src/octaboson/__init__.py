@@ -40,8 +40,9 @@ from .hallittlewood import (
     HLPolynomial,
     hl_polynomial,
     macdonald_formula,
-    pieri_residual,
     principal_specialization,
+    recurrence_sector,
+    verify_pieri,
 )
 from .budget import BudgetExceededError
 from .torus import QuadratureSpec, gram_matrix, inner_product
@@ -52,13 +53,14 @@ from .qboson import (
     annihilate,
     apply_hamiltonian,
     create,
-    eigen_residual,
+    distinct_permutations,
     energy,
     hamiltonian_from_operators,
     number_op,
     scattering_factors,
     scattering_matrix,
     sector_inner_product,
+    verify_eigen,
     verify_relation,
     wave_function,
 )

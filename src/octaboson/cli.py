@@ -3,17 +3,16 @@ emit JSON/CSV reports.
 
 Exit codes: 0 all checks passed (and --help); 1 failed check, parameter/guard
 violation or command-line usage error (with machine-readable error JSON,
-type "usage" for the last); 2 internal failure, either an
-exact division that did not go through, a constructed polynomial that is
-not monic or leaves its lower set (the error JSON names lambda and the
-offending mu), or any other exception (type "internal", naming the
-exception); 3 resource budget exceeded (for a quadrature grid the error
-JSON names the M it needs, for a seed block the terms its exponent box can
-hold).
+type "usage" for the last); 2 internal failure, either a constructed
+polynomial that is not monic or leaves its lower set (the error JSON names
+lambda and the offending mu), or any other exception (type "internal",
+naming the exception); 3 resource budget exceeded (for a quadrature grid
+the error JSON names the M it needs, for a seed block the terms its
+exponent box can hold).
 
-The operator suites (algebra, adjoint, degeneration) run whole in
-``qboson``: the genericity guard, the budget check and the step tables and
-batches, which live for one suite run; here their results become reports.
+Each suite but ``scattering`` (closed-form samples, drawn here) runs whole
+in its module on tables its run owns: ``pieri`` in ``hallittlewood``,
+``orthogonality`` and ``norms`` in ``torus``, the rest in ``qboson``.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ import traceback
 from fractions import Fraction
 
 from . import budget, hallittlewood, qboson, torus
-from .laurent import NotDivisibleError
-from .partitions import enumerate_partitions
 from .qkernels import DEFAULT_POINTS, ParamSet, quadratic_norm
 
 EXIT_OK = 0
@@ -106,17 +103,6 @@ def _joined(parts) -> str:
     return ",".join(map(str, parts))
 
 
-def _recurrence_states(args, params) -> list[tuple[int, ...]]:
-    """The states of ``pieri`` and ``eigen``, checked before they are
-    listed: both read the polynomials of the states and of their unit-step
-    neighbours, so the point must be generic up to maxPart + 1 and those
-    polynomials within the budget."""
-    n, max_part = args.n, args.max_part
-    params.ensure_generic(n, max_part + 1)
-    hallittlewood.check_sector_budget(n, max_part, params, neighbours=True)
-    return enumerate_partitions(n, max_part)
-
-
 # ---------------------------------------------------------------------------
 # poly command
 # ---------------------------------------------------------------------------
@@ -167,48 +153,21 @@ def _cmd_poly(args) -> int:
 def _suite_orthogonality(args, params) -> tuple[dict, list]:
     """The Gram matrix of the basis against the quadratic norms; ``norms``
     checks its diagonal alone."""
-    n, max_part = args.n, args.max_part
-    diagonal_only = args.suite == "norms"
-    params.ensure_generic(n, max_part)
-    tol = 1e-8 if n <= 2 else 1e-6
-    # an explicit grid, and then the Gram kernel it reads, are checked
-    # against the budget before any construction; without one, the grid
-    # chosen from the expansions is checked first
-    quad = None if args.quad_points is None else torus.QuadratureSpec(args.quad_points, n)
-    hallittlewood.check_sector_budget(n, max_part, params)
-    if quad is not None:
-        torus.check_sector_kernel(n, max_part)
-    lams = enumerate_partitions(n, max_part)
-    expansions = [hallittlewood.hl_polynomial(lam, params).expansion for lam in lams]
-    if quad is None:
-        quad = torus.QuadratureSpec(torus.choose_points(expansions, params, tol), n)
-    gram = torus.gram_matrix(expansions, params, quad)
-    pairs = []
-    ok = True
-    for i, lam in enumerate(lams):
-        for j, mu in enumerate(lams[i:], start=i):
-            if diagonal_only and mu != lam:
-                continue
-            value = complex(gram[i, j])
-            expected = quadratic_norm(lam, params) if lam == mu else 0
-            err = abs(value - float(expected))
-            ok = ok and err < tol * (1 + abs(float(expected)))
-            pairs.append(
-                {
-                    "lambda": list(lam),
-                    "mu": list(mu),
-                    "value": {"re": value.real, "im": value.imag},
-                    "expected": str(expected),
-                    "absErr": err,
-                }
-            )
+    m, tol, entries, ok = torus.verify_orthogonality(
+        args.n, args.max_part, params, args.quad_points, args.suite == "norms"
+    )
+    pairs = [
+        {"lambda": list(lam), "mu": list(mu), "value": {"re": value.real, "im": value.imag},
+         "expected": str(expected), "absErr": err}
+        for lam, mu, value, expected, err in entries
+    ]
     # the CSV columns: lambda, mu, re, im, expected, absErr
     rows = [
         {"lambda": _joined(p["lambda"]), "mu": _joined(p["mu"]), **p["value"],
          "expected": p["expected"], "absErr": p["absErr"]}
         for p in pairs
     ]
-    payload = {"M": quad.points_per_dim, "tolerance": tol, "pairs": pairs, "pass": ok}
+    payload = {"M": m, "tolerance": tol, "pairs": pairs, "pass": ok}
     return payload, rows
 
 
@@ -217,8 +176,7 @@ def _suite_pieri(args, params) -> tuple[dict, list]:
     ``nonzeroTerms`` and ``firstTerm``, the residual's largest orbit in
     (degree, lex) order, in the JSON alone."""
     cases = []
-    for lam in _recurrence_states(args, params):
-        residual = hallittlewood.pieri_residual(lam, params)
+    for lam, residual in hallittlewood.verify_pieri(args.n, args.max_part, params).items():
         case = {"lambda": list(lam), "residual": "0", "pass": not residual}
         if residual:
             case["residual"] = "nonzero"
@@ -320,12 +278,8 @@ def _suite_adjoint(args, params) -> tuple[dict, list]:
 def _suite_eigen(args, params) -> tuple[dict, list]:
     """The eigenvalue residual at 20 seeded xi; a failing case adds
     ``worstState``, the state of its largest residual, in the JSON alone."""
-    lams = _recurrence_states(args, params)
-    rng = random.Random(args.seed)
     cases = []
-    for _ in range(20):
-        xi = tuple(rng.uniform(0.0, 2 * 3.141592653589793) for _ in range(args.n))
-        residuals = qboson.eigen_residuals(xi, lams, params)
+    for xi, residuals in qboson.verify_eigen(args.n, args.max_part, params, args.seed):
         worst = max(residuals, key=residuals.get)
         residual = residuals[worst]
         case = {"xi": list(xi), "maxResidual": residual, "pass": residual < qboson.EIGEN_TOLERANCE}
@@ -489,9 +443,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _emit_error("parameter", str(exc), args)
         return EXIT_FAIL
-    except NotDivisibleError as exc:
-        _emit_error("internal-divisibility", str(exc), args, exc.evidence)
-        return EXIT_INTERNAL
     except hallittlewood.InvariantError as exc:
         evidence = {"lambda": list(exc.lam), "mu": list(exc.mu)}
         _emit_error("internal-invariant", str(exc), args, evidence)

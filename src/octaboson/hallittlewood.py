@@ -18,7 +18,8 @@ as an exact polynomial identity.
 
 The lattice recurrence is checked on the orbit-sum expansions, where
 m_(1) = sum_j (x_j + 1/x_j) moves each orbit sum m_mu to those of
-dom(mu +- e_j); no Laurent polynomial is built.
+dom(mu +- e_j); no Laurent polynomial is built.  ``verify_pieri`` runs that
+suite whole, on tables the run owns.
 
 numpy is imported inside the functions that build the seed block and
 straighten it, not with the module: the operator suites load this module
@@ -469,10 +470,8 @@ def check_variables(n: int) -> None:
         raise ValueError(f"exact construction supports at most {MAX_VARIABLES} variables")
 
 
-#: The most polynomials one suite builds is 55 (``verify eigen --n 4``:
-#: its states and their unit-step neighbours; 30 at n = 3 and 20 for
-#: ``verify orthogonality --n 3 --maxPart 3``).  The bound stops parameter
-#: sweeps from growing memory.
+#: The cache serves ``poly``; a suite run holds the polynomials it reads.
+#: The bound stops parameter sweeps from growing memory.
 @lru_cache(maxsize=128)
 def hl_polynomial(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     """Primary exact construction by straightening into Sp(2n) characters.
@@ -542,7 +541,6 @@ def principal_specialization(hl: HLPolynomial) -> Fraction:
     return Fraction(numerator, common * (tn * td) ** top_a * (qn * qd) ** top_b)
 
 
-@lru_cache(maxsize=256)
 def _orbit_one_products(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(nu, a) with m_(1) m_mu = sum a m_nu for m_(1) = sum_j (x_j + 1/x_j):
     nu runs over dom(mu +- e_j), and a counts the (j, +-) with dom(nu -+ e_j) = mu."""
@@ -554,28 +552,45 @@ def _orbit_one_products(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int
     return tuple((nu, neighbours(nu).count(mu)) for nu in dict.fromkeys(neighbours(mu)))
 
 
-def pieri_residual(lam: tuple[int, ...], params: ParamSet) -> dict[tuple[int, ...], Fraction]:
-    """Left side minus right side of the lattice recurrence in the orbit-sum
-    basis, its nonzero coefficients in decreasing (degree, lex) order;
-    contract: empty.
+def recurrence_sector(n: int, max_part: int, params: ParamSet) -> tuple[list, dict]:
+    """(states, expansions) of a ``pieri`` or ``eigen`` run: the length-n
+    partitions with parts <= max_part, listed after the guard and budget, and
+    {lam: hl_polynomial(lam, params).expansion} for them and their unit-step neighbours."""
+    params.ensure_generic(n, max_part + 1)
+    check_sector_budget(n, max_part, params, neighbours=True)
+    states = enumerate_partitions(n, max_part)
+    lams = dict.fromkeys([*states, *(t for lam in states for _, _, t in unit_steps(lam))])
+    return states, {lam: hl_polynomial(lam, params).expansion for lam in lams}
+
+
+def verify_pieri(n: int, max_part: int, params: ParamSet) -> dict[tuple[int, ...], dict]:
+    """Left side minus right side of the lattice recurrence at each state of
+    one ``recurrence_sector``, in the orbit-sum basis: its nonzero
+    coefficients in decreasing (degree, lex) order; contract: empty.
 
     LHS: P_lam * (m_(1) - sum_j (tau_j + 1/tau_j)).
     RHS: sum over valid steps of the step coefficient times
     (P_{lam +- e_j} - P_lam), for P_mu = principal_normalizer(mu) p_mu.
+    Each normalizer and m_(1) product is taken once per run; a state's
+    support lies in its lower set, among the states.
     """
-    lam = tuple(lam)
-    steps = [(pieri_coeff(lam, j, step, params), target) for j, step, target in unit_steps(lam)]
-    offset = sum((tj + 1 / tj for tj in tau_vector(len(lam), params)), Fraction(0))
-    diagonal = sum(coeff for coeff, _ in steps) - offset
-    c = principal_normalizer(lam, params)
-    base = [(mu, c * value) for mu, value in hl_polynomial(lam, params).expansion.items()]
-    out = {mu: diagonal * value for mu, value in base}
-    for mu, value in base:
-        for nu, count in _orbit_one_products(mu):
-            out[nu] = out.get(nu, 0) + count * value
-    for coeff, target in steps:
-        factor = coeff * principal_normalizer(target, params)
-        for mu, value in hl_polynomial(target, params).expansion.items():
-            out[mu] = out.get(mu, 0) - factor * value
-    order = sorted(out, key=lambda e: (sum(e), e), reverse=True)
-    return {mu: out[mu] for mu in order if out[mu]}
+    states, expansions = recurrence_sector(n, max_part, params)
+    normalizers = {lam: principal_normalizer(lam, params) for lam in expansions}
+    products = {mu: _orbit_one_products(mu) for mu in states}
+    offset = sum((tj + 1 / tj for tj in tau_vector(n, params)), Fraction(0))
+    residuals = {}
+    for lam in states:
+        steps = [(pieri_coeff(lam, j, step, params), target) for j, step, target in unit_steps(lam)]
+        diagonal = sum(coeff for coeff, _ in steps) - offset
+        base = [(mu, normalizers[lam] * value) for mu, value in expansions[lam].items()]
+        out = {mu: diagonal * value for mu, value in base}
+        for mu, value in base:
+            for nu, count in products[mu]:
+                out[nu] = out.get(nu, 0) + count * value
+        for coeff, target in steps:
+            factor = coeff * normalizers[target]
+            for mu, value in expansions[target].items():
+                out[mu] = out.get(mu, 0) - factor * value
+        order = sorted(out, key=lambda e: (sum(e), e), reverse=True)
+        residuals[lam] = {mu: out[mu] for mu in order if out[mu]}
+    return residuals

@@ -20,10 +20,10 @@ scalars of the relations, is cached per the occupation numbers it reads
 integer arithmetic by ``qkernels.exact_ratio``; the operators apply the
 steps to a function's values.
 
-Each operator suite runs whole here, its genericity guard and budget
-check first: ``verify_algebra``, ``verify_adjoint`` and
-``verify_degeneration``.  The step tables and batches they read are made
-for one suite run and go with it; no table outlives the run.
+Each suite runs whole in its module, its genericity guard and budget check
+first; here ``verify_algebra``, ``verify_adjoint``, ``verify_degeneration``
+and ``verify_eigen``.  The tables they read are made for one suite run and
+go with it; no table outlives the run.
 
 The relation checks apply each side of a relation once, to the sector's
 whole delta basis: a batch holds one basis image per delta function, a
@@ -55,13 +55,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import budget
-from .hallittlewood import hl_polynomial
+from .hallittlewood import recurrence_sector
 from .partitions import (
     add_part,
     enumerate_partitions,
@@ -848,28 +849,31 @@ def hamiltonian_from_operators(f: LatticeFunction, params: ParamSet) -> LatticeF
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _distinct_permutations(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(dict.fromkeys(itertools.permutations(mu)))
+def distinct_permutations(mus: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], tuple]:
+    """{mu: the distinct permutations of mu}, the table ``wave_function`` reads."""
+    return {mu: tuple(dict.fromkeys(itertools.permutations(mu))) for mu in mus}
 
 
-def wave_function(xi: Sequence[float], lam: Sequence[int], params: ParamSet) -> float:
-    """Value of the eigenfunction with spectral parameter xi at a state.
+def wave_function(
+    xi: Sequence[float], expansion: Mapping, norm: float, permutations: Mapping
+) -> float:
+    """Value at a state of the eigenfunction with spectral parameter xi:
+    the state's orbit-sum expansion at x = e^{i xi} over its quadratic norm.
 
-    It reads the orbit-sum expansion: the sign flips pair each term of m_mu
-    with its conjugate, so m_mu(e^{i xi}) is the sum over the distinct
-    permutations pi of mu of prod_{pi_j > 0} 2 cos(pi_j xi_j).
+    The sign flips pair each term of m_mu with its conjugate, so
+    m_mu(e^{i xi}) is the sum over the distinct permutations pi of mu
+    (``permutations[mu]``) of prod_{pi_j > 0} 2 cos(pi_j xi_j).
     """
-    lam = tuple(lam)
-    cosines = [[2 * math.cos(k * x) for k in range(max(lam, default=0) + 1)] for x in xi]
+    top = max((max(mu, default=0) for mu in expansion), default=0)
+    cosines = [[2 * math.cos(k * x) for k in range(top + 1)] for x in xi]
     value = sum(
         float(coeff) * sum(
             math.prod(row[k] for row, k in zip(cosines, pi) if k)
-            for pi in _distinct_permutations(mu)
+            for pi in permutations[mu]
         )
-        for mu, coeff in hl_polynomial(lam, params).expansion.items()
+        for mu, coeff in expansion.items()
     )
-    return value / float(quadratic_norm(lam, params))
+    return value / norm
 
 
 def energy(xi: Sequence[float]) -> float:
@@ -882,31 +886,28 @@ def energy(xi: Sequence[float]) -> float:
 EIGEN_TOLERANCE = 1e-10
 
 
-def eigen_residuals(
-    xi: Sequence[float], lam_set: Sequence[Sequence[int]], params: ParamSet
-) -> dict[tuple[int, ...], float]:
-    """The relative residual of the eigenvalue equation at each of the
-    given states, in their order; it holds to roundoff below
-    EIGEN_TOLERANCE.
-
-    The coefficient Hamiltonian ``apply_hamiltonian`` acts on the
-    wave-function values at the states and their unit-step neighbors; its
-    image on each state is complete, since every state that hops into it is
-    among those values, and is compared with energy * value.
+def verify_eigen(n: int, max_part: int, params: ParamSet, seed: int) -> list[tuple[tuple, dict]]:
+    """(xi, residuals) for 20 xi drawn from [0, 2 pi)^n by ``random.Random(seed)``:
+    the relative residual of the eigenvalue equation at each state of one
+    ``recurrence_sector``, below EIGEN_TOLERANCE.  ``apply_hamiltonian``
+    acts on the wave-function values at the states and their neighbours, so
+    its image on each state is complete, and is compared with energy * value.
     """
-    lam_set = [tuple(lam) for lam in lam_set]
-    needed = set(lam_set)
-    for lam in lam_set:
-        needed.update(target for _, _, target in unit_steps(lam))
-    phi = {lam: wave_function(xi, lam, params) for lam in sorted(needed)}
-    image = apply_hamiltonian(LatticeFunction(len(xi), phi), params)
-    e_val = energy(xi)
-    return {lam: abs(image(lam) - e_val * phi[lam]) / max(1.0, abs(phi[lam])) for lam in lam_set}
-
-
-def eigen_residual(xi: Sequence[float], lam_set: Sequence[Sequence[int]], params: ParamSet) -> float:
-    """The largest of ``eigen_residuals``, 0 for no states."""
-    return max(eigen_residuals(xi, lam_set, params).values(), default=0.0)
+    states, expansions = recurrence_sector(n, max_part, params)
+    norms = {lam: float(quadratic_norm(lam, params)) for lam in expansions}
+    permutations = distinct_permutations({mu for e in expansions.values() for mu in e})
+    rng = random.Random(seed)
+    out = []
+    for _ in range(20):
+        xi = tuple(rng.uniform(0.0, 2 * math.pi) for _ in range(n))
+        phi = {lam: wave_function(xi, expansions[lam], norms[lam], permutations)
+               for lam in sorted(expansions)}
+        image = apply_hamiltonian(LatticeFunction(n, phi), params)
+        e_val = energy(xi)
+        residual = {lam: abs(image(lam) - e_val * phi[lam]) / max(1.0, abs(phi[lam]))
+                    for lam in states}
+        out.append((xi, residual))
+    return out
 
 
 def scattering_factors(x: float, params: ParamSet) -> tuple[complex, complex]:

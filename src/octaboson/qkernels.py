@@ -158,8 +158,12 @@ class ParamSet:
                     hits.append((m, kind, x))
         if hits:
             # min keeps the first of equal m, so t comes before the pairs
-            _, kind, x = min(hits, key=lambda hit: hit[0])
-            raise GenericityError(f"{kind} = q^m degeneracy at q^m = {x.numerator}/{x.denominator}")
+            m, kind, x = min(hits, key=lambda hit: hit[0])
+            try:
+                at = f"q^m = {x.numerator}/{x.denominator}"
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                at = f"m = {m}"
+            raise GenericityError(f"{kind} = q^m degeneracy at {at}")
 
     def ensure_generic(self, n: int, max_part: int) -> None:
         """Guard every denominator exponent reachable at sector size (n, max_part).

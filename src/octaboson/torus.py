@@ -37,6 +37,8 @@ only work that grows with M is this table, cached per (params, n, M, band).
 ``aliasing_bound`` states how far the rule is from the integral, and
 ``choose_points`` picks M from it when the user gives none.
 
+``verify_orthogonality`` runs the ``orthogonality`` and ``norms`` suites whole.
+
 As in ``hallittlewood``, numpy is imported inside the functions that use
 it, so that loading the package for an operator suite does not load it.
 """
@@ -49,9 +51,9 @@ from functools import lru_cache
 from numbers import Real
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from . import budget
-from .partitions import group_order, orbit, positive_roots
-from .qkernels import ParamSet
+from . import budget, hallittlewood
+from .partitions import enumerate_partitions, group_order, orbit, positive_roots
+from .qkernels import ParamSet, quadratic_norm
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,15 +83,6 @@ def _check_kernel(n: int, elements: int, weights: int) -> None:
     entries = elements * weights
     what = f"an orbit Gram kernel of {elements} x {weights} = {entries} entries"
     budget.check(entries, what, {"n": n, "entries": entries})
-
-
-def check_sector_kernel(n: int, max_part: int) -> None:
-    """The budget check of ``gram_matrix`` over the polynomials of the
-    length-n partitions with parts <= max_part, before any is built.  Each
-    is monic within its lower set, so the union of their supports is every
-    such partition: C(n + max_part, n) weights, whose orbits hold the
-    (2 max_part + 1)^n points of [-max_part, max_part]^n."""
-    _check_kernel(n, (2 * max_part + 1) ** n, math.comb(n + max_part, n))
 
 
 @dataclass(frozen=True)
@@ -317,3 +310,36 @@ def choose_points(expansions: Sequence[Expansion], params: ParamSet, tol: float)
         m += POINTS_STEP
     _check_nodes(m, 0 if terms is None else terms[0])
     return m
+
+
+def verify_orthogonality(
+    n: int, max_part: int, params: ParamSet, points: int | None, diagonal_only: bool
+) -> tuple[int, float, list[tuple], bool]:
+    """(M, tolerance, entries, pass) of the Gram of the polynomials of the
+    length-n partitions with parts <= max_part: (lam, mu, value, exact
+    value, absolute error) per pair lam <= mu, or on the diagonal alone.
+    A given grid and the Gram kernel are checked before any construction:
+    each polynomial is monic in its lower set, so the supports are the
+    C(n + max_part, n) states, whose orbits hold (2 max_part + 1)^n points."""
+    params.ensure_generic(n, max_part)
+    tol = 1e-8 if n <= 2 else 1e-6
+    quad = None if points is None else QuadratureSpec(points, n)
+    hallittlewood.check_sector_budget(n, max_part, params)
+    if quad is not None:
+        _check_kernel(n, (2 * max_part + 1) ** n, math.comb(n + max_part, n))
+    lams = enumerate_partitions(n, max_part)
+    expansions = [hallittlewood.hl_polynomial(lam, params).expansion for lam in lams]
+    if quad is None:
+        quad = QuadratureSpec(choose_points(expansions, params, tol), n)
+    gram = gram_matrix(expansions, params, quad)
+    entries, ok = [], True
+    for i, lam in enumerate(lams):
+        for j, mu in enumerate(lams[i:], start=i):
+            if diagonal_only and mu != lam:
+                continue
+            value = complex(gram[i, j])
+            expected = quadratic_norm(lam, params) if lam == mu else 0
+            err = abs(value - float(expected))
+            ok = ok and err < tol * (1 + abs(float(expected)))
+            entries.append((lam, mu, value, expected, err))
+    return quad.points_per_dim, tol, entries, ok

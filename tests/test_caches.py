@@ -2,17 +2,20 @@
 
 Each coefficient and relation scalar is cached per occupation numbers and
 point, each norm per (state, point) and each q-series factor per its
-arguments (the operator checks' step tables belong to one suite run); a
-result must not depend on what an earlier point left in a cache, and the
-benchmark, which empties every module-level ``lru_cache`` before each op,
-must reach each cache.
+arguments.  Every suite runs whole in its module on tables it owns: the
+operator checks' step tables, and the polynomials, normalizers, m_(1)
+products and permutations of the polynomial suites, each built once per
+run, whatever the bound of ``hl_polynomial``'s cache, which serves
+``poly``.  A result must not depend on what an earlier point left in a
+cache, and the benchmark, which empties every module-level ``lru_cache``
+before each op, must reach each cache.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from octaboson import hallittlewood, qboson, qkernels
+from octaboson import cli, hallittlewood, qboson, qkernels
 from octaboson.qboson import (
     EXCHANGE_RELATIONS,
     RELATION_IDS,
@@ -92,6 +95,15 @@ def test_benchmark_empties_the_seed_block_cache(bench_run, params4):
     assert hallittlewood._seed_block.cache_info().currsize
     bench_run.clear_caches(bench_run.spans.package_modules())
     assert hallittlewood._seed_block.cache_info().currsize == 0
+
+
+def test_eigen_run_builds_each_polynomial_once(capsys, cold_caches):
+    # 120 states and 15 neighbours (15, k): more polynomials than the
+    # 128 that hl_polynomial's cache holds, each built once for the run
+    argv = ["verify", "eigen", "--n", "2", "--maxPart", "14"]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert hallittlewood.hl_polynomial.cache_info().misses == 135
 
 
 def test_every_cache_is_bounded(bench_run):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from octaboson import cli, hallittlewood, partitions, qboson
+from octaboson import cli, hallittlewood, partitions, qboson, torus
 from octaboson.laurent import NotDivisibleError
 from octaboson.partitions import unit_steps
 from octaboson.qboson import LatticeFunction
@@ -192,6 +192,16 @@ def test_exit_guard_violation(capsys):
     assert json.loads(out)["error"]["type"] == "parameter"
 
 
+def test_guard_beyond_the_str_digit_limit_names_m(capsys):
+    # q^2 = t_1 t_2 = 10^-4400 has more digits than int -> str converts
+    small = f"1/{10**2200}"
+    argv = ["poly", "--n", "1", "--lambda", "1", f"--q={small}", f"--t1={small}", f"--t2={small}"]
+    code, out = run(capsys, *argv, "--t3=1/3", "--t4=1/5")
+    assert code == cli.EXIT_FAIL
+    error = json.loads(out)["error"]
+    assert error == {"type": "parameter", "message": "t_r t_s = q^m degeneracy at m = 2"}
+
+
 def test_exit_float_rejection(capsys):
     code, out = run(capsys, "poly", "--n", "1", "--lambda", "1", "--q", "0.5")
     assert code == 1
@@ -236,13 +246,15 @@ def test_exit_usage_error(capsys):
 
 
 def test_exit_internal_divisibility(capsys, monkeypatch):
+    # only the oracles' division raises it: an unmapped fault of the program
     def boom(lam, params):
         raise NotDivisibleError("forced failure")
 
     monkeypatch.setattr(cli.hallittlewood, "hl_polynomial", boom)
     code, out = run(capsys, "poly", "--n", "1", "--lambda", "1")
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "internal-divisibility"
+    assert code == cli.EXIT_INTERNAL
+    error = json.loads(out)["error"]
+    assert error["type"] == "internal" and error["exception"] == "NotDivisibleError"
 
 
 def test_exit_internal_unmapped_exception(capsys, monkeypatch):
@@ -413,7 +425,7 @@ def test_adjoint_refusal_lists_no_sector(capsys, monkeypatch):
         calls.append((n, max_part))
         return real_enumerate(n, max_part)
 
-    for module in (partitions, qboson, cli):
+    for module in (partitions, qboson):
         monkeypatch.setattr(module, "enumerate_partitions", counting_enumerate)
     code, out = run(capsys, "verify", "adjoint", "--n", "4", "--maxPart", "60")
     assert code == 3 and json.loads(out)["error"]["pairs"] == 1_948_987_344_688
@@ -436,7 +448,7 @@ def test_polynomial_suite_refusal_lists_no_sector(suite, capsys, monkeypatch):
         calls.append((n, max_part))
         return real_enumerate(n, max_part)
 
-    for module in (partitions, hallittlewood, qboson, cli):
+    for module in (partitions, hallittlewood, qboson, torus):
         monkeypatch.setattr(module, "enumerate_partitions", counting_enumerate)
     code, out = run(capsys, "verify", suite, "--n", "4", "--maxPart", "40")
     top = 41 if suite in ("pieri", "eigen") else 40
@@ -553,7 +565,8 @@ def test_too_many_variables_refused_before_any_partition(capsys, monkeypatch):
     def no_listing(n, max_part):
         raise AssertionError(f"partitions listed at n = {n}, maxPart = {max_part}")
 
-    monkeypatch.setattr(cli, "enumerate_partitions", no_listing)
+    for module in (hallittlewood, torus):
+        monkeypatch.setattr(module, "enumerate_partitions", no_listing)
     for suite in ("orthogonality", "norms", "pieri", "eigen"):
         code, out = run(capsys, "verify", suite, "--n", "5", "--maxPart", "40")
         assert code == 1, suite

@@ -12,9 +12,9 @@ from octaboson.hallittlewood import (
     expand_in_monomials,
     hl_polynomial,
     macdonald_formula,
-    pieri_residual,
     principal_specialization,
     reconstruct_from_expansion,
+    verify_pieri,
 )
 from octaboson.laurent import LaurentPoly, NotDivisibleError, apply_w, div_binomial_exact
 from octaboson.partitions import (
@@ -356,15 +356,15 @@ def test_principal_specialization_matches_evaluation_n4():
 
 
 def test_pieri_residual_examples(params4):
-    assert pieri_residual((0,), params4) == {}
-    assert pieri_residual((2,), params4) == {}
-    assert pieri_residual((1, 1), params4) == {}
+    assert verify_pieri(1, 2, params4) == {(0,): {}, (1,): {}, (2,): {}}
+    assert verify_pieri(2, 1, params4) == {(0, 0): {}, (1, 0): {}, (1, 1): {}}
 
 
 def test_pieri_residual_multi_params(param_triple):
     for params in param_triple:
-        for lam in enumerate_partitions(2, 2):
-            assert pieri_residual(lam, params) == {}
+        residuals = verify_pieri(2, 2, params)
+        assert list(residuals) == enumerate_partitions(2, 2)
+        assert not any(residuals.values())
 
 
 def test_macdonald_formula(params2, params4):

@@ -17,13 +17,14 @@ from octaboson.qboson import (
     annihilate,
     apply_hamiltonian,
     create,
-    eigen_residual,
+    distinct_permutations,
     energy,
     hamiltonian_from_operators,
     number_op,
     scattering_factors,
     scattering_matrix,
     sector_inner_product,
+    verify_eigen,
     verify_relation,
     wave_function,
 )
@@ -261,10 +262,21 @@ def test_hamiltonian_symmetry(params4):
                 assert lhs == rhs
 
 
+def _wave(xi, lam, params):
+    expansion = hallittlewood.hl_polynomial(lam, params).expansion
+    norm = float(quadratic_norm(lam, params))
+    return wave_function(xi, expansion, norm, distinct_permutations(expansion))
+
+
+def _eigen_residual(n, max_part, params, seed):
+    """The largest residual of one ``verify_eigen`` run."""
+    return max(max(residuals.values()) for _, residuals in verify_eigen(n, max_part, params, seed))
+
+
 def test_wave_function_examples(params4):
     n0 = quadratic_norm((0, 0), params4)
     for xi in ((0.3, 1.2), (2.0, -0.4)):
-        assert abs(wave_function(xi, (0, 0), params4) - 1 / float(n0)) < 1e-14
+        assert abs(_wave(xi, (0, 0), params4) - 1 / float(n0)) < 1e-14
 
     # closed form at n=1: (2cos(xi) + const)/norm
     t1, t2, t3, t4 = (float(t) for t in params4.ts)
@@ -275,23 +287,23 @@ def test_wave_function_examples(params4):
     expected = (2 * math.cos(xi) + (e3 - e1) / (1 - e4)) / float(
         quadratic_norm((1,), params4)
     )
-    assert abs(wave_function((xi,), (1,), params4) - expected) < 1e-14
+    assert abs(_wave((xi,), (1,), params4) - expected) < 1e-14
 
     # group invariance in the spectral parameter
-    a = wave_function((0.7, 2.1), (2, 1), params4)
-    b = wave_function((-2.1, 0.7), (2, 1), params4)
+    a = _wave((0.7, 2.1), (2, 1), params4)
+    b = _wave((-2.1, 0.7), (2, 1), params4)
     assert abs(a - b) < 1e-12
 
 
 def test_eigen_residual_examples(params4):
-    assert eigen_residual((1.0,), [(0,), (1,), (2,), (3,)], params4) < 1e-12
-    assert eigen_residual((0.7, 2.1), enumerate_partitions(2, 3), params4) < 1e-10
+    assert _eigen_residual(1, 3, params4, 1) < 1e-12
+    assert _eigen_residual(2, 3, params4, 2) < 1e-10
     assert abs(energy((math.pi / 2, math.pi / 2))) < 1e-15
 
 
 def test_eigen_residual_other_profiles(params3, params2):
     for params in (params3, params2):
-        residual = eigen_residual((0.9, 1.7), enumerate_partitions(2, 3), params)
+        residual = _eigen_residual(2, 3, params, 3)
         assert residual < EIGEN_TOLERANCE, residual
 
 

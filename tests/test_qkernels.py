@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,25 @@ def test_guard_beyond_construction_horizon():
         params.ensure_generic(4, 11)
     with pytest.raises(GenericityError):
         params.ensure_generic(4, 14)
+
+
+def test_guard_names_m_beyond_the_str_digit_limit():
+    # t_1 t_2 = q^2 = 10^-4400 has more digits than int -> str converts at
+    # the default limit of 4300; the message names m instead of the value
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        q = F(1, 10**2200)
+        with pytest.raises(GenericityError) as info:
+            ParamSet(q=q, ts=(q, q, F(1, 3), F(1, 5)))
+        assert str(info.value) == "t_r t_s = q^m degeneracy at m = 2"
+        # within the limit the message keeps the value
+        q = F(1, 10**2000)
+        with pytest.raises(GenericityError) as info:
+            ParamSet(q=q, ts=(q, q, F(1, 3), F(1, 5)))
+        assert str(info.value) == f"t_r t_s = q^m degeneracy at q^m = 1/{10**4000}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def fraction_degeneracy(q, ts, horizon, start=1):

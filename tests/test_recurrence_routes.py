@@ -1,9 +1,9 @@
 """The recurrence and the wave functions on the orbit-sum expansion against
 the route through Laurent polynomials.
 
-``pieri_residual`` multiplies orbit-sum expansions by m_(1) and returns the
-residual's nonzero orbit coefficients; ``wave_function`` evaluates each
-orbit sum as a real cosine sum.  The oracles in ``orbit_oracle`` multiply
+``verify_pieri`` multiplies orbit-sum expansions by m_(1) and returns each
+state's residual as its nonzero orbit coefficients; ``wave_function``
+evaluates each orbit sum as a real cosine sum.  The oracles in ``orbit_oracle`` multiply
 and evaluate the Laurent polynomials term by term.  Neither ``verify
 pieri`` nor ``verify eigen`` may read the Laurent form at all.
 """
@@ -16,22 +16,29 @@ import pytest
 
 import orbit_oracle
 from octaboson import cli, hallittlewood
-from octaboson.hallittlewood import HLPolynomial, expand_in_monomials, hl_polynomial, pieri_residual
+from octaboson.hallittlewood import HLPolynomial, expand_in_monomials, hl_polynomial, verify_pieri
 from octaboson.partitions import enumerate_partitions
-from octaboson.qboson import wave_function
+from octaboson.qboson import distinct_permutations, wave_function
 from octaboson.qkernels import PROFILES, default_params, quadratic_norm
 
 #: every state of n <= 3 particles with parts up to 3
 STATES = [lam for n in range(4) for lam in enumerate_partitions(n, 3)]
 
 
+def pieri_residuals(params) -> dict:
+    """The recurrence residual of each of STATES."""
+    return {lam: r for n in range(4) for lam, r in verify_pieri(n, 3, params).items()}
+
+
 @pytest.mark.parametrize("profile", PROFILES)
 def test_orbit_residual_is_the_expanded_laurent_residual(profile):
     params = default_params(profile)
+    residuals = pieri_residuals(params)
+    assert list(residuals) == STATES
     for lam in STATES:
         oracle = orbit_oracle.laurent_pieri_residual(lam, params)
         assert oracle.is_zero, (profile, lam)
-        assert pieri_residual(lam, params) == expand_in_monomials(oracle) == {}
+        assert residuals[lam] == expand_in_monomials(oracle) == {}
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -48,12 +55,13 @@ def test_orbit_residual_of_a_wrong_coefficient_is_the_expanded_laurent_residual(
     monkeypatch.setattr(hallittlewood, "pieri_coeff", mutant)
     monkeypatch.setattr(orbit_oracle, "pieri_coeff", mutant)
     params = default_params(profile)
+    residuals = pieri_residuals(params)
     for lam in STATES:
-        residual = pieri_residual(lam, params)
+        residual = residuals[lam]
         assert residual == expand_in_monomials(orbit_oracle.laurent_pieri_residual(lam, params))
         assert bool(residual) == (lam == (1, 0)), lam
     # keyed in decreasing (degree, lex) order, as the witness reads it
-    assert list(pieri_residual((1, 0), params)) == [(1, 0), (0, 0)]
+    assert list(residuals[(1, 0)]) == [(1, 0), (0, 0)]
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -65,7 +73,7 @@ def test_wave_function_is_the_laurent_evaluation(profile):
         norm = float(quadratic_norm(lam, params))
         for _ in range(3):
             xi = [rng.uniform(0.0, 2 * math.pi) for _ in lam]
-            value = wave_function(xi, lam, params)
+            value = wave_function(xi, hl.expansion, norm, distinct_permutations(hl.expansion))
             expected = orbit_oracle.evaluate_on_torus(hl.poly, xi) / norm
             assert isinstance(value, float)
             assert abs(value - expected) <= 1e-12 * abs(expected), (lam, xi)

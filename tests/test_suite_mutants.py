@@ -101,11 +101,11 @@ def test_pieri_suite_names_the_residual_of_one_wrong_coefficient(capsys, monkeyp
 def test_eigen_suite_names_the_state_of_its_largest_residual(capsys, monkeypatch, cold_caches):
     original = qboson.wave_function
 
-    def mutant(xi, lam, params):
-        value = original(xi, lam, params)
-        # the neighbour (3,) of the top state (2,): only the Hamiltonian's
-        # image at (2,) reads it
-        return 2 * value if tuple(lam) == (3,) else value
+    def mutant(xi, expansion, norm, permutations):
+        value = original(xi, expansion, norm, permutations)
+        # the neighbour (3,) of the top state (2,), the leading orbit of its
+        # monic expansion: only the Hamiltonian's image at (2,) reads it
+        return 2 * value if next(iter(expansion)) == (3,) else value
 
     monkeypatch.setattr(qboson, "wave_function", mutant)
     code, payload = run(capsys, "verify", "eigen", "--n", "1", "--maxPart", "2")
