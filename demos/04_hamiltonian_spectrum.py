@@ -13,14 +13,13 @@ from octaboson import (
     apply_hamiltonian,
     boundary_potential,
     default_params,
-    distinct_permutations,
     hamiltonian_from_operators,
     hl_polynomial,
+    orbit_sums,
     quadratic_norm,
     scattering_factors,
     scattering_matrix,
     verify_eigen,
-    wave_function,
 )
 
 params = default_params()
@@ -49,7 +48,8 @@ for n in (1, 2, 3):
 # is the sum over the distinct permutations pi of mu of prod 2 cos(pi_j xi_j)
 expansion = hl_polynomial((2, 1), params).expansion
 norm = float(quadratic_norm((2, 1), params))
-value = wave_function((1.0, 2.0), expansion, norm, distinct_permutations(expansion))
+m = orbit_sums((1.0, 2.0), expansion)
+value = sum(float(coeff) * m[mu] for mu, coeff in expansion.items()) / norm
 print("sample wave-function value phi_(1,2)((2,1)) =", value)
 print()
 

@@ -53,16 +53,15 @@ from .qboson import (
     annihilate,
     apply_hamiltonian,
     create,
-    distinct_permutations,
     energy,
     hamiltonian_from_operators,
     number_op,
+    orbit_sums,
     scattering_factors,
     scattering_matrix,
     sector_inner_product,
     verify_eigen,
     verify_relation,
-    wave_function,
 )
 
 __version__ = "0.1.0"

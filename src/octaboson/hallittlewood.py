@@ -41,9 +41,9 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from . import budget
 from .laurent import LaurentPoly
 from .partitions import (
+    dominance_leq,
     enumerate_partitions,
     is_partition,
-    lower_set,
     multiplicity,
     orbit,
     positive_roots,
@@ -133,9 +133,8 @@ def _finalize(
             lam,
             lam,
         )
-    down = set(lower_set(lam))
     for mu in expansion:
-        if mu not in down:
+        if not dominance_leq(mu, lam):
             raise InvariantError(
                 f"expansion of {lam} has support {mu} outside the lower set", lam, mu
             )
@@ -409,7 +408,8 @@ def _inversion_entries(n: int, top: int):
 
 def _orbit_coefficients(coeffs: Mapping[tuple[int, ...], int], n: int) -> dict:
     """The nonzero d_nu with sum_mu c_mu chi_mu = sum_nu d_nu m_nu, for the
-    integer c_mu of ``_straighten``, without expanding any character.
+    integer c_mu of ``_straighten``, without expanding any character, keyed
+    in decreasing (degree, lex) order.
 
     Times A(x^rho) = sum_w det(w) x^{w rho}, the sum is
     sum_mu c_mu A(x^{mu + rho}) = A(x^rho) sum_nu d_nu m_nu, whose
@@ -441,17 +441,15 @@ def _straightened_expansion(
 
     Since D = (-1)^{n^2} x^rho A(x^rho), the sum is
     (-1)^{n^2} A(x^{-lam-rho} g) / A(x^rho) = (-1)^{n^2} sum_mu c_mu chi_mu.
-    Keys are in decreasing (degree, lex) order.
+    Keys are in decreasing (degree, lex) order, as ``_orbit_coefficients``
+    returns them.
     """
     exponents, coefficients, denominator = seed
     n = len(lam)
     shift = [p + r for p, r in zip(lam, weyl_vector(n))]
     totals = _orbit_coefficients(_straighten(exponents, coefficients, shift), n)
     factor = (-1) ** (n * n) * scale / denominator
-    return {
-        nu: factor * totals[nu]
-        for nu in sorted(totals, key=lambda e: (sum(e), e), reverse=True)
-    }
+    return {nu: factor * value for nu, value in totals.items()}
 
 
 def _checked_partition(lam: Sequence[int]) -> tuple[int, ...]:

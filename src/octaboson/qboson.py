@@ -8,8 +8,9 @@ operators attached to those sites commute only up to a diagonal twist.
 
 All algebraic identity checks run in exact rational arithmetic on delta
 bases and must produce literal zeros; floats enter only where the spectral
-parameter does.  Wave functions are real cosine sums, and complex floats
-enter only in scattering.
+parameter does.  Wave functions are real cosine sums, each orbit sum taken
+once per spectral parameter (``orbit_sums``), and complex floats enter
+only in scattering.
 
 The elementary operators are monomial on the delta basis: annihilation,
 creation and the number operator each send a basis state to one basis
@@ -849,31 +850,23 @@ def hamiltonian_from_operators(f: LatticeFunction, params: ParamSet) -> LatticeF
 # ---------------------------------------------------------------------------
 
 
-def distinct_permutations(mus: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], tuple]:
-    """{mu: the distinct permutations of mu}, the table ``wave_function`` reads."""
-    return {mu: tuple(dict.fromkeys(itertools.permutations(mu))) for mu in mus}
-
-
-def wave_function(
-    xi: Sequence[float], expansion: Mapping, norm: float, permutations: Mapping
-) -> float:
-    """Value at a state of the eigenfunction with spectral parameter xi:
-    the state's orbit-sum expansion at x = e^{i xi} over its quadratic norm.
+def orbit_sums(xi: Sequence[float], mus: Iterable[tuple[int, ...]]) -> dict[tuple, float]:
+    """{mu: m_mu(e^{i xi})} for the partitions mus, from one cosine table.
 
     The sign flips pair each term of m_mu with its conjugate, so
-    m_mu(e^{i xi}) is the sum over the distinct permutations pi of mu
-    (``permutations[mu]``) of prod_{pi_j > 0} 2 cos(pi_j xi_j).
+    m_mu(e^{i xi}) is the sum over the distinct permutations pi of mu of
+    prod_{pi_j > 0} 2 cos(pi_j xi_j): a real cosine sum.
     """
-    top = max((max(mu, default=0) for mu in expansion), default=0)
+    mus = list(mus)
+    top = max((max(mu, default=0) for mu in mus), default=0)
     cosines = [[2 * math.cos(k * x) for k in range(top + 1)] for x in xi]
-    value = sum(
-        float(coeff) * sum(
+    return {
+        mu: sum(
             math.prod(row[k] for row, k in zip(cosines, pi) if k)
-            for pi in permutations[mu]
+            for pi in dict.fromkeys(itertools.permutations(mu))
         )
-        for mu, coeff in expansion.items()
-    )
-    return value / norm
+        for mu in mus
+    }
 
 
 def energy(xi: Sequence[float]) -> float:
@@ -889,19 +882,24 @@ EIGEN_TOLERANCE = 1e-10
 def verify_eigen(n: int, max_part: int, params: ParamSet, seed: int) -> list[tuple[tuple, dict]]:
     """(xi, residuals) for 20 xi drawn from [0, 2 pi)^n by ``random.Random(seed)``:
     the relative residual of the eigenvalue equation at each state of one
-    ``recurrence_sector``, below EIGEN_TOLERANCE.  ``apply_hamiltonian``
-    acts on the wave-function values at the states and their neighbours, so
-    its image on each state is complete, and is compared with energy * value.
+    ``recurrence_sector``, below EIGEN_TOLERANCE.  The wave function of a
+    state is its orbit-sum expansion at x = e^{i xi} over its quadratic
+    norm, read from one ``orbit_sums`` table per xi over the union of the
+    supports.  ``apply_hamiltonian`` acts on the wave-function values at
+    the states and their neighbours, so its image on each state is
+    complete, and is compared with energy * value.
     """
     states, expansions = recurrence_sector(n, max_part, params)
-    norms = {lam: float(quadratic_norm(lam, params)) for lam in expansions}
-    permutations = distinct_permutations({mu for e in expansions.values() for mu in e})
+    lams = sorted(expansions)
+    terms = {lam: [(mu, float(c)) for mu, c in expansions[lam].items()] for lam in lams}
+    norms = {lam: float(quadratic_norm(lam, params)) for lam in lams}
+    support = list(dict.fromkeys(mu for lam in lams for mu, _ in terms[lam]))
     rng = random.Random(seed)
     out = []
     for _ in range(20):
         xi = tuple(rng.uniform(0.0, 2 * math.pi) for _ in range(n))
-        phi = {lam: wave_function(xi, expansions[lam], norms[lam], permutations)
-               for lam in sorted(expansions)}
+        m = orbit_sums(xi, support)
+        phi = {lam: sum(c * m[mu] for mu, c in terms[lam]) / norms[lam] for lam in lams}
         image = apply_hamiltonian(LatticeFunction(n, phi), params)
         e_val = energy(xi)
         residual = {lam: abs(image(lam) - e_val * phi[lam]) / max(1.0, abs(phi[lam]))

@@ -19,20 +19,21 @@ The reduced closed forms at t_4 = 0 and t_3 = t_4 = 0 are kept only as
 degeneration oracles: the degeneration suite and the tests compare them
 with the general formulas at zeroed t_r.
 
-The kernels keyed by a state or its occupation numbers (the quadratic norm,
-the creation coefficient, the boundary potential, and the annihilation,
-relation and twist scalars of ``qboson``) are products of factors
-(1 - x q^k), k in Z, plus a few sums in the potential.  They evaluate in
-integer arithmetic: ``factor_ratio`` multiplies the factors as unreduced
-(numerator, denominator) pairs from the integer numerator and denominator
-of x and the point's integer powers of q (``ParamSet.q_powers``), the
-potential combines such pairs by cross-multiplication, and each cached key
-builds one ``Fraction``, at the end (``exact_ratio`` for a product of
-factors alone).  A vanishing denominator is caught on its integer before
-any division.  The q-series primitives, the normalizers, the recurrence
-coefficients and the reduced closed forms stay in ``Fraction``
-arithmetic, so the closed forms remain an independent side of the
-degeneration checks.
+The runtime coefficients (the quadratic norm, the monic and principal
+normalizers, the recurrence coefficients, the creation coefficient, the
+boundary potential, and the annihilation, relation and twist scalars of
+``qboson``) are products of factors (1 - x q^k), k in Z, times a power of
+tau in the principal normalizer and the recurrence, plus a few sums in the
+potential.  They evaluate in integer arithmetic: ``factor_ratio``
+multiplies the factors as unreduced (numerator, denominator) pairs from
+the integer numerator and denominator of x and the point's integer powers
+of q (``ParamSet.q_powers``), the potential combines such pairs by
+cross-multiplication, and each value builds one ``Fraction``, at the end
+(``exact_ratio`` for a product of factors alone).  A vanishing denominator
+is caught on its integer before any division.  The q-series primitives
+and the reduced closed forms stay in ``Fraction`` arithmetic, so the
+closed forms remain an independent side of the degeneration checks; of
+the runtime, only the down-hop rate [m] reads ``qinteger``.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class ParamSet:
                 den.append(den[-1] * q_den)
         return num, den
 
-    def ensure_generic_horizon(self, horizon: int, start: int = 1) -> None:
-        """Reject t = q^m and t_r t_s = q^m for m = start..horizon, the
+    def ensure_generic_horizon(self, horizon: int) -> None:
+        """Reject t = q^m and t_r t_s = q^m for m = 1..horizon, the
         smallest such m first and t before the pairs at one m.  Since
         0 < q < 1, a positive x equals q^m for at most one m, the nearest
         integer to log x / log q; only the integers next to that estimate
@@ -153,7 +154,7 @@ class ParamSet:
             if x <= 0:
                 continue
             estimate = round((math.log(x.numerator) - math.log(x.denominator)) / log_q)
-            for m in range(max(start, estimate - 1), min(horizon, estimate + 1) + 1):
+            for m in range(max(1, estimate - 1), min(horizon, estimate + 1) + 1):
                 if x.denominator == q_den**m and x.numerator == q_num**m:
                     hits.append((m, kind, x))
         if hits:
@@ -168,10 +169,11 @@ class ParamSet:
     def ensure_generic(self, n: int, max_part: int) -> None:
         """Guard every denominator exponent reachable at sector size (n, max_part).
 
-        Construction has checked m <= GUARD_DEFAULT already; only the
-        exponents beyond it are checked here.
+        Construction has checked m <= GUARD_DEFAULT already, so only an
+        exponent beyond it can fail here; the guard tries at most three m
+        per product whatever the horizon, so it checks from m = 1.
         """
-        self.ensure_generic_horizon(2 * n + max_part + 3, start=GUARD_DEFAULT + 1)
+        self.ensure_generic_horizon(2 * n + max_part + 3)
 
     # -- serialization --------------------------------------------------
 
@@ -205,10 +207,10 @@ def default_params(profile: str = "four") -> ParamSet:
 # q-series primitives
 # ---------------------------------------------------------------------------
 
-#: Entries of each q-series cache.  The normalizers and the reduced closed
-#: forms repeat the same factors: ``verify pieri --n 4 --maxPart 2`` reads
-#: 39 keys of ``qpochhammer`` and ``verify degeneration --n 3 --maxPart 3``
-#: reads 15.
+#: Entries of each q-series cache.  The reduced closed forms repeat the same
+#: factors: ``verify degeneration --n 4 --maxPart 3`` reads 19 keys of
+#: ``qpochhammer`` and 6 of ``qinteger``; the down-hop rate reads at most
+#: n keys of ``qinteger``.
 _QSERIES_CACHE_SIZE = 256
 
 
@@ -286,6 +288,16 @@ def _mult_qpoch_product(lam: tuple[int, ...], q: Fraction) -> Fraction:
     return out
 
 
+def _shared_factors(lam: tuple[int, ...], params: ParamSet) -> list:
+    """The factors (x, k) of prod_l (q)_{m_l} (t q^{2 m0})_{m1}, shared by
+    the quadratic norm and the monic and principal normalizers."""
+    m0 = multiplicity(lam, 0)
+    factors = [(1, k) for part in set(lam) for k in range(1, multiplicity(lam, part) + 1)]
+    if params.t:
+        factors += [(params.t, k) for k in range(2 * m0, 2 * m0 + multiplicity(lam, 1))]
+    return factors
+
+
 #: 0-based index pairs (r, s) of the couplings t_r t_s with 1 < r+1 < s+1 <= 4.
 _PAIRS_BEYOND_T1 = ((1, 2), (1, 3), (2, 3))
 
@@ -309,11 +321,10 @@ def _quadratic_norm(lam: tuple[int, ...], params: ParamSet) -> Fraction:
     t = params.t
     n, m0 = len(lam), multiplicity(lam, 0)
     numerator = [(1, 1)] * n
-    denominator = [(1, k) for part in set(lam) for k in range(1, multiplicity(lam, part) + 1)]
+    denominator = _shared_factors(lam, params)
     denominator += [(prod, k) for prod in params.pair_products for k in range(m0)]
     if t:
         numerator += [(t, k) for k in range(m0 - 1, 2 * m0 - 1)]
-        denominator += [(t, k) for k in range(2 * m0, 2 * m0 + multiplicity(lam, 1))]
     return exact_ratio(numerator, denominator, params, "norm denominator vanishes at lam = {}", lam)
 
 
@@ -323,41 +334,28 @@ def _quadratic_norm(lam: tuple[int, ...], params: ParamSet) -> Fraction:
 
 
 def monic_normalizer(lam: tuple[int, ...], params: ParamSet) -> Fraction:
-    """Constant dividing the orbit-summation formula to make it monic."""
+    """Constant dividing the orbit-summation formula to make it monic:
+    (-1)_{m0} (t q^{2 m0})_{m1} prod_l (q)_{m_l} over (1 - q)^n."""
     lam = tuple(lam)
-    n = len(lam)
-    q = params.q
-    m0 = multiplicity(lam, 0)
-    m1 = multiplicity(lam, 1)
-    t = params.t
-    return (
-        (1 - q) ** (-n)
-        * qpochhammer(Fraction(-1), m0, q)
-        * qpochhammer(t * q ** (2 * m0), m1, q)
-        * _mult_qpoch_product(lam, q)
-    )
+    numerator = [(-1, k) for k in range(multiplicity(lam, 0))] + _shared_factors(lam, params)
+    message = "monic normalizer denominator vanishes at {}"
+    return exact_ratio(numerator, [(1, 1)] * len(lam), params, message, lam)
 
 
 def principal_normalizer(lam: tuple[int, ...], params: ParamSet) -> Fraction:
-    """Constant c with c * p equal to 1 at the principal evaluation point."""
+    """Constant c with c * p equal to 1 at the principal evaluation point:
+    tau^lam (t q^{2 m0})_{m1} prod_l (q)_{m_l} over (q)_n prod_{r>1}
+    (t_1 t_r q^{m0})_{n - m0}."""
     lam = tuple(lam)
-    n = len(lam)
-    q = params.q
+    n, m0 = len(lam), multiplicity(lam, 0)
     ts = params.ts
-    m0 = multiplicity(lam, 0)
-    m1 = multiplicity(lam, 1)
-    t = params.t
-    tau = tau_vector(n, params)
-    numerator = Fraction(1)
-    for tau_j, part in zip(tau, lam):
-        numerator *= tau_j**part
-    numerator *= qpochhammer(t * q ** (2 * m0), m1, q) * _mult_qpoch_product(lam, q)
-    denominator = qpochhammer(q, n, q)
-    for r in range(1, 4):
-        denominator *= qpochhammer(ts[0] * ts[r] * q**m0, n - m0, q)
-    if denominator == 0:
-        raise GenericityError(f"principal normalizer denominator vanishes at {lam}")
-    return numerator / denominator
+    tau_power = Fraction(1)
+    for tau_j, part in zip(tau_vector(n, params), lam):
+        tau_power *= tau_j**part
+    denominator = [(1, k) for k in range(1, n + 1)]
+    denominator += [(x, k) for x in (ts[0] * tr for tr in ts[1:]) if x for k in range(m0, n)]
+    message = "principal normalizer denominator vanishes at {}"
+    return tau_power * exact_ratio(_shared_factors(lam, params), denominator, params, message, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -365,52 +363,39 @@ def principal_normalizer(lam: tuple[int, ...], params: ParamSet) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _delta(x: int) -> int:
-    return 1 if x == 0 else 0
-
-
 def pieri_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Fraction:
     """Recurrence coefficient attached to the step lam -> lam +- e_j.
 
     These are the coefficients of the three-term-like recurrence satisfied
     by the principally normalized family; j is 0-based and the step must
-    stay inside the partition cone.
+    stay inside the partition cone.  With [m] = (1 - q^m) / (1 - q) for the
+    multiplicity m of the part lam[j]: up, [m] / tau_j, times at parts 0
+    and 1 (1 - t q^{2 m0 + m1 - 1}), times at part 0 prod_{r>1} (1 - t_1
+    t_r q^{m0 - 1}) / ((1 - t q^{2 m0 - 2}) (1 - t q^{2 m0 - 1})); down,
+    tau_j [m], times at part 1 (1 - t q^{m0 - 1}) prod_{1<r<s} (1 - t_r t_s
+    q^{m0}) / ((1 - t q^{2 m0 - 1}) (1 - t q^{2 m0})).
     """
     lam = tuple(lam)
     unit_step(lam, j, step)  # validates
-    n = len(lam)
-    q = params.q
-    ts = params.ts
-    t = params.t
-    m0 = multiplicity(lam, 0)
-    m1 = multiplicity(lam, 1)
+    ts, t = params.ts, params.t
+    m0, m1 = multiplicity(lam, 0), multiplicity(lam, 1)
     part = lam[j]
-    mult = multiplicity(lam, part)
-    tau_j = tau_vector(n, params)[j]
-
+    tau_j = tau_vector(len(lam), params)[j]
+    numerator, denominator = [(1, multiplicity(lam, part))], [(1, 1)]
     if step == 1:
-        value = qinteger(mult, q) / tau_j
-        value *= (1 - t * q ** (2 * m0 + m1 - 1)) ** (_delta(part - 1) + _delta(part))
+        if t and part <= 1:
+            numerator.append((t, 2 * m0 + m1 - 1))
         if part == 0:
-            numerator = Fraction(1)
-            for r in range(1, 4):
-                numerator *= 1 - ts[0] * ts[r] * q ** (m0 - 1)
-            denominator = (1 - t * q ** (2 * m0 - 2)) * (1 - t * q ** (2 * m0 - 1))
-            if denominator == 0:
-                raise GenericityError("pieri coefficient denominator vanishes")
-            value *= numerator / denominator
-        return value
-
-    value = tau_j * qinteger(mult, q)
-    if part == 1:
-        numerator = 1 - t * q ** (m0 - 1)
-        for r, s in _PAIRS_BEYOND_T1:
-            numerator *= 1 - ts[r] * ts[s] * q**m0
-        denominator = (1 - t * q ** (2 * m0 - 1)) * (1 - t * q ** (2 * m0))
-        if denominator == 0:
-            raise GenericityError("pieri coefficient denominator vanishes")
-        value *= numerator / denominator
-    return value
+            numerator += [(x, m0 - 1) for x in (ts[0] * tr for tr in ts[1:]) if x]
+            if t:
+                denominator += [(t, 2 * m0 - 2), (t, 2 * m0 - 1)]
+    elif part == 1:
+        numerator += [(x, m0) for x in (ts[r] * ts[s] for r, s in _PAIRS_BEYOND_T1) if x]
+        if t:
+            numerator.append((t, m0 - 1))
+            denominator += [(t, 2 * m0 - 1), (t, 2 * m0)]
+    value = exact_ratio(numerator, denominator, params, "pieri coefficient denominator vanishes")
+    return value / tau_j if step == 1 else tau_j * value
 
 
 #: Entries of each occupation-keyed coefficient cache, here and in ``qboson``.

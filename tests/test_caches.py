@@ -3,12 +3,12 @@
 Each coefficient and relation scalar is cached per occupation numbers and
 point, each norm per (state, point) and each q-series factor per its
 arguments.  Every suite runs whole in its module on tables it owns: the
-operator checks' step tables, and the polynomials, normalizers, m_(1)
-products and permutations of the polynomial suites, each built once per
-run, whatever the bound of ``hl_polynomial``'s cache, which serves
-``poly``.  A result must not depend on what an earlier point left in a
-cache, and the benchmark, which empties every module-level ``lru_cache``
-before each op, must reach each cache.
+operator checks' step tables, and the polynomials, normalizers and m_(1)
+products of the polynomial suites, each built once per run, whatever the
+bound of ``hl_polynomial``'s cache, which serves ``poly``; an eigen run
+evaluates each orbit sum once per sample.  A result must not depend on
+what an earlier point left in a cache, and the benchmark, which empties
+every module-level ``lru_cache`` before each op, must reach each cache.
 """
 
 from fractions import Fraction
@@ -82,8 +82,8 @@ def test_benchmark_empties_every_step_cache(bench_run, params4):
     f = LatticeFunction.delta((1, 0))
     sector_inner_product(f, f, params4)
     apply_hamiltonian(f, params4)
-    # the normalizers read the q-series factors, which the integer kernels do not
-    qkernels.principal_normalizer((1, 0), params4)
+    # the reduced closed forms read the q-series factors, which the integer kernels do not
+    qkernels.norm_three((1, 0), params4.q, params4.ts)
     assert all(cache.cache_info().currsize for cache in STEP_CACHES)
     bench_run.clear_caches(bench_run.spans.package_modules())
     assert [cache.cache_info().currsize for cache in STEP_CACHES] == [0] * len(STEP_CACHES)
@@ -104,6 +104,25 @@ def test_eigen_run_builds_each_polynomial_once(capsys, cold_caches):
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
     assert hallittlewood.hl_polynomial.cache_info().misses == 135
+
+
+def test_eigen_run_takes_each_orbit_sum_once_per_sample(capsys, monkeypatch, params4):
+    calls = []
+    original = qboson.orbit_sums
+
+    def recording(xi, mus):
+        mus = list(mus)
+        calls.append(mus)
+        return original(xi, mus)
+
+    monkeypatch.setattr(qboson, "orbit_sums", recording)
+    assert cli.main(["verify", "eigen", "--n", "2", "--maxPart", "3"]) == cli.EXIT_OK
+    capsys.readouterr()
+    _, expansions = hallittlewood.recurrence_sector(2, 3, params4)
+    support = {mu for expansion in expansions.values() for mu in expansion}
+    assert len(calls) == 20
+    for mus in calls:
+        assert len(mus) == len(support) and set(mus) == support
 
 
 def test_every_cache_is_bounded(bench_run):

@@ -284,7 +284,7 @@ def test_exit_internal_not_monic(capsys, monkeypatch, fresh_construction):
 
 
 def test_exit_internal_outside_lower_set(capsys, monkeypatch, fresh_construction):
-    monkeypatch.setattr(hallittlewood, "lower_set", lambda lam: [lam])
+    monkeypatch.setattr(hallittlewood, "dominance_leq", lambda mu, lam: mu == lam)
     code, out = run(capsys, "poly", "--n", "1", "--lambda", "1")
     assert code == 2
     error = json.loads(out)["error"]

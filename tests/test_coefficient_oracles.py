@@ -1,11 +1,13 @@
-"""The occupation-keyed coefficients against their per-state formulas.
+"""The integer-arithmetic coefficients against their per-state formulas.
 
 Each coefficient of the q-boson steps, of the relations' diagonal scalars
-and of the Hamiltonian, and each quadratic norm, is computed once per the
-occupation numbers or state it reads, in integer arithmetic.  The oracles
-below compute each one from the state itself in ``Fraction`` arithmetic,
-as the formulas are written for a state; the two must agree exactly on
-every (site, state), in value and in reduced form (``str``), at catalogue
+and of the Hamiltonian, each quadratic norm, the monic and principal
+normalizers and the recurrence coefficients are computed in integer
+arithmetic, the occupation-keyed ones once per the occupation numbers they
+read.  The oracles below compute each one from the state itself in
+``Fraction`` arithmetic, as the formulas are written for a state; the two
+must agree exactly on every (site, state) or step, in value and in reduced
+form (``str``), and in the message of a vanishing denominator, at catalogue
 points and at points of height 2^61.
 """
 
@@ -20,6 +22,7 @@ from octaboson.partitions import (
     multiplicity,
     raise_indices,
     remove_part,
+    unit_steps,
 )
 from octaboson import qkernels
 from octaboson.qkernels import (
@@ -30,10 +33,14 @@ from octaboson.qkernels import (
     creation_coeff,
     default_params,
     hop_coeff,
+    monic_normalizer,
     occupation_key,
+    pieri_coeff,
+    principal_normalizer,
     qinteger,
     qpochhammer,
     quadratic_norm,
+    tau_vector,
 )
 from test_relation_routes import large_height_params
 
@@ -74,6 +81,69 @@ def quadratic_norm_oracle(lam, params):
         numerator *= qpochhammer(t * q ** (m0 - 1), m0, q)
         denominator *= qpochhammer(t * q ** (2 * m0), multiplicity(lam, 1), q)
     return numerator / denominator
+
+
+def mult_qpoch_product(lam, q):
+    out = Fraction(1)
+    for value in set(lam):
+        out *= qpochhammer(q, multiplicity(lam, value), q)
+    return out
+
+
+def monic_normalizer_oracle(lam, params):
+    n, q, t = len(lam), params.q, params.t
+    m0, m1 = multiplicity(lam, 0), multiplicity(lam, 1)
+    return (
+        (1 - q) ** (-n)
+        * qpochhammer(Fraction(-1), m0, q)
+        * qpochhammer(t * q ** (2 * m0), m1, q)
+        * mult_qpoch_product(lam, q)
+    )
+
+
+def principal_normalizer_oracle(lam, params):
+    n, q, ts, t = len(lam), params.q, params.ts, params.t
+    m0, m1 = multiplicity(lam, 0), multiplicity(lam, 1)
+    numerator = Fraction(1)
+    for tau_j, part in zip(tau_vector(n, params), lam):
+        numerator *= tau_j**part
+    numerator *= qpochhammer(t * q ** (2 * m0), m1, q) * mult_qpoch_product(lam, q)
+    denominator = qpochhammer(q, n, q)
+    for r in range(1, 4):
+        denominator *= qpochhammer(ts[0] * ts[r] * q**m0, n - m0, q)
+    if denominator == 0:
+        raise GenericityError(f"principal normalizer denominator vanishes at {lam}")
+    return numerator / denominator
+
+
+def pieri_coeff_oracle(lam, j, step, params):
+    q, ts, t = params.q, params.ts, params.t
+    m0, m1 = multiplicity(lam, 0), multiplicity(lam, 1)
+    part = lam[j]
+    mult = multiplicity(lam, part)
+    tau_j = tau_vector(len(lam), params)[j]
+    if step == 1:
+        value = qinteger(mult, q) / tau_j
+        value *= (1 - t * q ** (2 * m0 + m1 - 1)) ** ((part == 1) + (part == 0))
+        if part == 0:
+            numerator = Fraction(1)
+            for r in range(1, 4):
+                numerator *= 1 - ts[0] * ts[r] * q ** (m0 - 1)
+            denominator = (1 - t * q ** (2 * m0 - 2)) * (1 - t * q ** (2 * m0 - 1))
+            if denominator == 0:
+                raise GenericityError("pieri coefficient denominator vanishes")
+            value *= numerator / denominator
+        return value
+    value = tau_j * qinteger(mult, q)
+    if part == 1:
+        numerator = 1 - t * q ** (m0 - 1)
+        for r, s in ((1, 2), (1, 3), (2, 3)):
+            numerator *= 1 - ts[r] * ts[s] * q**m0
+        denominator = (1 - t * q ** (2 * m0 - 1)) * (1 - t * q ** (2 * m0))
+        if denominator == 0:
+            raise GenericityError("pieri coefficient denominator vanishes")
+        value *= numerator / denominator
+    return value
 
 
 def creation_oracle(lam, part, params):
@@ -217,6 +287,26 @@ def test_quadratic_norm_matches_its_formula(params):
         assert same(quadratic_norm(lam, params), quadratic_norm_oracle(lam, params))
 
 
+def same_outcome(formula, oracle, *args) -> bool:
+    """``same`` values, or GenericityErrors with the same message."""
+    try:
+        expected = oracle(*args)
+    except GenericityError as error:
+        with pytest.raises(GenericityError) as caught:
+            formula(*args)
+        return str(caught.value) == str(error)
+    return same(formula(*args), expected)
+
+
+@pytest.mark.parametrize("params", POINTS, ids=point_id)
+def test_normalizers_and_recurrence_coefficients_match_their_formulas(params):
+    for lam in STATES:
+        assert same_outcome(monic_normalizer, monic_normalizer_oracle, lam, params)
+        assert same_outcome(principal_normalizer, principal_normalizer_oracle, lam, params)
+        for j, step, _ in unit_steps(lam):
+            assert same_outcome(pieri_coeff, pieri_coeff_oracle, lam, j, step, params), (j, step)
+
+
 def test_a_vanishing_denominator_raises_before_any_division():
     # q = 1/2 and t = t1 t2 t3 t4 = 4, set past ParamSet's validation, so
     # that 1 - t q^2 = 0 and, for the product t3 t4 = 1, 1 - t3 t4 q^0 = 0
@@ -232,6 +322,12 @@ def test_a_vanishing_denominator_raises_before_any_division():
         (qboson._pair_scalar_c, (0, 1, 1, 0, point)),
         (qboson._twist_ratio, (1, 0, point, False)),
         (qboson._twist_ratio, (0, 1, point, True)),
+        # the product t1 t3 = 2: (t1 t3 q^0)_2 = (1 - 2)(1 - 1) = 0
+        (qkernels.principal_normalizer, ((1, 1), point)),
+        # up at part 0 of (0, 0): 1 - t q^{2 m0 - 2} = 1 - 4 q^2 = 0
+        (qkernels.pieri_coeff, ((0, 0), 0, 1, point)),
+        # down at part 1 of (1, 0): 1 - t q^{2 m0} = 1 - 4 q^2 = 0
+        (qkernels.pieri_coeff, ((1, 0), 0, -1, point)),
     ]
     for kernel, args in kernels:
         with pytest.raises(GenericityError, match="vanishes"):

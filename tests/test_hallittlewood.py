@@ -112,6 +112,15 @@ def test_monicity_triangularity_invariance(params4):
         assert reconstruct_from_expansion(hl.expansion, 2) == hl.poly
 
 
+def test_expansions_are_keyed_in_decreasing_degree_lex_order(params4, params2):
+    # the order in which the orbit inversion lists its weights, unsorted
+    for n in range(4):
+        for lam in enumerate_partitions(n, 3):
+            for hl in (hl_polynomial(lam, params4), macdonald_formula(lam, params2)):
+                keys = list(hl.expansion)
+                assert keys == sorted(keys, key=lambda e: (sum(e), e), reverse=True), lam
+
+
 @pytest.mark.parametrize("n, max_part", [(1, 5), (2, 4), (3, 3)])
 def test_straightening_matches_orbit_sum_oracle(n, max_part, params4, params2):
     for lam in enumerate_partitions(n, max_part):

@@ -17,16 +17,15 @@ from octaboson.qboson import (
     annihilate,
     apply_hamiltonian,
     create,
-    distinct_permutations,
     energy,
     hamiltonian_from_operators,
     number_op,
+    orbit_sums,
     scattering_factors,
     scattering_matrix,
     sector_inner_product,
     verify_eigen,
     verify_relation,
-    wave_function,
 )
 from octaboson.qkernels import (
     ParamSet,
@@ -265,7 +264,8 @@ def test_hamiltonian_symmetry(params4):
 def _wave(xi, lam, params):
     expansion = hallittlewood.hl_polynomial(lam, params).expansion
     norm = float(quadratic_norm(lam, params))
-    return wave_function(xi, expansion, norm, distinct_permutations(expansion))
+    m = orbit_sums(xi, expansion)
+    return sum(float(coeff) * m[mu] for mu, coeff in expansion.items()) / norm
 
 
 def _eigen_residual(n, max_part, params, seed):

@@ -2,7 +2,7 @@
 the route through Laurent polynomials.
 
 ``verify_pieri`` multiplies orbit-sum expansions by m_(1) and returns each
-state's residual as its nonzero orbit coefficients; ``wave_function``
+state's residual as its nonzero orbit coefficients; ``orbit_sums``
 evaluates each orbit sum as a real cosine sum.  The oracles in ``orbit_oracle`` multiply
 and evaluate the Laurent polynomials term by term.  Neither ``verify
 pieri`` nor ``verify eigen`` may read the Laurent form at all.
@@ -18,7 +18,7 @@ import orbit_oracle
 from octaboson import cli, hallittlewood
 from octaboson.hallittlewood import HLPolynomial, expand_in_monomials, hl_polynomial, verify_pieri
 from octaboson.partitions import enumerate_partitions
-from octaboson.qboson import distinct_permutations, wave_function
+from octaboson.qboson import orbit_sums
 from octaboson.qkernels import PROFILES, default_params, quadratic_norm
 
 #: every state of n <= 3 particles with parts up to 3
@@ -73,7 +73,8 @@ def test_wave_function_is_the_laurent_evaluation(profile):
         norm = float(quadratic_norm(lam, params))
         for _ in range(3):
             xi = [rng.uniform(0.0, 2 * math.pi) for _ in lam]
-            value = wave_function(xi, hl.expansion, norm, distinct_permutations(hl.expansion))
+            m = orbit_sums(xi, hl.expansion)
+            value = sum(float(coeff) * m[mu] for mu, coeff in hl.expansion.items()) / norm
             expected = orbit_oracle.evaluate_on_torus(hl.poly, xi) / norm
             assert isinstance(value, float)
             assert abs(value - expected) <= 1e-12 * abs(expected), (lam, xi)

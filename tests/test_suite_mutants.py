@@ -99,15 +99,16 @@ def test_pieri_suite_names_the_residual_of_one_wrong_coefficient(capsys, monkeyp
 
 
 def test_eigen_suite_names_the_state_of_its_largest_residual(capsys, monkeypatch, cold_caches):
-    original = qboson.wave_function
+    original = qboson.orbit_sums
 
-    def mutant(xi, expansion, norm, permutations):
-        value = original(xi, expansion, norm, permutations)
-        # the neighbour (3,) of the top state (2,), the leading orbit of its
-        # monic expansion: only the Hamiltonian's image at (2,) reads it
-        return 2 * value if next(iter(expansion)) == (3,) else value
+    def mutant(xi, mus):
+        values = original(xi, mus)
+        # m_(3) lies in the support of the neighbour (3,) of the top state
+        # (2,) alone: only the Hamiltonian's image at (2,) reads it
+        values[(3,)] *= 2
+        return values
 
-    monkeypatch.setattr(qboson, "wave_function", mutant)
+    monkeypatch.setattr(qboson, "orbit_sums", mutant)
     code, payload = run(capsys, "verify", "eigen", "--n", "1", "--maxPart", "2")
     assert code == cli.EXIT_FAIL and not payload["pass"]
     assert all(not case["pass"] for case in payload["cases"])
@@ -121,7 +122,7 @@ def test_eigen_suite_names_the_state_of_its_largest_residual(capsys, monkeypatch
     assert lines[0] == "xi,maxResidual,pass" and len(lines) == 21
     assert all(line.endswith(",False") for line in lines[1:])
     # a passing case carries no witness
-    monkeypatch.setattr(qboson, "wave_function", original)
+    monkeypatch.setattr(qboson, "orbit_sums", original)
     code, payload = run(capsys, "verify", "eigen", "--n", "1", "--maxPart", "2")
     assert code == cli.EXIT_OK
     assert all(set(case) == {"xi", "maxResidual", "pass"} for case in payload["cases"])
