@@ -1,8 +1,8 @@
 """The node budget: one cap, OCTABOSON_BUDGET, on every count of work that
 is known before the work starts (grid nodes, cosine-matrix entries,
-seed-block terms, orbit-expansion steps, sector states, relation checks,
-operator applications, adjoint pairs, scattering factors), read at each
-check."""
+seed-block terms times their words, orbit-expansion steps, sector states,
+relation checks, operator applications, adjoint pairs, scattering factors),
+read at each check."""
 
 from __future__ import annotations
 

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import budget
@@ -160,10 +159,23 @@ def _exponent_box(n: int, binomials: Binomials) -> tuple[list[int], list[int]]:
     return lo, [h - l + 1 for l, h in zip(lo, hi)]
 
 
-def _check_box(n: int, size: Sequence[int]) -> None:
-    terms = math.prod(size)
-    evidence = {"n": n, "terms": terms}
-    budget.check(terms, f"seed block of n = {n} may hold {terms} terms", evidence)
+def _check_box(n: int, binomials: Binomials) -> tuple[list[int], list[int], int]:
+    """(lo, size, width) of the packed product of the binomials, once the
+    box of ``_exponent_box`` times the words of its packed coefficients
+    fits the node budget (and its keys the int64 range).
+
+    Each (1 - c x^e) = (b - a x^e) / b, c = a/b, adds at most |a| + b to
+    the l1 norm of the integer product, so B = prod (|a| + b) bounds every
+    coefficient of every partial product; a width of
+    64 (floor(bitlen(B) / 64) + 1) bits holds each one as a signed digit.
+    """
+    lo, size = _exponent_box(n, binomials)
+    bound = math.prod(abs(c.numerator) + c.denominator for c, _ in binomials)
+    width = 64 * (bound.bit_length() // 64 + 1)
+    terms, words = math.prod(size), width // 64
+    evidence = {"n": n, "terms": terms, "words": words}
+    held = f"{terms} terms" if words == 1 else f"{terms} terms of {words} words"
+    budget.check(terms * words, f"seed block of n = {n} may hold {held}", evidence)
     # only a raised budget gets here with a box whose keys overflow int64
     if terms > _INT64_MAX:
         raise budget.BudgetExceededError(
@@ -171,6 +183,7 @@ def _check_box(n: int, size: Sequence[int]) -> None:
             f"exponent keys of the straightening",
             {**evidence, "budget": budget.node_budget()},
         )
+    return lo, size, width
 
 
 def _binomial_product(n: int, binomials: Binomials) -> IntegerSeed:
@@ -178,39 +191,53 @@ def _binomial_product(n: int, binomials: Binomials) -> IntegerSeed:
     common denominator prod b, where c = a/b in lowest terms.
 
     Exponents are packed into one int each, in mixed radix over the
-    exponent box of the binomials: key = sum (e_i - lo_i) stride_i.  A
-    factor x^e then adds the one int sum e_i stride_i to a key, and since
-    every partial product stays inside the box, no key wraps.  The box
-    size bounds every partial product, so it is checked against the node
-    budget (and the int64 range) before the first factor; the surviving
-    keys are decoded once, at the end, into the rows of the exponent
-    matrix by one vectorized divmod by the strides.
+    exponent box of the binomials: key = sum (e_i - lo_i) stride_i.  The
+    product is then a polynomial in one variable y, held as its value at
+    y = 2^W (Kronecker substitution), W the width of ``_check_box``: one
+    Python int whose W-bit digit at key k is the signed coefficient of that
+    key.  A factor x^e moves a key by the one int step = sum e_i stride_i,
+    so it maps acc to b acc - a acc 2^(W step); every partial product stays
+    inside the box, so a shift down (step < 0) drops only zero digits.  The
+    box is checked against the node budget before the first factor.
+
+    The digits are read once, at the end: adding 2^(W-1) to every digit
+    makes each nonnegative, so no digit borrows from the next, and the
+    bytes of the sum are the rows of a (terms, W / 64) array of uint64
+    words.  The top word XOR 2^63, viewed as int64, is a coefficient's top
+    word, signed; its lower words are ORed in only when W > 64.  The keys
+    of the nonzero rows are decoded into the rows of the exponent matrix by
+    one vectorized divmod by the strides.
     """
     import numpy as np
 
-    lo, size = _exponent_box(n, binomials)
-    _check_box(n, size)
+    lo, size, width = _check_box(n, binomials)
     strides = [math.prod(size[i + 1 :]) for i in range(n)]
-    acc = {-sum(l * s for l, s in zip(lo, strides)): 1}
+    acc = 1 << width * -sum(l * s for l, s in zip(lo, strides))
     denominator = 1
     for c, exp in binomials:
         a, b = c.numerator, c.denominator
-        step = sum(e * s for e, s in zip(exp, strides))
-        product = dict(acc) if b == 1 else {key: b * v for key, v in acc.items()}
-        for key, v in acc.items():
-            key += step
-            new = product.get(key, 0) - a * v
-            if new:
-                product[key] = new
-            else:
-                product.pop(key, None)
-        acc = product
+        shift = width * sum(e * s for e, s in zip(exp, strides))
+        acc = b * acc - (a * acc << shift if shift >= 0 else a * acc >> -shift)
         denominator *= b
-    keys = np.fromiter(acc, dtype=np.int64, count=len(acc))
+    terms, words = math.prod(size), width // 64
+    offset = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * terms, "little")
+    raw = (acc + offset).to_bytes(terms * width // 8, "little")
+    blocks = np.frombuffer(raw, dtype="<u8").reshape(terms, words)
+    top = (blocks[:, -1] ^ np.uint64(1 << 63)).view(np.int64)
+    nonzero = top != 0
+    if words > 1:
+        nonzero |= blocks[:, :-1].any(axis=1)
+    keys = np.flatnonzero(nonzero)
+    coefficients = top[keys].tolist()
+    if words > 1:
+        coefficients = [
+            (c << width - 64) | int.from_bytes(low.tobytes(), "little")
+            for c, low in zip(coefficients, blocks[keys, :-1])
+        ]
     digits = keys[:, None] // np.array(strides, dtype=np.int64) % np.array(size, dtype=np.int64)
     exponents = digits + np.array(lo, dtype=np.int64)
     exponents.flags.writeable = False
-    return exponents, tuple(acc.values()), denominator
+    return exponents, tuple(coefficients), denominator
 
 
 def _seed_binomials(n: int, zero_count: int, params: ParamSet) -> list:
@@ -232,15 +259,18 @@ def _seed_binomials(n: int, zero_count: int, params: ParamSet) -> list:
 def check_budget(lams: Sequence[tuple[int, ...]], params: ParamSet) -> None:
     """Refuse, before any work, to build the polynomials of lams, partitions
     of one length: a ValueError beyond MAX_VARIABLES parts, and a
-    BudgetExceededError when the exponent box of a seed block they read, or
+    BudgetExceededError when the packed int of a seed block they read, or
     the orbit expansion's work for their largest part, exceeds the node budget.
     A cached block or polynomial skips ``_binomial_product``'s box check,
     so callers bound by the current budget call this first.  At profile two
-    every block has one box, so the classical formula needs no check of its own.
+    every block has one box, but the block without zero parts, which the
+    classical formula reads, has the widest words, so it is checked too.
     """
     n = len(lams[0])
     check_variables(n)
     zero_counts = {multiplicity(lam, 0) for lam in lams}
+    if params.profile == "two":
+        zero_counts.add(0)
     _check_work(n, zero_counts, max(max(lam, default=0) for lam in lams), params)
 
 
@@ -264,7 +294,7 @@ def _check_work(n: int, zero_counts: Iterable[int], max_part: int, params: Param
     """The budget checks of ``check_budget``: the seed block of each zero
     count, in increasing order, then the orbit expansion up to max_part."""
     for zero_count in sorted(zero_counts):
-        _check_box(n, _exponent_box(n, _seed_binomials(n, zero_count, params))[1])
+        _check_box(n, _seed_binomials(n, zero_count, params))
     # C(n + max_part, n) n^2 max_part bounds the orbit expansion's
     # (max_part + 2)^n lookup codes up to a factor 1.5, and its
     # C(n + max_part, n) (|W| - 1) index entries up to a factor 1.2 at the
@@ -502,41 +532,48 @@ def macdonald_formula(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
 
 
 def principal_specialization(hl: HLPolynomial) -> Fraction:
-    """Exact value of the polynomial at x_j = q^{n-j} t_1.
+    """Exact value of the polynomial at x_j = tau_j = q^{n-1-j} t_1.
 
     Contract: equals 1 / principal_normalizer (verified by the test suite;
     evaluation is algebraic, so any nonzero rational t_1 is admissible).
 
-    At tau_j = q^{n-1-j} t_1 the monomial x^e is t_1^{|e|} q^{<e, delta>}
-    with delta = (n-1, ..., 0).  The expansion's coefficients, scaled to
-    integers over their lcm L, are added over each orbit into a table
-    T[(|e|, <e, delta>)].  Orbits are closed under e -> -e, so with
-    A = max |e| and B = max |<e, delta>|, and q = q_n/q_d, t_1 = t_n/t_d,
-    the value is
-        sum T[a, b] t_n^{A+a} t_d^{A-a} q_n^{B+b} q_d^{B-b}
-            / (L (t_n t_d)^A (q_n q_d)^B),
-    all in integers up to the one final Fraction.
+    The orbit sum m_mu(x) is the sum over the distinct rearrangements nu of
+    mu of prod_j f(x_j, nu_j), with f(x, 0) = 1 and f(x, m) = x^m + x^-m.
+    With x_j = N_j / D_j and L = lam_1, no smaller than any part of the
+    expansion, (N_j D_j)^L f(x_j, m) = (N_j^2m + D_j^2m) (N_j D_j)^(L-m) is
+    an integer.  The scaled sum over the rearrangements of the last k
+    positions depends only on the k parts left to place, so each is
+    computed once across the expansion.  The value is one integer sum over
+    the common denominator C prod_j (N_j D_j)^L, C the lcm of the
+    coefficients' denominators, and one Fraction at the end.
     """
-    n = len(hl.lam)
-    delta = range(n - 1, -1, -1)
+    n, top = len(hl.lam), max(hl.lam, default=0)
+    taus = tau_vector(n, hl.params)
+    columns = [
+        [(x.numerator * x.denominator) ** top]
+        + [(x.numerator ** (2 * m) + x.denominator ** (2 * m))
+           * (x.numerator * x.denominator) ** (top - m) for m in range(1, top + 1)]
+        for x in taus
+    ]
+
+    @cache
+    def rearranged(parts: tuple[int, ...]) -> int:
+        if not parts:
+            return 1
+        column = columns[n - len(parts)]
+        # parts is decreasing: each distinct value is placed once, at its first copy
+        return sum(
+            column[v] * rearranged(parts[:i] + parts[i + 1 :])
+            for i, v in enumerate(parts)
+            if not i or parts[i - 1] != v
+        )
+
     common = math.lcm(*(c.denominator for c in hl.expansion.values()))
-    table: dict[tuple[int, int], int] = {}
-    for mu, coeff in hl.expansion.items():
-        scaled = coeff.numerator * (common // coeff.denominator)
-        counts: dict[tuple[int, int], int] = {}
-        for e in orbit(mu):
-            key = (sum(e), sum(map(operator.mul, e, delta)))
-            counts[key] = counts.get(key, 0) + 1
-        for key, count in counts.items():
-            table[key] = table.get(key, 0) + scaled * count
-    top_a = max(abs(a) for a, _ in table)
-    top_b = max(abs(b) for _, b in table)
-    qn, qd = hl.params.q.numerator, hl.params.q.denominator
-    tn, td = hl.params.ts[0].numerator, hl.params.ts[0].denominator
-    t_powers = {a: tn ** (top_a + a) * td ** (top_a - a) for a in range(-top_a, top_a + 1)}
-    q_powers = {b: qn ** (top_b + b) * qd ** (top_b - b) for b in range(-top_b, top_b + 1)}
-    numerator = sum(v * t_powers[a] * q_powers[b] for (a, b), v in table.items())
-    return Fraction(numerator, common * (tn * td) ** top_a * (qn * qd) ** top_b)
+    numerator = sum(
+        c.numerator * (common // c.denominator) * rearranged(mu) for mu, c in hl.expansion.items()
+    )
+    scale = math.prod((x.numerator * x.denominator) ** top for x in taus)
+    return Fraction(numerator, common * scale)
 
 
 def _orbit_one_products(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -832,6 +832,31 @@ def apply_hamiltonian(f: LatticeFunction, params: ParamSet) -> LatticeFunction:
     return LatticeFunction._trusted(f.n, out)
 
 
+def _hamiltonian_rates(lams: Iterable[tuple[int, ...]], params: ParamSet) -> dict[tuple, list]:
+    """{lam: [(target, rate)]}: the image of delta_lam under
+    ``apply_hamiltonian`` for each lam of lams, in its order (the boundary
+    potential, then the hops to the unit-step neighbours), each rate a float.
+    ``Fraction * float`` is ``float(Fraction) * float``, so ``_apply_rates``
+    on float values gives ``apply_hamiltonian``'s floats bit for bit."""
+    return {
+        lam: [
+            (lam, float(boundary_potential(*_occupation_pair(lam), params))),
+            *((target, float(hop_coeff(target, j, -step, params)))
+              for j, step, target in unit_steps(lam)),
+        ]
+        for lam in lams
+    }
+
+
+def _apply_rates(rates: Mapping[tuple, list], phi: Mapping[tuple, float]) -> dict[tuple, float]:
+    """The image of the float values phi under a ``_hamiltonian_rates`` table."""
+    out: dict[tuple, float] = {}
+    for lam, value in phi.items():
+        for target, rate in rates[lam]:
+            out[target] = out.get(target, 0) + rate * value
+    return out
+
+
 def hamiltonian_from_operators(f: LatticeFunction, params: ParamSet) -> LatticeFunction:
     """Assemble the Hamiltonian from creation/annihilation pairs; on a
     finitely supported function the site sum truncates at the largest part."""
@@ -885,24 +910,26 @@ def verify_eigen(n: int, max_part: int, params: ParamSet, seed: int) -> list[tup
     ``recurrence_sector``, below EIGEN_TOLERANCE.  The wave function of a
     state is its orbit-sum expansion at x = e^{i xi} over its quadratic
     norm, read from one ``orbit_sums`` table per xi over the union of the
-    supports.  ``apply_hamiltonian`` acts on the wave-function values at
-    the states and their neighbours, so its image on each state is
-    complete, and is compared with energy * value.
+    supports.  The Hamiltonian's rates are taken once per run
+    (``_hamiltonian_rates``) and act on the wave-function values at the
+    states and their neighbours, so the image on each state is complete,
+    and is compared with energy * value.
     """
     states, expansions = recurrence_sector(n, max_part, params)
     lams = sorted(expansions)
     terms = {lam: [(mu, float(c)) for mu, c in expansions[lam].items()] for lam in lams}
     norms = {lam: float(quadratic_norm(lam, params)) for lam in lams}
     support = list(dict.fromkeys(mu for lam in lams for mu, _ in terms[lam]))
+    rates = _hamiltonian_rates(lams, params)
     rng = random.Random(seed)
     out = []
     for _ in range(20):
         xi = tuple(rng.uniform(0.0, 2 * math.pi) for _ in range(n))
         m = orbit_sums(xi, support)
         phi = {lam: sum(c * m[mu] for mu, c in terms[lam]) / norms[lam] for lam in lams}
-        image = apply_hamiltonian(LatticeFunction(n, phi), params)
+        image = _apply_rates(rates, phi)
         e_val = energy(xi)
-        residual = {lam: abs(image(lam) - e_val * phi[lam]) / max(1.0, abs(phi[lam]))
+        residual = {lam: abs(image[lam] - e_val * phi[lam]) / max(1.0, abs(phi[lam]))
                     for lam in states}
         out.append((xi, residual))
     return out

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import orbit_oracle
-from octaboson import hallittlewood
+from octaboson import cli, hallittlewood, partitions
 from octaboson.hallittlewood import (
     expand_in_monomials,
     hl_polynomial,
@@ -39,6 +39,7 @@ from orbit_oracle import (
     oracle_macdonald,
     wave_coefficient,
 )
+from test_relation_routes import large_height_params
 
 F = Fraction
 
@@ -362,6 +363,70 @@ def test_principal_specialization_matches_evaluation_n4():
     params = ParamSet(q=F(1, 3), ts=(F(-2, 7), F(1, 2), F(-1, 5), F(3, 8)))
     hl = hl_polynomial((2, 1, 1, 0), params)
     assert principal_specialization(hl) == hl.poly.evaluate_exact(tau_vector(4, params))
+
+
+def _specialization_oracles(lam, params):
+    """principal_specialization of P_lam, its Laurent evaluation at tau and
+    1 / principal_normalizer."""
+    hl = hl_polynomial(lam, params)
+    return (
+        principal_specialization(hl),
+        hl.poly.evaluate_exact(tau_vector(len(lam), params)),
+        1 / principal_normalizer(lam, params),
+    )
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        (1,), (3,), (3, 1), (3, 2, 1), (3, 3, 1),  # odd lambda_1: (N_j D_j)^lambda_1 < 0
+        (2,), (2, 1, 1),  # even lambda_1: > 0
+        (1, 0), (2, 0, 0), (3, 1, 0), (1, 1, 0, 0), (0, 0, 0),  # zero parts: f = 1, not 2
+    ],
+)
+@pytest.mark.parametrize(
+    "params",
+    [
+        _NEGATIVE_T1,
+        ParamSet(q=F(1, 2), ts=(F(-1, 3), F(-1, 4), F(1, 5), F(-1, 6)), profile="four"),
+        ParamSet(q=F(2, 7), ts=(F(-3, 5), F(1, 4), F(2, 9), F(0)), profile="three"),
+    ],
+    ids=["two", "four", "three"],
+)
+def test_principal_specialization_negative_t1_and_zero_parts(lam, params):
+    value, evaluated, inverse = _specialization_oracles(lam, params)
+    assert value == evaluated == inverse
+
+
+@pytest.mark.parametrize("profile", ["four", "three", "two"])
+def test_principal_specialization_at_a_large_height_point(profile):
+    params = large_height_params(profile)
+    for lam in ((2, 1, 0), (1, 1, 1), (3, 0, 0), (2, 2), (1, 1, 0, 0)):
+        value, evaluated, inverse = _specialization_oracles(lam, params)
+        assert value == evaluated == inverse, (profile, lam)
+
+
+def test_poly_walks_no_orbit(capsys, monkeypatch):
+    # the specialization sums over rearrangements; no orbit element is listed
+    calls = []
+
+    def counting_orbit(lam):
+        calls.append(lam)
+        return orbit(lam)
+
+    monkeypatch.setattr(partitions, "orbit", counting_orbit)
+    monkeypatch.setattr(hallittlewood, "orbit", counting_orbit)
+    for argv in (
+        ["poly", "--n", "3", "--lambda", "3,2,0"],
+        ["poly", "--n", "4", "--lambda", "2,1,1,0", "--profile", "two", "--compare-macdonald"],
+        ["poly", "--n", "2", "--lambda", "2,1", "--format", "csv"],
+    ):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert calls == []
+    # the counter sees the orbit route
+    reconstruct_from_expansion({(1, 0): F(1)}, 2)
+    assert calls == [(1, 0)]
 
 
 def test_pieri_residual_examples(params4):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from octaboson import hallittlewood
-from octaboson.partitions import enumerate_partitions, multiplicity, raise_indices
+from octaboson import hallittlewood, qboson
+from octaboson.partitions import enumerate_partitions, multiplicity, raise_indices, unit_steps
 from octaboson.qboson import (
     EIGEN_TOLERANCE,
     RELATION_IDS,
@@ -30,6 +30,7 @@ from octaboson.qboson import (
 from octaboson.qkernels import (
     ParamSet,
     boundary_potential,
+    default_params,
     hop_coeff,
     hop_up_three,
     hop_up_two,
@@ -271,6 +272,42 @@ def _wave(xi, lam, params):
 def _eigen_residual(n, max_part, params, seed):
     """The largest residual of one ``verify_eigen`` run."""
     return max(max(residuals.values()) for _, residuals in verify_eigen(n, max_part, params, seed))
+
+
+def test_eigen_rates_are_taken_once_per_run(monkeypatch, params4):
+    # one hop_coeff per unit step of the sector and its neighbours, not
+    # one per step and sample
+    calls = []
+
+    def counting_hop(*args):
+        calls.append(args)
+        return hop_coeff(*args)
+
+    monkeypatch.setattr(qboson, "hop_coeff", counting_hop)
+    for n, max_part in ((1, 3), (2, 2), (3, 2)):
+        calls.clear()
+        verify_eigen(n, max_part, params4, 7)
+        _, expansions = hallittlewood.recurrence_sector(n, max_part, params4)
+        assert len(calls) == sum(len(unit_steps(lam)) for lam in expansions), (n, max_part)
+
+
+@pytest.mark.parametrize("profile", ["four", "three", "two"])
+def test_rate_table_matches_apply_hamiltonian_bit_for_bit(profile):
+    params = default_params(profile)
+    rng = random.Random(profile)
+    for n in range(4):
+        lams = enumerate_partitions(n, 3)
+        rates = qboson._hamiltonian_rates(lams, params)
+        for _ in range(5):
+            phi = {lam: rng.uniform(-2.0, 2.0) for lam in lams}
+            # a lattice function stores no zeros, such as the vacuum's potential
+            table = {lam: v for lam, v in qboson._apply_rates(rates, phi).items() if v}
+            direct = apply_hamiltonian(LatticeFunction(n, phi), params)
+            assert table == direct.values, (profile, n)
+            assert all(
+                math.copysign(1.0, table[lam]) == math.copysign(1.0, v)
+                for lam, v in direct.values.items()
+            )
 
 
 def test_wave_function_examples(params4):
