@@ -498,8 +498,11 @@ def check_variables(n: int) -> None:
         raise ValueError(f"exact construction supports at most {MAX_VARIABLES} variables")
 
 
-#: The cache serves ``poly``; a suite run holds the polynomials it reads.
-#: The bound stops parameter sweeps from growing memory.
+#: No CLI run rereads this cache: ``poly`` builds each polynomial once, and
+#: a suite run holds the polynomials it reads.  It stays for in-process
+#: callers that ask for a polynomial again (demo 01 does), and because the
+#: benchmark's traced spans read its ``cache_info`` for the hit ratio of
+#: exact construction.  The bound stops parameter sweeps from growing memory.
 @lru_cache(maxsize=128)
 def hl_polynomial(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     """Primary exact construction by straightening into Sp(2n) characters.

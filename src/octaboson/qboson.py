@@ -39,10 +39,14 @@ cross-multiplication, and a ``Fraction`` is built only where they differ.
 The relations that read one site (SINGLE_SITE_RELATIONS) need one check
 per site, whatever the second site.
 
-The adjoint checks apply the public operators once to each delta
-function: adjointness is then c_l(mu -> lam) N_lam = N_mu a_l(lam -> mu)
-per step, and symmetry detailed balance, H(lam -> mu) N_mu = N_lam
-H(mu -> lam) per unit step; other pairs' supports are apart.
+The coefficient Hamiltonian is one exact table of rows {lam: {target:
+rate}} (``_hamiltonian_rows``), read by ``apply_hamiltonian``, by the eigen
+check as floats and by the symmetry check; ``hamiltonian_from_operators``
+is the operator form, kept as a cross-check.  The adjoint checks apply
+creation and annihilation once to each delta function: adjointness is then
+c_l(mu -> lam) N_lam = N_mu a_l(lam -> mu) per step, and symmetry detailed
+balance on the rows, H(lam -> mu) N_mu = N_lam H(mu -> lam) per unit step;
+other pairs' supports are apart.
 
 The degeneration checks read step tables of the runtime steps at their
 reduced points (t4 = 0, and t3 = t4 = 0): each table entry is compared,
@@ -67,6 +71,7 @@ from .hallittlewood import recurrence_sector
 from .partitions import (
     add_part,
     enumerate_partitions,
+    is_partition,
     multiplicity,
     raise_indices,
     remove_part,
@@ -109,14 +114,16 @@ class LatticeFunction:
             lam = tuple(lam)
             if len(lam) != self.n:
                 raise ValueError(f"key {lam} has length != {self.n}")
+            if not is_partition(lam):
+                raise ValueError(f"key {lam} is not a partition")
             if value != 0:
                 clean[lam] = value
         object.__setattr__(self, "values", clean)
 
     @classmethod
     def _trusted(cls, n: int, values: dict[tuple[int, ...], object]) -> "LatticeFunction":
-        """Wrap values whose keys are already tuples of length n, as the
-        operators build them; zero values are still dropped."""
+        """Wrap values whose keys are already partitions of length n, as the
+        operators build them, unchecked; zero values are still dropped."""
         out = cls.__new__(cls)
         object.__setattr__(out, "n", n)
         object.__setattr__(out, "values", {lam: v for lam, v in values.items() if v != 0})
@@ -642,8 +649,9 @@ def verify_adjoint(n: int, max_part: int, params: ParamSet) -> tuple[CheckResult
     consecutive sectors of 0..n, and ``apply_hamiltonian`` symmetric on
     sectors 1..n, for ``sector_inner_product``.
 
-    Each operator is applied once to each delta function; its image holds
-    one state, or for H the state and its unit-step neighbours, so each
+    create(l) and annihilate(l) are applied once to each delta function,
+    and H is read from its rows (``_hamiltonian_rows``); an image holds one
+    state, and a row the state and its unit-step neighbours, so each
     identity is one equation per step, c_l(mu -> lam) N_lam = N_mu
     a_l(lam -> mu) and H(lam -> mu) N_mu = N_lam H(mu -> lam), N_lam =
     <delta_lam, delta_lam>, compared by integer cross-multiplication.  The
@@ -676,8 +684,8 @@ def verify_adjoint(n: int, max_part: int, params: ParamSet) -> tuple[CheckResult
 
     def symmetry_mismatch() -> Mismatch | None:
         for states in sectors[1:]:
-            images = {lam: apply_hamiltonian(deltas[lam], params).values for lam in states}
-            if found := _unbalanced(states, states, images, images, norms):
+            rows = _hamiltonian_rows(states, params)
+            if found := _unbalanced(states, states, rows, rows, norms):
                 lam, mu, lhs, rhs = found
                 return Mismatch({"left": lam, "right": mu}, {"lhs": lhs, "rhs": rhs})
         return None
@@ -814,47 +822,33 @@ def _reduced_check(
 # ---------------------------------------------------------------------------
 
 
-def apply_hamiltonian(f: LatticeFunction, params: ParamSet) -> LatticeFunction:
-    """Coefficient form of the sector Hamiltonian: boundary potential on the
-    diagonal plus nearest-neighbor hops with multiplicity-weighted rates."""
-    out: dict[tuple[int, ...], object] = {}
-
-    def accumulate(lam, value):
-        out[lam] = out.get(lam, 0) + value
-
-    for lam, value in f.values.items():
-        m0, m1 = _occupation_pair(lam)
-        accumulate(lam, boundary_potential(m0, m1, params) * value)
-        # (Hf)(target) collects f(lam) with the step coefficient of target,
-        # so each source state scatters into its unit-step neighbors.
-        for j, step, target in unit_steps(lam):
-            accumulate(target, hop_coeff(target, j, -step, params) * value)
-    return LatticeFunction._trusted(f.n, out)
-
-
-def _hamiltonian_rates(lams: Iterable[tuple[int, ...]], params: ParamSet) -> dict[tuple, list]:
-    """{lam: [(target, rate)]}: the image of delta_lam under
-    ``apply_hamiltonian`` for each lam of lams, in its order (the boundary
-    potential, then the hops to the unit-step neighbours), each rate a float.
-    ``Fraction * float`` is ``float(Fraction) * float``, so ``_apply_rates``
-    on float values gives ``apply_hamiltonian``'s floats bit for bit."""
+def _hamiltonian_rows(lams: Iterable[tuple[int, ...]], params: ParamSet) -> dict[tuple, dict]:
+    """{lam: {target: rate}}, exact, for each lam of lams in its order: the
+    boundary potential at lam, then the rate of each unit-step neighbour
+    target, the step coefficient of target back to lam; zeros are kept."""
     return {
-        lam: [
-            (lam, float(boundary_potential(*_occupation_pair(lam), params))),
-            *((target, float(hop_coeff(target, j, -step, params)))
-              for j, step, target in unit_steps(lam)),
-        ]
+        lam: {
+            lam: boundary_potential(*_occupation_pair(lam), params),
+            **{target: hop_coeff(target, j, -step, params) for j, step, target in unit_steps(lam)},
+        }
         for lam in lams
     }
 
 
-def _apply_rates(rates: Mapping[tuple, list], phi: Mapping[tuple, float]) -> dict[tuple, float]:
-    """The image of the float values phi under a ``_hamiltonian_rates`` table."""
-    out: dict[tuple, float] = {}
-    for lam, value in phi.items():
-        for target, rate in rates[lam]:
+def _scatter(rows: Mapping[tuple, Mapping], values: Mapping[tuple, object]) -> dict[tuple, object]:
+    """The image of ``values`` under their ``_hamiltonian_rows``, summed
+    target by target in row order."""
+    out: dict[tuple, object] = {}
+    for lam, value in values.items():
+        for target, rate in rows[lam].items():
             out[target] = out.get(target, 0) + rate * value
     return out
+
+
+def apply_hamiltonian(f: LatticeFunction, params: ParamSet) -> LatticeFunction:
+    """Coefficient form of the sector Hamiltonian: boundary potential on the
+    diagonal plus nearest-neighbor hops with multiplicity-weighted rates."""
+    return LatticeFunction._trusted(f.n, _scatter(_hamiltonian_rows(f.values, params), f.values))
 
 
 def hamiltonian_from_operators(f: LatticeFunction, params: ParamSet) -> LatticeFunction:
@@ -910,24 +904,27 @@ def verify_eigen(n: int, max_part: int, params: ParamSet, seed: int) -> list[tup
     ``recurrence_sector``, below EIGEN_TOLERANCE.  The wave function of a
     state is its orbit-sum expansion at x = e^{i xi} over its quadratic
     norm, read from one ``orbit_sums`` table per xi over the union of the
-    supports.  The Hamiltonian's rates are taken once per run
-    (``_hamiltonian_rates``) and act on the wave-function values at the
-    states and their neighbours, so the image on each state is complete,
-    and is compared with energy * value.
+    supports.  The Hamiltonian's rows are taken once per run
+    (``_hamiltonian_rows``), each rate made a float once; ``Fraction *
+    float`` is ``float(Fraction) * float``, so the image is
+    ``apply_hamiltonian``'s, bit for bit.  They act on the wave-function
+    values at the states and their neighbours, so the image on each state
+    is complete, and is compared with energy * value.
     """
     states, expansions = recurrence_sector(n, max_part, params)
     lams = sorted(expansions)
     terms = {lam: [(mu, float(c)) for mu, c in expansions[lam].items()] for lam in lams}
     norms = {lam: float(quadratic_norm(lam, params)) for lam in lams}
     support = list(dict.fromkeys(mu for lam in lams for mu, _ in terms[lam]))
-    rates = _hamiltonian_rates(lams, params)
+    rows = {lam: {target: float(rate) for target, rate in row.items()}
+            for lam, row in _hamiltonian_rows(lams, params).items()}
     rng = random.Random(seed)
     out = []
     for _ in range(20):
         xi = tuple(rng.uniform(0.0, 2 * math.pi) for _ in range(n))
         m = orbit_sums(xi, support)
         phi = {lam: sum(c * m[mu] for mu, c in terms[lam]) / norms[lam] for lam in lams}
-        image = _apply_rates(rates, phi)
+        image = _scatter(rows, phi)
         e_val = energy(xi)
         residual = {lam: abs(image[lam] - e_val * phi[lam]) / max(1.0, abs(phi[lam]))
                     for lam in states}

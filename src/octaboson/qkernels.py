@@ -308,16 +308,10 @@ _PAIRS_BEYOND_T1 = ((1, 2), (1, 3), (2, 3))
 
 
 def quadratic_norm(lam: tuple[int, ...], params: ParamSet) -> Fraction:
-    """The squared norm of the polynomial indexed by lam."""
-    return _quadratic_norm(tuple(lam), params)
-
-
-#: ``verify degeneration --n 4 --maxPart 3`` reads 140 norms, the most of
-#: any suite at n <= 4, maxPart <= 3.
-@lru_cache(maxsize=1024)
-def _quadratic_norm(lam: tuple[int, ...], params: ParamSet) -> Fraction:
-    """(1 - q)^n (t q^{m0-1})_{m0} over prod_l (q)_{m_l}, prod_{r<s}
-    (t_r t_s)_{m0} and (t q^{2 m0})_{m1}."""
+    """The squared norm of the polynomial indexed by lam: (1 - q)^n
+    (t q^{m0-1})_{m0} over prod_l (q)_{m_l}, prod_{r<s} (t_r t_s)_{m0} and
+    (t q^{2 m0})_{m1}."""
+    lam = tuple(lam)
     t = params.t
     n, m0 = len(lam), multiplicity(lam, 0)
     numerator = [(1, 1)] * n

@@ -32,7 +32,7 @@ real, even in every d_j, and tabulated by contracting each axis with a
 folded cosine matrix.  Orbit sums with parts up to top differ by
 |d_j| <= 2 top, so the contraction keeps only the band
 d_j <= min(2 top, M // 2): 5 cosine rows of 97 at M = 192, top = 2.  The
-only work that grows with M is this table, cached per (params, n, M, band).
+only work that grows with M is this table, built once per Gram assembly.
 
 ``aliasing_bound`` states how far the rule is from the integral, and
 ``choose_points`` picks M from it when the user gives none.
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from numbers import Real
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -131,9 +130,9 @@ def _weight_sq_grid(params: ParamSet, n: int, m: int) -> np.ndarray:
     return value
 
 
-#: One entry holds at most (M // 2 + 1)^n floats, about 8 M^n / 2^n bytes:
-#: 1.5 MB at n = 4, M = 40, and at most 8 MB within the default node budget.
-@lru_cache(maxsize=16)
+#: The grid it contracts holds (M // 2 + 1)^n floats, about 8 M^n / 2^n
+#: bytes: 1.5 MB at n = 4, M = 40, and at most 8 MB within the default node
+#: budget.
 def _weight_fourier(params: ParamSet, n: int, m: int, band: int) -> np.ndarray:
     """w_M[d] at 0 <= d_j <= band <= M // 2, shape (band + 1,) * n: the
     weight's Fourier coefficients folded modulo M.

@@ -1,14 +1,15 @@
-"""The package's caches change no result and stay bounded.
+"""The package's caches change no result, stay bounded and are reread.
 
 Each coefficient and relation scalar is cached per occupation numbers and
-point, each norm per (state, point) and each q-series factor per its
-arguments.  Every suite runs whole in its module on tables it owns: the
-operator checks' step tables, and the polynomials, normalizers and m_(1)
-products of the polynomial suites, each built once per run, whatever the
-bound of ``hl_polynomial``'s cache, which serves ``poly``; an eigen run
+point, and each q-series factor per its arguments; a norm is computed where
+it is read.  Every suite runs whole in its module on tables it owns: the
+operator checks' step tables and Hamiltonian rows, and the polynomials,
+normalizers and m_(1) products of the polynomial suites, each built once
+per run, whatever the bound of ``hl_polynomial``'s cache; an eigen run
 evaluates each orbit sum once per sample.  A result must not depend on
 what an earlier point left in a cache, and the benchmark, which empties
-every module-level ``lru_cache`` before each op, must reach each cache.
+every module-level ``lru_cache`` before each op, must reach each cache.  A
+cache that no benchmark anchor run rereads from cold has no place.
 """
 
 from fractions import Fraction
@@ -36,7 +37,6 @@ STEP_CACHES = (
     qboson._twist_ratio,
     qkernels._creation_coeff,
     qkernels._boundary_potential,
-    qkernels._quadratic_norm,
     qkernels.qpochhammer,
     qkernels.qinteger,
 )
@@ -125,12 +125,38 @@ def test_eigen_run_takes_each_orbit_sum_once_per_sample(capsys, monkeypatch, par
         assert len(mus) == len(support) and set(mus) == support
 
 
-def test_every_cache_is_bounded(bench_run):
-    caches = {
+def _module_caches(modules: dict) -> dict:
+    """Every module-level ``lru_cache`` of the loaded package, by dotted name."""
+    return {
         f"{name}.{attr}": value
-        for name, module in bench_run.spans.package_modules().items()
+        for name, module in modules.items()
         for attr, value in vars(module).items()
         if callable(getattr(value, "cache_info", None))
     }
+
+
+def test_every_cache_is_bounded(bench_run):
+    caches = _module_caches(bench_run.spans.package_modules())
     assert set(STEP_CACHES) <= set(caches.values())
     assert [name for name, cache in caches.items() if cache.cache_info().maxsize is None] == []
+
+
+def test_every_cache_is_reread_in_a_cold_anchor_run(capsys, bench_run):
+    # every anchor op of the three workloads, each from emptied caches as
+    # the benchmark runs it; a cache that none of them rereads is waste
+    workloads = bench_run.workloads
+    modules = bench_run.spans.package_modules()
+    caches = _module_caches(modules)
+    hits = dict.fromkeys(caches, 0)
+    for workload in workloads.WORKLOADS:
+        for kind in workloads.kinds(workload):
+            bench_run.clear_caches(modules)
+            assert cli.main(workloads.anchor_argv(kind)) == cli.EXIT_OK, kind.name
+            capsys.readouterr()
+            for name, cache in caches.items():
+                hits[name] += cache.cache_info().hits
+    bench_run.clear_caches(modules)
+    # no CLI run rereads a polynomial; these two stay because the
+    # benchmark's traced spans read their cache_info (spans._cached_wrapper)
+    exempt = {hallittlewood.hl_polynomial, hallittlewood.macdonald_formula}
+    assert [name for name, count in hits.items() if not count and caches[name] not in exempt] == []

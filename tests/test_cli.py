@@ -86,20 +86,24 @@ def test_orthogonality_csv_one_row_per_pair(tmp_path, capsys):
 def test_orthogonality_assembles_one_gram(capsys, monkeypatch):
     # one Gram assembly over one weight table for all 21 pairs (pairwise
     # inner products would assemble 21 Gram matrices)
-    calls = []
-    gram_matrix = cli.torus.gram_matrix
+    calls, tables = [], []
+    gram_matrix, weight_fourier = cli.torus.gram_matrix, cli.torus._weight_fourier
 
     def counted(basis, params, quad):
         calls.append(len(basis))
         return gram_matrix(basis, params, quad)
 
+    def counted_table(*args):
+        tables.append(args)
+        return weight_fourier(*args)
+
     monkeypatch.setattr(cli.torus, "gram_matrix", counted)
-    cli.torus._weight_fourier.cache_clear()
+    monkeypatch.setattr(cli.torus, "_weight_fourier", counted_table)
     code, out = run(capsys, "verify", "orthogonality", "--n", "2", "--maxPart", "2", "--M", "64")
     assert code == 0
     assert len(json.loads(out)["pairs"]) == 21
     assert calls == [6]
-    assert cli.torus._weight_fourier.cache_info().misses == 1
+    assert len(tables) == 1
 
 
 def test_orthogonality_chooses_grid(capsys):

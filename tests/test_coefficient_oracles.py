@@ -314,7 +314,7 @@ def test_a_vanishing_denominator_raises_before_any_division():
     for name, value in (("q", F(1, 2)), ("ts", (F(2), F(2), F(1), F(1))), ("profile", "four")):
         object.__setattr__(point, name, value)
     kernels = [
-        (qkernels._quadratic_norm, ((1, 0), point)),
+        (qkernels.quadratic_norm, ((1, 0), point)),
         (qkernels._creation_coeff, (0, 1, 2, 0, point)),
         (qkernels._boundary_potential, (1, 0, point)),
         (qboson._annihilation_coeff, (1, 0, point)),

@@ -109,16 +109,23 @@ def test_create_examples(params4, params2):
     )
 
 
+def test_lattice_function_keys_are_partitions():
+    # such keys are no states: the operators would carry them out of the cone
+    for key in ((0, 1), (1, -1), (True, 0)):
+        with pytest.raises(ValueError, match="not a partition"):
+            LatticeFunction(2, {key: F(1)})
+
+
 def test_cancelling_images_store_no_zero(params4):
-    # keys are checked for length only, so (1, 0) and (0, 1) have the same
-    # image under each operator, and opposite values cancel there
-    f = LatticeFunction(2, {(1, 0): F(1), (0, 1): F(-1)})
-    for l in range(3):
-        assert create(l, f, params4).values == {}
-    for l in (0, 1):
-        assert annihilate(l, f, params4).values == {}
-    g = LatticeFunction(2, {(1, 0): F(2), (0, 1): F(-1)})
-    assert create(1, g, params4).values == create(1, LatticeFunction.delta((1, 0)), params4).values
+    # (1, 0) and (2, 1) both hop to nu = (1, 1); with values weighted by the
+    # other's rate, (Hf)(nu) cancels exactly and is not stored
+    lam, mu, nu = (1, 0), (2, 1), (1, 1)
+    h_lam, h_mu = (apply_hamiltonian(LatticeFunction.delta(s), params4) for s in (lam, mu))
+    r_lam, r_mu = h_lam(nu), h_mu(nu)
+    assert r_lam and r_mu
+    hf = apply_hamiltonian(LatticeFunction(2, {lam: r_mu, mu: -r_lam}), params4)
+    assert nu not in hf.values and all(hf.values.values())
+    assert hf.values == (h_lam.scale(r_mu) - h_mu.scale(r_lam)).values
 
 
 def test_number_op(params4):
@@ -297,11 +304,14 @@ def test_rate_table_matches_apply_hamiltonian_bit_for_bit(profile):
     rng = random.Random(profile)
     for n in range(4):
         lams = enumerate_partitions(n, 3)
-        rates = qboson._hamiltonian_rates(lams, params)
+        rows = {
+            lam: {target: float(rate) for target, rate in row.items()}
+            for lam, row in qboson._hamiltonian_rows(lams, params).items()
+        }
         for _ in range(5):
             phi = {lam: rng.uniform(-2.0, 2.0) for lam in lams}
             # a lattice function stores no zeros, such as the vacuum's potential
-            table = {lam: v for lam, v in qboson._apply_rates(rates, phi).items() if v}
+            table = {lam: v for lam, v in qboson._scatter(rows, phi).items() if v}
             direct = apply_hamiltonian(LatticeFunction(n, phi), params)
             assert table == direct.values, (profile, n)
             assert all(
