@@ -2,13 +2,13 @@
 emit JSON/CSV reports.
 
 Exit codes: 0 all checks passed (and --help); 1 failed check, parameter/guard
-violation or command-line usage error (with machine-readable error JSON,
-type "usage" for the last); 2 internal failure, either a constructed
-polynomial that is not monic or leaves its lower set (the error JSON names
-lambda and the offending mu), or any other exception (type "internal",
-naming the exception); 3 resource budget exceeded (for a quadrature grid
-the error JSON names the M it needs, for a seed block the terms its
-exponent box can hold).
+violation (an unwritable --out reported on stdout) or command-line usage error
+(with machine-readable error JSON, type "usage" for the last); 2 internal
+failure, either a constructed polynomial that is not monic or leaves its lower
+set (the error JSON names lambda and the offending mu), or any other exception
+(type "internal", naming the exception); 3 resource budget exceeded (for a
+quadrature grid the error JSON names the M it needs, for a seed block the
+terms its exponent box can hold).
 
 Each suite but ``scattering`` (closed-form samples, drawn here) runs whole
 in its module on tables its run owns: ``pieri`` in ``hallittlewood``,
@@ -64,16 +64,16 @@ def _parse_rational(text: str, flag: str) -> Fraction:
 
 def _build_params(args) -> ParamSet:
     default_q, default_ts = DEFAULT_POINTS[args.profile]
-    q = _parse_rational(args.q, "--q") if args.q else default_q
-    ts = []
-    for idx, flag in enumerate(("t1", "t2", "t3", "t4")):
-        raw = getattr(args, flag)
-        ts.append(_parse_rational(raw, f"--{flag}") if raw else default_ts[idx])
+    q, *ts = (
+        default if (raw := getattr(args, flag[2:])) is None else _parse_rational(raw, flag)
+        for flag, default in zip(_PARAM_FLAGS, (default_q, *default_ts))
+    )
     return ParamSet(q=q, ts=tuple(ts), profile=args.profile)
 
 
-def _emit(payload: dict, args, rows: list[dict] | None = None) -> None:
-    """Write the report; CSV uses the flattened per-case rows."""
+def _emit(payload: dict, args, rows: list[dict] | None = None) -> bool:
+    """Write the report; CSV uses the flattened per-case rows.  False where
+    --out cannot be written, with the error naming it on stdout instead."""
     if args.format == "csv" and rows is not None:
         buffer = io.StringIO()
         fields: list[str] = []
@@ -87,15 +87,21 @@ def _emit(payload: dict, args, rows: list[dict] | None = None) -> None:
         text = buffer.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        message = f"--out {args.out!r} cannot be written: {exc.strerror}"
+        _emit(_error("parameter", message), argparse.Namespace(format="json", out=None))
+        return False
+    return True
 
 
-def _emit_error(kind: str, message: str, args, evidence: dict | None = None) -> None:
-    _emit({"error": {"type": kind, "message": message, **(evidence or {})}}, args)
+def _error(kind: str, message: str, evidence: dict | None = None) -> dict:
+    return {"error": {"type": kind, "message": message, **(evidence or {})}}
 
 
 def _joined(parts) -> str:
@@ -108,10 +114,12 @@ def _joined(parts) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_poly(args) -> int:
+def _cmd_poly(args) -> tuple[dict, list[dict], int]:
     params = _build_params(args)
+    # no --lambda is 0^n, and an empty one the empty partition
+    text = ",".join("0" * args.n) if args.lam is None else args.lam
     try:
-        lam = tuple(int(p) for p in args.lam.split(",")) if args.lam else (0,) * args.n
+        lam = tuple(int(p) for p in text.split(",")) if text else ()
     except ValueError:
         raise ValueError(f"--lambda must be comma-separated integers; got {args.lam!r}") from None
     if len(lam) != args.n:
@@ -141,8 +149,7 @@ def _cmd_poly(args) -> int:
         payload["equal"] = other.expansion == hl.expansion
         ok = ok and payload["equal"]
     rows = [{"mu": _joined(mu), "coeff": str(c)} for mu, c in hl.expansion.items()]
-    _emit(payload, args, rows)
-    return EXIT_OK if ok else EXIT_FAIL
+    return payload, rows, EXIT_OK if ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +351,11 @@ SUITES = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, list[dict], int]:
     params = _build_params(args)
     payload, rows = SUITES[args.suite](args, params)
     payload.update(suite=args.suite, n=args.n, params=params.to_json_dict(), seed=args.seed)
-    _emit(payload, args, rows)
-    return EXIT_OK if payload["pass"] else EXIT_FAIL
+    return payload, rows, EXIT_OK if payload["pass"] else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -434,27 +440,24 @@ def main(argv=None) -> int:
     try:
         args = PARSER.parse_args(_join_negative_values(argv))
     except UsageError as exc:
-        _emit_error("usage", str(exc), argparse.Namespace(format="json", out=None))
+        _emit(_error("usage", str(exc)), argparse.Namespace(format="json", out=None))
         return EXIT_FAIL
     try:
-        if args.command == "poly":
-            return _cmd_poly(args)
-        return _cmd_verify(args)
+        command = _cmd_poly if args.command == "poly" else _cmd_verify
+        payload, rows, code = command(args)
+        return code if _emit(payload, args, rows) else EXIT_FAIL
     except ValueError as exc:
-        _emit_error("parameter", str(exc), args)
-        return EXIT_FAIL
+        payload, code = _error("parameter", str(exc)), EXIT_FAIL
     except hallittlewood.InvariantError as exc:
         evidence = {"lambda": list(exc.lam), "mu": list(exc.mu)}
-        _emit_error("internal-invariant", str(exc), args, evidence)
-        return EXIT_INTERNAL
+        payload, code = _error("internal-invariant", str(exc), evidence), EXIT_INTERNAL
     except budget.BudgetExceededError as exc:
-        _emit_error("budget", str(exc), args, exc.evidence)
-        return EXIT_BUDGET
+        payload, code = _error("budget", str(exc), exc.evidence), EXIT_BUDGET
     except Exception as exc:
         # any other exception is a fault of the program, not of the input
         traceback.print_exc()
-        _emit_error("internal", str(exc), args, {"exception": type(exc).__name__})
-        return EXIT_INTERNAL
+        payload, code = _error("internal", str(exc), {"exception": type(exc).__name__}), EXIT_INTERNAL
+    return code if _emit(payload, args) else EXIT_FAIL
 
 
 if __name__ == "__main__":

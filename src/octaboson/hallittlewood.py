@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import budget
 from .laurent import LaurentPoly
@@ -262,16 +262,13 @@ def check_budget(lams: Sequence[tuple[int, ...]], params: ParamSet) -> None:
     BudgetExceededError when the packed int of a seed block they read, or
     the orbit expansion's work for their largest part, exceeds the node budget.
     A cached block or polynomial skips ``_binomial_product``'s box check,
-    so callers bound by the current budget call this first.  At profile two
-    every block has one box, but the block without zero parts, which the
-    classical formula reads, has the widest words, so it is checked too.
+    so callers bound by the current budget call this first; at profile two
+    the classical formula reads the block without zero parts.
     """
     n = len(lams[0])
     check_variables(n)
-    zero_counts = {multiplicity(lam, 0) for lam in lams}
-    if params.profile == "two":
-        zero_counts.add(0)
-    _check_work(n, zero_counts, max(max(lam, default=0) for lam in lams), params)
+    zero_count = 0 if params.profile == "two" else min(multiplicity(lam, 0) for lam in lams)
+    _check_work(n, zero_count, max(max(lam, default=0) for lam in lams), params)
 
 
 def check_sector_budget(
@@ -279,22 +276,26 @@ def check_sector_budget(
 ) -> None:
     """``check_budget`` of the length-n partitions with parts <= max_part,
     and of their unit-step neighbours if asked, from (n, max_part) alone,
-    after the sector's size and before any partition is listed.  The zero
-    counts are 0..n, or at max_part = 0 those of 0^n and its neighbour
+    after the sector's size and before any partition is listed.  The fewest
+    zero parts are 0, or at max_part = 0 those of 0^n or of its neighbour
     (1, 0^(n-1)); the largest part is max_part, + 1 with the neighbours.
     """
     check_variables(n)
     sector_size(n, max_part)
-    lowest = 0 if max_part else max(n - neighbours, 0)
+    fewest = 0 if max_part else max(n - neighbours, 0)
     top = max_part + 1 if neighbours and n else max_part
-    _check_work(n, range(lowest, n + 1), top, params)
+    _check_work(n, fewest, top, params)
 
 
-def _check_work(n: int, zero_counts: Iterable[int], max_part: int, params: ParamSet) -> None:
-    """The budget checks of ``check_budget``: the seed block of each zero
-    count, in increasing order, then the orbit expansion up to max_part."""
-    for zero_count in sorted(zero_counts):
-        _check_box(n, _seed_binomials(n, zero_count, params))
+def _check_work(n: int, zero_count: int, max_part: int, params: ParamSet) -> None:
+    """The budget checks of ``check_budget``: the seed block of zero_count
+    zero parts, then the orbit expansion up to max_part.  No block with more
+    zero parts is larger: one more trades, at one coordinate, at least two
+    boundary factors (1 - t_r x_j), t_r = a/b with 0 < |a| < b, each adding
+    1 to the box there and a factor |a| + b >= 3 to the l1 bound of
+    ``_check_box``, for the top-up (1 - x_j^2), adding 2 and a factor 2.
+    """
+    _check_box(n, _seed_binomials(n, zero_count, params))
     # C(n + max_part, n) n^2 max_part bounds the orbit expansion's
     # (max_part + 2)^n lookup codes up to a factor 1.5, and its
     # C(n + max_part, n) (|W| - 1) index entries up to a factor 1.2 at the

@@ -48,11 +48,10 @@ c_l(mu -> lam) N_lam = N_mu a_l(lam -> mu) per step, and symmetry detailed
 balance on the rows, H(lam -> mu) N_mu = N_lam H(mu -> lam) per unit step;
 other pairs' supports are apart.
 
-The degeneration checks read step tables of the runtime steps at their
-reduced points (t4 = 0, and t3 = t4 = 0): each table entry is compared,
-state by state, with the reduced steps ``_reduced_create_step`` and
-``_reduced_annihilate_step``, again by integer cross-multiplication and
-with no function built per state.
+The degeneration checks compare the runtime steps at their reduced points
+(t4 = 0, and t3 = t4 = 0), state by state, with the reduced steps
+``_reduced_create_step`` and ``_reduced_annihilate_step``: each step is
+made once and read once, so no table and no function is built per state.
 """
 
 from __future__ import annotations
@@ -333,12 +332,16 @@ class _StepTable(dict):
         self.fill = fill
 
     def __missing__(self, state):
-        image = self.fill(state)
-        if image is not None:
-            target, coeff = image
-            image = (target, 1, 1) if coeff is None else (target, coeff.numerator, coeff.denominator)
-        self[state] = image
+        image = self[state] = _step_image(self.fill(state))
         return image
+
+
+def _step_image(step):
+    """A step, or None, as a basis image; a coefficient None stands for 1."""
+    if step is None:
+        return None
+    target, coeff = step
+    return (target, 1, 1) if coeff is None else (target, coeff.numerator, coeff.denominator)
 
 
 class _BasisOps:
@@ -759,11 +762,11 @@ def _reduced_check(
     its ``kind`` ("norm", "hop", "create", "annihilate" or "potential"),
     place and sides ``runtime`` and ``reduced``.
 
-    The runtime operators and the oracles each read step tables of their
-    steps, made for the check; each pair of images is compared by integer
-    cross-multiplication.  Each reduced rate ``hop_red(lam, j)`` is
-    evaluated once, for the create comparison that reaches lam and for the
-    hop comparison at lam.
+    Each runtime (target, coefficient) step is made once and compared with
+    its reduced step directly; only a pair that differs as it stands, e.g.
+    a coefficient None against 1, is compared again as basis images.  Each
+    reduced rate ``hop_red(lam, j)`` is evaluated once, for the create
+    comparison that reaches lam and for the hop comparison at lam.
     """
     states = [lam for sector in range(n + 1) for lam in enumerate_partitions(sector, max_part)]
     sites = range(max_part + 2)
@@ -783,16 +786,6 @@ def _reduced_check(
         sides = {"runtime": runtime, "reduced": oracle}
         return CheckResult(cases, Mismatch({"kind": kind, **where}, sides))
 
-    operators = [
-        (
-            l,
-            _StepTable(lambda mu, l=l: _create_step(l, mu, reduced)),
-            _StepTable(lambda mu, l=l: _reduced_create_step(l, mu, reduced, rate)),
-            _StepTable(lambda mu, l=l: _annihilate_step(l, mu, reduced)),
-            _StepTable(lambda mu, l=l: _reduced_annihilate_step(l, mu)),
-        )
-        for l in sites
-    ]
     for lam in states:
         runtime, oracle = quadratic_norm(lam, reduced), norm_red(lam, q, ts)
         if runtime != oracle:
@@ -801,15 +794,16 @@ def _reduced_check(
             runtime, oracle = hop_coeff(lam, j, +1, reduced), rate(lam, j, q, ts)
             if runtime != oracle:
                 return failure("hop", {"state": lam, "j": j}, runtime, oracle)
-        for l, creation, reduced_creation, annihilation, reduced_annihilation in operators:
-            runtime, oracle = creation[lam], reduced_creation[lam]
-            if not _images_equal(runtime, oracle):
-                where = {"state": lam, "site": l}
-                return failure("create", where, _valued_image(runtime), _valued_image(oracle))
-            runtime, oracle = annihilation[lam], reduced_annihilation[lam]
-            if not _images_equal(runtime, oracle):
-                where = {"state": lam, "site": l}
-                return failure("annihilate", where, _valued_image(runtime), _valued_image(oracle))
+        for l in sites:
+            for kind, runtime, oracle in (
+                ("create", _create_step(l, lam, reduced), _reduced_create_step(l, lam, reduced, rate)),
+                ("annihilate", _annihilate_step(l, lam, reduced), _reduced_annihilate_step(l, lam)),
+            ):
+                if runtime != oracle:
+                    runtime, oracle = _step_image(runtime), _step_image(oracle)
+                    if not _images_equal(runtime, oracle):
+                        where = {"state": lam, "site": l}
+                        return failure(kind, where, _valued_image(runtime), _valued_image(oracle))
     for m0, m1 in occupations:
         runtime, oracle = boundary_potential(m0, m1, reduced), pot_red(m0, m1, q, ts)
         if runtime != oracle:

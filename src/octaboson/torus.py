@@ -70,8 +70,8 @@ RADII = 128
 def _check_nodes(m: int, n: int) -> None:
     nodes = m**n
     budget.check(nodes, f"a grid of {m}^{n} = {nodes} nodes", {"M": m, "n": n, "nodes": nodes})
-    # the cosine matrix of _weight_fourier has (M // 2 + 1)^2 entries, and
-    # from n = 2 on no more than the grid has nodes
+    # the cosine matrix of _weight_fourier has at most (M // 2 + 1)^2
+    # entries, and from n = 2 on no more than the grid has nodes
     if n == 1:
         entries = (m // 2 + 1) ** 2
         what = f"a cosine matrix of ({m} // 2 + 1)^2 = {entries} entries"

@@ -523,6 +523,23 @@ def test_sector_budget_reads_the_zero_counts_of_the_states(capsys, monkeypatch):
     assert code in (0, 1) and "pairs" in json.loads(out)
 
 
+def test_sector_budget_refuses_the_fewest_zeros_block(capsys, monkeypatch):
+    # one below the block without zero parts (729 terms at n = 3), which
+    # bounds every other block of the sector
+    monkeypatch.setenv("OCTABOSON_BUDGET", "728")
+    code, out = run(capsys, "verify", "pieri", "--n", "3", "--maxPart", "2")
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "budget",
+        "message": "seed block of n = 3 may hold 729 terms, over the budget 728 "
+        "(set OCTABOSON_BUDGET to raise it)",
+        "n": 3,
+        "terms": 729,
+        "words": 1,
+        "budget": 728,
+    }
+
+
 def test_malformed_lambda_names_the_flag(capsys):
     for raw in ("a,b", "1,,0", "2.0,1"):
         code, out = run(capsys, "poly", "--n", "2", "--lambda", raw)
@@ -530,6 +547,44 @@ def test_malformed_lambda_names_the_flag(capsys):
         error = json.loads(out)["error"]
         assert error["type"] == "parameter", raw
         assert "--lambda" in error["message"] and repr(raw) in error["message"], raw
+
+
+def test_empty_lambda_is_the_empty_partition(capsys):
+    code, out = run(capsys, "poly", "--n", "0", "--lambda=")
+    assert code == 0 and json.loads(out)["lambda"] == []
+    code, out = run(capsys, "poly", "--n", "2", "--lambda=")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "parameter", "message": "--lambda has 0 parts but --n is 2"
+    }
+
+
+@pytest.mark.parametrize("flag", ["--q", "--t1", "--t2", "--t3", "--t4"])
+def test_empty_rational_names_its_flag(flag, capsys):
+    # an empty value used to run at the default point
+    code, out = run(capsys, "verify", "scattering", "--n", "1", f"{flag}=")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "parameter",
+        "message": f"{flag} must be an exact rational like '1/2' or '-3'; got ''",
+    }
+
+
+@pytest.mark.parametrize("missing", [False, True])
+def test_unwritable_out_is_a_parameter_error_on_stdout(missing, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json" if missing else tmp_path
+    reason = "No such file or directory" if missing else "Is a directory"
+    expected = {
+        "type": "parameter", "message": f"--out {str(target)!r} cannot be written: {reason}"
+    }
+    # the report, and an error report, each tried once at the path
+    for argv in (["verify", "scattering", "--n", "1"], ["poly", "--n", "1", "--q", "2"]):
+        code = cli.main([*argv, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_FAIL, argv
+        assert json.loads(captured.out)["error"] == expected, argv
+        assert captured.err == "", argv
+        assert list(tmp_path.iterdir()) == [], argv
 
 
 def test_exit_budget_bounds_scattering_factors(capsys, monkeypatch):

@@ -1,13 +1,13 @@
-"""``verify degeneration`` on step tables against the route through functions.
+"""``verify degeneration`` on steps against the route through functions.
 
-The suite compares, state by state, the entries of the runtime's step
-tables at its reduced points, made for the run, with the reduced steps,
-and builds no function.  Here every table entry must equal the single
-value of ``create`` and ``annihilate`` of the delta function, and every
-reduced step that of the oracles ``reduced_create`` and
-``reduced_annihilate``, so the suite still certifies the public operators
-and oracles; and the suite must evaluate each step once per reduced point,
-state and site: as many steps of each kind as the applications it states.
+The suite compares, state by state, the runtime's steps at its reduced
+points with the reduced steps, and builds no function and no step table.
+Here every runtime step, as a basis image, must equal the single value of
+``create`` and ``annihilate`` of the delta function, and every reduced
+step that of the oracles ``reduced_create`` and ``reduced_annihilate``, so
+the suite still certifies the public operators and oracles; and the suite
+must evaluate each step once per reduced point, state and site: as many
+steps of each kind as the applications it states.
 """
 
 import json
@@ -50,7 +50,9 @@ def points(profile):
 @pytest.mark.parametrize("profile", PROFILES)
 def test_step_tables_match_the_operators(profile):
     for params in points(profile):
-        # the runtime's tables as ``verify degeneration`` makes them
+        # the runtime steps ``verify degeneration`` compares, in tables as
+        # ``_BasisOps`` makes them: each entry is the basis image that a
+        # failing comparison renders
         creation = {
             l: qboson._StepTable(lambda mu, l=l: qboson._create_step(l, mu, params)) for l in SITES
         }
@@ -109,6 +111,25 @@ def test_degeneration_builds_no_function(capsys, monkeypatch):
         code, payload = run(capsys, *argv)
         assert code == 0 and payload["pass"], profile
     assert calls == Counter()
+
+
+def test_degeneration_builds_no_step_table(capsys, monkeypatch):
+    tables = Counter()
+    init = qboson._StepTable.__init__
+
+    def counted(self, fill):
+        tables["_StepTable"] += 1
+        init(self, fill)
+
+    monkeypatch.setattr(qboson._StepTable, "__init__", counted)
+    for profile in PROFILES:
+        argv = ("verify", "degeneration", "--n", "3", "--maxPart", "3", "--profile", profile)
+        code, payload = run(capsys, *argv)
+        assert code == 0 and payload["pass"], profile
+    assert tables == Counter()
+    # the relation checks still read step tables, and the count sees them
+    code, _ = run(capsys, "verify", "algebra", "--n", "1", "--maxPart", "1")
+    assert code == 0 and tables["_StepTable"] > 0
 
 
 def test_degeneration_steps_are_its_stated_applications(capsys, monkeypatch, cold_caches):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from octaboson import cli, hallittlewood
 from octaboson.budget import BudgetExceededError
 from octaboson.hallittlewood import _binomial_product, _exponent_box, _seed_binomials, _seed_block
-from octaboson.qkernels import default_params
+from octaboson.qkernels import PROFILES, default_params
 from test_relation_routes import large_height_params
 
 F = Fraction
@@ -118,6 +118,20 @@ def test_box_bounds_every_seed_block(profile):
                     hallittlewood._check_box(n, _seed_binomials(n, zero_count, params))[2]
                     <= hallittlewood._check_box(n, classical)[2]
                 ), (n, zero_count)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_more_zero_parts_never_grow_the_box(profile):
+    # so the block of the fewest zero parts is the one the budget checks
+    for params in (default_params(profile), large_height_params(profile)):
+        for n in range(5):
+            boxes = []
+            for zero_count in range(n + 1):
+                _, size, width = hallittlewood._check_box(n, _seed_binomials(n, zero_count, params))
+                boxes.append((math.prod(size), width // 64))
+            for (terms, words), (more_terms, more_words) in zip(boxes, boxes[1:]):
+                # so neither does terms x words, the size the budget checks
+                assert more_terms <= terms and more_words <= words, (n, params, boxes)
 
 
 def test_budget_checked_before_the_first_factor(monkeypatch, params4):
