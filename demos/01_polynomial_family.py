@@ -51,10 +51,10 @@ print()
 # --- the lattice recurrence --------------------------------------------------
 # The normalized family satisfies a unit-step recurrence whose left minus
 # right side is the literal zero polynomial.  Both sides are invariant, so
-# the residual is computed on the orbit-sum expansions: multiplying by
-# m_(1) = sum_j (x_j + 1/x_j) moves each orbit sum to its unit-step
-# neighbours, and the residual is the dict of its nonzero orbit
-# coefficients.  One run checks every state of a sector, each polynomial
+# the residual is computed on the Sp(2n) characters of the construction:
+# multiplying by m_(1) = sum_j (x_j + 1/x_j), the vector character, moves
+# each character to its unit-step neighbours, and the residual is the dict
+# of its nonzero orbit coefficients.  One run checks every state of a sector, each polynomial
 # (of the states and their unit-step neighbours) built once for the run.
 print("recurrence residuals (exact, in the orbit-sum basis):")
 for n, max_part in [(1, 3), (2, 3)]:

@@ -443,6 +443,9 @@ def main(argv=None) -> int:
         _emit(_error("usage", str(exc)), argparse.Namespace(format="json", out=None))
         return EXIT_FAIL
     try:
+        for flag in ("out", "relation"):  # empty would read as absent
+            if getattr(args, flag, None) == "":
+                raise ValueError(f"--{flag} must not be empty")
         command = _cmd_poly if args.command == "poly" else _cmd_verify
         payload, rows, code = command(args)
         return code if _emit(payload, args, rows) else EXIT_FAIL

@@ -16,10 +16,10 @@ A second construction, valid when t_3 = t_4 = 0, uses the classical
 lambda-independent coefficient and is compared against the primary route
 as an exact polynomial identity.
 
-The lattice recurrence is checked on the orbit-sum expansions, where
-m_(1) = sum_j (x_j + 1/x_j) moves each orbit sum m_mu to those of
-dom(mu +- e_j); no Laurent polynomial is built.  ``verify_pieri`` runs that
-suite whole, on tables the run owns.
+The lattice recurrence is checked on the integer characters each
+construction keeps, where m_(1) = sum_j (x_j + 1/x_j), the vector character,
+moves chi_mu to the chi_nu of the unit steps nu of mu; no Laurent polynomial
+is built.  ``verify_pieri`` runs that suite whole, on tables the run owns.
 
 numpy is imported inside the functions that build the seed block and
 straighten it, not with the module: the operator suites load this module
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
@@ -81,7 +82,8 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class HLPolynomial:
-    """A constructed polynomial: its orbit-sum expansion.
+    """A constructed polynomial: its orbit-sum expansion, and its integer
+    Sp(2n) character coefficients c_mu with P_lam = scale * sum c_mu chi_mu.
 
     The expansion is the construction's result; the Laurent polynomial
     ``poly`` is rebuilt from it on first read (one pass over the orbits)
@@ -91,6 +93,8 @@ class HLPolynomial:
     lam: tuple[int, ...]
     expansion: Mapping[tuple[int, ...], Fraction]
     params: ParamSet
+    characters: Mapping[tuple[int, ...], int]
+    scale: Fraction
 
     @cached_property
     def poly(self) -> LaurentPoly:
@@ -122,9 +126,8 @@ def reconstruct_from_expansion(
     )
 
 
-def _finalize(
-    lam: tuple[int, ...], expansion: dict[tuple[int, ...], Fraction], params: ParamSet
-) -> HLPolynomial:
+def _finalize(lam: tuple[int, ...], straightened: tuple, params: ParamSet) -> HLPolynomial:
+    characters, scale, expansion = straightened
     if expansion.get(lam) != 1:
         raise InvariantError(
             f"constructed polynomial for {lam} is not monic: "
@@ -137,7 +140,7 @@ def _finalize(
             raise InvariantError(
                 f"expansion of {lam} has support {mu} outside the lower set", lam, mu
             )
-    return HLPolynomial(lam=lam, expansion=expansion, params=params)
+    return HLPolynomial(lam, expansion, params, characters, scale)
 
 
 #: (exponents, coefficients, denominator): the (S, n) int64 exponent matrix,
@@ -464,23 +467,25 @@ def _orbit_coefficients(coeffs: Mapping[tuple[int, ...], int], n: int) -> dict:
     return {w: v for w, v in zip(weights, d) if v}
 
 
-def _straightened_expansion(
+def _straightened(
     lam: tuple[int, ...], seed: IntegerSeed, scale: Fraction
-) -> dict[tuple[int, ...], Fraction]:
-    """Orbit-sum expansion of scale * sum_w w(x^{-lam} g / D), g the seed
-    and D the product of (1 - x^alpha) over positive roots.
+) -> tuple[dict, Fraction, dict]:
+    """(c, s, orbit-sum expansion) of scale * sum_w w(x^{-lam} g / D), g the
+    seed over its denominator d and D the product of (1 - x^alpha) over
+    positive roots.
 
     Since D = (-1)^{n^2} x^rho A(x^rho), the sum is
-    (-1)^{n^2} A(x^{-lam-rho} g) / A(x^rho) = (-1)^{n^2} sum_mu c_mu chi_mu.
-    Keys are in decreasing (degree, lex) order, as ``_orbit_coefficients``
-    returns them.
+    (-1)^{n^2} A(x^{-lam-rho} g) / A(x^rho) = s sum_mu c_mu chi_mu, with c
+    the integers of ``_straighten`` and s = (-1)^{n^2} scale / d.  Keys are
+    in decreasing (degree, lex) order, as ``_orbit_coefficients`` returns them.
     """
     exponents, coefficients, denominator = seed
     n = len(lam)
     shift = [p + r for p, r in zip(lam, weyl_vector(n))]
-    totals = _orbit_coefficients(_straighten(exponents, coefficients, shift), n)
+    characters = _straighten(exponents, coefficients, shift)
     factor = (-1) ** (n * n) * scale / denominator
-    return {nu: factor * value for nu, value in totals.items()}
+    totals = _orbit_coefficients(characters, n)
+    return characters, factor, {nu: factor * value for nu, value in totals.items()}
 
 
 def _checked_partition(lam: Sequence[int]) -> tuple[int, ...]:
@@ -514,8 +519,7 @@ def hl_polynomial(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     """
     lam = _checked_partition(lam)
     seed = _seed_block(len(lam), multiplicity(lam, 0), params)
-    expansion = _straightened_expansion(lam, seed, 1 / monic_normalizer(lam, params))
-    return _finalize(lam, expansion, params)
+    return _finalize(lam, _straightened(lam, seed, 1 / monic_normalizer(lam, params)), params)
 
 
 @lru_cache(maxsize=128)
@@ -531,8 +535,7 @@ def macdonald_formula(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
         raise ValueError("the classical formula requires the two-parameter profile")
     lam = _checked_partition(lam)
     seed = _seed_block(len(lam), 0, params)
-    expansion = _straightened_expansion(lam, seed, quadratic_norm(lam, params))
-    return _finalize(lam, expansion, params)
+    return _finalize(lam, _straightened(lam, seed, quadratic_norm(lam, params)), params)
 
 
 def principal_specialization(hl: HLPolynomial) -> Fraction:
@@ -580,26 +583,15 @@ def principal_specialization(hl: HLPolynomial) -> Fraction:
     return Fraction(numerator, common * scale)
 
 
-def _orbit_one_products(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(nu, a) with m_(1) m_mu = sum a m_nu for m_(1) = sum_j (x_j + 1/x_j):
-    nu runs over dom(mu +- e_j), and a counts the (j, +-) with dom(nu -+ e_j) = mu."""
-
-    def neighbours(e):
-        moved = (e[:j] + (e[j] + s,) + e[j + 1 :] for j in range(len(e)) for s in (1, -1))
-        return [tuple(sorted(map(abs, m), reverse=True)) for m in moved]
-
-    return tuple((nu, neighbours(nu).count(mu)) for nu in dict.fromkeys(neighbours(mu)))
-
-
 def recurrence_sector(n: int, max_part: int, params: ParamSet) -> tuple[list, dict]:
-    """(states, expansions) of a ``pieri`` or ``eigen`` run: the length-n
+    """(states, polynomials) of a ``pieri`` or ``eigen`` run: the length-n
     partitions with parts <= max_part, listed after the guard and budget, and
-    {lam: hl_polynomial(lam, params).expansion} for them and their unit-step neighbours."""
+    {lam: hl_polynomial(lam, params)} for them and their unit-step neighbours."""
     params.ensure_generic(n, max_part + 1)
     check_sector_budget(n, max_part, params, neighbours=True)
     states = enumerate_partitions(n, max_part)
     lams = dict.fromkeys([*states, *(t for lam in states for _, _, t in unit_steps(lam))])
-    return states, {lam: hl_polynomial(lam, params).expansion for lam in lams}
+    return states, {lam: hl_polynomial(lam, params) for lam in lams}
 
 
 def verify_pieri(n: int, max_part: int, params: ParamSet) -> dict[tuple[int, ...], dict]:
@@ -610,26 +602,30 @@ def verify_pieri(n: int, max_part: int, params: ParamSet) -> dict[tuple[int, ...
     LHS: P_lam * (m_(1) - sum_j (tau_j + 1/tau_j)).
     RHS: sum over valid steps of the step coefficient times
     (P_{lam +- e_j} - P_lam), for P_mu = principal_normalizer(mu) p_mu.
-    Each normalizer and m_(1) product is taken once per run; a state's
-    support lies in its lower set, among the states.
+    Both sides are taken on the construction's characters, where m_(1), the
+    vector character, moves chi_mu to the chi_nu of the ``unit_steps`` nu of
+    mu (the Pieri rule of Koike and Terada): one integer combination over the
+    lcm of its factors' denominators, expanded in orbit sums only if nonzero.
     """
-    states, expansions = recurrence_sector(n, max_part, params)
-    normalizers = {lam: principal_normalizer(lam, params) for lam in expansions}
-    products = {mu: _orbit_one_products(mu) for mu in states}
+    states, polys = recurrence_sector(n, max_part, params)
+    normalizers = {lam: principal_normalizer(lam, params) for lam in polys}
     offset = sum((tj + 1 / tj for tj in tau_vector(n, params)), Fraction(0))
     residuals = {}
     for lam in states:
         steps = [(pieri_coeff(lam, j, step, params), target) for j, step, target in unit_steps(lam)]
-        diagonal = sum(coeff for coeff, _ in steps) - offset
-        base = [(mu, normalizers[lam] * value) for mu, value in expansions[lam].items()]
-        out = {mu: diagonal * value for mu, value in base}
-        for mu, value in base:
-            for nu, count in products[mu]:
-                out[nu] = out.get(nu, 0) + count * value
-        for coeff, target in steps:
-            factor = coeff * normalizers[target]
-            for mu, value in expansions[target].items():
-                out[mu] = out.get(mu, 0) - factor * value
-        order = sorted(out, key=lambda e: (sum(e), e), reverse=True)
-        residuals[lam] = {mu: out[mu] for mu in order if out[mu]}
+        own = normalizers[lam] * polys[lam].scale
+        factors = [own, (sum(c for c, _ in steps) - offset) * own]
+        factors += [-c * normalizers[target] * polys[target].scale for c, target in steps]
+        common = math.lcm(*(factor.denominator for factor in factors))
+        up, diagonal, *weights = (f.numerator * (common // f.denominator) for f in factors)
+        total = defaultdict(int)
+        for mu, c in polys[lam].characters.items():
+            total[mu] += diagonal * c
+            for _, _, nu in unit_steps(mu):
+                total[nu] += up * c
+        for weight, (_, target) in zip(weights, steps):
+            for mu, c in polys[target].characters.items():
+                total[mu] += weight * c
+        residual = _orbit_coefficients(total, n) if any(total.values()) else {}
+        residuals[lam] = {mu: Fraction(d, common) for mu, d in residual.items()}
     return residuals

@@ -905,9 +905,9 @@ def verify_eigen(n: int, max_part: int, params: ParamSet, seed: int) -> list[tup
     values at the states and their neighbours, so the image on each state
     is complete, and is compared with energy * value.
     """
-    states, expansions = recurrence_sector(n, max_part, params)
-    lams = sorted(expansions)
-    terms = {lam: [(mu, float(c)) for mu, c in expansions[lam].items()] for lam in lams}
+    states, polys = recurrence_sector(n, max_part, params)
+    lams = sorted(polys)
+    terms = {lam: [(mu, float(c)) for mu, c in polys[lam].expansion.items()] for lam in lams}
     norms = {lam: float(quadratic_norm(lam, params)) for lam in lams}
     support = list(dict.fromkeys(mu for lam in lams for mu, _ in terms[lam]))
     rows = {lam: {target: float(rate) for target, rate in row.items()}

@@ -3,9 +3,8 @@
 Each coefficient and relation scalar is cached per occupation numbers and
 point, and each q-series factor per its arguments; a norm is computed where
 it is read.  Every suite runs whole in its module on tables it owns: the
-operator checks' step tables and Hamiltonian rows, and the polynomials,
-normalizers and m_(1) products of the polynomial suites, each built once
-per run, whatever the bound of ``hl_polynomial``'s cache; an eigen run
+operator checks' step tables and Hamiltonian rows, and the polynomials
+and normalizers of the polynomial suites, each built once per run, whatever the bound of ``hl_polynomial``'s cache; an eigen run
 evaluates each orbit sum once per sample.  A result must not depend on
 what an earlier point left in a cache, and the benchmark, which empties
 every module-level ``lru_cache`` before each op, must reach each cache.  A
@@ -118,8 +117,8 @@ def test_eigen_run_takes_each_orbit_sum_once_per_sample(capsys, monkeypatch, par
     monkeypatch.setattr(qboson, "orbit_sums", recording)
     assert cli.main(["verify", "eigen", "--n", "2", "--maxPart", "3"]) == cli.EXIT_OK
     capsys.readouterr()
-    _, expansions = hallittlewood.recurrence_sector(2, 3, params4)
-    support = {mu for expansion in expansions.values() for mu in expansion}
+    _, polys = hallittlewood.recurrence_sector(2, 3, params4)
+    support = {mu for hl in polys.values() for mu in hl.expansion}
     assert len(calls) == 20
     for mus in calls:
         assert len(mus) == len(support) and set(mus) == support

@@ -570,6 +570,25 @@ def test_empty_rational_names_its_flag(flag, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "scattering", "--n", "1", "--out="], "--out"),
+        (["poly", "--n", "1", "--out="], "--out"),
+        (["verify", "algebra", "--n", "1", "--maxPart", "1", "--relation="], "--relation"),
+    ],
+    ids=["scattering-out", "poly-out", "algebra-relation"],
+)
+def test_empty_string_flag_names_itself(argv, flag, capsys):
+    # an empty --out used to write the report to stdout, and an empty
+    # --relation to run all eight relations
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"type": "parameter", "message": f"{flag} must not be empty"}
+    }
+
+
 @pytest.mark.parametrize("missing", [False, True])
 def test_unwritable_out_is_a_parameter_error_on_stdout(missing, tmp_path, capsys):
     target = tmp_path / "missing" / "x.json" if missing else tmp_path

@@ -441,6 +441,58 @@ def test_pieri_residual_multi_params(param_triple):
         assert not any(residuals.values())
 
 
+def test_characters_times_scale_are_the_expansion(params4, params3, params2):
+    # P_lam = scale * sum c_mu chi_mu, with the characters expanded by Freudenthal
+    for params in (params4, params3, params2):
+        builds = [hl_polynomial] + [macdonald_formula] * (params.profile == "two")
+        for lam in (lam for n in range(4) for lam in enumerate_partitions(n, 3)):
+            for build in builds:
+                hl = build(lam, params)
+                totals = _freudenthal_orbit_coefficients(hl.characters)
+                assert {nu: hl.scale * k for nu, k in totals.items()} == hl.expansion, lam
+            assert hl_polynomial(lam, params).characters == _straightened(lam, params)
+
+
+def test_vector_character_moves_a_character_by_unit_steps():
+    # m_(1) chi_mu = sum of chi_nu over the unit steps nu of mu (Koike-Terada)
+    for n in range(1, 4):
+        vector = monomial_symmetric((1,) + (0,) * (n - 1))
+        for mu in enumerate_partitions(n, 3):
+            product = vector * reconstruct_from_expansion(dict(character_multiplicities(mu)), n)
+            steps = {}
+            for _, _, nu in partitions.unit_steps(mu):
+                for kappa, k in character_multiplicities(nu):
+                    steps[kappa] = steps.get(kappa, 0) + k
+            assert product == reconstruct_from_expansion(steps, n), mu
+
+
+def test_pieri_residual_takes_fraction_arithmetic_per_step(monkeypatch, params4):
+    # with the polynomials built and the kernels' values taken, a passing
+    # run multiplies two factors per state and per step and sums the step
+    # coefficients: no Fraction arithmetic per orbit or character term
+    n, max_part = 3, 3
+    states, polys = hallittlewood.recurrence_sector(n, max_part, params4)
+    steps = [(lam, j, step) for lam in states for j, step, _ in partitions.unit_steps(lam)]
+    coefficients = {key: hallittlewood.pieri_coeff(*key, params4) for key in steps}
+    normalizers = {lam: principal_normalizer(lam, params4) for lam in polys}
+    monkeypatch.setattr(hallittlewood, "pieri_coeff", lambda *key: coefficients[key[:3]])
+    monkeypatch.setattr(hallittlewood, "principal_normalizer", lambda lam, _: normalizers[lam])
+    calls = []
+    for name in ("__mul__", "__add__"):
+        def counting(self, other, original=getattr(Fraction, name)):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    residuals = verify_pieri(n, max_part, params4)
+    monkeypatch.undo()
+    assert residuals == {lam: {} for lam in states}
+    bound = 4 * len(steps)
+    assert len(calls) <= bound == 280
+    # one operation per character or orbit term would be over twice that
+    assert sum(len(hl.characters) + len(hl.expansion) for hl in polys.values()) > 2 * bound
+
+
 def test_macdonald_formula(params2, params4):
     assert macdonald_formula((0, 0), params2).poly == LaurentPoly.one(2)
     assert macdonald_formula((1,), params2).poly == hl_polynomial((1,), params2).poly

@@ -294,8 +294,8 @@ def test_eigen_rates_are_taken_once_per_run(monkeypatch, params4):
     for n, max_part in ((1, 3), (2, 2), (3, 2)):
         calls.clear()
         verify_eigen(n, max_part, params4, 7)
-        _, expansions = hallittlewood.recurrence_sector(n, max_part, params4)
-        assert len(calls) == sum(len(unit_steps(lam)) for lam in expansions), (n, max_part)
+        _, polys = hallittlewood.recurrence_sector(n, max_part, params4)
+        assert len(calls) == sum(len(unit_steps(lam)) for lam in polys), (n, max_part)
 
 
 @pytest.mark.parametrize("profile", ["four", "three", "two"])

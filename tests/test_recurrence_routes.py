@@ -1,11 +1,14 @@
 """The recurrence and the wave functions on the orbit-sum expansion against
 the route through Laurent polynomials.
 
-``verify_pieri`` multiplies orbit-sum expansions by m_(1) and returns each
+``verify_pieri`` multiplies the construction's integer Sp(2n) characters by
+m_(1), the vector character, through the unit steps, and returns each
 state's residual as its nonzero orbit coefficients; ``orbit_sums``
-evaluates each orbit sum as a real cosine sum.  The oracles in ``orbit_oracle`` multiply
-and evaluate the Laurent polynomials term by term.  Neither ``verify
-pieri`` nor ``verify eigen`` may read the Laurent form at all.
+evaluates each orbit sum as a real cosine sum.  The oracles in
+``orbit_oracle`` multiply and evaluate the Laurent polynomials term by term.
+The residuals are compared at the default point and at a point of height
+2^61, whose seed digits span several words.  Neither ``verify pieri`` nor
+``verify eigen`` may read the Laurent form at all.
 """
 
 import json
@@ -20,6 +23,7 @@ from octaboson.hallittlewood import HLPolynomial, expand_in_monomials, hl_polyno
 from octaboson.partitions import enumerate_partitions
 from octaboson.qboson import orbit_sums
 from octaboson.qkernels import PROFILES, default_params, quadratic_norm
+from test_relation_routes import large_height_params
 
 #: every state of n <= 3 particles with parts up to 3
 STATES = [lam for n in range(4) for lam in enumerate_partitions(n, 3)]
@@ -30,15 +34,20 @@ def pieri_residuals(params) -> dict:
     return {lam: r for n in range(4) for lam, r in verify_pieri(n, 3, params).items()}
 
 
+def points(profile):
+    """The default point of ``profile`` and one of height 2^61."""
+    return default_params(profile), large_height_params(profile)
+
+
 @pytest.mark.parametrize("profile", PROFILES)
 def test_orbit_residual_is_the_expanded_laurent_residual(profile):
-    params = default_params(profile)
-    residuals = pieri_residuals(params)
-    assert list(residuals) == STATES
-    for lam in STATES:
-        oracle = orbit_oracle.laurent_pieri_residual(lam, params)
-        assert oracle.is_zero, (profile, lam)
-        assert residuals[lam] == expand_in_monomials(oracle) == {}
+    for params in points(profile):
+        residuals = pieri_residuals(params)
+        assert list(residuals) == STATES
+        for lam in STATES:
+            oracle = orbit_oracle.laurent_pieri_residual(lam, params)
+            assert oracle.is_zero, (params, lam)
+            assert residuals[lam] == expand_in_monomials(oracle) == {}
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -54,14 +63,14 @@ def test_orbit_residual_of_a_wrong_coefficient_is_the_expanded_laurent_residual(
     # the residuals read the coefficients afresh, so no cache holds a mutated value
     monkeypatch.setattr(hallittlewood, "pieri_coeff", mutant)
     monkeypatch.setattr(orbit_oracle, "pieri_coeff", mutant)
-    params = default_params(profile)
-    residuals = pieri_residuals(params)
-    for lam in STATES:
-        residual = residuals[lam]
-        assert residual == expand_in_monomials(orbit_oracle.laurent_pieri_residual(lam, params))
-        assert bool(residual) == (lam == (1, 0)), lam
-    # keyed in decreasing (degree, lex) order, as the witness reads it
-    assert list(residuals[(1, 0)]) == [(1, 0), (0, 0)]
+    for params in points(profile):
+        residuals = pieri_residuals(params)
+        for lam in STATES:
+            oracle = orbit_oracle.laurent_pieri_residual(lam, params)
+            assert residuals[lam] == expand_in_monomials(oracle), (params, lam)
+            assert bool(residuals[lam]) == (lam == (1, 0)), (params, lam)
+        # keyed in decreasing (degree, lex) order, as the witness reads it
+        assert list(residuals[(1, 0)]) == [(1, 0), (0, 0)]
 
 
 @pytest.mark.parametrize("profile", PROFILES)
