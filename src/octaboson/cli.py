@@ -21,11 +21,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import re
 import sys
 import traceback
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import budget, hallittlewood, qboson, torus
 from .qkernels import DEFAULT_POINTS, ParamSet, quadratic_norm
@@ -71,6 +73,44 @@ def _build_params(args) -> ParamSet:
     return ParamSet(q=q, ts=tuple(ts), profile=args.profile)
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` as a value nested at
+    ``indent``: the layout walked here and each leaf written as the encoder
+    writes it, without the pure-Python encoder's per-chunk generators."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value:
+        items = [_json(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict) and value:
+        items = [f"{_json_key(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    # NaN and the infinities, empty containers, and the TypeError of a value
+    # the encoder refuses
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as the encoder writes it: a string as itself, a number,
+    bool or None as its JSON text, quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii(_json(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit(payload: dict, args, rows: list[dict] | None = None) -> bool:
     """Write the report; CSV uses the flattened per-case rows.  False where
     --out cannot be written, with the error naming it on stdout instead."""
@@ -86,7 +126,7 @@ def _emit(payload: dict, args, rows: list[dict] | None = None) -> bool:
         writer.writerows(rows)
         text = buffer.getvalue()
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(payload) + "\n"
     if not args.out:
         sys.stdout.write(text)
         return True

@@ -21,6 +21,11 @@ construction keeps, where m_(1) = sum_j (x_j + 1/x_j), the vector character,
 moves chi_mu to the chi_nu of the unit steps nu of mu; no Laurent polynomial
 is built.  ``verify_pieri`` runs that suite whole, on tables the run owns.
 
+A suite builds its sector's polynomials together, by ``sector_polynomials``:
+one straightening pass per seed block (bounded in size) and one table of
+the Weyl denominator's inversion for the run; ``hl_polynomial`` and
+``macdonald_formula`` are that builder on one partition.
+
 numpy is imported inside the functions that build the seed block and
 straighten it, not with the module: the operator suites load this module
 (through ``cli`` and ``qboson``) but never construct a polynomial, and
@@ -126,8 +131,9 @@ def reconstruct_from_expansion(
     )
 
 
-def _finalize(lam: tuple[int, ...], straightened: tuple, params: ParamSet) -> HLPolynomial:
-    characters, scale, expansion = straightened
+def _finalize(
+    lam: tuple[int, ...], characters: dict, scale: Fraction, expansion: dict, params: ParamSet
+) -> HLPolynomial:
     if expansion.get(lam) != 1:
         raise InvariantError(
             f"constructed polynomial for {lam} is not monic: "
@@ -318,28 +324,32 @@ def _seed_block(n: int, zero_count: int, params: ParamSet) -> IntegerSeed:
 
 
 def _straighten(
-    exponents: np.ndarray, coefficients: Sequence[int], shift: Sequence[int]
-) -> dict[tuple[int, ...], int]:
-    """c_mu with A(x^{-shift} g) = sum_mu c_mu A(x^{mu + rho}) for the
-    alternant A(x^e) = sum_w det(w) x^{w e} and g = sum of the rows of the
-    (S, n) exponent matrix times their coefficients.
+    exponents: np.ndarray, coefficients: Sequence[int], shifts: Sequence[Sequence[int]]
+) -> list[dict[tuple[int, ...], int]]:
+    """c_mu with A(x^{-shift} g) = sum_mu c_mu A(x^{mu + rho}), one dict per
+    shift, for the alternant A(x^e) = sum_w det(w) x^{w e} and g = sum of
+    the rows of the (S, n) exponent matrix times their coefficients.
 
-    For all rows at once in numpy, each shifted exponent is sorted by
+    The shifted copies of the matrix are stacked, k S rows for k shifts, and
+    for all rows at once in numpy each shifted exponent is sorted by
     absolute value into the dominant chamber; the sign is
     (-1)^(negative entries) times the sign of the sort, whose parity is the
     number of pairs i < j with |e_i| < |e_j|.  An exponent with a zero entry or a repeated absolute
     value is fixed by a reflection, so its alternant vanishes and its row
-    is dropped.  Only the surviving rows come back to Python, where their
-    integer coefficients are summed exactly; a mu whose contributions
-    cancel is kept with coefficient 0.
+    is dropped.  Only the surviving rows come back to Python, where row r
+    belongs to shift r // S and reads seed row r % S, and their integer
+    coefficients are summed exactly; a mu whose contributions cancel is
+    kept with coefficient 0.
     """
     import numpy as np
 
-    n = len(shift)
+    size, n = exponents.shape
     bound = _INT64_MAX - int(np.abs(exponents).max(initial=0))
-    if any(abs(s) > bound for s in shift):
-        raise ValueError(f"shift {tuple(shift)} is beyond the int64 exponents")
-    e = exponents - np.array(shift, dtype=np.int64)
+    for shift in shifts:
+        if any(abs(s) > bound for s in shift):
+            raise ValueError(f"shift {tuple(shift)} is beyond the int64 exponents")
+    moved = np.array(shifts, dtype=np.int64).reshape(len(shifts), 1, n)
+    e = (exponents - moved).reshape(len(shifts) * size, n)
     a = np.abs(e)
     dom = -np.sort(-a, axis=1)
     rows = np.flatnonzero((a > 0).all(axis=1) & (dom[:, :-1] > dom[:, 1:]).all(axis=1))
@@ -347,16 +357,20 @@ def _straighten(
     upper, lower = _index_pairs(n)
     odd = ((e < 0).sum(axis=1) + (a[:, upper] < a[:, lower]).sum(axis=1)) % 2
     mus = (dom[rows] - np.array(weyl_vector(n), dtype=np.int64)).tolist()
-    out: dict[tuple[int, ...], int] = {}
-    for row, mu, flip in zip(rows.tolist(), mus, odd.tolist()):
-        mu = tuple(mu)
-        coeff = coefficients[row]
-        out[mu] = out.get(mu, 0) + (-coeff if flip else coeff)
+    # rows is increasing, so each shift's surviving rows are one run of it
+    ends = np.searchsorted(rows, size * np.arange(1, len(shifts) + 1)).tolist()
+    seed_rows, flips = (rows % max(size, 1)).tolist(), odd.tolist()
+    out = []
+    for first, last in zip([0, *ends], ends):
+        straightened: dict[tuple[int, ...], int] = {}
+        for row, mu, flip in zip(seed_rows[first:last], mus[first:last], flips[first:last]):
+            mu = tuple(mu)
+            coeff = coefficients[row]
+            straightened[mu] = straightened.get(mu, 0) + (-coeff if flip else coeff)
+        out.append(straightened)
     return out
 
 
-#: one entry per n <= MAX_VARIABLES; the tables of one suite share it
-@lru_cache(maxsize=8)
 def _weyl_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(det w, rho - w rho) for the 2^n n! - 1 signed permutations w != 1,
     those with det w = 1 first, as read-only int64 arrays of shape
@@ -381,7 +395,7 @@ def _weyl_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
     return dets, shifts
 
 
-#: one entry per n <= MAX_VARIABLES, as for ``_weyl_shifts``
+#: one entry per n <= MAX_VARIABLES; every straightening pass reads it
 @lru_cache(maxsize=8)
 def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs i < j of n entries, as the read-only arrays of i and
@@ -393,25 +407,28 @@ def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-#: (weight, w) pairs per block, so a block's int64 images stay near 1 MB
+#: The size of one numpy block: (weight, w) pairs of the inversion table,
+#: so a block's int64 images stay near 1 MB, and int64 exponent entries
+#: (rows x n) of a straightening pass of several partitions.
 _BLOCK_ENTRIES = 1 << 15
 
 
-#: One suite reads one entry per largest part (n = 4, maxPart 3 and its
-#: unit-step neighbours: 5); the bound stops sweeps from growing memory.
+#: A run reads one table, for its sector's largest part; ``poly`` with
+#: ``--compare-macdonald`` reads it twice.  The bound stops sweeps from
+#: growing memory.
 @lru_cache(maxsize=32)
 def _inversion_entries(n: int, top: int):
-    """(weights, position, targets, starts, positives) for the dominant
-    weights kappa with parts <= top, in decreasing graded lex order.
+    """(weights, position, rows) for the dominant weights kappa with parts
+    <= top, in decreasing graded lex order: rows[i] = (plus, minus), the
+    positions of dom(kappa_i + rho - w rho) over the w != 1 whose image has
+    parts <= top, with det w = -1 in plus and det w = 1 in minus, as lists.
 
-    targets[starts[i]:starts[i + 1]] are the positions of
-    dom(kappa_i + rho - w rho) over the w != 1 whose image has parts <= top,
-    the first positives[i] of them with det w = 1.  An image dominates its
-    weight, and graded lex extends dominance, so the image is listed first.
-    The images are found in numpy, a block of weights at a time: absolute
-    values, capped at top + 1, sorted and coded in base top + 2, then a
-    dense lookup of the positions, which reads -1 for a code with a capped
-    part.
+    An image dominates its weight, and graded lex extends dominance, so the
+    image is listed first.  The images are found in numpy, a block of
+    weights at a time: absolute values, capped at top + 1, sorted and coded
+    in base top + 2, then a dense lookup of the positions, which reads -1
+    for a code with a capped part.  The lists are cut from one list of all
+    targets, once per table, so a solve reads no numpy.
     """
     import numpy as np
 
@@ -435,14 +452,20 @@ def _inversion_entries(n: int, top: int):
         counts.append(kept.sum(axis=1))
         positives.append(kept[:, :positive].sum(axis=1))
     starts = [0, *np.cumsum(np.concatenate(counts)).tolist()]
+    flat = np.concatenate(targets).tolist()
+    rows = [
+        (flat[first + k : last], flat[first : first + k])
+        for first, last, k in zip(starts, starts[1:], np.concatenate(positives).tolist())
+    ]
     weights = [tuple(w) for w in weights.tolist()]
     position = {w: i for i, w in enumerate(weights)}
-    return weights, position, np.concatenate(targets), starts, np.concatenate(positives).tolist()
+    return weights, position, rows
 
 
-def _orbit_coefficients(coeffs: Mapping[tuple[int, ...], int], n: int) -> dict:
+def _orbit_coefficients(coeffs: Mapping[tuple[int, ...], int], table) -> dict:
     """The nonzero d_nu with sum_mu c_mu chi_mu = sum_nu d_nu m_nu, for the
-    integer c_mu of ``_straighten``, without expanding any character, keyed
+    integer c_mu of ``_straighten`` on the weights of the
+    ``_inversion_entries`` table, without expanding any character, keyed
     in decreasing (degree, lex) order.
 
     Times A(x^rho) = sum_w det(w) x^{w rho}, the sum is
@@ -451,41 +474,75 @@ def _orbit_coefficients(coeffs: Mapping[tuple[int, ...], int], n: int) -> dict:
         d_kappa = c_kappa - sum_{w != 1} det(w) d_{dom(kappa + rho - w rho)}.
     rho - w rho is a nonzero sum of positive roots for w != 1, so the
     system is unitriangular in dominance and is solved from the top down,
-    in integers.  Every nu <= mu has nu_1 <= mu_1, so d vanishes beyond the
-    largest part of a nonzero c.
+    in integers.  Every target of a weight is listed before it, so d
+    vanishes before the first weight with a nonzero c, where the solve
+    starts; a table whose top is larger than the largest part of a nonzero
+    c gives the same d, 0 on the weights it adds.
     """
-    top = max((max(mu, default=0) for mu, c in coeffs.items() if c), default=0)
-    weights, position, targets, starts, positives = _inversion_entries(n, top)
+    weights, position, rows = table
     d = [0] * len(weights)
+    start = len(d)
     for mu, c in coeffs.items():
         if c:
-            d[position[mu]] = c
+            i = position[mu]
+            d[i] = c
+            start = min(start, i)
     get = d.__getitem__
-    for i, k in enumerate(positives):
-        row = targets[starts[i] : starts[i + 1]].tolist()
-        d[i] += sum(map(get, row[k:])) - sum(map(get, row[:k]))
+    for i in range(start, len(d)):
+        plus, minus = rows[i]
+        d[i] += sum(map(get, plus)) - sum(map(get, minus))
     return {w: v for w, v in zip(weights, d) if v}
 
 
-def _straightened(
-    lam: tuple[int, ...], seed: IntegerSeed, scale: Fraction
-) -> tuple[dict, Fraction, dict]:
-    """(c, s, orbit-sum expansion) of scale * sum_w w(x^{-lam} g / D), g the
-    seed over its denominator d and D the product of (1 - x^alpha) over
-    positive roots.
+def sector_polynomials(
+    lams: Sequence[tuple[int, ...]], params: ParamSet, classical: bool = False
+) -> dict[tuple[int, ...], HLPolynomial]:
+    """{lam: polynomial} for the partitions lams, all of one length n, built
+    together: the primary construction, or with ``classical`` the classical
+    formula, which requires t_3 = t_4 = 0.
 
-    Since D = (-1)^{n^2} x^rho A(x^rho), the sum is
+    P_lam is scale * sum_w w(x^{-lam} g / D), g the seed block over its
+    denominator d and D the product of (1 - x^alpha) over positive roots;
+    scale is 1 / monic_normalizer, or the quadratic norm for the classical
+    formula.  Since D = (-1)^{n^2} x^rho A(x^rho), P_lam is
     (-1)^{n^2} A(x^{-lam-rho} g) / A(x^rho) = s sum_mu c_mu chi_mu, with c
-    the integers of ``_straighten`` and s = (-1)^{n^2} scale / d.  Keys are
-    in decreasing (degree, lex) order, as ``_orbit_coefficients`` returns them.
+    the integers of ``_straighten`` and s = (-1)^{n^2} scale / d.
+
+    The partitions that read one seed block (one zero count; for the
+    classical formula, the block without zero parts) are straightened in
+    shared passes of at most _BLOCK_ENTRIES exponent entries, or of one
+    partition whose block is larger.  Every orbit expansion is then solved
+    on the one ``_inversion_entries`` table of the largest part of lams,
+    its keys in decreasing (degree, lex) order, and checked by
+    ``_finalize`` in the order of lams.
     """
-    exponents, coefficients, denominator = seed
-    n = len(lam)
-    shift = [p + r for p, r in zip(lam, weyl_vector(n))]
-    characters = _straighten(exponents, coefficients, shift)
-    factor = (-1) ** (n * n) * scale / denominator
-    totals = _orbit_coefficients(characters, n)
-    return characters, factor, {nu: factor * value for nu, value in totals.items()}
+    n = len(lams[0])
+    rho = weyl_vector(n)
+    blocks = defaultdict(list)
+    for lam in lams:
+        blocks[0 if classical else multiplicity(lam, 0)].append(lam)
+    straightened = {}
+    for zero_count, block in blocks.items():
+        exponents, coefficients, denominator = _seed_block(n, zero_count, params)
+        per_pass = max(1, _BLOCK_ENTRIES // max(1, exponents.size))
+        for first in range(0, len(block), per_pass):
+            batch = block[first : first + per_pass]
+            shifts = [[p + r for p, r in zip(lam, rho)] for lam in batch]
+            for lam, characters in zip(batch, _straighten(exponents, coefficients, shifts)):
+                straightened[lam] = characters, denominator
+    # lams' largest part, unless a character leaves its lower set, which
+    # _finalize then reports
+    nonzero = (mu for characters, _ in straightened.values() for mu, c in characters.items() if c)
+    table = _inversion_entries(n, max((max(mu, default=0) for mu in nonzero), default=0))
+    out = {}
+    for lam in lams:
+        characters, denominator = straightened[lam]
+        scale = quadratic_norm(lam, params) if classical else 1 / monic_normalizer(lam, params)
+        factor = (-1) ** (n * n) * scale / denominator
+        totals = _orbit_coefficients(characters, table)
+        expansion = {nu: factor * value for nu, value in totals.items()}
+        out[lam] = _finalize(lam, characters, factor, expansion, params)
+    return out
 
 
 def _checked_partition(lam: Sequence[int]) -> tuple[int, ...]:
@@ -505,21 +562,21 @@ def check_variables(n: int) -> None:
 
 
 #: No CLI run rereads this cache: ``poly`` builds each polynomial once, and
-#: a suite run holds the polynomials it reads.  It stays for in-process
+#: the suites build theirs by ``sector_polynomials``.  It stays for in-process
 #: callers that ask for a polynomial again (demo 01 does), and because the
 #: benchmark's traced spans read its ``cache_info`` for the hit ratio of
 #: exact construction.  The bound stops parameter sweeps from growing memory.
 @lru_cache(maxsize=128)
 def hl_polynomial(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
-    """Primary exact construction by straightening into Sp(2n) characters.
+    """Primary exact construction by straightening into Sp(2n) characters:
+    ``sector_polynomials`` of lam alone.
 
     The plane-wave coefficient times x^{-lam} is put over the full Weyl-type
     denominator (missing (1 - x_j^2) factors for zero parts are topped up in
     the numerator), summed over the group, and scaled monic.
     """
     lam = _checked_partition(lam)
-    seed = _seed_block(len(lam), multiplicity(lam, 0), params)
-    return _finalize(lam, _straightened(lam, seed, 1 / monic_normalizer(lam, params)), params)
+    return sector_polynomials([lam], params)[lam]
 
 
 @lru_cache(maxsize=128)
@@ -529,13 +586,13 @@ def macdonald_formula(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     Uses the lambda-independent plane-wave coefficient, whose denominator
     carries (1 - x_j^2) for every j, and scales by the quadratic norm
     instead of the monic normalizer.  With t_3 = t_4 = 0 its numerator is
-    the seed block without zero parts, so both constructions share it.
+    the seed block without zero parts, so both constructions share it, and
+    share ``sector_polynomials``.
     """
     if params.profile != "two":
         raise ValueError("the classical formula requires the two-parameter profile")
     lam = _checked_partition(lam)
-    seed = _seed_block(len(lam), 0, params)
-    return _finalize(lam, _straightened(lam, seed, quadratic_norm(lam, params)), params)
+    return sector_polynomials([lam], params, classical=True)[lam]
 
 
 def principal_specialization(hl: HLPolynomial) -> Fraction:
@@ -586,12 +643,12 @@ def principal_specialization(hl: HLPolynomial) -> Fraction:
 def recurrence_sector(n: int, max_part: int, params: ParamSet) -> tuple[list, dict]:
     """(states, polynomials) of a ``pieri`` or ``eigen`` run: the length-n
     partitions with parts <= max_part, listed after the guard and budget, and
-    {lam: hl_polynomial(lam, params)} for them and their unit-step neighbours."""
+    their ``sector_polynomials`` with those of their unit-step neighbours."""
     params.ensure_generic(n, max_part + 1)
     check_sector_budget(n, max_part, params, neighbours=True)
     states = enumerate_partitions(n, max_part)
     lams = dict.fromkeys([*states, *(t for lam in states for _, _, t in unit_steps(lam))])
-    return states, {lam: hl_polynomial(lam, params) for lam in lams}
+    return states, sector_polynomials(list(lams), params)
 
 
 def verify_pieri(n: int, max_part: int, params: ParamSet) -> dict[tuple[int, ...], dict]:
@@ -608,6 +665,9 @@ def verify_pieri(n: int, max_part: int, params: ParamSet) -> dict[tuple[int, ...
     lcm of its factors' denominators, expanded in orbit sums only if nonzero.
     """
     states, polys = recurrence_sector(n, max_part, params)
+    # the sector's table: m_(1) moves a character of a state by one step, to
+    # parts no larger than those of the neighbours
+    table = _inversion_entries(n, max(max(lam, default=0) for lam in polys))
     normalizers = {lam: principal_normalizer(lam, params) for lam in polys}
     offset = sum((tj + 1 / tj for tj in tau_vector(n, params)), Fraction(0))
     residuals = {}
@@ -626,6 +686,6 @@ def verify_pieri(n: int, max_part: int, params: ParamSet) -> dict[tuple[int, ...
         for weight, (_, target) in zip(weights, steps):
             for mu, c in polys[target].characters.items():
                 total[mu] += weight * c
-        residual = _orbit_coefficients(total, n) if any(total.values()) else {}
+        residual = _orbit_coefficients(total, table) if any(total.values()) else {}
         residuals[lam] = {mu: Fraction(d, common) for mu, d in residual.items()}
     return residuals

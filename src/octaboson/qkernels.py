@@ -27,8 +27,9 @@ tau in the principal normalizer and the recurrence, plus a few sums in the
 potential.  They evaluate in integer arithmetic: ``factor_ratio``
 multiplies the factors as unreduced (numerator, denominator) pairs from
 the integer numerator and denominator of x and the point's integer powers
-of q (``ParamSet.q_powers``), the potential combines such pairs by
-cross-multiplication, and each value builds one ``Fraction``, at the end
+of q (``ParamSet.q_powers``), a power of tau is such a pair too, the
+potential combines such pairs by cross-multiplication, and each value
+builds one ``Fraction``, at the end
 (``exact_ratio`` for a product of factors alone).  A vanishing denominator
 is caught on its integer before any division.  The q-series primitives
 and the reduced closed forms stay in ``Fraction`` arithmetic, so the
@@ -116,8 +117,18 @@ class ParamSet:
     @cached_property
     def pair_products(self) -> tuple[Fraction, ...]:
         """The nonzero products t_r t_s, r < s (a zero one contributes only
-        factors of 1)."""
-        products = (self.ts[r] * self.ts[s] for r, s in itertools.combinations(range(4), 2))
+        factors of 1): ``t1_products``, then ``bulk_products``."""
+        return self.t1_products + self.bulk_products
+
+    @cached_property
+    def t1_products(self) -> tuple[Fraction, ...]:
+        """The nonzero products t_1 t_r, r > 1."""
+        return tuple(prod for prod in (self.ts[0] * t for t in self.ts[1:]) if prod)
+
+    @cached_property
+    def bulk_products(self) -> tuple[Fraction, ...]:
+        """The nonzero products t_r t_s, 1 < r < s."""
+        products = (self.ts[r] * self.ts[s] for r, s in _PAIRS_BEYOND_T1)
         return tuple(prod for prod in products if prod)
 
     @cached_property
@@ -261,10 +272,15 @@ def factor_ratio(numerator, denominator, q_num, q_den) -> tuple[int, int]:
 def exact_ratio(numerator, denominator, params: ParamSet, message: str, *details) -> Fraction:
     """``factor_ratio`` of the factors at the point's powers of q, as a
     ``Fraction``; GenericityError(message.format(*details)) where a factor
-    of ``denominator`` vanishes, formatted only then.  The point's table of
-    powers is read as it stands and, where a factor's |k| lies beyond it,
-    grown to the factors' largest |k|: a scan of every call's exponents
-    would cost a third of a kernel's time."""
+    of ``denominator`` vanishes, formatted only then."""
+    return Fraction(*_checked_ratio(numerator, denominator, params, message, *details))
+
+
+def _checked_ratio(numerator, denominator, params: ParamSet, message: str, *details):
+    """The integer pair of ``exact_ratio``.  The point's table of powers is
+    read as it stands and, where a factor's |k| lies beyond it, grown to
+    the factors' largest |k|: a scan of every call's exponents would cost a
+    third of a kernel's time."""
     try:
         num, den = factor_ratio(numerator, denominator, *params.q_powers(1))
     except IndexError:
@@ -272,12 +288,20 @@ def exact_ratio(numerator, denominator, params: ParamSet, message: str, *details
         num, den = factor_ratio(numerator, denominator, *params.q_powers(top + 1))
     if den == 0:
         raise GenericityError(message.format(*details))
-    return Fraction(num, den)
+    return num, den
 
 
 def tau_vector(n: int, params: ParamSet) -> tuple[Fraction, ...]:
     """tau_j = q^{n-j} t_1 for j = 1..n (0-based index j-1)."""
     return tuple(params.q ** (n - 1 - j) * params.ts[0] for j in range(n))
+
+
+def _tau_monomial(k: int, m: int, params: ParamSet) -> tuple[int, int]:
+    """q^k t_1^m as an integer pair, read from the point's powers of q: the
+    product of m of the tau_j = q^{n-1-j} t_1 whose n - 1 - j sum to k."""
+    q_num, q_den = params.q_powers(k + 1)
+    t1 = params.ts[0]
+    return q_num[k] * t1.numerator**m, q_den[k] * t1.denominator**m
 
 
 def _mult_qpoch_product(lam: tuple[int, ...], q: Fraction) -> Fraction:
@@ -342,14 +366,14 @@ def principal_normalizer(lam: tuple[int, ...], params: ParamSet) -> Fraction:
     (t_1 t_r q^{m0})_{n - m0}."""
     lam = tuple(lam)
     n, m0 = len(lam), multiplicity(lam, 0)
-    ts = params.ts
-    tau_power = Fraction(1)
-    for tau_j, part in zip(tau_vector(n, params), lam):
-        tau_power *= tau_j**part
     denominator = [(1, k) for k in range(1, n + 1)]
-    denominator += [(x, k) for x in (ts[0] * tr for tr in ts[1:]) if x for k in range(m0, n)]
+    denominator += [(x, k) for x in params.t1_products for k in range(m0, n)]
     message = "principal normalizer denominator vanishes at {}"
-    return tau_power * exact_ratio(_shared_factors(lam, params), denominator, params, message, lam)
+    num, den = _checked_ratio(_shared_factors(lam, params), denominator, params, message, lam)
+    # tau^lam = q^(sum_j (n - 1 - j) lam_j) t_1^|lam|
+    k = sum((n - 1 - j) * part for j, part in enumerate(lam))
+    tau_num, tau_den = _tau_monomial(k, sum(lam), params)
+    return Fraction(num * tau_num, den * tau_den)
 
 
 # ---------------------------------------------------------------------------
@@ -371,25 +395,28 @@ def pieri_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Fr
     """
     lam = tuple(lam)
     unit_step(lam, j, step)  # validates
-    ts, t = params.ts, params.t
+    t = params.t
     m0, m1 = multiplicity(lam, 0), multiplicity(lam, 1)
     part = lam[j]
-    tau_j = tau_vector(len(lam), params)[j]
     numerator, denominator = [(1, multiplicity(lam, part))], [(1, 1)]
     if step == 1:
         if t and part <= 1:
             numerator.append((t, 2 * m0 + m1 - 1))
         if part == 0:
-            numerator += [(x, m0 - 1) for x in (ts[0] * tr for tr in ts[1:]) if x]
+            numerator += [(x, m0 - 1) for x in params.t1_products]
             if t:
                 denominator += [(t, 2 * m0 - 2), (t, 2 * m0 - 1)]
     elif part == 1:
-        numerator += [(x, m0) for x in (ts[r] * ts[s] for r, s in _PAIRS_BEYOND_T1) if x]
+        numerator += [(x, m0) for x in params.bulk_products]
         if t:
             numerator.append((t, m0 - 1))
             denominator += [(t, 2 * m0 - 1), (t, 2 * m0)]
-    value = exact_ratio(numerator, denominator, params, "pieri coefficient denominator vanishes")
-    return value / tau_j if step == 1 else tau_j * value
+    message = "pieri coefficient denominator vanishes"
+    num, den = _checked_ratio(numerator, denominator, params, message)
+    tau_num, tau_den = _tau_monomial(len(lam) - 1 - j, 1, params)
+    if step == 1:
+        return Fraction(num * tau_den, den * tau_num)
+    return Fraction(num * tau_num, den * tau_den)
 
 
 #: Entries of each occupation-keyed coefficient cache, here and in ``qboson``.
@@ -480,9 +507,8 @@ def _boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
     ts, t = params.ts, params.t
     t1 = ts[0]
     q_num, q_den = params.q_powers(2 * m0 + m1 + 3)
-    couplings_a = (ts[r] * ts[s] for r, s in _PAIRS_BEYOND_T1)
-    numerator_a = [(x, m0) for x in couplings_a if x]
-    numerator_b = [(x, m0 - 1) for x in (t1 * tr for tr in ts[1:]) if x]
+    numerator_a = [(x, m0) for x in params.bulk_products]
+    numerator_b = [(x, m0 - 1) for x in params.t1_products]
     denominator_a, denominator_b = [], []
     if t:
         numerator_a.append((t, m0 - 1))

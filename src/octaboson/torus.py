@@ -327,7 +327,7 @@ def verify_orthogonality(
     if quad is not None:
         _check_kernel(n, (2 * max_part + 1) ** n, math.comb(n + max_part, n))
     lams = enumerate_partitions(n, max_part)
-    expansions = [hallittlewood.hl_polynomial(lam, params).expansion for lam in lams]
+    expansions = [hl.expansion for hl in hallittlewood.sector_polynomials(lams, params).values()]
     if quad is None:
         quad = QuadratureSpec(choose_points(expansions, params, tol), n)
     gram = gram_matrix(expansions, params, quad)

@@ -4,7 +4,8 @@ Each coefficient and relation scalar is cached per occupation numbers and
 point, and each q-series factor per its arguments; a norm is computed where
 it is read.  Every suite runs whole in its module on tables it owns: the
 operator checks' step tables and Hamiltonian rows, and the polynomials
-and normalizers of the polynomial suites, each built once per run, whatever the bound of ``hl_polynomial``'s cache; an eigen run
+and normalizers of the polynomial suites, each built once per run by
+``sector_polynomials``, which reads no polynomial cache; an eigen run
 evaluates each orbit sum once per sample.  A result must not depend on
 what an earlier point left in a cache, and the benchmark, which empties
 every module-level ``lru_cache`` before each op, must reach each cache.  A
@@ -96,13 +97,21 @@ def test_benchmark_empties_the_seed_block_cache(bench_run, params4):
     assert hallittlewood._seed_block.cache_info().currsize == 0
 
 
-def test_eigen_run_builds_each_polynomial_once(capsys, cold_caches):
+def test_eigen_run_builds_each_polynomial_once(capsys, monkeypatch, cold_caches):
     # 120 states and 15 neighbours (15, k): more polynomials than the
     # 128 that hl_polynomial's cache holds, each built once for the run
+    built = []
+    builder = hallittlewood.sector_polynomials
+
+    def counting(lams, params, **kwargs):
+        built.extend(lams)
+        return builder(lams, params, **kwargs)
+
+    monkeypatch.setattr(hallittlewood, "sector_polynomials", counting)
     argv = ["verify", "eigen", "--n", "2", "--maxPart", "14"]
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
-    assert hallittlewood.hl_polynomial.cache_info().misses == 135
+    assert len(built) == len(set(built)) == 135
 
 
 def test_eigen_run_takes_each_orbit_sum_once_per_sample(capsys, monkeypatch, params4):

@@ -1,8 +1,11 @@
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from octaboson import cli, hallittlewood, partitions, qboson, torus
 from octaboson.laurent import NotDivisibleError
@@ -477,13 +480,13 @@ def test_gram_kernel_refused_before_any_polynomial(suite, capsys, monkeypatch):
     # is monic, so the supports cover the sector, (2 * 6 + 1)^4 = 28,561
     # orbit elements against C(10, 4) = 210 weights; no polynomial is built
     calls = []
-    real_polynomial = hallittlewood.hl_polynomial
+    builder = hallittlewood.sector_polynomials
 
-    def counting_polynomial(lam, params):
-        calls.append(lam)
-        return real_polynomial(lam, params)
+    def counting_builder(lams, params, **kwargs):
+        calls.extend(lams)
+        return builder(lams, params, **kwargs)
 
-    monkeypatch.setattr(hallittlewood, "hl_polynomial", counting_polynomial)
+    monkeypatch.setattr(hallittlewood, "sector_polynomials", counting_builder)
     code, out = run(capsys, "verify", suite, "--n", "4", "--maxPart", "6", "--M", "8")
     assert code == 3 and json.loads(out)["error"] == {
         "type": "budget",
@@ -695,3 +698,39 @@ def test_report_bytes_reproducible(tmp_path, capsys):
     third = tmp_path / "c.json"
     assert cli.main(argv[:-1] + ["3", "--out", str(third)]) == 0
     assert first.read_bytes() != third.read_bytes()
+
+#: report-like JSON values: every leaf the encoder writes (non-ASCII,
+#: control and escaped characters, -0.0, NaN and the infinities, integers
+#: past 64 bits), empty and nested lists, tuples and dicts, keyed by
+#: strings, integers or floats
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200)
+    | st.floats() | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4)
+    | st.dictionaries(st.integers(), children, max_size=3)
+    | st.dictionaries(st.floats(), children, max_size=3),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+@example({"\u00e9\u2028": "\x00\"\\/\ud83d", "x": [-0.0, math.nan, math.inf, -math.inf, 1e300]})
+@example({"": {}, "a": [], "b": (), "c": [[], {}], "d": {"e": [True, False, None]}})
+@example({True: 1, False: 2})
+@example({None: [0.1, 2**70]})
+def test_report_json_is_the_encoders_layout(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_report_json_refuses_what_the_encoder_refuses():
+    for value in ({"a": {1, 2}}, [Fraction(1, 2)], {(1, 2): 0}, {"a": 1, 2: 3}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._json(value)

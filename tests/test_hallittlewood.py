@@ -225,7 +225,13 @@ def _straightened(lam: tuple[int, ...], params: ParamSet) -> dict[tuple[int, ...
     n = len(lam)
     exponents, coefficients, _ = hallittlewood._seed_block(n, lam.count(0), params)
     shift = [p + r for p, r in zip(lam, weyl_vector(n))]
-    return hallittlewood._straighten(exponents, coefficients, shift)
+    return hallittlewood._straighten(exponents, coefficients, [shift])[0]
+
+
+def _orbit_coefficients(coeffs, n: int) -> dict[tuple[int, ...], int]:
+    """``_orbit_coefficients`` on the table of the largest part of a nonzero c."""
+    top = max((max(mu, default=0) for mu, c in coeffs.items() if c), default=0)
+    return hallittlewood._orbit_coefficients(coeffs, hallittlewood._inversion_entries(n, top))
 
 
 def _freudenthal_orbit_coefficients(coeffs) -> dict[tuple[int, ...], int]:
@@ -245,7 +251,7 @@ def test_orbit_coefficients_match_freudenthal(n, max_part, params4):
     for lam in enumerate_partitions(n, max_part):
         coeffs = _straightened(lam, params4)
         expected = _freudenthal_orbit_coefficients(coeffs)
-        assert hallittlewood._orbit_coefficients(coeffs, n) == expected, lam
+        assert _orbit_coefficients(coeffs, n) == expected, lam
 
 
 def test_every_weyl_row_is_needed(monkeypatch, params4, fresh_construction):
@@ -256,7 +262,7 @@ def test_every_weyl_row_is_needed(monkeypatch, params4, fresh_construction):
         cases = []
         for lam in enumerate_partitions(n, max_part):
             coeffs = _straightened(lam, params4)
-            cases.append((coeffs, hallittlewood._orbit_coefficients(coeffs, n)))
+            cases.append((coeffs, _orbit_coefficients(coeffs, n)))
         rows = len(shifts(n)[0])
         assert rows == 2**n * math.factorial(n) - 1
         for row in range(rows):
@@ -267,7 +273,7 @@ def test_every_weyl_row_is_needed(monkeypatch, params4, fresh_construction):
             monkeypatch.setattr(hallittlewood, "_weyl_shifts", mutant)
             hallittlewood._inversion_entries.cache_clear()
             assert any(
-                hallittlewood._orbit_coefficients(coeffs, n) != expected
+                _orbit_coefficients(coeffs, n) != expected
                 for coeffs, expected in cases
             ), (n, row)
         monkeypatch.setattr(hallittlewood, "_weyl_shifts", shifts)
@@ -467,8 +473,8 @@ def test_vector_character_moves_a_character_by_unit_steps():
 
 
 def test_pieri_residual_takes_fraction_arithmetic_per_step(monkeypatch, params4):
-    # with the polynomials built and the kernels' values taken, a passing
-    # run multiplies two factors per state and per step and sums the step
+    # with the polynomials built and handed to the run, and the kernels'
+    # values taken, a passing run multiplies two factors per state and per step and sums the step
     # coefficients: no Fraction arithmetic per orbit or character term
     n, max_part = 3, 3
     states, polys = hallittlewood.recurrence_sector(n, max_part, params4)
@@ -477,6 +483,7 @@ def test_pieri_residual_takes_fraction_arithmetic_per_step(monkeypatch, params4)
     normalizers = {lam: principal_normalizer(lam, params4) for lam in polys}
     monkeypatch.setattr(hallittlewood, "pieri_coeff", lambda *key: coefficients[key[:3]])
     monkeypatch.setattr(hallittlewood, "principal_normalizer", lambda lam, _: normalizers[lam])
+    monkeypatch.setattr(hallittlewood, "recurrence_sector", lambda *_: (states, polys))
     calls = []
     for name in ("__mul__", "__add__"):
         def counting(self, other, original=getattr(Fraction, name)):

@@ -336,6 +336,40 @@ def test_pieri_coeff_invalid_step(params4):
         pieri_coeff((2, 2), 0, -1, params4)
 
 
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
+)
+
+
+def test_tau_powers_are_integer_pairs(monkeypatch, param_triple):
+    # tau_j = q^{n-1-j} t_1 is read from the point's integer powers of q, so
+    # each principal normalizer and recurrence coefficient builds one
+    # Fraction and does no Fraction arithmetic; the values match the
+    # tau_vector formulas, also at a point with t_1 < 0
+    lams = enumerate_partitions(3, 3)
+    steps = [(lam, j, step) for lam in lams for j, step, _ in unit_steps(lam)]
+    for params in param_triple:
+        for lam in lams:
+            assert wave_normalizer(lam, params) == principal_normalizer(
+                lam, params
+            ) * quadratic_norm(lam, params)
+        values = [principal_normalizer(lam, params) for lam in lams]
+        values += [pieri_coeff(*step, params) for step in steps]
+        calls = []
+        for name in FRACTION_ARITHMETIC:
+            def counting(self, *args, original=getattr(Fraction, name)):
+                calls.append(1)
+                return original(self, *args)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        again = [principal_normalizer(lam, params) for lam in lams]
+        again += [pieri_coeff(*step, params) for step in steps]
+        monkeypatch.undo()
+        assert again == values and calls == []
+    assert param_triple[2].ts[0] < 0
+
+
 def test_hop_coeff_examples(params4):
     q = params4.q
     for lam in enumerate_partitions(2, 3):

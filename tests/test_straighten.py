@@ -68,7 +68,7 @@ def test_vectorized_straightening_matches_oracle(case):
     terms, shift = case
     n = len(shift)
     coefficients = tuple(c for _, c in terms)
-    got = _straighten(_matrix(n, terms), coefficients, shift)
+    got = _straighten(_matrix(n, terms), coefficients, [shift])[0]
     expected = straighten_oracle(terms, shift)
     assert got == expected
     assert all(type(c) is int for c in got.values())
@@ -76,8 +76,8 @@ def test_vectorized_straightening_matches_oracle(case):
 
 def test_shift_beyond_int64_is_refused():
     exponents = np.array([[2, -1]], dtype=np.int64)
-    _straighten(exponents, (1,), (INT64_MAX - 2, 0))
+    _straighten(exponents, (1,), [(INT64_MAX - 2, 0)])
     with pytest.raises(ValueError, match="int64"):
-        _straighten(exponents, (1,), (INT64_MAX - 1, 0))
+        _straighten(exponents, (1,), [(INT64_MAX - 1, 0)])
     with pytest.raises(ValueError, match="int64"):
-        _straighten(exponents, (1,), (0, -(2**80)))
+        _straighten(exponents, (1,), [(0, 0), (0, -(2**80))])
