@@ -53,6 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _PARAM_FLAGS = ("--q", "--t1", "--t2", "--t3", "--t4")
+#: the value forms that ``_join_negative_values`` joins to their flag
+_JOINED_VALUES = {**dict.fromkeys(_PARAM_FLAGS, _RATIONAL_RE), "--lambda": re.compile(r"^-\d+(,[+-]?\d+)*$")}
 
 
 def _parse_rational(text: str, flag: str) -> Fraction:
@@ -463,12 +465,13 @@ PARSER = build_parser()
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--t2 -1/4`` as ``--t2=-1/4``: argparse reads a separated
-    value that starts with '-' and is not a plain number as an option."""
+    """Rewrite ``--t2 -1/4`` as ``--t2=-1/4`` and ``--lambda -1,0`` as
+    ``--lambda=-1,0``: argparse reads a separated value that starts with '-'
+    and is not a plain number as an option."""
     out: list[str] = []
     for token in argv:
-        negative = token.startswith("-") and _RATIONAL_RE.match(token)
-        if out and out[-1] in _PARAM_FLAGS and negative:
+        pattern = _JOINED_VALUES.get(out[-1]) if out else None
+        if pattern and token.startswith("-") and pattern.match(token):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -486,6 +489,8 @@ def main(argv=None) -> int:
         for flag in ("out", "relation"):  # empty would read as absent
             if getattr(args, flag, None) == "":
                 raise ValueError(f"--{flag} must not be empty")
+        if getattr(args, "relation", None) == "com-":  # so would the bare prefix
+            raise ValueError("--relation 'com-' names no relation")
         command = _cmd_poly if args.command == "poly" else _cmd_verify
         payload, rows, code = command(args)
         return code if _emit(payload, args, rows) else EXIT_FAIL

@@ -6,20 +6,22 @@ Weyl character formula, a signed sum of Sp(2n) characters: every term x^e of
 x^{-lam-rho} times the integer seed block is straightened into the dominant
 chamber (dropped when it is fixed by a reflection), all rows of the seed's
 exponent matrix at once in numpy; times the Weyl denominator, the sum is
-unitriangular in its orbit-sum coefficients, solved for in integers.  The
-orbit sum over all 2^n n! group elements followed by exact binomial division
-gives the same polynomials and is kept in the test suite as an oracle, as
-are the row-at-a-time straightening, Freudenthal's formula for the
-characters, and the numerical Gram-Schmidt orthogonalization of the orbit
-sums against the torus inner product, the cross check of the exact route.
+unitriangular in its orbit-sum coefficients, solved for in integers when
+first read.  The orbit sum over all 2^n n! group elements followed by exact
+binomial division gives the same polynomials and is kept in the test suite
+as an oracle, as are the row-at-a-time straightening, Freudenthal's formula
+for the characters, and the numerical Gram-Schmidt orthogonalization of the
+orbit sums against the torus inner product, the cross check of the exact
+route.
 A second construction, valid when t_3 = t_4 = 0, uses the classical
 lambda-independent coefficient and is compared against the primary route
 as an exact polynomial identity.
 
 The lattice recurrence is checked on the integer characters each
 construction keeps, where m_(1) = sum_j (x_j + 1/x_j), the vector character,
-moves chi_mu to the chi_nu of the unit steps nu of mu; no Laurent polynomial
-is built.  ``verify_pieri`` runs that suite whole, on tables the run owns.
+moves chi_mu to the chi_nu of the unit steps nu of mu; no orbit expansion
+is solved unless a residual is nonzero.  ``verify_pieri`` runs that suite
+whole, on tables the run owns.
 
 A suite builds its sector's polynomials together, by ``sector_polynomials``:
 one straightening pass per seed block (bounded in size) and one table of
@@ -38,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -76,7 +78,7 @@ MAX_VARIABLES = 4
 class InvariantError(RuntimeError):
     """A constructed polynomial is not monic or leaves its lower set.
 
-    lam is the partition being built and mu the offending expansion index.
+    lam is the partition being built and mu the offending character, or lam.
     """
 
     def __init__(self, message: str, lam: tuple[int, ...], mu: tuple[int, ...]):
@@ -87,19 +89,44 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class HLPolynomial:
-    """A constructed polynomial: its orbit-sum expansion, and its integer
-    Sp(2n) character coefficients c_mu with P_lam = scale * sum c_mu chi_mu.
+    """P_lam = scale * sum c_mu chi_mu, held as its integer Sp(2n) character
+    coefficients c_mu, their one scale and the run's inversion table.
 
-    The expansion is the construction's result; the Laurent polynomial
-    ``poly`` is rebuilt from it on first read (one pass over the orbits)
-    and kept, so a caller that reads only the expansion never pays for it.
+    Building it raises InvariantError unless every nonzero c_mu has
+    mu <= lam and c_lam * scale = 1: as chi_mu is m_mu plus orbit sums
+    below mu, its orbit expansion is then monic and in lam's lower set.
+    ``orbit``, ``expansion`` and ``poly`` are derived on first read and
+    kept: reading the characters solves nothing.
     """
 
     lam: tuple[int, ...]
-    expansion: Mapping[tuple[int, ...], Fraction]
     params: ParamSet
     characters: Mapping[tuple[int, ...], int]
     scale: Fraction
+    table: tuple = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        lam = self.lam
+        outside = [mu for mu, c in self.characters.items() if c and not dominance_leq(mu, lam)]
+        if outside:
+            mu = max(outside, key=lambda m: (sum(m), m))
+            raise InvariantError(
+                f"expansion of {lam} has support {mu} outside the lower set", lam, mu
+            )
+        top = self.characters.get(lam, 0) * self.scale
+        if top != 1:
+            message = f"constructed polynomial for {lam} is not monic: coefficient {top} at {lam}"
+            raise InvariantError(message, lam, lam)
+
+    @cached_property
+    def orbit(self) -> dict[tuple[int, ...], int]:
+        """The nonzero integer d_nu with sum c_mu chi_mu = sum d_nu m_nu."""
+        return _orbit_coefficients(self.characters, self.table)
+
+    @cached_property
+    def expansion(self) -> dict[tuple[int, ...], Fraction]:
+        """The orbit-sum expansion, keyed in decreasing (degree, lex) order."""
+        return {nu: self.scale * d for nu, d in self.orbit.items()}
 
     @cached_property
     def poly(self) -> LaurentPoly:
@@ -129,24 +156,6 @@ def reconstruct_from_expansion(
     return LaurentPoly(
         n, {e: coeff for mu, coeff in expansion.items() for e in orbit(tuple(mu))}
     )
-
-
-def _finalize(
-    lam: tuple[int, ...], characters: dict, scale: Fraction, expansion: dict, params: ParamSet
-) -> HLPolynomial:
-    if expansion.get(lam) != 1:
-        raise InvariantError(
-            f"constructed polynomial for {lam} is not monic: "
-            f"coefficient {expansion.get(lam, 0)} at {lam}",
-            lam,
-            lam,
-        )
-    for mu in expansion:
-        if not dominance_leq(mu, lam):
-            raise InvariantError(
-                f"expansion of {lam} has support {mu} outside the lower set", lam, mu
-            )
-    return HLPolynomial(lam, expansion, params, characters, scale)
 
 
 #: (exponents, coefficients, denominator): the (S, n) int64 exponent matrix,
@@ -499,7 +508,8 @@ def sector_polynomials(
 ) -> dict[tuple[int, ...], HLPolynomial]:
     """{lam: polynomial} for the partitions lams, all of one length n, built
     together: the primary construction, or with ``classical`` the classical
-    formula, which requires t_3 = t_4 = 0.
+    formula, which requires t_3 = t_4 = 0 (a ValueError refuses it off that
+    profile, and a lams entry that is not a partition within MAX_VARIABLES).
 
     P_lam is scale * sum_w w(x^{-lam} g / D), g the seed block over its
     denominator d and D the product of (1 - x^alpha) over positive roots;
@@ -511,12 +521,18 @@ def sector_polynomials(
     The partitions that read one seed block (one zero count; for the
     classical formula, the block without zero parts) are straightened in
     shared passes of at most _BLOCK_ENTRIES exponent entries, or of one
-    partition whose block is larger.  Every orbit expansion is then solved
-    on the one ``_inversion_entries`` table of the largest part of lams,
-    its keys in decreasing (degree, lex) order, and checked by
-    ``_finalize`` in the order of lams.
+    partition whose block is larger.  Each polynomial holds the one
+    ``_inversion_entries`` table of the largest part of lams, on which its
+    orbit expansion is solved when read, and is checked as it is built, in
+    the order of lams.
     """
+    if classical and params.profile != "two":
+        raise ValueError("the classical formula requires the two-parameter profile")
     n = len(lams[0])
+    for lam in lams:
+        if not is_partition(lam):
+            raise ValueError(f"not a partition: {lam}")
+    check_variables(n)
     rho = weyl_vector(n)
     blocks = defaultdict(list)
     for lam in lams:
@@ -530,28 +546,14 @@ def sector_polynomials(
             shifts = [[p + r for p, r in zip(lam, rho)] for lam in batch]
             for lam, characters in zip(batch, _straighten(exponents, coefficients, shifts)):
                 straightened[lam] = characters, denominator
-    # lams' largest part, unless a character leaves its lower set, which
-    # _finalize then reports
-    nonzero = (mu for characters, _ in straightened.values() for mu, c in characters.items() if c)
-    table = _inversion_entries(n, max((max(mu, default=0) for mu in nonzero), default=0))
+    table = _inversion_entries(n, max(max(lam, default=0) for lam in lams))
     out = {}
     for lam in lams:
         characters, denominator = straightened[lam]
         scale = quadratic_norm(lam, params) if classical else 1 / monic_normalizer(lam, params)
         factor = (-1) ** (n * n) * scale / denominator
-        totals = _orbit_coefficients(characters, table)
-        expansion = {nu: factor * value for nu, value in totals.items()}
-        out[lam] = _finalize(lam, characters, factor, expansion, params)
+        out[lam] = HLPolynomial(lam, params, characters, factor, table)
     return out
-
-
-def _checked_partition(lam: Sequence[int]) -> tuple[int, ...]:
-    """lam as a tuple, once it is a partition within MAX_VARIABLES parts."""
-    lam = tuple(lam)
-    if not is_partition(lam):
-        raise ValueError(f"not a partition: {lam}")
-    check_variables(len(lam))
-    return lam
 
 
 def check_variables(n: int) -> None:
@@ -575,7 +577,6 @@ def hl_polynomial(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     denominator (missing (1 - x_j^2) factors for zero parts are topped up in
     the numerator), summed over the group, and scaled monic.
     """
-    lam = _checked_partition(lam)
     return sector_polynomials([lam], params)[lam]
 
 
@@ -589,9 +590,6 @@ def macdonald_formula(lam: tuple[int, ...], params: ParamSet) -> HLPolynomial:
     the seed block without zero parts, so both constructions share it, and
     share ``sector_polynomials``.
     """
-    if params.profile != "two":
-        raise ValueError("the classical formula requires the two-parameter profile")
-    lam = _checked_partition(lam)
     return sector_polynomials([lam], params, classical=True)[lam]
 
 
@@ -607,9 +605,8 @@ def principal_specialization(hl: HLPolynomial) -> Fraction:
     expansion, (N_j D_j)^L f(x_j, m) = (N_j^2m + D_j^2m) (N_j D_j)^(L-m) is
     an integer.  The scaled sum over the rearrangements of the last k
     positions depends only on the k parts left to place, so each is
-    computed once across the expansion.  The value is one integer sum over
-    the common denominator C prod_j (N_j D_j)^L, C the lcm of the
-    coefficients' denominators, and one Fraction at the end.
+    computed once across the expansion.  The value is the scale times one
+    integer sum of the integer orbit coefficients over prod_j (N_j D_j)^L.
     """
     n, top = len(hl.lam), max(hl.lam, default=0)
     taus = tau_vector(n, hl.params)
@@ -632,12 +629,9 @@ def principal_specialization(hl: HLPolynomial) -> Fraction:
             if not i or parts[i - 1] != v
         )
 
-    common = math.lcm(*(c.denominator for c in hl.expansion.values()))
-    numerator = sum(
-        c.numerator * (common // c.denominator) * rearranged(mu) for mu, c in hl.expansion.items()
-    )
-    scale = math.prod((x.numerator * x.denominator) ** top for x in taus)
-    return Fraction(numerator, common * scale)
+    numerator = sum(d * rearranged(mu) for mu, d in hl.orbit.items())
+    denominator = math.prod((x.numerator * x.denominator) ** top for x in taus)
+    return hl.scale * Fraction(numerator, denominator)
 
 
 def recurrence_sector(n: int, max_part: int, params: ParamSet) -> tuple[list, dict]:
@@ -665,9 +659,6 @@ def verify_pieri(n: int, max_part: int, params: ParamSet) -> dict[tuple[int, ...
     lcm of its factors' denominators, expanded in orbit sums only if nonzero.
     """
     states, polys = recurrence_sector(n, max_part, params)
-    # the sector's table: m_(1) moves a character of a state by one step, to
-    # parts no larger than those of the neighbours
-    table = _inversion_entries(n, max(max(lam, default=0) for lam in polys))
     normalizers = {lam: principal_normalizer(lam, params) for lam in polys}
     offset = sum((tj + 1 / tj for tj in tau_vector(n, params)), Fraction(0))
     residuals = {}
@@ -686,6 +677,8 @@ def verify_pieri(n: int, max_part: int, params: ParamSet) -> dict[tuple[int, ...
         for weight, (_, target) in zip(weights, steps):
             for mu, c in polys[target].characters.items():
                 total[mu] += weight * c
-        residual = _orbit_coefficients(total, table) if any(total.values()) else {}
+        # m_(1) moves a character of a state by one step, to parts no larger
+        # than those of the neighbours, which the sector's table holds
+        residual = _orbit_coefficients(total, polys[lam].table) if any(total.values()) else {}
         residuals[lam] = {mu: Fraction(d, common) for mu, d in residual.items()}
     return residuals

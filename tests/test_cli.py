@@ -292,11 +292,13 @@ def test_exit_internal_not_monic(capsys, monkeypatch, fresh_construction):
 
 def test_exit_internal_outside_lower_set(capsys, monkeypatch, fresh_construction):
     monkeypatch.setattr(hallittlewood, "dominance_leq", lambda mu, lam: mu == lam)
-    code, out = run(capsys, "poly", "--n", "1", "--lambda", "1")
-    assert code == 2
-    error = json.loads(out)["error"]
-    assert error["type"] == "internal-invariant"
-    assert error["lambda"] == [1] and error["mu"] == [0]
+    # the offending character named is the largest in (degree, lex) order
+    for lam, mu in (([1], [0]), ([2, 1, 0], [1, 1, 1])):
+        code, out = run(capsys, "poly", "--n", str(len(lam)), "--lambda", ",".join(map(str, lam)))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "internal-invariant"
+        assert error["lambda"] == lam and error["mu"] == mu
 
 
 def test_exit_budget(capsys, monkeypatch):
@@ -574,22 +576,27 @@ def test_empty_rational_names_its_flag(flag, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, message",
     [
-        (["verify", "scattering", "--n", "1", "--out="], "--out"),
-        (["poly", "--n", "1", "--out="], "--out"),
-        (["verify", "algebra", "--n", "1", "--maxPart", "1", "--relation="], "--relation"),
+        (["verify", "scattering", "--n", "1", "--out="], "--out must not be empty"),
+        (["poly", "--n", "1", "--out="], "--out must not be empty"),
+        (
+            ["verify", "algebra", "--n", "1", "--maxPart", "1", "--relation="],
+            "--relation must not be empty",
+        ),
+        (
+            ["verify", "algebra", "--n", "1", "--maxPart", "1", "--relation", "com-"],
+            "--relation 'com-' names no relation",
+        ),
     ],
-    ids=["scattering-out", "poly-out", "algebra-relation"],
+    ids=["scattering-out", "poly-out", "algebra-relation", "algebra-relation-prefix"],
 )
-def test_empty_string_flag_names_itself(argv, flag, capsys):
+def test_empty_string_flag_names_itself(argv, message, capsys):
     # an empty --out used to write the report to stdout, and an empty
-    # --relation to run all eight relations
+    # --relation, or the bare prefix com-, to run all eight relations
     code, out = run(capsys, *argv)
     assert code == 1
-    assert json.loads(out) == {
-        "error": {"type": "parameter", "message": f"{flag} must not be empty"}
-    }
+    assert json.loads(out) == {"error": {"type": "parameter", "message": message}}
 
 
 @pytest.mark.parametrize("missing", [False, True])
@@ -685,6 +692,17 @@ def test_separated_negative_rational(capsys):
     code, out = run(capsys, "poly", "--n", "1", "--lambda", "1", "--t2", "-1/3")
     assert code == 0
     assert json.loads(out)["principalSpecialization"]["equal"] is True
+
+
+def test_separated_negative_lambda(capsys):
+    # argparse reads a separated value starting with '-' as an option, a
+    # usage error, unless it is joined to its flag
+    separated = run(capsys, "poly", "--n", "2", "--lambda", "-1,0")
+    assert separated == run(capsys, "poly", "--n", "2", "--lambda=-1,0")
+    assert separated[0] == 1
+    assert json.loads(separated[1]) == {
+        "error": {"type": "parameter", "message": "not a partition: (-1, 0)"}
+    }
 
 
 def test_report_bytes_reproducible(tmp_path, capsys):

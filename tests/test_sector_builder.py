@@ -1,8 +1,8 @@
 """A sector's polynomials built together against one built at a time.
 
 ``sector_polynomials`` straightens the partitions of one seed block in
-shared passes and solves every orbit expansion on one inversion table, that
-of the sector's largest part.  Here each partition is also built alone from
+shared passes, and every polynomial holds one inversion table, that of the
+sector's largest part, on which its orbit expansion is solved when read.  Here each partition is also built alone from
 the same primitives, on a pass of its own and the table of its own largest
 part, as the construction did before the sector builder.
 """
@@ -76,6 +76,43 @@ def test_a_run_builds_one_inversion_table(argv, fresh_construction):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == cli.EXIT_OK
     assert hallittlewood._inversion_entries.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        # a passing recurrence reads the characters alone, of 30 states
+        # and neighbours built
+        (["verify", "pieri", "--n", "3", "--maxPart", "3"], 0),
+        (["poly", "--n", "3", "--lambda", "2,1,0", "--profile", "two", "--compare-macdonald"], 2),
+    ],
+    ids=["pieri", "poly"],
+)
+def test_expansions_are_solved_when_read(argv, solves, monkeypatch, fresh_construction):
+    calls = []
+    solve = hallittlewood._orbit_coefficients
+
+    def counting(coeffs, table):
+        calls.append(coeffs)
+        return solve(coeffs, table)
+
+    monkeypatch.setattr(hallittlewood, "_orbit_coefficients", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK
+    assert len(calls) == solves
+
+
+def test_expansion_does_not_depend_on_the_order_of_reads(params4, fresh_construction):
+    lams = enumerate_partitions(3, 3)
+    first, second, alone = (hallittlewood.sector_polynomials(lams, params4) for _ in range(3))
+    for lam in lams:
+        before = first[lam].expansion
+        orbit = first[lam].orbit
+        assert second[lam].orbit == orbit
+        after = second[lam].expansion
+        assert before == after == alone[lam].expansion, lam
+        assert list(before) == list(after) == list(alone[lam].expansion), lam
+        assert before == {nu: first[lam].scale * d for nu, d in orbit.items()}, lam
 
 
 def test_a_pass_holds_at_most_the_block_entries(monkeypatch, params4, fresh_construction):
