@@ -465,13 +465,14 @@ PARSER = build_parser()
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--t2 -1/4`` as ``--t2=-1/4`` and ``--lambda -1,0`` as
-    ``--lambda=-1,0``: argparse reads a separated value that starts with '-'
-    and is not a plain number as an option."""
+    """Rewrite ``--t2 -1/4`` as ``--t2=-1/4`` and ``--lam -1,0`` as
+    ``--lam=-1,0``, a flag given whole or, as argparse allows, by a prefix
+    of it alone (not ``--t``): argparse reads a separated value that starts
+    with '-' and is not a plain number as an option."""
     out: list[str] = []
     for token in argv:
-        pattern = _JOINED_VALUES.get(out[-1]) if out else None
-        if pattern and token.startswith("-") and pattern.match(token):
+        flags = [flag for flag in _JOINED_VALUES if out and flag.startswith(out[-1])]
+        if len(flags) == 1 and token.startswith("-") and _JOINED_VALUES[flags[0]].match(token):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -491,6 +492,8 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{flag} must not be empty")
         if getattr(args, "relation", None) == "com-":  # so would the bare prefix
             raise ValueError("--relation 'com-' names no relation")
+        if getattr(args, "relation", None) is not None and args.suite != "algebra":
+            raise ValueError(f"--relation restricts the algebra suite alone, not {args.suite}")
         command = _cmd_poly if args.command == "poly" else _cmd_verify
         payload, rows, code = command(args)
         return code if _emit(payload, args, rows) else EXIT_FAIL

@@ -51,7 +51,8 @@ other pairs' supports are apart.
 The degeneration checks compare the runtime steps at their reduced points
 (t4 = 0, and t3 = t4 = 0), state by state, with the reduced steps
 ``_reduced_create_step`` and ``_reduced_annihilate_step``: each step is
-made once and read once, so no table and no function is built per state.
+made once and read once, so no table and no function is built per state,
+and each reduced closed form is evaluated once per occupation numbers.
 """
 
 from __future__ import annotations
@@ -704,11 +705,11 @@ def verify_adjoint(n: int, max_part: int, params: ParamSet) -> tuple[CheckResult
 def _reduced_create_step(l: int, mu: tuple[int, ...], params: ParamSet, hop_up: Callable):
     """(target, coefficient) of delta_mu under create(l) at a reduced
     profile: the coefficient of the created state lam is the reduced
-    closed-form up-hop rate ``hop_up(lam, j, q, ts)`` (``hop_up_three`` or
-    ``hop_up_two``) of a part lam[j] = l, independently of
-    ``creation_coeff``."""
+    closed-form up-hop rate ``hop_up(m, l == 0, q, ts)`` (``hop_up_three``
+    or ``hop_up_two``) of the part l, of multiplicity m in lam,
+    independently of ``creation_coeff``."""
     lam = add_part(mu, l)
-    return lam, hop_up(lam, lam.index(l), params.q, params.ts)
+    return lam, hop_up(lam.count(l), l == 0, params.q, params.ts)
 
 
 def _reduced_annihilate_step(l: int, mu: tuple[int, ...]):
@@ -764,9 +765,10 @@ def _reduced_check(
 
     Each runtime (target, coefficient) step is made once and compared with
     its reduced step directly; only a pair that differs as it stands, e.g.
-    a coefficient None against 1, is compared again as basis images.  Each
-    reduced rate ``hop_red(lam, j)`` is evaluated once, for the create
-    comparison that reaches lam and for the hop comparison at lam.
+    a coefficient None against 1, is compared again as basis images.  The
+    closed forms read occupation numbers, counted on each state here with
+    ``tuple.count``, apart from ``occupation_key``; each is evaluated once
+    per occupation numbers, in a memo this call owns.
     """
     states = [lam for sector in range(n + 1) for lam in enumerate_partitions(sector, max_part)]
     sites = range(max_part + 2)
@@ -774,24 +776,29 @@ def _reduced_check(
     hops = sum(len(raise_indices(lam)) for lam in states)
     cases = len(states) * (1 + 2 * len(sites)) + hops + len(occupations)
     q, ts = reduced.q, reduced.ts
-    rates: dict[tuple, Fraction] = {}
+    memo: dict[tuple, Fraction] = {}
 
-    def rate(lam, j, q, ts):
-        value = rates.get((lam, j))
+    def once(closed_form, *numbers):
+        key = (closed_form, *numbers)
+        value = memo.get(key)
         if value is None:
-            value = rates[lam, j] = hop_red(lam, j, q, ts)
+            value = memo[key] = closed_form(*numbers, q, ts)
         return value
+
+    def rate(m, at_zero, *_point):
+        return once(hop_red, m, at_zero)
 
     def failure(kind, where, runtime, oracle) -> CheckResult:
         sides = {"runtime": runtime, "reduced": oracle}
         return CheckResult(cases, Mismatch({"kind": kind, **where}, sides))
 
     for lam in states:
-        runtime, oracle = quadratic_norm(lam, reduced), norm_red(lam, q, ts)
+        multiplicities = tuple(sorted(map(lam.count, set(lam))))
+        runtime, oracle = quadratic_norm(lam, reduced), once(norm_red, lam.count(0), multiplicities)
         if runtime != oracle:
             return failure("norm", {"state": lam}, runtime, oracle)
         for j in raise_indices(lam):
-            runtime, oracle = hop_coeff(lam, j, +1, reduced), rate(lam, j, q, ts)
+            runtime, oracle = hop_coeff(lam, j, +1, reduced), rate(lam.count(lam[j]), lam[j] == 0)
             if runtime != oracle:
                 return failure("hop", {"state": lam, "j": j}, runtime, oracle)
         for l in sites:

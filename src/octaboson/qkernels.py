@@ -16,8 +16,9 @@ one general formula per coefficient at every profile.  A factor that
 involves t = t_1 t_2 t_3 t_4 or a vanishing product t_r t_s equals 1 in the
 reduced profiles and is skipped there, so zeroed couplings cost nothing.
 The reduced closed forms at t_4 = 0 and t_3 = t_4 = 0 are kept only as
-degeneration oracles: the degeneration suite and the tests compare them
-with the general formulas at zeroed t_r.
+degeneration oracles, functions of the occupation numbers they read: the
+degeneration suite and the tests compare them with the general formulas at
+zeroed t_r.
 
 The runtime coefficients (the quadratic norm, the monic and principal
 normalizers, the recurrence coefficients, the creation coefficient, the
@@ -220,8 +221,8 @@ def default_params(profile: str = "four") -> ParamSet:
 
 #: Entries of each q-series cache.  The reduced closed forms repeat the same
 #: factors: ``verify degeneration --n 4 --maxPart 3`` reads 19 keys of
-#: ``qpochhammer`` and 6 of ``qinteger``; the down-hop rate reads at most
-#: n keys of ``qinteger``.
+#: ``qpochhammer`` in 194 calls and 6 of ``qinteger`` in 35; the down-hop
+#: rate reads at most n keys of ``qinteger``.
 _QSERIES_CACHE_SIZE = 256
 
 
@@ -302,14 +303,6 @@ def _tau_monomial(k: int, m: int, params: ParamSet) -> tuple[int, int]:
     q_num, q_den = params.q_powers(k + 1)
     t1 = params.ts[0]
     return q_num[k] * t1.numerator**m, q_den[k] * t1.denominator**m
-
-
-def _mult_qpoch_product(lam: tuple[int, ...], q: Fraction) -> Fraction:
-    """Product over part values l of (q)_{m_l(lam)} (absent values give 1)."""
-    out = Fraction(1)
-    for value in set(lam):
-        out *= qpochhammer(q, multiplicity(lam, value), q)
-    return out
 
 
 def _shared_factors(lam: tuple[int, ...], params: ParamSet) -> list:
@@ -421,8 +414,8 @@ def pieri_coeff(lam: tuple[int, ...], j: int, step: int, params: ParamSet) -> Fr
 
 #: Entries of each occupation-keyed coefficient cache, here and in ``qboson``.
 #: Of the suites at n <= 4, maxPart <= 3, ``verify degeneration --n 4
-#: --maxPart 3`` reads the most: 70 keys of ``_creation_coeff`` over its two
-#: reduced points.
+#: --maxPart 3`` reads the most: 70 keys of ``_creation_coeff`` in 980 calls
+#: over its two reduced points.
 OCCUPATION_CACHE_SIZE = 1024
 
 
@@ -540,55 +533,51 @@ def _boundary_potential(m0: int, m1: int, params: ParamSet) -> Fraction:
 # Reduced closed forms (degeneration oracles)
 # ---------------------------------------------------------------------------
 # The general norm, up-hop rate and boundary potential with t_4 = 0 (three)
-# or t_3 = t_4 = 0 (two) substituted and simplified by hand.  The runtime
-# never calls them; they are the independent side of the degeneration checks.
+# or t_3 = t_4 = 0 (two) substituted and simplified by hand, each a function
+# of the occupation numbers it reads.  The runtime never calls them; they
+# are the independent side of the degeneration checks.
 
 
-def norm_three(lam: tuple[int, ...], q: Fraction, ts: Sequence[Fraction]) -> Fraction:
-    """Reduced norm at t_4 = 0."""
-    n = len(lam)
-    m0 = multiplicity(lam, 0)
-    denominator = Fraction(1)
-    for r, s in itertools.combinations(range(3), 2):
-        denominator *= qpochhammer(ts[r] * ts[s], m0, q)
-    denominator *= _mult_qpoch_product(lam, q)
+def _reduced_norm(products, m0: int, multiplicities: Sequence[int], q: Fraction) -> Fraction:
+    """(1 - q)^n over prod_x (x)_{m0}, x in ``products``, and prod_l
+    (q)_{m_l}, for m0 parts 0 and the part multiplicities m_l, n in all."""
+    denominator = math.prod(qpochhammer(x, m0, q) for x in products)
+    denominator *= math.prod(qpochhammer(q, m, q) for m in multiplicities)
     if denominator == 0:
-        raise GenericityError(f"norm denominator vanishes at lam = {lam}")
-    return (1 - q) ** n / denominator
+        raise GenericityError(f"norm denominator vanishes at multiplicities {multiplicities}")
+    return (1 - q) ** sum(multiplicities) / denominator
 
 
-def norm_two(lam: tuple[int, ...], q: Fraction, ts: Sequence[Fraction]) -> Fraction:
-    """Reduced norm at t_3 = t_4 = 0."""
-    n = len(lam)
-    m0 = multiplicity(lam, 0)
-    denominator = qpochhammer(ts[0] * ts[1], m0, q) * _mult_qpoch_product(lam, q)
-    if denominator == 0:
-        raise GenericityError(f"norm denominator vanishes at lam = {lam}")
-    return (1 - q) ** n / denominator
-
-
-def hop_up_three(
-    lam: tuple[int, ...], j: int, q: Fraction, ts: Sequence[Fraction]
+def norm_three(
+    m0: int, multiplicities: Sequence[int], q: Fraction, ts: Sequence[Fraction]
 ) -> Fraction:
-    """Reduced up-hop rate of part lam[j] at t_4 = 0."""
-    m0 = multiplicity(lam, 0)
-    part = lam[j]
-    value = qinteger(multiplicity(lam, part), q)
-    if part == 0:
+    """Reduced norm at t_4 = 0, from m0 and the part multiplicities."""
+    return _reduced_norm((ts[0] * ts[1], ts[0] * ts[2], ts[1] * ts[2]), m0, multiplicities, q)
+
+
+def norm_two(
+    m0: int, multiplicities: Sequence[int], q: Fraction, ts: Sequence[Fraction]
+) -> Fraction:
+    """Reduced norm at t_3 = t_4 = 0, from m0 and the part multiplicities."""
+    return _reduced_norm((ts[0] * ts[1],), m0, multiplicities, q)
+
+
+def hop_up_three(m: int, at_zero: bool, q: Fraction, ts: Sequence[Fraction]) -> Fraction:
+    """Reduced up-hop rate at t_4 = 0 of a part of multiplicity m, at part 0
+    or not: [m], times at part 0 prod_{r<s<4} (1 - t_r t_s q^{m-1})."""
+    value = qinteger(m, q)
+    if at_zero:
         for r, s in itertools.combinations(range(3), 2):
-            value *= 1 - ts[r] * ts[s] * q ** (m0 - 1)
+            value *= 1 - ts[r] * ts[s] * q ** (m - 1)
     return value
 
 
-def hop_up_two(
-    lam: tuple[int, ...], j: int, q: Fraction, ts: Sequence[Fraction]
-) -> Fraction:
-    """Reduced up-hop rate of part lam[j] at t_3 = t_4 = 0."""
-    m0 = multiplicity(lam, 0)
-    part = lam[j]
-    value = qinteger(multiplicity(lam, part), q)
-    if part == 0:
-        value *= 1 - ts[0] * ts[1] * q ** (m0 - 1)
+def hop_up_two(m: int, at_zero: bool, q: Fraction, ts: Sequence[Fraction]) -> Fraction:
+    """Reduced up-hop rate at t_3 = t_4 = 0 of a part of multiplicity m, at
+    part 0 or not: [m], times at part 0 (1 - t_1 t_2 q^{m-1})."""
+    value = qinteger(m, q)
+    if at_zero:
+        value *= 1 - ts[0] * ts[1] * q ** (m - 1)
     return value
 
 

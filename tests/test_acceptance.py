@@ -6,6 +6,7 @@ per criterion with the measured residuals and runtimes.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -257,10 +258,13 @@ def test_criterion_09_degeneration_coherence():
     cases = 0
     for n in (0, 1, 2, 3):
         for lam in enumerate_partitions(n, 4):
-            ok = ok and quadratic_norm(lam, three) == norm_three(lam, q, zts)
+            multiplicities = sorted(Counter(lam).values())
+            ok = ok and quadratic_norm(lam, three) == norm_three(lam.count(0), multiplicities, q, zts)
             cases += 1
             for j in raise_indices(lam):
-                ok = ok and hop_coeff(lam, j, +1, three) == hop_up_three(lam, j, q, zts)
+                ok = ok and hop_coeff(lam, j, +1, three) == hop_up_three(
+                    lam.count(lam[j]), lam[j] == 0, q, zts
+                )
                 cases += 1
             f = LatticeFunction.delta(lam)
             for l in range(6):

@@ -83,7 +83,7 @@ def test_benchmark_empties_every_step_cache(bench_run, params4):
     sector_inner_product(f, f, params4)
     apply_hamiltonian(f, params4)
     # the reduced closed forms read the q-series factors, which the integer kernels do not
-    qkernels.norm_three((1, 0), params4.q, params4.ts)
+    qkernels.norm_three(1, (1, 1), params4.q, params4.ts)
     assert all(cache.cache_info().currsize for cache in STEP_CACHES)
     bench_run.clear_caches(bench_run.spans.package_modules())
     assert [cache.cache_info().currsize for cache in STEP_CACHES] == [0] * len(STEP_CACHES)

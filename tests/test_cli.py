@@ -588,12 +588,17 @@ def test_empty_rational_names_its_flag(flag, capsys):
             ["verify", "algebra", "--n", "1", "--maxPart", "1", "--relation", "com-"],
             "--relation 'com-' names no relation",
         ),
+        (
+            ["verify", "pieri", "--n", "1", "--maxPart", "1", "--relation", "com-x"],
+            "--relation restricts the algebra suite alone, not pieri",
+        ),
     ],
-    ids=["scattering-out", "poly-out", "algebra-relation", "algebra-relation-prefix"],
+    ids=["scattering-out", "poly-out", "algebra-relation", "algebra-relation-prefix", "pieri-relation"],
 )
 def test_empty_string_flag_names_itself(argv, message, capsys):
     # an empty --out used to write the report to stdout, and an empty
-    # --relation, or the bare prefix com-, to run all eight relations
+    # --relation, or the bare prefix com-, to run all eight relations; a
+    # suite other than algebra used to ignore --relation
     code, out = run(capsys, *argv)
     assert code == 1
     assert json.loads(out) == {"error": {"type": "parameter", "message": message}}
@@ -703,6 +708,31 @@ def test_separated_negative_lambda(capsys):
     assert json.loads(separated[1]) == {
         "error": {"type": "parameter", "message": "not a partition: (-1, 0)"}
     }
+
+
+@pytest.mark.parametrize(
+    "flag, value, joined",
+    [
+        ("--lam", "-1,0", "--lambda=-1,0"),
+        ("--l", "-1,0", "--lambda=-1,0"),
+        ("--lambd", "-1,0", "--lambda=-1,0"),
+        ("--t", "-1/4", None),
+    ],
+    ids=["lam", "l", "lambd", "ambiguous-t"],
+)
+def test_separated_negative_value_of_a_flag_prefix(flag, value, joined, capsys):
+    # argparse accepts a unique prefix of a flag: its separated negative
+    # value is joined as that of the whole flag, and an ambiguous prefix
+    # keeps argparse's usage error
+    separated = run(capsys, "poly", "--n", "2", flag, value)
+    assert separated[0] == 1
+    if joined:
+        assert separated == run(capsys, "poly", "--n", "2", joined)
+        assert json.loads(separated[1])["error"]["type"] == "parameter"
+    else:
+        assert json.loads(separated[1]) == {"error": {
+            "type": "usage", "message": "ambiguous option: --t could match --t1, --t2, --t3, --t4"
+        }}
 
 
 def test_report_bytes_reproducible(tmp_path, capsys):

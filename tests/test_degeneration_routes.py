@@ -7,7 +7,8 @@ Here every runtime step, as a basis image, must equal the single value of
 step that of the oracles ``reduced_create`` and ``reduced_annihilate``, so
 the suite still certifies the public operators and oracles; and the suite
 must evaluate each step once per reduced point, state and site: as many
-steps of each kind as the applications it states.
+steps of each kind as the applications it states; and each reduced closed
+form once per reduced point and occupation numbers it reads.
 """
 
 import json
@@ -17,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from octaboson import cli, qboson
-from octaboson.partitions import enumerate_partitions, sector_size
+from octaboson.partitions import add_part, enumerate_partitions, raise_indices, sector_size
 from octaboson.qboson import (
     LatticeFunction,
     annihilate,
@@ -139,13 +140,18 @@ def test_degeneration_steps_are_its_stated_applications(capsys, monkeypatch, col
     steps = Counter()
     kinds = ["_create_step", "_annihilate_step", "_reduced_create_step", "_reduced_annihilate_step"]
     count_calls(monkeypatch, qboson, kinds, steps)
-    rates = Counter()
+    # each closed form by its arguments; a form of the three or two profile
+    # is read at the t4 -> 0 or the t3,t4 -> 0 point alone
+    evaluations = Counter()
+    forms = ["norm", "hop_up", "potential"]
+    for name in [f"{form}_{profile}" for form in forms for profile in ("three", "two")]:
+        function = getattr(qboson, name)
 
-    def counted_rate(lam, j, q, ts):
-        rates[lam, j] += 1
-        return hop_up_three(lam, j, q, ts)
+        def counted(*args, _name=name, _function=function):
+            evaluations[(_name, *args[:-2])] += 1
+            return _function(*args)
 
-    monkeypatch.setattr(qboson, "hop_up_three", counted_rate)
+        monkeypatch.setattr(qboson, name, counted)
     code, payload = run(capsys, "verify", "degeneration", "--n", str(n), "--maxPart", str(max_part))
     assert code == 0
     # one step of each kind per reduced point, state and site: the stated
@@ -153,6 +159,16 @@ def test_degeneration_steps_are_its_stated_applications(capsys, monkeypatch, col
     checks = len(payload["checks"])
     assert checks == 2
     assert steps == Counter({name: checks * applications for name in kinds})
-    # each reduced rate of the t4 -> 0 point once, for the hop and the
-    # create comparisons
-    assert rates and set(rates.values()) == {1}
+    # each closed form once per reduced point and the occupation numbers it
+    # reads: the norm m0 and the sorted multiplicities of a state, the rate
+    # the multiplicity of the hopping or created part and whether it is 0,
+    # the potential (m0, m1)
+    lams = [lam for sector in range(n + 1) for lam in enumerate_partitions(sector, max_part)]
+    norms = {(lam.count(0), tuple(sorted(Counter(lam).values()))) for lam in lams}
+    rates = {(lam.count(lam[j]), lam[j] == 0) for lam in lams for j in raise_indices(lam)}
+    rates |= {(add_part(mu, l).count(l), l == 0) for mu in lams for l in range(max_part + 2)}
+    potentials = {(m0, m1) for m0 in range(n + 1) for m1 in range(n + 1 - m0)}
+    numbers = {"norm": norms, "hop_up": rates, "potential": potentials}
+    expected = {(f"{form}_{profile}", *key) for form in forms for key in numbers[form]
+                for profile in ("three", "two")}
+    assert evaluations == Counter(expected)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -450,9 +451,9 @@ def test_general_formulas_match_reduced_oracles_random_params(params, parts):
     lam = tuple(sorted(parts, reverse=True))
     q, ts = params.q, params.ts
     norm_red, hop_red, pot_red = _ORACLES[params.profile]
-    assert quadratic_norm(lam, params) == norm_red(lam, q, ts)
+    assert quadratic_norm(lam, params) == norm_red(lam.count(0), sorted(Counter(lam).values()), q, ts)
     for j in raise_indices(lam):
-        assert hop_coeff(lam, j, +1, params) == hop_red(lam, j, q, ts)
+        assert hop_coeff(lam, j, +1, params) == hop_red(lam.count(lam[j]), lam[j] == 0, q, ts)
     n = len(lam)
     for m0 in range(n + 1):
         for m1 in range(n + 1 - m0):

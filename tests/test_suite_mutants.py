@@ -4,12 +4,13 @@
 ``verify algebra`` checks the single-site relations once per site, on
 step tables shared by every check of the run, and ``verify degeneration``
 compares the entries of the runtime's step tables at its reduced points
-with the reduced steps, state by state, and reads each reduced hop rate
-once; each mutant below breaks one formula in a way only the full check
-can see, and the suite must fail on it, with a failing algebra relation
-naming the mutated site in its ``worstCase``, a failing adjointness check
-the mutated site and state, and a failing degeneration check the mutated
-(operator, site, state) in its ``firstFailure``.  ``verify pieri`` checks the recurrence on the
+with the reduced steps, state by state, and evaluates each reduced closed
+form once per occupation numbers; each mutant below breaks one formula in
+a way only the full check can see, and the suite must fail on it, with a
+failing algebra relation naming the mutated site in its ``worstCase``, a
+failing adjointness check the mutated site and state, and a failing
+degeneration check the mutated (operator, site, state) in its
+``firstFailure``.  ``verify pieri`` checks the recurrence on the
 orbit-sum expansions, and a failing case names its residual's size and
 largest orbit; a failing ``verify eigen`` case names the state of its
 largest residual.  Every package cache is emptied around a mutant, so no
@@ -192,9 +193,10 @@ def test_algebra_witness_names_its_worst_case_when_it_fails(capsys, monkeypatch,
 def test_degeneration_suite_catches_one_wrong_reduced_hop(capsys, monkeypatch, cold_caches):
     original = qboson.hop_up_three
 
-    def mutant(lam, j, q, ts):
-        value = original(lam, j, q, ts)
-        return 2 * value if lam == (1, 1, 0) else value
+    def mutant(m, at_zero, q, ts):
+        value = original(m, at_zero, q, ts)
+        # the rate of a doubled part other than 0, as of part 1 in (1, 1)
+        return 2 * value if (m, at_zero) == (2, False) else value
 
     monkeypatch.setattr(qboson, "hop_up_three", mutant)
     code, payload = run(capsys, "verify", "degeneration", "--n", "3", "--maxPart", "3")
@@ -203,10 +205,10 @@ def test_degeneration_suite_catches_one_wrong_reduced_hop(capsys, monkeypatch, c
         "t4->0": False,
         "t3,t4->0": True,
     }
-    # the create comparison reaches (1, 1, 0) before the hop comparison at it
+    # the create comparison reaches (1, 1) before the hop comparison at it
     first = payload["checks"][0]["firstFailure"]
-    assert (first["kind"], first["state"], first["site"]) == ("create", [1, 0], 1)
-    assert first["runtime"]["state"] == first["reduced"]["state"] == [1, 1, 0]
+    assert (first["kind"], first["state"], first["site"]) == ("create", [1], 1)
+    assert first["runtime"]["state"] == first["reduced"]["state"] == [1, 1]
     assert Fraction(first["reduced"]["value"]) == 2 * Fraction(first["runtime"]["value"])
     assert "firstFailure" not in payload["checks"][1]
 
@@ -265,8 +267,9 @@ def test_degeneration_suite_names_one_wrong_runtime_creation(capsys, monkeypatch
 @pytest.mark.parametrize(
     "name, mutated, passes, first, doubled",
     [
-        # the norm of the t3,t4 -> 0 closed forms at (1, 1)
-        ("norm_two", lambda lam, *_: lam == (1, 1), [True, False],
+        # the norm of the t3,t4 -> 0 closed forms at no part 0 and one
+        # doubled part, first read at (1, 1)
+        ("norm_two", lambda m0, mults, *_: (m0, mults) == (0, (2,)), [True, False],
          {"kind": "norm", "state": [1, 1]}, "reduced"),
         # the runtime rate of the up hop of part 1 of (2, 1, 0), which no
         # create comparison reads
@@ -299,3 +302,62 @@ def test_degeneration_suite_names_one_wrong_scalar(
             failure = check["firstFailure"]
             assert {key: failure[key] for key in first} == first
             assert Fraction(failure[doubled]) == 2 * Fraction(failure[other])
+
+
+def _doubled_creation(original):
+    def mutant(site, m, m0, m1, params):
+        value = original(site, m, m0, m1, params)
+        # the rate of a doubled part at site 1
+        return 2 * value if (site, m) == (1, 2) else value
+
+    return mutant
+
+
+def _extra_potential_term(original):
+    # a spurious term q^{m1} - 1, zero at an empty site 1
+    return lambda m0, m1, params: original(m0, m1, params) + params.q**m1 - 1
+
+
+def _norm_without_one_factor(original):
+    # each (q)_{m_l} of a part value with m_l >= 2 loses its factor (1 - q^2)
+    return lambda lam, params: [factor for factor in original(lam, params) if factor != (1, 2)]
+
+
+def _hop_without_one_pair(_original):
+    def mutant(m, at_zero, q, ts):
+        value = qkernels.qinteger(m, q)
+        if at_zero:
+            for r, s in ((0, 1), (0, 2)):  # the pair t_2 t_3 dropped
+                value *= 1 - ts[r] * ts[s] * q ** (m - 1)
+        return value
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "owner, name, make_mutant, firsts",
+    [
+        (qkernels, "_creation_coeff", _doubled_creation,
+         [{"kind": "create", "state": [1], "site": 1}] * 2),
+        (qkernels, "_boundary_potential", _extra_potential_term,
+         [{"kind": "potential", "occupations": [0, 1]}] * 2),
+        (qkernels, "_shared_factors", _norm_without_one_factor,
+         [{"kind": "norm", "state": [0, 0]}] * 2),
+        (qboson, "hop_up_three", _hop_without_one_pair,
+         [{"kind": "create", "state": [], "site": 0}, None]),
+    ],
+    ids=["create", "potential", "norm", "hop-closed-form"],
+)
+def test_degeneration_first_failures_are_pinned(
+    capsys, monkeypatch, cold_caches, owner, name, make_mutant, firsts
+):
+    # three runtime mutants and one of a closed form, each with its first
+    # failure per reduced point: the witnesses of evaluating every closed
+    # form at every state, which evaluating each once per occupation numbers
+    # must not move
+    monkeypatch.setattr(owner, name, make_mutant(getattr(owner, name)))
+    code, payload = run(capsys, "verify", "degeneration", "--n", "3", "--maxPart", "3")
+    assert code == cli.EXIT_FAIL
+    for check, first in zip(payload["checks"], firsts, strict=True):
+        failure = check.get("firstFailure")
+        assert (failure and {key: failure[key] for key in first}) == first, check["name"]
